@@ -23,9 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import gaze as gaze_mod
 from . import ingest, latent, pitch, stats, synth
@@ -48,98 +50,64 @@ class PitchSettings:
 
 
 @dataclass(frozen=True)
-class AddressSettings:
-    yaw_min: float = 45.0             # degrees
-    yaw_max: float = 70.0             # degrees
-    notes_pitch_threshold: float = -20.0  # degrees; below = looking at notes
-    min_words: int = 10               # minimum words a segment must cover
-    label: str = "AfD"                # label stamped on detected segments
-    max_notes_seconds: float | None = None  # cap on notes-look bridging; None = unlimited
-
-
-@dataclass(frozen=True)
 class RunConfig:
     pitch: PitchSettings = PitchSettings()
-    address: AddressSettings = AddressSettings()
+    address: gaze_mod.AddressRule = gaze_mod.AddressRule()
     target_party: str = "AfD"     # party whose addressing defines the interaction baseline
     prior_scale: float = 1.0      # total Dirichlet prior mass for the lexical comparison
     threads: int = 1
 
-    def address_rule(self) -> gaze_mod.AddressRule:
-        a = self.address
-        return gaze_mod.AddressRule(
-            yaw_min=a.yaw_min,
-            yaw_max=a.yaw_max,
-            notes_pitch_threshold=a.notes_pitch_threshold,
-            min_words=a.min_words,
-            label=a.label,
-            max_notes_seconds=a.max_notes_seconds,
-        )
 
-
-_SECTION_TYPES = {"pitch": PitchSettings, "address": AddressSettings}
-
-
-def load_config(path) -> RunConfig:
-    """Read a JSON config file; unknown sections or keys are rejected."""
+def _read_json(path, what: str):
+    """The document in a ``--config`` or ``--spec`` JSON file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"config {path}: bad JSON at line {e.lineno}: {e.msg}") from e
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ValidationError(f"cannot read {what} {path}: {e.strerror}") from None
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{what} {path}: bad JSON: {e}") from None
+
+
+def _fits(hint, value) -> bool:
+    """Does a JSON value have a field's annotated type?  A float field takes an int too."""
+    options = get_args(hint) or (hint,)
+    if value is None:
+        return type(None) in options
+    want = next(t for t in options if t is not type(None))
+    if want is float:
+        want = (int, float)
+    return isinstance(value, want) and isinstance(value, bool) == (want is bool)
+
+
+def _settings(cls, doc, args: argparse.Namespace, where: str):
+    """Dataclass ``cls`` built from a JSON object, explicitly passed flags winning.
+
+    A flag's argparse ``dest`` is the name of the field it sets; a field
+    holding a dataclass reads a JSON object of its own and the same flags.
+    Unknown keys and values of the wrong JSON type raise ValidationError.
+    """
     if not isinstance(doc, dict):
-        raise ValidationError(f"config {path}: top level must be an object")
-    cfg = RunConfig()
-    for section, value in doc.items():
-        if section in _SECTION_TYPES:
-            cls = _SECTION_TYPES[section]
-            known = {f.name for f in fields(cls)}
-            unknown = set(value) - known
-            if unknown:
-                raise ValidationError(f"config {path}: unknown keys {sorted(unknown)} in {section!r}")
-            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **value)})
-        elif section in ("target_party", "prior_scale", "threads"):
-            cfg = replace(cfg, **{section: value})
-        else:
-            raise ValidationError(f"config {path}: unknown section {section!r}")
-    return cfg
-
-
-def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Fold explicitly passed flags (non-None) over the config."""
-    pitch_over = {
-        name: getattr(args, flag)
-        for name, flag in (
-            ("frame_length", "frame_length"),
-            ("hop", "hop"),
-            ("threshold", "threshold"),
-            ("floor", "floor"),
-            ("ceiling", "ceiling"),
-        )
-        if getattr(args, flag, None) is not None
-    }
-    addr_over = {
-        name: getattr(args, flag)
-        for name, flag in (
-            ("yaw_min", "yaw_min"),
-            ("yaw_max", "yaw_max"),
-            ("notes_pitch_threshold", "notes_pitch"),
-            ("min_words", "min_words"),
-            ("label", "label"),
-        )
-        if getattr(args, flag, None) is not None
-    }
-    if pitch_over:
-        cfg = replace(cfg, pitch=replace(cfg.pitch, **pitch_over))
-    if addr_over:
-        cfg = replace(cfg, address=replace(cfg.address, **addr_over))
-    for name, flag in (("target_party", "target_party"), ("prior_scale", "prior")):
-        if getattr(args, flag, None) is not None:
-            cfg = replace(cfg, **{name: getattr(args, flag)})
-    if getattr(args, "threads", None) is not None:
-        cfg = replace(cfg, threads=args.threads)
-    return cfg
+        raise ValidationError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    unknown = doc.keys() - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            values[f.name] = _settings(hint, doc.get(f.name, {}), args, f"{where}, {f.name!r}")
+            continue
+        if f.name in doc:
+            if not _fits(hint, doc[f.name]):
+                raise ValidationError(
+                    f"{where}: {f.name} must be {getattr(hint, '__name__', hint)}, "
+                    f"got {doc[f.name]!r}"
+                )
+            values[f.name] = doc[f.name]
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    return cls(**values)
 
 
 # --- shared pipeline pieces ------------------------------------------------
@@ -189,7 +157,7 @@ def corpus_word_pitches(index: ingest.CorpusIndex, cfg: RunConfig):
 
 def session_segments(index: ingest.CorpusIndex, cfg: RunConfig):
     """Detected, word-filtered address segments per session id."""
-    rule = cfg.address_rule()
+    rule = cfg.address
     out = {}
     for sid in index.session_ids():
         data = index.load_session(sid)
@@ -424,16 +392,15 @@ def _result_json(result: stats.RegressionResult) -> dict:
 
 def cmd_regress(args, cfg: RunConfig) -> int:
     out_dir = Path(args.out)
+    parties = None
     if args.panel is not None:
-        rows = _read_panel_csv(args.panel, args.y, args.group, args.x)
-        result = stats.fe_regress(rows, allow_single_group=args.allow_single_group)
-        parties = None
+        regressors = [c.strip() for c in args.x.split(",")] if args.x else None
+        rows = ingest.load_panel(args.panel, args.y, args.group, regressors)
     else:
-        index = ingest.CorpusIndex(args.index)
-        rows, parties, skipped = build_panel(index, cfg)
+        rows, parties, skipped = build_panel(ingest.CorpusIndex(args.index), cfg)
         if skipped:
             print(f"note: {skipped} words without pitch left out")
-        result = stats.fe_regress(rows, allow_single_group=args.allow_single_group)
+    result = stats.fe_regress(rows, allow_single_group=args.allow_single_group)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "regression.json").write_bytes(ingest._json_bytes(_result_json(result)))
@@ -461,51 +428,12 @@ def cmd_regress(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _read_panel_csv(path, y_col: str, group_col: str, x_cols: str | None):
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"panel file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for col in (y_col, group_col):
-            if col not in header:
-                raise ValidationError(f"panel {path} has no column {col!r}")
-        regs = [c.strip() for c in x_cols.split(",")] if x_cols else [
-            c for c in header if c not in (y_col, group_col)
-        ]
-        for col in regs:
-            if col not in header:
-                raise ValidationError(f"panel {path} has no column {col!r}")
-        if not regs:
-            raise ValidationError("no regressor columns")
-        idx = {c: header.index(c) for c in header}
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}:{line_no}: expected {len(header)} fields")
-            try:
-                rows.append(
-                    stats.PanelRow(
-                        float(parts[idx[y_col]]),
-                        parts[idx[group_col]],
-                        {c: float(parts[idx[c]]) for c in regs},
-                    )
-                )
-            except ValueError as e:
-                raise DataError(f"{path}:{line_no}: {e}") from e
-    return rows
-
-
 def cmd_fw(args, cfg: RunConfig) -> int:
     if args.counts_a is not None or args.counts_b is not None:
         if not (args.counts_a and args.counts_b):
             raise ValidationError("pass both --counts-a and --counts-b")
         comparisons = [
-            ("a_vs_b", _read_counts_csv(args.counts_a), _read_counts_csv(args.counts_b))
+            ("a_vs_b", ingest.load_counts(args.counts_a), ingest.load_counts(args.counts_b))
         ]
     else:
         index = ingest.CorpusIndex(args.index)
@@ -518,19 +446,14 @@ def cmd_fw(args, cfg: RunConfig) -> int:
             {sid: p.party for sid, p in profiles.items()},
             target_party=cfg.target_party,
         )
-        t = cfg.target_party
         named = {
-            f"{t}_to_{t}": split.target_to_target,
-            f"{t}_to_others": split.target_to_others,
-            f"others_to_{t}": split.others_to_target,
-            "others_to_others": split.others_to_others,
+            cell.replace("target", cfg.target_party): counts
+            for cell, counts in split.cells().items()
         }
-        comparisons = []
-        for name in sorted(named):
-            rest = sum(
-                (c for other, c in named.items() if other != name), start=type(split.target_to_target)()
-            )
-            comparisons.append((name, named[name], rest))
+        comparisons = [
+            (name, named[name], sum((c for other, c in named.items() if other != name), Counter()))
+            for name in sorted(named)
+        ]
 
     lines = ["situation,word,count,count_rest,delta,variance,z"]
     for name, counts, rest in comparisons:
@@ -545,73 +468,21 @@ def cmd_fw(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _read_counts_csv(path):
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"counts file not found: {path}")
-    counts = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "word,count":
-            raise DataError(f"{path}:1: expected header 'word,count', got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{line_no}: expected 2 fields")
-            try:
-                counts[parts[0]] = counts.get(parts[0], 0) + float(parts[1])
-            except ValueError as e:
-                raise DataError(f"{path}:{line_no}: {e}") from e
-    return counts
-
-
 def cmd_advise(args, cfg: RunConfig) -> int:
-    kind = {"continuous": latent.DataKind.CONTINUOUS, "discrete": latent.DataKind.DISCRETE}[
-        args.data
-    ]
-    rep = {
-        None: None,
-        "semantic": latent.Representation.SEMANTIC,
-        "non-semantic": latent.Representation.NON_SEMANTIC,
-    }[args.representation]
-    integ = {
-        None: None,
-        "explicit": latent.Integration.EXPLICIT,
-        "implicit": latent.Integration.IMPLICIT,
-    }[args.integration]
-    for strategy in latent.advise(latent.StrategyQuery(kind, rep, integ)):
+    query = latent.StrategyQuery(
+        latent.DataKind(args.data),
+        None if args.representation is None else latent.Representation(args.representation),
+        None if args.integration is None else latent.Integration(args.integration),
+    )
+    for strategy in latent.advise(query):
         print(f"{strategy.name} — {strategy.summary}")
     return 0
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    settings = {}
-    if args.spec is not None:
-        try:
-            doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ValidationError(f"spec file not found: {args.spec}") from None
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"spec {args.spec}: bad JSON: {e.msg}") from e
-        known = {f.name for f in fields(synth.SynthSpec)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValidationError(f"spec {args.spec}: unknown keys {sorted(unknown)}")
-        settings.update(doc)
-    for name, flag in (
-        ("seed", "seed"),
-        ("speakers", "speakers"),
-        ("words_per_speech", "words"),
-        ("planted_pitch_effect", "effect"),
-        ("segment_density", "density"),
-    ):
-        if getattr(args, flag) is not None:
-            settings[name] = getattr(args, flag)
-    manifest = synth.synth_corpus(synth.SynthSpec(**settings), args.out)
-    print(manifest)
+    doc = _read_json(args.spec, "spec") if args.spec is not None else {}
+    spec = _settings(synth.SynthSpec, doc, args, f"spec {args.spec}")
+    print(synth.synth_corpus(spec, args.out))
     return 0
 
 
@@ -645,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lower edge of the addressing yaw band in degrees")
         p.add_argument("--yaw-max", dest="yaw_max", type=float, metavar="DEG",
                        help="upper edge of the addressing yaw band in degrees")
-        p.add_argument("--notes-pitch", dest="notes_pitch", type=float, metavar="DEG",
+        p.add_argument("--notes-pitch", dest="notes_pitch_threshold", type=float, metavar="DEG",
                        help="pitch angle in degrees below which the speaker is reading notes")
         p.add_argument("--min-words", dest="min_words", type=int, metavar="N",
                        help="minimum words a segment must cover")
@@ -702,7 +573,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", metavar="DIR", help="corpus index directory")
     p.add_argument("--counts-a", dest="counts_a", metavar="CSV", help="word,count CSV for group a")
     p.add_argument("--counts-b", dest="counts_b", metavar="CSV", help="word,count CSV for group b")
-    p.add_argument("--prior", type=float, metavar="X", help="total Dirichlet prior mass (dimensionless)")
+    p.add_argument("--prior", dest="prior_scale", type=float, metavar="X",
+                   help="total Dirichlet prior mass (dimensionless)")
     p.add_argument("--target-party", dest="target_party", metavar="NAME",
                    help="party defining the target audience")
     p.add_argument("--out", required=True, metavar="CSV", help="z-score CSV to write")
@@ -710,11 +582,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fw)
 
     p = sub.add_parser("advise", help="recommend alignment strategies for a problem shape")
-    p.add_argument("--data", required=True, choices=("continuous", "discrete"),
+    p.add_argument("--data", required=True, choices=[k.value for k in latent.DataKind],
                    help="are the modality's elements continuous signals or discrete units")
-    p.add_argument("--representation", choices=("semantic", "non-semantic"),
+    p.add_argument("--representation", choices=[r.value for r in latent.Representation],
                    help="does correspondence ride on shared meaning (discrete only)")
-    p.add_argument("--integration", choices=("explicit", "implicit"),
+    p.add_argument("--integration", choices=[i.value for i in latent.Integration],
                    help="is the mapping produced explicitly or absorbed by a model (discrete only)")
     p.set_defaults(func=cmd_advise)
 
@@ -723,10 +595,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", metavar="PATH", help="SynthSpec JSON (flags win over it)")
     p.add_argument("--seed", type=int, metavar="N", help="random seed")
     p.add_argument("--speakers", type=int, metavar="N", help="number of speakers (one session each)")
-    p.add_argument("--words", type=int, metavar="N", help="words per speech")
-    p.add_argument("--effect", type=float, metavar="SD",
+    p.add_argument("--words", dest="words_per_speech", type=int, metavar="N", help="words per speech")
+    p.add_argument("--effect", dest="planted_pitch_effect", type=float, metavar="SD",
                    help="planted pitch boost inside segments, in speaker-SD units")
-    p.add_argument("--density", type=float, metavar="FRACTION",
+    p.add_argument("--density", dest="segment_density", type=float, metavar="FRACTION",
                    help="target fraction of words inside address segments")
     p.set_defaults(func=cmd_synth)
 
@@ -734,25 +606,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _merge_flags(cfg, args)
+        doc = _read_json(args.config, "config") if args.config else {}
+        cfg = _settings(RunConfig, doc, args, f"config {args.config}")
         if args.command == "regress" and (args.index is None) == (args.panel is None):
             raise ValidationError("pass exactly one of --index or --panel")
         if args.command == "fw" and args.index is None and args.counts_a is None:
             raise ValidationError("pass --index or --counts-a/--counts-b")
         return args.func(args, cfg)
-    except ValidationError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 3
     except EngineError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, DataError) else 2
 
 
 def entrypoint() -> None:

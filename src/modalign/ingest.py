@@ -6,6 +6,8 @@ Input formats
   ``{"word": str, "start": seconds, "end": seconds, "speaker_id": str}``.
 * Gaze traces: CSV with header ``t,yaw_deg,pitch_deg,frontal``.
 * Speaker metadata: CSV with header ``speaker_id,party,gender``.
+* Regression panels: CSV with an outcome, a group and regressor columns.
+* Word counts: CSV with header ``word,count``.
 * Audio: WAV, 16-bit PCM little-endian; stereo is averaged to mono and
   sample values map to ``value / 32768``.
 
@@ -22,13 +24,14 @@ path and 1-based line number.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import tempfile
 import wave
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .errors import (
 )
 from .gaze import GazeSample
 from .pitch import PITCH_RANGE_BY_GENDER, AudioBuffer, PitchRange, SpeakerProfile
+from .stats import PanelRow
 from .timeline import Element, ElementStream, Modality, TimeInterval, build_stream
 
 INDEX_FORMAT_VERSION = 1
@@ -49,6 +53,43 @@ INDEX_FORMAT_VERSION = 1
 def word_element_id(position: int) -> str:
     """Stable id for the word at a 0-based position in time order."""
     return f"w{position:06d}"
+
+
+def _csv_lines(path, header: str | None) -> Iterator[tuple[int, list[str]]]:
+    """``(line_no, fields)`` for every non-blank line of a CSV file after its header.
+
+    The first line must equal ``header``; with ``header=None`` any header
+    is accepted and comes first, as line 1.  Every line must have as many
+    fields as the header (:class:`ParseError` otherwise).
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(str(path))
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().strip()
+        if header is None:
+            yield 1, first.split(",")
+        elif first != header:
+            raise ParseError(path, 1, f"expected header {header!r}, got {first!r}")
+        width = first.count(",") + 1
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ParseError(path, line_no, f"expected {width} fields, got {len(parts)}")
+            yield line_no, parts
+
+
+def _finite(path, line_no: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as e:
+        raise ParseError(path, line_no, f"bad number: {e}") from e
+    if not math.isfinite(value):
+        raise ParseError(path, line_no, f"number must be finite, got {text!r}")
+    return value
 
 
 # --- transcripts -----------------------------------------------------------
@@ -131,33 +172,20 @@ def load_gaze(path) -> list[GazeSample]:
     Yaw must lie in [-180, 180] and pitch in [-90, 90] degrees
     (:class:`AngleOutOfRange` otherwise); ``frontal`` is 0 or 1.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != _GAZE_HEADER:
-            raise ParseError(path, 1, f"expected header {_GAZE_HEADER!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")
-            try:
-                t, yaw, pitch = (float(v) for v in parts[:3])
-                frontal = int(parts[3])
-            except ValueError as e:
-                raise ParseError(path, line_no, f"bad field: {e}") from e
-            if not -180.0 <= yaw <= 180.0:
-                raise AngleOutOfRange(path, line_no, f"yaw {yaw} outside [-180, 180]")
-            if not -90.0 <= pitch <= 90.0:
-                raise AngleOutOfRange(path, line_no, f"pitch {pitch} outside [-90, 90]")
-            if frontal not in (0, 1):
-                raise ParseError(path, line_no, f"frontal must be 0 or 1, got {parts[3]}")
-            samples.append(GazeSample(t, yaw, pitch, bool(frontal)))
+    for line_no, parts in _csv_lines(path, _GAZE_HEADER):
+        try:
+            t, yaw, pitch = (float(v) for v in parts[:3])
+            frontal = int(parts[3])
+        except ValueError as e:
+            raise ParseError(path, line_no, f"bad field: {e}") from e
+        if not -180.0 <= yaw <= 180.0:
+            raise AngleOutOfRange(path, line_no, f"yaw {yaw} outside [-180, 180]")
+        if not -90.0 <= pitch <= 90.0:
+            raise AngleOutOfRange(path, line_no, f"pitch {pitch} outside [-90, 90]")
+        if frontal not in (0, 1):
+            raise ParseError(path, line_no, f"frontal must be 0 or 1, got {parts[3]}")
+        samples.append(GazeSample(t, yaw, pitch, bool(frontal)))
     samples.sort(key=lambda s: s.t)
     return samples
 
@@ -173,30 +201,16 @@ def write_gaze(samples: Sequence[GazeSample], path) -> None:
 
 def load_speakers(path) -> dict[str, SpeakerProfile]:
     """Parse ``speaker_id,party,gender`` CSV into profiles with gender pitch bands."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     profiles: dict[str, SpeakerProfile] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "speaker_id,party,gender":
-            raise ParseError(path, 1, f"expected header 'speaker_id,party,gender', got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-            sid, party, gender = parts
-            if gender not in PITCH_RANGE_BY_GENDER:
-                raise ParseError(
-                    path, line_no,
-                    f"gender must be one of {sorted(PITCH_RANGE_BY_GENDER)}, got {gender!r}",
-                )
-            if sid in profiles:
-                raise ParseError(path, line_no, f"duplicate speaker_id {sid!r}")
-            profiles[sid] = SpeakerProfile(sid, party, PITCH_RANGE_BY_GENDER[gender])
+    for line_no, (sid, party, gender) in _csv_lines(path, "speaker_id,party,gender"):
+        if gender not in PITCH_RANGE_BY_GENDER:
+            raise ParseError(
+                path, line_no,
+                f"gender must be one of {sorted(PITCH_RANGE_BY_GENDER)}, got {gender!r}",
+            )
+        if sid in profiles:
+            raise ParseError(path, line_no, f"duplicate speaker_id {sid!r}")
+        profiles[sid] = SpeakerProfile(sid, party, PITCH_RANGE_BY_GENDER[gender])
     return profiles
 
 
@@ -205,6 +219,48 @@ def write_speakers(rows: Sequence[tuple[str, str, str]], path) -> None:
         fh.write("speaker_id,party,gender\n")
         for sid, party, gender in rows:
             fh.write(f"{sid},{party},{gender}\n")
+
+
+# --- regression panels and word counts -------------------------------------
+
+def load_panel(
+    path, y_col: str, group_col: str, regressors: Sequence[str] | None = None
+) -> list[PanelRow]:
+    """Parse a panel CSV into regression rows.
+
+    ``regressors`` defaults to every column other than the outcome and the
+    group.  Naming a column the header lacks is a :class:`ValidationError`;
+    outcome and regressor values must be finite numbers.
+    """
+    lines = _csv_lines(path, None)
+    _, header = next(lines)
+    regs = list(regressors) if regressors else [c for c in header if c not in (y_col, group_col)]
+    for col in [y_col, group_col, *regs]:
+        if col not in header:
+            raise ValidationError(f"panel {path} has no column {col!r}")
+    if not regs:
+        raise ValidationError("no regressor columns")
+    y_at, group_at = header.index(y_col), header.index(group_col)
+    reg_at = {c: header.index(c) for c in regs}
+    return [
+        PanelRow(
+            _finite(path, line_no, parts[y_at]),
+            parts[group_at],
+            {c: _finite(path, line_no, parts[i]) for c, i in reg_at.items()},
+        )
+        for line_no, parts in lines
+    ]
+
+
+def load_counts(path) -> dict[str, float]:
+    """Parse a ``word,count`` CSV; counts must be finite and >= 0, repeated words add up."""
+    counts: dict[str, float] = {}
+    for line_no, (word, text) in _csv_lines(path, "word,count"):
+        count = _finite(path, line_no, text)
+        if count < 0:
+            raise ParseError(path, line_no, f"count must be >= 0, got {text!r}")
+        counts[word] = counts.get(word, 0) + count
+    return counts
 
 
 # --- audio -----------------------------------------------------------------
@@ -384,45 +440,70 @@ class SessionData:
     audio_path: Path
 
 
+def _read_index_file(path: Path, parse: Callable):
+    """``parse`` applied to the JSON document at ``path``.
+
+    A file that is not JSON, or lacks a key or has a value of the wrong
+    shape, raises :class:`ParseError` naming it.
+    """
+    if not path.is_file():
+        raise MissingFile(str(path))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(path, getattr(e, "lineno", 0), f"bad JSON: {e}") from e
+    try:
+        return parse(doc)
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ParseError(path, 0, f"malformed index file: {type(e).__name__}: {e}") from e
+
+
 class CorpusIndex:
     """Lazy, read-only view of an index directory built by :func:`build_index`."""
 
     def __init__(self, root):
         self.root = Path(root)
-        manifest = self.root / "manifest.json"
-        if not manifest.is_file():
-            raise MissingFile(str(manifest))
-        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        self._blobs: dict[str, Path] = _read_index_file(
+            self.root / "manifest.json", self._parse_manifest
+        )
+        self._cache: dict[str, SessionData] = {}
+        self._profiles: dict[str, SpeakerProfile] | None = None
+
+    def _parse_manifest(self, doc) -> dict[str, Path]:
         if doc.get("format_version") != INDEX_FORMAT_VERSION:
             raise VersionMismatch(
                 f"index {self.root} has format_version {doc.get('format_version')!r}, "
                 f"this build reads {INDEX_FORMAT_VERSION}"
             )
-        self._sessions = {row["session_id"]: row for row in doc["sessions"]}
-        self._cache: dict[str, SessionData] = {}
-        self._profiles: dict[str, SpeakerProfile] | None = None
+        return {row["session_id"]: self.root / row["blob"] for row in doc["sessions"]}
 
     def session_ids(self) -> list[str]:
-        return sorted(self._sessions)
+        return sorted(self._blobs)
 
     def speakers(self) -> dict[str, SpeakerProfile]:
         if self._profiles is None:
-            doc = json.loads((self.root / "speakers.json").read_text(encoding="utf-8"))
-            self._profiles = {
-                sid: SpeakerProfile(sid, row["party"], PitchRange(row["floor"], row["ceiling"]))
-                for sid, row in doc.items()
-            }
+            self._profiles = _read_index_file(
+                self.root / "speakers.json",
+                lambda doc: {
+                    sid: SpeakerProfile(sid, row["party"], PitchRange(row["floor"], row["ceiling"]))
+                    for sid, row in doc.items()
+                },
+            )
         return self._profiles
 
     def load_session(self, session_id: str) -> SessionData:
         if session_id in self._cache:
             return self._cache[session_id]
-        if session_id not in self._sessions:
+        if session_id not in self._blobs:
             raise ValidationError(f"index has no session {session_id!r}")
-        blob_path = self.root / self._sessions[session_id]["blob"]
-        if not blob_path.is_file():
-            raise MissingFile(str(blob_path))
-        doc = json.loads(blob_path.read_text(encoding="utf-8"))
+        data = _read_index_file(
+            self._blobs[session_id], lambda doc: self._parse_session(session_id, doc)
+        )
+        self._cache[session_id] = data
+        return data
+
+    @staticmethod
+    def _parse_session(session_id: str, doc) -> SessionData:
         words = build_stream(
             Modality.TEXT,
             session_id,
@@ -435,9 +516,7 @@ class CorpusIndex:
         samples = [
             GazeSample(g["t"], g["yaw"], g["pitch"], bool(g["frontal"])) for g in doc["gaze"]
         ]
-        data = SessionData(session_id, doc["speaker_id"], words, samples, Path(doc["audio"]))
-        self._cache[session_id] = data
-        return data
+        return SessionData(session_id, doc["speaker_id"], words, samples, Path(doc["audio"]))
 
     def __iter__(self) -> Iterator[SessionData]:
         for sid in self.session_ids():

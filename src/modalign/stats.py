@@ -14,7 +14,6 @@ so rare words are shrunk toward zero instead of dominating the ranking.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -31,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .gaze import AddressSegment
-from .timeline import ElementStream, Modality
+from .timeline import ElementStream, Modality, sweep_overlaps
 
 Z_95 = 1.96  # conventional two-sided 95% normal quantile
 
@@ -292,29 +291,15 @@ def four_situation_split(
                 f"(session {stream.session_id!r})"
             )
         from_target = party_by_speaker[stream.speaker_id] == target_party
-        segs = sorted(
-            (s.interval.start, s.interval.end)
-            for s in segments_by_session.get(stream.session_id, ())
-        )
-        seg_starts = [s for s, _ in segs]
-        for word in stream:
+        segs = sorted(s.interval for s in segments_by_session.get(stream.session_id, ()))
+        addressed = {i for i, _, _ in sweep_overlaps(stream.intervals(), segs, 0.0)}
+        for i, word in enumerate(stream):
             token = str(word.payload).lower()
             if stem is not None:
                 token = stem(token)
-            addressed = _overlaps_any(word.interval.start, word.interval.end, segs, seg_starts)
             if from_target:
-                cell = split.target_to_target if addressed else split.target_to_others
+                cell = split.target_to_target if i in addressed else split.target_to_others
             else:
-                cell = split.others_to_target if addressed else split.others_to_others
+                cell = split.others_to_target if i in addressed else split.others_to_others
             cell[token] += 1
     return split
-
-
-def _overlaps_any(start: float, end: float, segs, seg_starts) -> bool:
-    """Does [start, end) positively overlap any of the sorted segments?"""
-    hi = bisect_left(seg_starts, end)  # only segments starting before the word ends
-    for k in range(hi - 1, -1, -1):
-        s, e = segs[k]
-        if min(e, end) > max(s, start):
-            return True
-    return False

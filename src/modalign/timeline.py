@@ -22,12 +22,14 @@ from numbers import Real
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
+    DuplicateIds,
     EmptyStream,
     MixedPayload,
     ModalityAbsent,
     NegativeInterval,
     OverlappingWords,
     SessionMismatch,
+    ValidationError,
 )
 
 
@@ -126,7 +128,7 @@ def build_stream(
     Elements are sorted by ``(start, end, id)``.  Raises
     :class:`EmptyStream`, :class:`MixedPayload` on payload-variant mixtures,
     :class:`OverlappingWords` when a text stream's word intervals overlap,
-    and ``ValueError`` on duplicate element ids.
+    and :class:`DuplicateIds` on duplicate element ids.
     """
     elems = sorted(elements, key=lambda e: (e.interval.start, e.interval.end, e.id))
     if not elems:
@@ -138,7 +140,7 @@ def build_stream(
 
     ids = {e.id for e in elems}
     if len(ids) != len(elems):
-        raise ValueError("element ids must be unique within a stream")
+        raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
 
     if modality is Modality.TEXT:
         for prev, cur in zip(elems, elems[1:]):
@@ -188,7 +190,7 @@ def _observed_cardinality(pairs: Sequence[AlignedPair]) -> Cardinality:
     return Cardinality.MANY_TO_MANY
 
 
-def _sweep_overlaps(
+def sweep_overlaps(
     a: Sequence[TimeInterval],
     b: Sequence[TimeInterval],
     min_overlap: float,
@@ -234,15 +236,16 @@ def join_streams(
     Returns every element pair whose interval overlap strictly exceeds
     ``min_overlap`` seconds (default: any positive overlap).  Pairs are
     ordered by source position, then target position.  Raises
-    :class:`SessionMismatch` when the streams belong to different sessions.
+    :class:`SessionMismatch` when the streams belong to different sessions
+    and :class:`ValidationError` on a negative ``min_overlap``.
     """
     if source.session_id != target.session_id:
         raise SessionMismatch(
             f"cannot join sessions {source.session_id!r} and {target.session_id!r}"
         )
     if min_overlap < 0:
-        raise ValueError("min_overlap must be >= 0")
-    idx = _sweep_overlaps(source.intervals(), target.intervals(), min_overlap)
+        raise ValidationError(f"min_overlap must be >= 0, got {min_overlap}")
+    idx = sweep_overlaps(source.intervals(), target.intervals(), min_overlap)
     idx.sort(key=lambda t: (t[0], t[1]))
     pairs = tuple(
         AlignedPair(source.elements[i].id, target.elements[j].id, ov) for i, j, ov in idx
@@ -284,7 +287,7 @@ def query_crossmodal(
         if not matched:
             continue
         matched.sort()
-        hit_idx = {i for i, _, _ in _sweep_overlaps(stream.intervals(), matched, 0.0)}
+        hit_idx = {i for i, _, _ in sweep_overlaps(stream.intervals(), matched, 0.0)}
         for i in sorted(hit_idx):
             e = stream.elements[i]
             out.append((stream.session_id, e.interval.start, e.interval.end, e.id, e))

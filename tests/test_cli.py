@@ -2,12 +2,16 @@
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
 
+from modalign import cli
 from modalign.cli import main
+from modalign.ingest import CorpusIndex
 from modalign.stats import PanelRow, fe_regress, fightin_words
+from modalign.timeline import join_streams
 
 ADDRESS_VOCAB = {"zuruf", "emport", "skandal", "widerspruch", "aufregung"}
 NEUTRAL_VOCAB = {"bericht", "haushalt", "antrag", "ausschuss", "verfahren"}
@@ -303,6 +307,73 @@ def test_exit_codes(planted_corpus, tmp_path, capsys):
     assert run("fw", "--counts-a", tmp_path / "only_a.csv", "--out", tmp_path / "f.csv") == 2
     err = capsys.readouterr().err
     assert "ValidationError" in err or "InvalidSpec" in err
+
+
+_WORD = '{"id": "w0", "start": 0, "end": 1, "word": "ja"}'
+_BLOB = '{"session_id": "sess000", "speaker_id": "spk000", "audio": "a.wav", '
+_PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, error",
+    [
+        ({}, ["align", "--index", "IDX", "--min-overlap", "-1"], "ValidationError"),
+        ({"idx/manifest.json": "{not json"}, ["segments", "--index", "IDX"], "ParseError"),
+        ({"idx/speakers.json": "[1, 2"}, ["fw", "--index", "IDX"], "ParseError"),
+        ({"idx/sessions/sess000.json": "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
+        ({"idx/sessions/sess000.json": _BLOB + f'"words": [{_WORD}]}}'},
+         ["segments", "--index", "IDX"], "ParseError"),
+        ({"idx/sessions/sess000.json": _BLOB + f'"words": [{_WORD}, {_WORD}], "gaze": []}}'},
+         ["segments", "--index", "IDX"], "DuplicateIds"),
+        ({"p.csv": _PANEL.format(y="nan", x=1)}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
+        ({"p.csv": _PANEL.format(y=4, x="inf")}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
+        ({"a.csv": "word,count\nja,nan\n", "b.csv": "word,count\nja,3\n"},
+         ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "ParseError"),
+        ({"a.csv": "word,count\nja,-5\n", "b.csv": "word,count\nja,3\n"},
+         ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "ParseError"),
+        ({"c.json": '{"pitch": {"hop": "x"}}'},
+         ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
+        ({"c.json": '{"threads": "two"}'},
+         ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
+        ({"c.json": '{"address": {"yaw_min": 80}}'},
+         ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
+    ],
+    ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
+         "session-missing-key", "duplicate-word-ids", "panel-nan", "panel-inf", "counts-nan",
+         "counts-negative", "config-hop-string", "config-threads-string", "config-empty-yaw-band"],
+)
+def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
+    shutil.copytree(planted_corpus.index, tmp_path / "idx")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [a.replace("IDX", str(tmp_path / "idx")).replace("TMP", str(tmp_path)) for a in argv]
+    rc = run(*argv, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert rc == (2 if error == "ValidationError" else 3)
+    assert len(err.splitlines()) == 1 and err.startswith(f"{error}: ")
+    assert "Traceback" not in err
+
+
+def test_build_panel_finds_its_stages_through_cli(planted_corpus, monkeypatch):
+    """The benchmark times the pipeline by patching these names on ``modalign.cli``."""
+    for name in ("build_panel", "corpus_word_pitches", "session_segments", "join_streams",
+                 "RunConfig", "PitchSettings"):
+        assert hasattr(cli, name), name
+    seen = []
+
+    def pitches(index, cfg):
+        seen.append("corpus_word_pitches")
+        return {sid: index.load_session(sid) for sid in index.session_ids()}, []
+
+    def join(*args, **kwargs):
+        seen.append("join_streams")
+        return join_streams(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "corpus_word_pitches", pitches)
+    monkeypatch.setattr(cli, "join_streams", join)
+    rows, parties, skipped = cli.build_panel(CorpusIndex(planted_corpus.index), cli.RunConfig())
+    assert seen == ["corpus_word_pitches"] + ["join_streams"] * 4
+    assert (rows, parties, skipped) == ([], ["AfD", "SPD"], 0)
 
 
 def test_advise_incomplete_query_exits_2(capsys):

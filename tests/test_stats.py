@@ -314,24 +314,22 @@ def test_rejects_non_text_streams():
 def test_matches_naive_recount():
     rng = np.random.default_rng(33)
     tokens = [f"tok{i}" for i in range(12)]
-    for trial in range(15):
+    for trial in range(40):
         streams, segs_by_session = [], {}
         for s_idx in range(int(rng.integers(1, 4))):
             session = f"sess{s_idx}"
             speaker = f"s{int(rng.integers(1, 4))}"
             words, t = [], 0.0
             for i in range(int(rng.integers(1, 60))):
-                width = float(rng.integers(1, 4)) * 0.25
+                width = float(rng.integers(0, 4)) * 0.25  # zero-length words too
                 words.append(word(i, t, t + width, str(rng.choice(tokens))))
                 t += width + float(rng.integers(0, 2)) * 0.25
             streams.append(make_stream(session, speaker, words))
+            # segments in any order, overlapping one another, some of zero length
             segs = []
-            edge = 0.0
-            for _ in range(int(rng.integers(0, 4))):
-                a = edge + float(rng.integers(0, 8)) * 0.25
-                b = a + float(rng.integers(1, 12)) * 0.25
-                segs.append(seg(a, b))
-                edge = b + 0.25
+            for _ in range(int(rng.integers(0, 6))):
+                a = float(rng.integers(0, int(4 * t) + 2)) * 0.25
+                segs.append(seg(a, a + float(rng.integers(0, 12)) * 0.25))
             segs_by_session[session] = segs
 
         split = four_situation_split(streams, segs_by_session, PARTIES)
