@@ -174,7 +174,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path, lines) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """``header``, then one line per row with every value through :func:`_fmt`."""
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
@@ -190,28 +192,16 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
 def cmd_pitch(args, cfg: RunConfig) -> int:
     index = ingest.CorpusIndex(args.index)
     sessions, pitches = corpus_word_pitches(index, cfg)
-    by_key = {(wp.session_id, wp.word_id): wp for wp in pitches}
-    lines = ["session_id,word_id,word,start,end,speaker_id,mean_f0,voiced_frames,z"]
-    for sid in index.session_ids():
-        data = sessions[sid]
-        for e in data.words:
-            wp = by_key[(sid, e.id)]
-            lines.append(
-                ",".join(
-                    [
-                        sid,
-                        e.id,
-                        str(e.payload),
-                        _fmt(e.interval.start),
-                        _fmt(e.interval.end),
-                        data.speaker_id,
-                        _fmt(wp.mean_f0),
-                        str(wp.voiced_frame_count),
-                        _fmt(wp.z),
-                    ]
-                )
-            )
-    _write_lines(args.out, lines)
+    words = [(sessions[sid], e) for sid in index.session_ids() for e in sessions[sid].words]
+    _write_csv(
+        args.out,
+        "session_id,word_id,word,start,end,speaker_id,mean_f0,voiced_frames,z",
+        [
+            (data.session_id, e.id, e.payload, e.interval.start, e.interval.end,
+             data.speaker_id, wp.mean_f0, wp.voiced_frame_count, wp.z)
+            for (data, e), wp in zip(words, pitches, strict=True)
+        ],
+    )
     missing = pitch.missing_count(pitches)
     print(f"{len(pitches)} words, {missing} without voiced frames -> {args.out}")
     return 0
@@ -220,19 +210,13 @@ def cmd_pitch(args, cfg: RunConfig) -> int:
 def cmd_segments(args, cfg: RunConfig) -> int:
     index = ingest.CorpusIndex(args.index)
     segments = session_segments(index, cfg)
-    lines = ["session_id,label,start,end,word_count"]
-    total = 0
-    for sid in index.session_ids():
-        for seg in segments[sid]:
-            lines.append(
-                ",".join(
-                    [sid, seg.label, _fmt(seg.interval.start), _fmt(seg.interval.end),
-                     str(seg.word_count)]
-                )
-            )
-            total += 1
-    _write_lines(args.out, lines)
-    print(f"{total} segments -> {args.out}")
+    rows = [
+        (sid, seg.label, seg.interval.start, seg.interval.end, seg.word_count)
+        for sid in index.session_ids()
+        for seg in segments[sid]
+    ]
+    _write_csv(args.out, "session_id,label,start,end,word_count", rows)
+    print(f"{len(rows)} segments -> {args.out}")
     return 0
 
 
@@ -254,7 +238,7 @@ def session_streams(index: ingest.CorpusIndex, cfg: RunConfig):
 def cmd_align(args, cfg: RunConfig) -> int:
     index = ingest.CorpusIndex(args.index)
     streams = session_streams(index, cfg)
-    lines = ["session_id,source_id,target_id,overlap_seconds"]
+    rows = []
     summaries = []
     for sid in index.session_ids():
         words, segs = streams[sid]
@@ -264,10 +248,9 @@ def cmd_align(args, cfg: RunConfig) -> int:
             summaries.append(f"{sid}: no segments")
             continue
         amap = join_streams(source, target, min_overlap=args.min_overlap)
-        for pair in amap.pairs:
-            lines.append(f"{sid},{pair.source_id},{pair.target_id},{_fmt(pair.overlap)}")
+        rows += [(sid, pair.source_id, pair.target_id, pair.overlap) for pair in amap.pairs]
         summaries.append(f"{sid}: {len(amap)} pairs, {amap.cardinality.value}")
-    _write_lines(args.out, lines)
+    _write_csv(args.out, "session_id,source_id,target_id,overlap_seconds", rows)
     for s in summaries:
         print(s)
     return 0
@@ -310,8 +293,7 @@ def cmd_query(args, cfg: RunConfig) -> int:
     where_modality, predicate = _parse_where(args.where)
     streams = session_streams(index, cfg)
 
-    lines = ["session_id,id,start,end,payload"]
-    hits = 0
+    rows = []
     saw_where = False
     for sid in index.session_ids():
         words, segs = streams[sid]
@@ -321,15 +303,14 @@ def cmd_query(args, cfg: RunConfig) -> int:
         saw_where = True
         if not any(s.modality is select for s in corpus):
             continue
-        for e in query_crossmodal(corpus, select, predicate, where_modality):
-            lines.append(
-                f"{sid},{e.id},{_fmt(e.interval.start)},{_fmt(e.interval.end)},{e.payload}"
-            )
-            hits += 1
+        rows += [
+            (sid, e.id, e.interval.start, e.interval.end, e.payload)
+            for e in query_crossmodal(corpus, select, predicate, where_modality)
+        ]
     if not saw_where:
         raise ModalityAbsent(f"corpus has no {where_modality.value} stream")
-    _write_lines(args.out, lines)
-    print(f"{hits} elements -> {args.out}")
+    _write_csv(args.out, "session_id,id,start,end,payload", rows)
+    print(f"{len(rows)} elements -> {args.out}")
     return 0
 
 
@@ -417,13 +398,14 @@ def cmd_regress(args, cfg: RunConfig) -> int:
                     if key in result.regressor_names:
                         settings[key] = 1.0
                 cells.append((f"{party}|{a}", settings))
-        lines = ["party,addressing,predicted,ci_low,ci_high"]
-        for m in stats.margins(result, cells):
-            party, a = m.label.rsplit("|", 1)
-            lines.append(
-                f"{party},{a},{_fmt(m.predicted)},{_fmt(m.ci_low)},{_fmt(m.ci_high)}"
-            )
-        _write_lines(out_dir / "margins.csv", lines)
+        _write_csv(
+            out_dir / "margins.csv",
+            "party,addressing,predicted,ci_low,ci_high",
+            [
+                (*m.label.rsplit("|", 1), m.predicted, m.ci_low, m.ci_high)
+                for m in stats.margins(result, cells)
+            ],
+        )
     print(f"n={result.n_obs} groups={result.n_groups} -> {out_dir}")
     return 0
 
@@ -455,16 +437,13 @@ def cmd_fw(args, cfg: RunConfig) -> int:
             for name in sorted(named)
         ]
 
-    lines = ["situation,word,count,count_rest,delta,variance,z"]
-    for name, counts, rest in comparisons:
-        result = stats.fightin_words(counts, rest, prior_scale=cfg.prior_scale)
-        for s in result:
-            lines.append(
-                f"{name},{s.word},{_fmt(s.count_a)},{_fmt(s.count_b)},"
-                f"{_fmt(s.delta)},{_fmt(s.variance)},{_fmt(s.z)}"
-            )
-    _write_lines(args.out, lines)
-    print(f"{len(lines) - 1} scores -> {args.out}")
+    rows = [
+        (name, s.word, s.count_a, s.count_b, s.delta, s.variance, s.z)
+        for name, counts, rest in comparisons
+        for s in stats.fightin_words(counts, rest, prior_scale=cfg.prior_scale)
+    ]
+    _write_csv(args.out, "situation,word,count,count_rest,delta,variance,z", rows)
+    print(f"{len(rows)} scores -> {args.out}")
     return 0
 
 

@@ -92,6 +92,24 @@ def _finite(path, line_no: int, text: str) -> float:
     return value
 
 
+def _read_json_file(path: Path, parse: Callable):
+    """``parse`` applied to the JSON document at ``path``.
+
+    A file that is not UTF-8 JSON, or lacks a key or has a value of the
+    wrong shape, raises :class:`ParseError` naming it.
+    """
+    if not path.is_file():
+        raise MissingFile(str(path))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(path, getattr(e, "lineno", 0), f"bad JSON: {e}") from e
+    try:
+        return parse(doc)
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ParseError(path, 0, f"unexpected document shape: {type(e).__name__}: {e}") from e
+
+
 # --- transcripts -----------------------------------------------------------
 
 def load_transcript(path, session_id: str | None = None) -> ElementStream:
@@ -125,6 +143,8 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
                 raise ParseError(path, line_no, "word must be a non-empty string")
             if not isinstance(start, (int, float)) or not isinstance(end, (int, float)):
                 raise ParseError(path, line_no, "start/end must be numbers")
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ParseError(path, line_no, f"start/end must be finite, got [{start}, {end})")
             if start < 0 or end < start:
                 raise ParseError(path, line_no, f"bad word interval [{start}, {end})")
             rows.append((float(start), float(end), word))
@@ -169,8 +189,8 @@ _GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal"
 def load_gaze(path) -> list[GazeSample]:
     """Parse a gaze CSV; samples come back sorted by time.
 
-    Yaw must lie in [-180, 180] and pitch in [-90, 90] degrees
-    (:class:`AngleOutOfRange` otherwise); ``frontal`` is 0 or 1.
+    Times must be finite; yaw must lie in [-180, 180] and pitch in [-90, 90]
+    degrees (:class:`AngleOutOfRange` otherwise); ``frontal`` is 0 or 1.
     """
     samples = []
     for line_no, parts in _csv_lines(path, _GAZE_HEADER):
@@ -179,6 +199,8 @@ def load_gaze(path) -> list[GazeSample]:
             frontal = int(parts[3])
         except ValueError as e:
             raise ParseError(path, line_no, f"bad field: {e}") from e
+        if not math.isfinite(t):
+            raise ParseError(path, line_no, f"t must be finite, got {parts[0]!r}")
         if not -180.0 <= yaw <= 180.0:
             raise AngleOutOfRange(path, line_no, f"yaw {yaw} outside [-180, 180]")
         if not -90.0 <= pitch <= 90.0:
@@ -315,12 +337,10 @@ class CorpusManifest:
 def load_manifest(path) -> CorpusManifest:
     """Parse and validate a corpus manifest; all referenced files must exist."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(path, e.lineno, f"bad JSON: {e.msg}") from e
+    return _read_json_file(path, lambda doc: _parse_manifest(path, doc))
+
+
+def _parse_manifest(path: Path, doc) -> CorpusManifest:
     if doc.get("format_version") != INDEX_FORMAT_VERSION:
         raise VersionMismatch(
             f"{path}: format_version {doc.get('format_version')!r} != {INDEX_FORMAT_VERSION}"
@@ -343,9 +363,7 @@ def load_manifest(path) -> CorpusManifest:
         for p in paths.values():
             if not p.is_file():
                 raise MissingFile(str(p))
-        entries.append(
-            SessionEntry(sid, sess["speaker_id"], paths["transcript"], paths["audio"], paths["gaze"])
-        )
+        entries.append(SessionEntry(sid, sess["speaker_id"], **paths))
     if not entries:
         raise ParseError(path, 0, "manifest lists no sessions")
     return CorpusManifest(tuple(entries), speakers)
@@ -440,30 +458,12 @@ class SessionData:
     audio_path: Path
 
 
-def _read_index_file(path: Path, parse: Callable):
-    """``parse`` applied to the JSON document at ``path``.
-
-    A file that is not JSON, or lacks a key or has a value of the wrong
-    shape, raises :class:`ParseError` naming it.
-    """
-    if not path.is_file():
-        raise MissingFile(str(path))
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-        raise ParseError(path, getattr(e, "lineno", 0), f"bad JSON: {e}") from e
-    try:
-        return parse(doc)
-    except (AttributeError, KeyError, TypeError) as e:
-        raise ParseError(path, 0, f"malformed index file: {type(e).__name__}: {e}") from e
-
-
 class CorpusIndex:
     """Lazy, read-only view of an index directory built by :func:`build_index`."""
 
     def __init__(self, root):
         self.root = Path(root)
-        self._blobs: dict[str, Path] = _read_index_file(
+        self._blobs: dict[str, Path] = _read_json_file(
             self.root / "manifest.json", self._parse_manifest
         )
         self._cache: dict[str, SessionData] = {}
@@ -482,7 +482,7 @@ class CorpusIndex:
 
     def speakers(self) -> dict[str, SpeakerProfile]:
         if self._profiles is None:
-            self._profiles = _read_index_file(
+            self._profiles = _read_json_file(
                 self.root / "speakers.json",
                 lambda doc: {
                     sid: SpeakerProfile(sid, row["party"], PitchRange(row["floor"], row["ceiling"]))
@@ -496,7 +496,7 @@ class CorpusIndex:
             return self._cache[session_id]
         if session_id not in self._blobs:
             raise ValidationError(f"index has no session {session_id!r}")
-        data = _read_index_file(
+        data = _read_json_file(
             self._blobs[session_id], lambda doc: self._parse_session(session_id, doc)
         )
         self._cache[session_id] = data
@@ -517,7 +517,3 @@ class CorpusIndex:
             GazeSample(g["t"], g["yaw"], g["pitch"], bool(g["frontal"])) for g in doc["gaze"]
         ]
         return SessionData(session_id, doc["speaker_id"], words, samples, Path(doc["audio"]))
-
-    def __iter__(self) -> Iterator[SessionData]:
-        for sid in self.session_ids():
-            yield self.load_session(sid)

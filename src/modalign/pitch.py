@@ -65,10 +65,6 @@ class AudioBuffer:
         if self.sample_rate < 8000:
             raise ValidationError(f"sample_rate must be >= 8000, got {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class PitchTrack:
@@ -108,13 +104,11 @@ class WordPitch:
 
 @dataclass
 class SpeakerProfile:
-    """Per-speaker metadata plus (optionally) the fitted voice statistics."""
+    """Per-speaker metadata."""
 
     speaker_id: str
     party: str
     gender_range: PitchRange
-    mean_f0: float | None = None
-    sd_f0: float | None = None
 
 
 def _fft_size(n: int) -> int:

@@ -20,15 +20,16 @@ Layout choices that make the ground truth exact rather than approximate:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .ingest import _json_bytes, word_element_id, write_gaze, write_speakers, write_wav
 from .gaze import GazeSample
+from .ingest import INDEX_FORMAT_VERSION, _json_bytes, word_element_id
+from .ingest import write_gaze, write_speakers, write_transcript, write_wav
+from .timeline import Element, Modality, TimeInterval, build_stream
 
 WORD_SLOT = 0.375        # seconds per word; 3/8, exact in binary
 GAZE_PERIOD = 0.125      # seconds between gaze samples; 1/8, exact in binary
@@ -87,19 +88,20 @@ def _plant_segments(n_words: int, density: float, rng: np.random.Generator) -> l
     return segments
 
 
-def _render_word_tone(freq: float, sr: int, slot_samples: int) -> np.ndarray:
-    """One word slot: tapered tone, then silence to the slot boundary."""
+def _render_tones(freqs: np.ndarray, sr: int, slot_samples: int) -> np.ndarray:
+    """Word slots of ``freqs``: each a tapered tone, then silence to the slot boundary."""
     tone_samples = int(slot_samples * TONE_FRACTION)
     t = np.arange(tone_samples) / sr
-    tone = 0.4 * np.sin(2.0 * np.pi * freq * t)
     ramp = min(80, tone_samples // 4)
-    if ramp > 0:
-        window = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
-        tone[:ramp] *= window
-        tone[-ramp:] *= window[::-1]
-    out = np.zeros(slot_samples)
-    out[:tone_samples] = tone
-    return out
+    window = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+    out = np.zeros((len(freqs), slot_samples))
+    tone = out[:, :tone_samples]
+    np.multiply(2.0 * np.pi * freqs[:, None], t, out=tone)
+    np.sin(tone, out=tone)
+    tone *= 0.4
+    tone[:, :ramp] *= window
+    tone[:, tone_samples - ramp:] *= window[::-1]
+    return out.ravel()
 
 
 def synth_corpus(spec: SynthSpec, out_dir) -> Path:
@@ -140,54 +142,36 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
         freqs = np.clip(freqs, baseline - 40.0, baseline + 40.0)
 
         tokens = []
-        for w in range(n):
-            roll = rng.uniform()
-            if in_segment[w] and roll < 0.15:
-                tokens.append(_ADDRESS_VOCAB[int(rng.integers(len(_ADDRESS_VOCAB)))])
-            elif not in_segment[w] and roll < 0.15:
-                tokens.append(_NEUTRAL_VOCAB[int(rng.integers(len(_NEUTRAL_VOCAB)))])
+        for inside in in_segment:
+            if rng.uniform() >= 0.15:
+                vocab = _COMMON_VOCAB
             else:
-                tokens.append(_COMMON_VOCAB[int(rng.integers(len(_COMMON_VOCAB)))])
+                vocab = _ADDRESS_VOCAB if inside else _NEUTRAL_VOCAB
+            tokens.append(vocab[int(rng.integers(len(vocab)))])
 
-        transcript_path = out_dir / "sessions" / f"{session_id}.jsonl"
-        with open(transcript_path, "w", encoding="utf-8") as fh:
-            for w in range(n):
-                fh.write(
-                    json.dumps(
-                        {
-                            "word": tokens[w],
-                            "start": w * WORD_SLOT,
-                            "end": (w + 1) * WORD_SLOT,
-                            "speaker_id": speaker_id,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        elements = [
+            Element(word_element_id(w), TimeInterval(w * WORD_SLOT, (w + 1) * WORD_SLOT), token)
+            for w, token in enumerate(tokens)
+        ]
+        files = {
+            key: f"sessions/{session_id}.{ext}"
+            for key, ext in (("transcript", "jsonl"), ("audio", "wav"), ("gaze", "csv"))
+        }
+        words = build_stream(Modality.TEXT, session_id, elements, speaker_id=speaker_id)
+        write_transcript(words, out_dir / files["transcript"])
+        write_wav(_render_tones(freqs, sr, slot_samples), sr, out_dir / files["audio"])
 
-        audio = np.concatenate([_render_word_tone(f, sr, slot_samples) for f in freqs])
-        write_wav(audio, sr, out_dir / "sessions" / f"{session_id}.wav")
+        # (yaw, pitch) per sample, uniform in its word's band; ``low + (high - low) * u``
+        # is how Generator.uniform draws
+        addressing = np.repeat(in_segment, SAMPLES_PER_WORD)[:, None]
+        low = np.where(addressing, [50.0, -5.0], [0.0, -10.0])
+        high = np.where(addressing, [65.0, 5.0], [30.0, 10.0])
+        yaw, pitch = (low + (high - low) * rng.random((n * SAMPLES_PER_WORD, 2))).T.tolist()
+        times = (np.arange(len(yaw)) * GAZE_PERIOD).tolist()
+        samples = list(map(GazeSample, times, yaw, pitch, [True] * len(yaw)))
+        write_gaze(samples, out_dir / files["gaze"])
 
-        samples = []
-        for k in range(n * SAMPLES_PER_WORD):
-            if in_segment[k // SAMPLES_PER_WORD]:
-                yaw = float(rng.uniform(50.0, 65.0))
-                pitch = float(rng.uniform(-5.0, 5.0))
-            else:
-                yaw = float(rng.uniform(0.0, 30.0))
-                pitch = float(rng.uniform(-10.0, 10.0))
-            samples.append(GazeSample(k * GAZE_PERIOD, yaw, pitch, True))
-        write_gaze(samples, out_dir / "sessions" / f"{session_id}.csv")
-
-        manifest_sessions.append(
-            {
-                "session_id": session_id,
-                "speaker_id": speaker_id,
-                "transcript": f"sessions/{session_id}.jsonl",
-                "audio": f"sessions/{session_id}.wav",
-                "gaze": f"sessions/{session_id}.csv",
-            }
-        )
+        manifest_sessions.append({"session_id": session_id, "speaker_id": speaker_id, **files})
         truth_sessions[session_id] = {
             "speaker_id": speaker_id,
             "party": party,
@@ -202,7 +186,7 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
     manifest_path.write_bytes(
         _json_bytes(
             {
-                "format_version": 1,
+                "format_version": INDEX_FORMAT_VERSION,
                 "speakers": "speakers.csv",
                 "sessions": manifest_sessions,
             }

@@ -93,6 +93,30 @@ def direct_difference(frame, window, last_lag):
     )
 
 
+# --- synthetic audio -------------------------------------------------------
+
+def word_tones(freqs, sr, slot_samples, tone_fraction):
+    """A synthetic session's audio, built one word slot at a time.
+
+    Each slot is a 0.4-amplitude tone over its leading ``tone_fraction``,
+    with raised-cosine ends of up to 80 samples, then silence.
+    """
+    tone_samples = int(slot_samples * tone_fraction)
+    t = np.arange(tone_samples) / sr
+    ramp = min(80, tone_samples // 4)
+    window = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+    slots = []
+    for freq in freqs:
+        tone = 0.4 * np.sin(2.0 * np.pi * freq * t)
+        if ramp > 0:
+            tone[:ramp] *= window
+            tone[-ramp:] *= window[::-1]
+        slot = np.zeros(slot_samples)
+        slot[:tone_samples] = tone
+        slots.append(slot)
+    return np.concatenate(slots)
+
+
 # --- canonical correlation -------------------------------------------------
 
 def cca_correlations_eig(x, y, k, ridge=0.0):

@@ -312,6 +312,9 @@ def test_exit_codes(planted_corpus, tmp_path, capsys):
 _WORD = '{"id": "w0", "start": 0, "end": 1, "word": "ja"}'
 _BLOB = '{"session_id": "sess000", "speaker_id": "spk000", "audio": "a.wav", '
 _PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
+_SPEAKERS = {"s.csv": "speaker_id,party,gender\nspk000,AfD,m\n"}
+_SESSION = '{"session_id": "a", "speaker_id": "spk000", "transcript": 5, "audio": "x", "gaze": "y"}'
+_MANIFEST = ["ingest", "--manifest", "TMP/m.json"]
 
 
 @pytest.mark.parametrize(
@@ -337,10 +340,19 @@ _PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
          ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
         ({"c.json": '{"address": {"yaw_min": 80}}'},
          ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
+        ({"m.json": "[1, 2]"}, _MANIFEST, "ParseError"),
+        ({"m.json": '{"format_version": 1, "speakers": "s.csv", "sessions": [1]}', **_SPEAKERS},
+         _MANIFEST, "ParseError"),
+        ({"m.json": f'{{"format_version": 1, "speakers": "s.csv", "sessions": [{_SESSION}]}}',
+          **_SPEAKERS}, _MANIFEST, "ParseError"),
+        ({"m.json": '{"format_version": 1, "speakers": 7, "sessions": []}'},
+         _MANIFEST, "ParseError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "panel-nan", "panel-inf", "counts-nan",
-         "counts-negative", "config-hop-string", "config-threads-string", "config-empty-yaw-band"],
+         "counts-negative", "config-hop-string", "config-threads-string", "config-empty-yaw-band",
+         "manifest-list", "manifest-session-number", "manifest-transcript-number",
+         "manifest-speakers-number"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

@@ -32,10 +32,11 @@ from modalign.ingest import (
     write_wav,
 )
 from modalign.pitch import PITCH_RANGE_BY_GENDER
-from modalign.synth import SynthSpec, synth_corpus
+from modalign.synth import TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
 from modalign.timeline import Element, Modality, TimeInterval, build_stream
 
 from _e2e import interaction_name, planted_run
+from _oracles import word_tones
 
 
 # --- transcripts -----------------------------------------------------------
@@ -66,11 +67,13 @@ def test_transcript_sorts_unsorted_rows(tmp_path):
 
 def test_transcript_reversed_interval(tmp_path):
     p = tmp_path / "t.jsonl"
-    write_lines(p, [word_line("ok", 0.0, 0.4), word_line("bad", 2.0, 1.0)])
-    with pytest.raises(ParseError) as exc:
-        load_transcript(p)
-    assert exc.value.line_no == 2
-    assert str(p) in str(exc.value)
+    nan, inf = float("nan"), float("inf")
+    for start, end in [(2.0, 1.0), (nan, 1.0), (1.0, nan), (1.0, inf), (-inf, 1.0)]:
+        write_lines(p, [word_line("ok", 0.0, 0.4), word_line("bad", start, end)])
+        with pytest.raises(ParseError) as exc:
+            load_transcript(p)
+        assert exc.value.line_no == 2
+        assert str(p) in str(exc.value)
 
 
 def test_transcript_bad_json_and_missing_keys(tmp_path):
@@ -153,6 +156,11 @@ def test_gaze_format_errors(tmp_path):
     write_lines(p, ["t,yaw_deg,pitch_deg,frontal", "zero,0,0,1"])
     with pytest.raises(ParseError, match="bad field"):
         load_gaze(p)
+    for t in ("nan", "inf", "-inf"):
+        write_lines(p, ["t,yaw_deg,pitch_deg,frontal", "0.0,26,-3,1", f"{t},26,-3,1"])
+        with pytest.raises(ParseError, match="finite") as exc:
+            load_gaze(p)
+        assert exc.value.line_no == 3
 
 
 def test_gaze_round_trip(tmp_path):
@@ -322,6 +330,9 @@ def test_manifest_validation(tmp_path):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="no sessions"):
         load_manifest(manifest)
+    manifest.write_bytes(b'{"format_version": 1, "speakers": "\xff"}')
+    with pytest.raises(ParseError, match="bad JSON"):
+        load_manifest(manifest)
 
 
 def test_index_version_gate(tmp_path):
@@ -371,6 +382,20 @@ def test_synth_passes_every_loader(planted_corpus):
         load_gaze(entry.gaze)
         buf = read_wav(entry.audio)
         assert buf.sample_rate == 16000
+
+
+def test_synth_audio_is_one_tapered_tone_per_word(tmp_path):
+    for sr in (8000, 16000):
+        spec = SynthSpec(seed=12, speakers=2, words_per_speech=30, sample_rate=sr)
+        manifest = synth_corpus(spec, tmp_path / str(sr))
+        truth = json.loads((tmp_path / str(sr) / "ground_truth.json").read_text())
+        for entry in load_manifest(manifest).sessions:
+            freqs = truth["sessions"][entry.session_id]["word_freqs"]
+            expected = word_tones(freqs, sr, int(round(WORD_SLOT * sr)), TONE_FRACTION)
+            quantized = np.clip(np.round(expected * 32768.0), -32768, 32767) / 32768.0
+            buf = read_wav(entry.audio)
+            assert buf.sample_rate == sr
+            np.testing.assert_array_equal(buf.samples, quantized)
 
 
 def test_detected_segments_equal_planted_truth(planted_corpus):
