@@ -13,13 +13,15 @@ import argparse
 import json
 from pathlib import Path
 
-from modalign.cli import PitchSettings, RunConfig, build_panel, session_segments
+from modalign.cli import (
+    PitchSettings, RunConfig, build_panel, interaction_name, margin_cells, session_segments,
+)
 from modalign.ingest import CorpusIndex, build_index
 from modalign.stats import Z_95, fe_regress, fightin_words, four_situation_split, margins, render_result_table
 from modalign.synth import SynthSpec, synth_corpus
 
 
-def parse_args():
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workdir", type=Path, default=Path("demo_out"),
                     help="directory for the corpus and index (default: ./demo_out)")
@@ -31,11 +33,11 @@ def parse_args():
     ap.add_argument("--density", type=float, default=0.3,
                     help="target fraction of words inside address segments")
     ap.add_argument("--sample-rate", type=int, default=16000, choices=(8000, 16000))
-    return ap.parse_args()
+    return ap.parse_args(argv)
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     spec = SynthSpec(
         seed=args.seed,
         speakers=args.speakers,
@@ -64,21 +66,12 @@ def main():
     print(render_result_table(result))
 
     print("predicted pitch (z units) by party and addressing state:")
-    cells = []
-    for party in parties:
-        for a in (0, 1):
-            setting = {}
-            if a:
-                setting["addressing"] = 1.0
-                key = f"addressing_x_{party}"
-                if key in result.regressor_names:
-                    setting[key] = 1.0
-            cells.append((f"{party} addressing={a}", setting))
+    cells = [(f"{party} addressing={a}", s) for party, a, s in margin_cells(parties, result)]
     for m in margins(result, cells):
         print(f"  {m.label:<22} {m.predicted:+.3f}  [{m.ci_low:+.3f}, {m.ci_high:+.3f}]")
 
     truth = json.loads((args.workdir / "raw" / "ground_truth.json").read_text())
-    name = f"addressing_x_{spec.other_party}"
+    name = interaction_name(spec.other_party)
     est = result.coefficients[name]
     se = result.standard_errors[name]
     print(f"\nplanted effect {truth['planted_effect']:+.3f}, "

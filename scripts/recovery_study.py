@@ -17,7 +17,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from modalign.cli import PitchSettings, RunConfig, build_panel
+from modalign.cli import PitchSettings, RunConfig, build_panel, interaction_name
 from modalign.ingest import CorpusIndex, build_index
 from modalign.stats import Z_95, fe_regress
 from modalign.synth import SynthSpec, synth_corpus
@@ -28,7 +28,7 @@ def one_run(spec, workdir, cfg):
     index = CorpusIndex(build_index(manifest, workdir / "idx"))
     rows, _, _ = build_panel(index, cfg)
     result = fe_regress(rows)
-    name = f"addressing_x_{spec.other_party}"
+    name = interaction_name(spec.other_party)
     return result.coefficients[name], result.standard_errors[name]
 
 

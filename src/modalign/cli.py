@@ -34,8 +34,6 @@ from . import ingest, latent, pitch, stats, synth
 from .errors import DataError, EngineError, ModalityAbsent, ValidationError
 from .timeline import Modality, join_streams, query_crossmodal
 
-Z_95 = stats.Z_95
-
 
 # --- configuration ---------------------------------------------------------
 
@@ -221,17 +219,14 @@ def cmd_segments(args, cfg: RunConfig) -> int:
 
 
 def session_streams(index: ingest.CorpusIndex, cfg: RunConfig):
-    """(words, segments-or-None stream) per session, for align/query."""
-    segments = session_segments(index, cfg)
+    """(words, segments-or-None stream) per session, for align, query and regress."""
     out = {}
-    for sid in index.session_ids():
+    for sid, segs in session_segments(index, cfg).items():
         data = index.load_session(sid)
-        seg_stream = None
-        if segments[sid]:
-            seg_stream = gaze_mod.segments_to_stream(
-                segments[sid], sid, speaker_id=data.speaker_id
-            )
-        out[sid] = (data.words, seg_stream)
+        stream = None
+        if segs:
+            stream = gaze_mod.segments_to_stream(segs, sid, speaker_id=data.speaker_id)
+        out[sid] = (data.words, stream)
     return out
 
 
@@ -314,24 +309,18 @@ def cmd_query(args, cfg: RunConfig) -> int:
     return 0
 
 
+def interaction_name(party: str) -> str:
+    return f"addressing_x_{party}"
+
+
 def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
     """Panel rows for the addressing regression, plus the party list."""
-    sessions, pitches = corpus_word_pitches(index, cfg)
-    segments = session_segments(index, cfg)
+    _, pitches = corpus_word_pitches(index, cfg)
+    addressed = set()
+    for sid, (words, segs) in session_streams(index, cfg).items():
+        if segs is not None:
+            addressed.update((sid, p.source_id) for p in join_streams(words, segs).pairs)
     profiles = index.speakers()
-
-    addressed: dict[tuple[str, str], bool] = {}
-    for sid, data in sessions.items():
-        segs = segments[sid]
-        if segs:
-            seg_stream = gaze_mod.segments_to_stream(segs, sid)
-            amap = join_streams(data.words, seg_stream)
-            inside = {p.source_id for p in amap.pairs}
-        else:
-            inside = set()
-        for e in data.words:
-            addressed[(sid, e.id)] = e.id in inside
-
     parties = sorted({p.party for p in profiles.values()})
     others = [p for p in parties if p != cfg.target_party]
     rows = []
@@ -340,15 +329,21 @@ def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
         if wp.z is None:
             skipped += 1
             continue
-        profile = profiles.get(wp.speaker_id)
-        if profile is None:
-            raise DataError(f"speaker {wp.speaker_id!r} missing from speakers table")
-        a = 1.0 if addressed[(wp.session_id, wp.word_id)] else 0.0
-        regs = {"addressing": a}
-        for p in others:
-            regs[f"addressing_x_{p}"] = a if profile.party == p else 0.0
-        rows.append(stats.PanelRow(wp.z, wp.speaker_id, regs))
+        party = profiles[wp.speaker_id].party
+        a = 1.0 if (wp.session_id, wp.word_id) in addressed else 0.0
+        regs = {interaction_name(p): a if party == p else 0.0 for p in others}
+        rows.append(stats.PanelRow(wp.z, wp.speaker_id, {"addressing": a, **regs}))
     return rows, parties, skipped
+
+
+def margin_cells(parties, result: stats.RegressionResult):
+    """``(party, addressing, settings)`` per party: not addressing (0), then addressing (1)."""
+    for party in parties:
+        yield party, 0, {}
+        settings = {"addressing": 1.0}
+        if interaction_name(party) in result.regressor_names:
+            settings[interaction_name(party)] = 1.0
+        yield party, 1, settings
 
 
 def _result_json(result: stats.RegressionResult) -> dict:
@@ -359,8 +354,8 @@ def _result_json(result: stats.RegressionResult) -> dict:
         coef[nm] = {
             "estimate": b,
             "std_error": s,
-            "ci_low": b - Z_95 * s,
-            "ci_high": b + Z_95 * s,
+            "ci_low": b - stats.Z_95 * s,
+            "ci_high": b + stats.Z_95 * s,
         }
     return {
         "coefficients": coef,
@@ -388,22 +383,14 @@ def cmd_regress(args, cfg: RunConfig) -> int:
     (out_dir / "regression.txt").write_text(stats.render_result_table(result), encoding="utf-8")
 
     if parties is not None:
-        cells = []
-        for party in parties:
-            for a in (0, 1):
-                settings = {}
-                if a:
-                    settings["addressing"] = 1.0
-                    key = f"addressing_x_{party}"
-                    if key in result.regressor_names:
-                        settings[key] = 1.0
-                cells.append((f"{party}|{a}", settings))
+        cells = list(margin_cells(parties, result))
+        margins = stats.margins(result, [(party, settings) for party, _, settings in cells])
         _write_csv(
             out_dir / "margins.csv",
             "party,addressing,predicted,ci_low,ci_high",
             [
-                (*m.label.rsplit("|", 1), m.predicted, m.ci_low, m.ci_high)
-                for m in stats.margins(result, cells)
+                (party, a, m.predicted, m.ci_low, m.ci_high)
+                for (party, a, _), m in zip(cells, margins, strict=True)
             ],
         )
     print(f"n={result.n_obs} groups={result.n_groups} -> {out_dir}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import SessionMismatch, UnsortedSamples, ValidationError
-from .timeline import Element, ElementStream, Modality, TimeInterval, build_stream
+from .timeline import Element, ElementStream, Modality, TimeInterval, build_stream, overlap
 
 
 @dataclass(frozen=True)
@@ -146,20 +146,12 @@ def enforce_min_words(
         raise SessionMismatch(
             f"segments from session {session_id!r}, words from {words.session_id!r}"
         )
-    starts = [e.interval.start for e in words.elements]
-    ends = [e.interval.end for e in words.elements]  # sorted too: words cannot overlap
+    intervals = words.intervals()  # sorted by end too: words cannot overlap
     kept = []
     for seg in segments:
-        if seg.interval.point:
-            count = 0
-        else:
-            hi = bisect_left(starts, seg.interval.end)
-            lo = bisect_right(ends, seg.interval.start)
-            count = sum(
-                1
-                for k in range(lo, hi)
-                if min(ends[k], seg.interval.end) > max(starts[k], seg.interval.start)
-            )
+        hi = bisect_left(intervals, seg.interval.end, key=lambda iv: iv.start)
+        lo = bisect_right(intervals, seg.interval.start, key=lambda iv: iv.end)
+        count = sum(1 for k in range(lo, hi) if overlap(intervals[k], seg.interval) > 0.0)
         if count >= rule.min_words:
             kept.append(AddressSegment(seg.interval, seg.label, count))
     return kept

@@ -141,7 +141,7 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
             word, start, end = obj["word"], obj["start"], obj["end"]
             if not isinstance(word, str) or not word:
                 raise ParseError(path, line_no, "word must be a non-empty string")
-            if not isinstance(start, (int, float)) or not isinstance(end, (int, float)):
+            if type(start) not in (int, float) or type(end) not in (int, float):
                 raise ParseError(path, line_no, "start/end must be numbers")
             if not (math.isfinite(start) and math.isfinite(end)):
                 raise ParseError(path, line_no, f"start/end must be finite, got [{start}, {end})")
@@ -346,7 +346,7 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
             f"{path}: format_version {doc.get('format_version')!r} != {INDEX_FORMAT_VERSION}"
         )
     base = path.parent
-    speakers = base / doc.get("speakers", "")
+    speakers = base / doc["speakers"]
     if not speakers.is_file():
         raise MissingFile(str(speakers))
     entries = []
@@ -401,8 +401,6 @@ def build_index(manifest_path, out_dir) -> Path:
         for entry in manifest.sessions:
             words = load_transcript(entry.transcript, session_id=entry.session_id)
             samples = load_gaze(entry.gaze)
-            if not entry.audio.is_file():
-                raise MissingFile(str(entry.audio))
             blob = {
                 "session_id": entry.session_id,
                 "speaker_id": entry.speaker_id,

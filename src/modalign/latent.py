@@ -67,7 +67,8 @@ def dtw_align(
     Steps are unconstrained {(1,1), (1,0), (0,1)}; cost ties are broken by
     preferring the diagonal step, then advancing the first sequence, so
     the returned path is unique.  ``cost`` defaults to Euclidean distance.
-    Raises :class:`DimensionMismatch` when vector dimensions differ.
+    Raises :class:`DimensionMismatch` when vector dimensions differ and
+    :class:`ValidationError` when the warp's total cost is not finite.
     """
     sa, sb = _as_sequence(a), _as_sequence(b)
     if sa.dim != sb.dim:
@@ -83,20 +84,15 @@ def dtw_align(
             for j in range(m):
                 c[i, j] = float(cost(sa.vectors[i], sb.vectors[j]))
 
-    acc = np.empty((n, m))
+    # acc[i, j] is the cheapest warp ending at (i-1, j-1), behind an inf border
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
     # step taken to ENTER each cell: 0 diagonal, 1 from (i-1, j), 2 from (i, j-1)
-    move = np.zeros((n, m), dtype=np.int8)
-    acc[0, 0] = c[0, 0]
-    for i in range(1, n):
-        acc[i, 0] = acc[i - 1, 0] + c[i, 0]
-        move[i, 0] = 1
-    for j in range(1, m):
-        acc[0, j] = acc[0, j - 1] + c[0, j]
-        move[0, j] = 2
-    for i in range(1, n):
+    move = np.zeros((n + 1, m + 1), dtype=np.int8)
+    for i in range(1, n + 1):
         row = acc[i]
         prev = acc[i - 1]
-        for j in range(1, m):
+        for j in range(1, m + 1):
             best = prev[j - 1]
             step = 0
             if prev[j] < best:
@@ -105,14 +101,16 @@ def dtw_align(
             if row[j - 1] < best:
                 best = row[j - 1]
                 step = 2
-            row[j] = best + c[i, j]
+            row[j] = best + c[i - 1, j - 1]
             move[i, j] = step
+    if not np.isfinite(acc[n, m]):
+        raise ValidationError(f"warp cost is {acc[n, m]}: costs must be finite")
 
     path = []
-    i, j = n - 1, m - 1
+    i, j = n, m
     while True:
-        path.append((i, j))
-        if i == 0 and j == 0:
+        path.append((i - 1, j - 1))
+        if i == 1 and j == 1:
             break
         step = move[i, j]
         if step == 0:
@@ -122,7 +120,7 @@ def dtw_align(
         else:
             j -= 1
     path.reverse()
-    return WarpPath(tuple(path), float(acc[n - 1, m - 1]))
+    return WarpPath(tuple(path), float(acc[n, m]))
 
 
 @dataclass(frozen=True)

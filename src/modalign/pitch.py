@@ -193,7 +193,8 @@ def estimate_pitch_track(
     normalized.  Frames are strided views of the waveform, not copies.
 
     Raises :class:`AudioTooShort` when the signal is shorter than one
-    frame and :class:`InvalidRange` when framing cannot cover the band.
+    frame and :class:`InvalidRange` when framing cannot cover the band or
+    the band holds no whole-sample lag of at least 2.
     """
     sr = audio.sample_rate
     if frame_length < 2 * sr / search_range.floor:
@@ -210,6 +211,8 @@ def estimate_pitch_track(
     max_lag = frame_length // 2
     tau_lo = max(2, math.ceil(sr / search_range.ceiling))
     tau_hi = min(max_lag, math.floor(sr / search_range.floor))
+    if tau_lo > tau_hi:
+        raise InvalidRange(f"{search_range} holds no whole-sample lag >= 2 at {sr} Hz")
     last_lag = min(tau_hi + 1, max_lag)
 
     starts = np.arange(0, x.size - frame_length + 1, hop)
@@ -226,10 +229,7 @@ def estimate_pitch_track(
         # Value at tau+1, with +inf past the band edge so a dip that is
         # still falling at the edge is accepted there.
         nxt = np.full_like(band, np.inf)
-        upto = last_lag - tau_lo  # columns with a real successor
-        if upto > 0:
-            nxt[:, :upto] = cmnd[:, tau_lo + 1 : tau_lo + 1 + upto]
-        nxt[:, -1] = np.inf
+        nxt[:, :-1] = band[:, 1:]
         stop = (band < threshold) & (nxt >= band)
         has = stop.any(axis=1)
         tau = np.argmax(stop, axis=1) + tau_lo

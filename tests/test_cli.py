@@ -304,6 +304,8 @@ def test_exit_codes(planted_corpus, tmp_path, capsys):
     assert run("query", "--index", planted_corpus.index, "--select", "text",
                "--where", "smell.label==AfD", "--out", tmp_path / "q.csv") == 2
     assert run("synth", "--out", tmp_path / "s", "--density", 2.0) == 2
+    assert run("pitch", "--index", planted_corpus.index, "--out", tmp_path / "p.csv",
+               "--floor", 100.3, "--ceiling", 100.6) == 2
     assert run("fw", "--counts-a", tmp_path / "only_a.csv", "--out", tmp_path / "f.csv") == 2
     err = capsys.readouterr().err
     assert "ValidationError" in err or "InvalidSpec" in err

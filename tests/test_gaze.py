@@ -215,6 +215,35 @@ def test_point_segment_covers_nothing():
     assert enforce_min_words([seg(1.0, 1.0)], words, AddressRule(min_words=1)) == []
 
 
+def test_word_filter_matches_brute_force_count():
+    rng = np.random.default_rng(51)
+    for trial in range(60):
+        # words tiling time on a quarter-second grid, with gaps and zero-length words
+        elems, t = [], 0.0
+        for i in range(int(rng.integers(1, 40))):
+            width = float(rng.integers(0, 4)) * 0.25
+            elems.append(Element(f"w{i:03d}", TimeInterval(t, t + width), "tok"))
+            t += width + float(rng.integers(0, 2)) * 0.25
+        words = build_stream(Modality.TEXT, "s", elems)
+        # segments in any order, overlapping one another, some of zero length
+        segs = []
+        for _ in range(int(rng.integers(0, 8))):
+            a = float(rng.integers(0, int(4 * t) + 2)) * 0.25
+            segs.append(seg(a, a + float(rng.integers(0, 12)) * 0.25))
+        rule = AddressRule(min_words=int(rng.integers(0, 4)))
+
+        expected = []
+        for s in segs:
+            count = sum(
+                1
+                for w in words
+                if min(s.interval.end, w.interval.end) > max(s.interval.start, w.interval.start)
+            )
+            if count >= rule.min_words:
+                expected.append(AddressSegment(s.interval, s.label, count))
+        assert enforce_min_words(segs, words, rule) == expected
+
+
 def test_word_filter_session_check():
     words = words_at(12)
     with pytest.raises(SessionMismatch):

@@ -68,7 +68,8 @@ def test_transcript_sorts_unsorted_rows(tmp_path):
 def test_transcript_reversed_interval(tmp_path):
     p = tmp_path / "t.jsonl"
     nan, inf = float("nan"), float("inf")
-    for start, end in [(2.0, 1.0), (nan, 1.0), (1.0, nan), (1.0, inf), (-inf, 1.0)]:
+    bad = [(2.0, 1.0), (nan, 1.0), (1.0, nan), (1.0, inf), (-inf, 1.0), (False, True)]
+    for start, end in bad:
         write_lines(p, [word_line("ok", 0.0, 0.4), word_line("bad", start, end)])
         with pytest.raises(ParseError) as exc:
             load_transcript(p)
@@ -332,6 +333,9 @@ def test_manifest_validation(tmp_path):
         load_manifest(manifest)
     manifest.write_bytes(b'{"format_version": 1, "speakers": "\xff"}')
     with pytest.raises(ParseError, match="bad JSON"):
+        load_manifest(manifest)
+    manifest.write_text(json.dumps({"format_version": 1, "sessions": []}))
+    with pytest.raises(ParseError, match="'speakers'"):
         load_manifest(manifest)
 
 

@@ -83,6 +83,15 @@ def test_dimension_mismatch():
         dtw_align(np.zeros((4, 2)), np.zeros((4, 3)))
 
 
+def test_non_finite_warp_cost_rejected():
+    with pytest.raises(ValidationError, match="finite"):
+        dtw_align(np.zeros((3, 1)), np.zeros((4, 1)), cost=lambda x, y: float("inf"))
+    a = np.zeros((3, 1))
+    a[1, 0] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        dtw_align(a, np.zeros((4, 1)))
+
+
 def test_sequence_validation():
     with pytest.raises(ValidationError):
         FeatureSequence(np.zeros((0, 3)))

@@ -145,6 +145,10 @@ def test_short_audio_rejected():
 def test_frame_must_cover_two_periods_at_floor():
     with pytest.raises(InvalidRange):
         estimate_pitch_track(sine(200.0), PitchRange(75.0, 300.0), frame_length=256)
+    # a band with no whole-sample lag between sr/ceiling and sr/floor
+    for sr in (8000, 16000):
+        with pytest.raises(InvalidRange, match="no whole-sample lag"):
+            estimate_pitch_track(sine(100.5, sr=sr), PitchRange(100.3, 100.6))
 
 
 def test_range_validation():
