@@ -289,21 +289,21 @@ def cmd_query(args, cfg: RunConfig) -> int:
     streams = session_streams(index, cfg)
 
     rows = []
-    saw_where = False
+    seen = set()
     for sid in index.session_ids():
         words, segs = streams[sid]
         corpus = [s for s in (words, segs) if s is not None]
-        if not any(s.modality is where_modality for s in corpus):
-            continue
-        saw_where = True
-        if not any(s.modality is select for s in corpus):
+        present = {s.modality for s in corpus}
+        seen |= present
+        if where_modality not in present or select not in present:
             continue
         rows += [
             (sid, e.id, e.interval.start, e.interval.end, e.payload)
             for e in query_crossmodal(corpus, select, predicate, where_modality)
         ]
-    if not saw_where:
-        raise ModalityAbsent(f"corpus has no {where_modality.value} stream")
+    for modality in (where_modality, select):
+        if modality not in seen:
+            raise ModalityAbsent(f"corpus has no {modality.value} stream")
     _write_csv(args.out, "session_id,id,start,end,payload", rows)
     print(f"{len(rows)} elements -> {args.out}")
     return 0

@@ -10,7 +10,6 @@ discarded as noise.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -168,8 +167,3 @@ def segments_to_stream(
         Element(f"seg{i:04d}", seg.interval, seg.label) for i, seg in enumerate(segments)
     ]
     return build_stream(Modality.DERIVED, session_id, elems, speaker_id=speaker_id)
-
-
-def notes_look_disabled() -> float:
-    """A notes threshold no pitch angle can be below (turns the correction off)."""
-    return -math.inf

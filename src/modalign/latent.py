@@ -2,7 +2,9 @@
 
 Two numeric primitives live here.  :func:`dtw_align` finds the cheapest
 monotone warp between two feature sequences by dynamic programming over
-the step set {match, advance-left, advance-right}.  :func:`cca_align`
+the step set {match, advance-left, advance-right} (Sakoe & Chiba's
+symmetric recurrence, no window), one anti-diagonal at a time so that each
+step is a numpy operation over a whole diagonal.  :func:`cca_align`
 computes classical canonical correlation projections for paired samples:
 whiten each block, SVD the whitened cross-covariance.
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,16 +58,15 @@ class WarpPath:
     total_cost: float
 
 
-def dtw_align(
-    a,
-    b,
-    cost: Callable[[np.ndarray, np.ndarray], float] | None = None,
-) -> WarpPath:
+def dtw_align(a, b) -> WarpPath:
     """Globally optimal dynamic time warp between two sequences.
 
-    Steps are unconstrained {(1,1), (1,0), (0,1)}; cost ties are broken by
-    preferring the diagonal step, then advancing the first sequence, so
-    the returned path is unique.  ``cost`` defaults to Euclidean distance.
+    Steps are unconstrained {(1,1), (1,0), (0,1)} and the cell cost is the
+    Euclidean distance; cost ties are broken by preferring the diagonal
+    step, then advancing the first sequence, so the returned path is unique.
+    The accumulator is filled one anti-diagonal at a time, so time is
+    O(n*m) in vectorised numpy and memory is O(n+m) floats plus an
+    (n+m+1) x (n+1) table of int8 steps.
     Raises :class:`DimensionMismatch` when vector dimensions differ and
     :class:`ValidationError` when the warp's total cost is not finite.
     """
@@ -74,53 +74,48 @@ def dtw_align(
     if sa.dim != sb.dim:
         raise DimensionMismatch(f"dims {sa.dim} != {sb.dim}")
     n, m = len(sa), len(sb)
+    va, vb_rev = sa.vectors, sb.vectors[::-1]
 
-    if cost is None:
-        d = sa.vectors[:, None, :] - sb.vectors[None, :, :]
-        c = np.sqrt((d * d).sum(axis=2))
-    else:
-        c = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                c[i, j] = float(cost(sa.vectors[i], sb.vectors[j]))
-
-    # acc[i, j] is the cheapest warp ending at (i-1, j-1), behind an inf border
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    # step taken to ENTER each cell: 0 diagonal, 1 from (i-1, j), 2 from (i, j-1)
-    move = np.zeros((n + 1, m + 1), dtype=np.int8)
-    for i in range(1, n + 1):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, m + 1):
-            best = prev[j - 1]
-            step = 0
-            if prev[j] < best:
-                best = prev[j]
-                step = 1
-            if row[j - 1] < best:
-                best = row[j - 1]
-                step = 2
-            row[j] = best + c[i - 1, j - 1]
-            move[i, j] = step
-    if not np.isfinite(acc[n, m]):
-        raise ValidationError(f"warp cost is {acc[n, m]}: costs must be finite")
+    # diags[s % 3][i] is the cheapest warp ending at (i-1, s-i-1), behind an
+    # inf border; diagonal s needs only diagonals s-1 and s-2
+    diags = np.full((3, n + 1), np.inf)
+    diags[0, 0] = 0.0
+    # step taken to ENTER cell (i, s-i): 0 diagonal, 1 from (i-1, j), 2 from (i, j-1)
+    steps = np.zeros((n + m + 1, n + 1), dtype=np.int8)
+    for s in range(2, n + m + 1):
+        lo, hi = max(1, s - m), min(n, s - 1)
+        prev = diags[(s - 1) % 3]
+        best = diags[(s - 2) % 3][lo - 1 : hi].copy()
+        step = steps[s, lo : hi + 1]
+        # strict < keeps the earlier candidate on a tie: diagonal, (i-1, j), (i, j-1)
+        for code, cand in ((1, prev[lo - 1 : hi]), (2, prev[lo : hi + 1])):
+            better = np.less(cand, best)
+            np.copyto(best, cand, where=better)
+            np.copyto(step, code, where=better)
+        # rows i-1 of a against rows s-i-1 of b, read as one slice of b reversed
+        d = va[lo - 1 : hi] - vb_rev[m - s + lo : m - s + hi + 1]
+        cur = diags[s % 3]
+        cur.fill(np.inf)
+        cur[lo : hi + 1] = best + np.sqrt((d * d).sum(axis=1))
+    total = diags[(n + m) % 3][n]
+    if not np.isfinite(total):
+        raise ValidationError(f"warp cost is {total}: costs must be finite")
 
     path = []
-    i, j = n, m
+    s, i = n + m, n
     while True:
-        path.append((i - 1, j - 1))
-        if i == 1 and j == 1:
+        path.append((i - 1, s - i - 1))
+        if s == 2:
             break
-        step = move[i, j]
+        step = steps[s, i]
         if step == 0:
-            i, j = i - 1, j - 1
+            s, i = s - 2, i - 1
         elif step == 1:
-            i -= 1
+            s, i = s - 1, i - 1
         else:
-            j -= 1
+            s -= 1
     path.reverse()
-    return WarpPath(tuple(path), float(acc[n, m]))
+    return WarpPath(tuple(path), float(total))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -271,15 +271,13 @@ def four_situation_split(
     party_by_speaker: Mapping[str, str],
     *,
     target_party: str = "AfD",
-    stem: Callable[[str], str] | None = None,
 ) -> FourWaySplit:
     """Assign every token to one of four speaker/audience situations.
 
     A token lands on the "target" audience side when its word interval
     overlaps (strictly) any address segment of its session; the speaker
-    side is decided by party membership.  Tokens are lowercased; pass
-    ``stem`` to reduce further.  Raises :class:`MissingPartyMetadata` when
-    a stream's speaker has no party entry.
+    side is decided by party membership.  Tokens are lowercased.  Raises
+    :class:`MissingPartyMetadata` when a stream's speaker has no party entry.
     """
     split = FourWaySplit(Counter(), Counter(), Counter(), Counter())
     for stream in text_streams:
@@ -295,8 +293,6 @@ def four_situation_split(
         addressed = {i for i, _, _ in sweep_overlaps(stream.intervals(), segs, 0.0)}
         for i, word in enumerate(stream):
             token = str(word.payload).lower()
-            if stem is not None:
-                token = stem(token)
             if from_target:
                 cell = split.target_to_target if i in addressed else split.target_to_others
             else:

@@ -83,6 +83,53 @@ def exhaustive_dtw_cost(cost_matrix: np.ndarray) -> float:
     return float(cells[_PATH_CACHE[key]].sum(axis=1).min())
 
 
+def dtw_loop(c):
+    """Cheapest warp over cost matrix ``c`` by the row-by-row cell loop.
+
+    Same recurrence, tie order and ``best + cost`` addition as
+    ``latent.dtw_align``, one Python step per cell.  Returns
+    ``(pairs, total_cost)``; the total must be finite.
+    """
+    n, m = c.shape
+    # acc[i, j] is the cheapest warp ending at (i-1, j-1), behind an inf border
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    # step taken to ENTER each cell: 0 diagonal, 1 from (i-1, j), 2 from (i, j-1)
+    move = np.zeros((n + 1, m + 1), dtype=np.int8)
+    for i in range(1, n + 1):
+        row = acc[i]
+        prev = acc[i - 1]
+        for j in range(1, m + 1):
+            best = prev[j - 1]
+            step = 0
+            if prev[j] < best:
+                best = prev[j]
+                step = 1
+            if row[j - 1] < best:
+                best = row[j - 1]
+                step = 2
+            row[j] = best + c[i - 1, j - 1]
+            move[i, j] = step
+    if not np.isfinite(acc[n, m]):
+        raise ValueError(f"warp cost is {acc[n, m]}")
+
+    path = []
+    i, j = n, m
+    while True:
+        path.append((i - 1, j - 1))
+        if i == 1 and j == 1:
+            break
+        step = move[i, j]
+        if step == 0:
+            i, j = i - 1, j - 1
+        elif step == 1:
+            i -= 1
+        else:
+            j -= 1
+    path.reverse()
+    return tuple(path), float(acc[n, m])
+
+
 # --- pitch difference function ---------------------------------------------
 
 def direct_difference(frame, window, last_lag):

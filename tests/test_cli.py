@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from modalign import cli
+from modalign import cli, errors
 from modalign.cli import main
 from modalign.ingest import CorpusIndex
 from modalign.stats import PanelRow, fe_regress, fightin_words
@@ -317,6 +317,7 @@ _PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
 _SPEAKERS = {"s.csv": "speaker_id,party,gender\nspk000,AfD,m\n"}
 _SESSION = '{"session_id": "a", "speaker_id": "spk000", "transcript": 5, "audio": "x", "gaze": "y"}'
 _MANIFEST = ["ingest", "--manifest", "TMP/m.json"]
+_QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
 
 
 @pytest.mark.parametrize(
@@ -349,12 +350,14 @@ _MANIFEST = ["ingest", "--manifest", "TMP/m.json"]
           **_SPEAKERS}, _MANIFEST, "ParseError"),
         ({"m.json": '{"format_version": 1, "speakers": 7, "sessions": []}'},
          _MANIFEST, "ParseError"),
+        ({}, _QUERY + ["--select", "audio"], "ModalityAbsent"),
+        ({}, _QUERY + ["--select", "visual"], "ModalityAbsent"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "panel-nan", "panel-inf", "counts-nan",
          "counts-negative", "config-hop-string", "config-threads-string", "config-empty-yaw-band",
          "manifest-list", "manifest-session-number", "manifest-transcript-number",
-         "manifest-speakers-number"],
+         "manifest-speakers-number", "query-select-audio", "query-select-visual"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
@@ -363,7 +366,7 @@ def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, 
     argv = [a.replace("IDX", str(tmp_path / "idx")).replace("TMP", str(tmp_path)) for a in argv]
     rc = run(*argv, "--out", tmp_path / "out")
     err = capsys.readouterr().err
-    assert rc == (2 if error == "ValidationError" else 3)
+    assert rc == (2 if issubclass(getattr(errors, error), errors.ValidationError) else 3)
     assert len(err.splitlines()) == 1 and err.startswith(f"{error}: ")
     assert "Traceback" not in err
 

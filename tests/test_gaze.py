@@ -1,5 +1,7 @@
 """Address-segment detection from head-pose traces."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from modalign.gaze import (
     GazeSample,
     detect_address_segments,
     enforce_min_words,
-    notes_look_disabled,
     segments_to_stream,
 )
 from modalign.timeline import Element, Modality, TimeInterval, build_stream
@@ -137,7 +138,7 @@ def test_rule_validation():
 
 def test_matches_plain_run_detection_when_notes_disabled():
     rng = np.random.default_rng(5)
-    rule = AddressRule(notes_pitch_threshold=notes_look_disabled())
+    rule = AddressRule(notes_pitch_threshold=-math.inf)  # notes correction off
     for trial in range(30):
         n = int(rng.integers(2, 120))
         trace = [

@@ -1,5 +1,7 @@
 """Time warping, canonical correlation, and the strategy advisor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from modalign.latent import (
     dtw_align,
 )
 
-from _oracles import cca_correlations_eig, exhaustive_dtw_cost
+from _oracles import cca_correlations_eig, dtw_loop, exhaustive_dtw_cost
 
 
 # --- dynamic time warping --------------------------------------------------
@@ -63,19 +65,47 @@ def test_matches_exhaustive_search_on_small_pairs():
         assert np.isclose(path.total_cost, exhaustive_dtw_cost(c), rtol=1e-12)
 
 
-def test_custom_cost_function():
-    a, b = [0.0, 5.0], [0.0, 5.0, 5.0]
-    mismatch = lambda u, v: 0.0 if u[0] == v[0] else 1.0
-    path = dtw_align(a, b, cost=mismatch)
+def test_stutter_in_second_sequence():
+    path = dtw_align([0.0, 5.0], [0.0, 5.0, 5.0])
     assert path.total_cost == 0.0
     assert path.pairs == ((0, 0), (1, 1), (1, 2))
 
 
 def test_tie_break_prefers_diagonal():
-    zero = lambda u, v: 0.0
-    path = dtw_align(np.zeros((3, 1)), np.zeros((5, 1)), cost=zero)
+    path = dtw_align(np.zeros((3, 1)), np.zeros((5, 1)))  # every cell costs 0
     assert len(path.pairs) == 5  # diagonal-first backtracking gives the shortest path
-    assert path.pairs == dtw_align(np.zeros((3, 1)), np.zeros((5, 1)), cost=zero).pairs
+    assert path.pairs == ((0, 0), (0, 1), (0, 2), (1, 3), (2, 4))
+
+
+def test_matches_loop_oracle_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (6, 1), (2, 2), (5, 9), (9, 5), (13, 13),
+              (40, 31), (3, 60), (60, 3)]
+    features = {
+        "random": lambda n, d: rng.normal(size=(n, d)),
+        "zero": lambda n, d: np.zeros((n, d)),  # every step ties
+        "binary": lambda n, d: rng.integers(0, 2, size=(n, d)).astype(float),
+    }
+    cases = [(n, m, d, kind) for n, m in shapes for d in (1, 3, 13) for kind in features]
+    cases += [(200, 300, 13, "random"), (300, 200, 13, "random"), (800, 700, 13, "random")]
+    for n, m, d, kind in cases:
+        a, b = features[kind](n, d), features[kind](m, d)
+        path = dtw_align(a, b)
+        pairs, total = dtw_loop(euclid_matrix(a, b))
+        assert path.pairs == pairs, (n, m, d, kind)
+        assert path.total_cost == total, (n, m, d, kind)
+
+
+def test_memory_is_linear_in_sequence_lengths():
+    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=(600, 13)), rng.normal(size=(500, 13))
+    tracemalloc.start()
+    try:
+        dtw_align(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # a 600x500 cost matrix alone is 2.4 MB, its 13-dim tensor 31 MB
 
 
 def test_dimension_mismatch():
@@ -84,12 +114,11 @@ def test_dimension_mismatch():
 
 
 def test_non_finite_warp_cost_rejected():
-    with pytest.raises(ValidationError, match="finite"):
-        dtw_align(np.zeros((3, 1)), np.zeros((4, 1)), cost=lambda x, y: float("inf"))
-    a = np.zeros((3, 1))
-    a[1, 0] = np.nan
-    with pytest.raises(ValidationError, match="finite"):
-        dtw_align(a, np.zeros((4, 1)))
+    for bad in (np.inf, np.nan):
+        a = np.zeros((3, 1))
+        a[1, 0] = bad  # every warp crosses row 1
+        with pytest.raises(ValidationError, match="finite"):
+            dtw_align(a, np.zeros((4, 1)))
 
 
 def test_sequence_validation():

@@ -290,12 +290,6 @@ def test_touching_segment_does_not_address():
     assert split.target_to_target == Counter()
 
 
-def test_stemmer_applied_after_lowercasing():
-    streams = [make_stream("a", "s1", [word(0, 0, 1, "Worte"), word(1, 1, 2, "WORTEN")])]
-    split = four_situation_split(streams, {}, PARTIES, stem=lambda t: t[:4])
-    assert split.target_to_others == Counter({"wort": 2})
-
-
 def test_missing_party_metadata():
     anonymous = build_stream(Modality.TEXT, "a", [word(0, 0, 1, "x")])
     with pytest.raises(MissingPartyMetadata):
