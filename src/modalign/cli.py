@@ -190,14 +190,18 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
 def cmd_pitch(args, cfg: RunConfig) -> int:
     index = ingest.CorpusIndex(args.index)
     sessions, pitches = corpus_word_pitches(index, cfg)
-    words = [(sessions[sid], e) for sid in index.session_ids() for e in sessions[sid].words]
+    words = [
+        (data.session_id, *word, data.speaker_id)
+        for data in (sessions[sid] for sid in index.session_ids())
+        for word in zip(data.words.ids, data.words.payloads,
+                        data.words.starts.tolist(), data.words.ends.tolist())
+    ]
     _write_csv(
         args.out,
         "session_id,word_id,word,start,end,speaker_id,mean_f0,voiced_frames,z",
         [
-            (data.session_id, e.id, e.payload, e.interval.start, e.interval.end,
-             data.speaker_id, wp.mean_f0, wp.voiced_frame_count, wp.z)
-            for (data, e), wp in zip(words, pitches, strict=True)
+            (*word, wp.mean_f0, wp.voiced_frame_count, wp.z)
+            for word, wp in zip(words, pitches, strict=True)
         ],
     )
     missing = pitch.missing_count(pitches)

@@ -10,12 +10,13 @@ discarded as noise.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import SessionMismatch, UnsortedSamples, ValidationError
-from .timeline import Element, ElementStream, Modality, TimeInterval, build_stream, overlap
+from .timeline import Element, ElementStream, Modality, TimeInterval, build_stream, overlap_pairs
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,34 @@ class GazeSample:
     yaw: float
     pitch: float
     frontal: bool
+
+
+@dataclass(frozen=True, eq=False)
+class GazeTrace:
+    """A gaze trace as four parallel arrays: float64 ``t``/``yaw``/``pitch``, bool ``frontal``."""
+
+    t: np.ndarray
+    yaw: np.ndarray
+    pitch: np.ndarray
+    frontal: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __iter__(self) -> Iterator[GazeSample]:
+        return map(
+            GazeSample,
+            self.t.tolist(), self.yaw.tolist(), self.pitch.tolist(), self.frontal.tolist(),
+        )
+
+
+def as_trace(samples: GazeTrace | Sequence[GazeSample]) -> GazeTrace:
+    """``samples`` as a :class:`GazeTrace`; a sequence of samples is stacked into columns."""
+    if isinstance(samples, GazeTrace):
+        return samples
+    rows = [(s.t, s.yaw, s.pitch, s.frontal) for s in samples]
+    t, yaw, pitch, frontal = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    return GazeTrace(t, yaw, pitch, frontal != 0)
 
 
 @dataclass(frozen=True)
@@ -63,15 +92,23 @@ class AddressSegment:
     word_count: int = 0
 
 
-def _sample_period(samples: Sequence[GazeSample]) -> float:
-    if len(samples) < 2:
+def _sample_period(t: np.ndarray) -> float:
+    """Median sample spacing; for an even count of spacings, the upper middle one."""
+    if t.size < 2:
         return 0.0
-    diffs = sorted(samples[i + 1].t - samples[i].t for i in range(len(samples) - 1))
-    return diffs[len(diffs) // 2]
+    gaps = np.diff(t)
+    k = gaps.size // 2
+    return float(np.partition(gaps, k)[k])
+
+
+def _run_bounds(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of every maximal run of True in ``flags``."""
+    edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
 def detect_address_segments(
-    samples: Sequence[GazeSample],
+    samples: GazeTrace | Sequence[GazeSample],
     rule: AddressRule,
 ) -> list[AddressSegment]:
     """Scan a gaze trace for maximal addressing runs.
@@ -85,46 +122,45 @@ def detect_address_segments(
 
     Samples must be strictly increasing in time (:class:`UnsortedSamples`).
     """
-    for a, b in zip(samples, samples[1:]):
-        if b.t <= a.t:
-            raise UnsortedSamples(f"sample at t={b.t} does not follow t={a.t}")
+    trace = as_trace(samples)
+    t = trace.t
+    back = np.flatnonzero(t[1:] <= t[:-1])
+    if back.size:
+        k = int(back[0])
+        raise UnsortedSamples(f"sample at t={t[k + 1]} does not follow t={t[k]}")
+    period = _sample_period(t)
 
-    period = _sample_period(samples)
-    segments: list[AddressSegment] = []
-    start_idx: int | None = None
-    last_idx = -1            # last sample belonging to the open run
-    last_in_band = -1        # last in-band sample of the open run
-    notes_since: float | None = None
+    in_band = trace.frontal & (rule.yaw_min <= trace.yaw) & (trace.yaw <= rule.yaw_max)
+    at_notes = trace.frontal & ~in_band & (trace.pitch < rule.notes_pitch_threshold)
+    band_first, band_last = _run_bounds(in_band)
+    if not band_first.size:
+        return []
+    notes_first, notes_last = _run_bounds(at_notes)
 
-    def close(end_idx: int) -> None:
-        nonlocal start_idx, notes_since
-        if start_idx is not None and end_idx >= start_idx:
-            iv = TimeInterval(samples[start_idx].t, samples[end_idx].t + period)
-            segments.append(AddressSegment(iv, rule.label))
-        start_idx = None
-        notes_since = None
+    # The notes-look run right after each in-band run, if any: [band_last + 1, gap_last].
+    after = band_last + 1
+    k = np.searchsorted(notes_first, after)
+    has_gap = k < notes_first.size
+    has_gap[has_gap] = notes_first[k[has_gap]] == after[has_gap]
+    gap_last = band_last.copy()
+    gap_last[has_gap] = notes_last[k[has_gap]]
+    # A gap that outlasts max_notes_seconds closes the segment at its last in-band sample.
+    timed_out = np.zeros_like(has_gap)
+    if rule.max_notes_seconds is not None:
+        timed_out[has_gap] = (
+            t[gap_last[has_gap]] - t[after[has_gap]] > rule.max_notes_seconds
+        )
+    # Otherwise a gap bridges to the next in-band run when one starts right after it.
+    nxt = gap_last + 1
+    bridged = ~timed_out & (nxt < t.size)
+    bridged[bridged] = in_band[nxt[bridged]]
+    closes_at = np.where(timed_out, band_last, gap_last)
 
-    for i, s in enumerate(samples):
-        in_band = s.frontal and rule.yaw_min <= s.yaw <= rule.yaw_max
-        if in_band:
-            if start_idx is None:
-                start_idx = i
-            last_idx = i
-            last_in_band = i
-            notes_since = None
-            continue
-        at_notes = s.frontal and s.pitch < rule.notes_pitch_threshold
-        if at_notes and start_idx is not None:
-            if notes_since is None:
-                notes_since = s.t
-            if rule.max_notes_seconds is not None and s.t - notes_since > rule.max_notes_seconds:
-                close(last_in_band)
-            else:
-                last_idx = i
-            continue
-        close(last_idx)
-    close(last_idx)
-    return segments
+    last_run = np.flatnonzero(~bridged)
+    first_run = np.concatenate(([0], last_run[:-1] + 1))
+    starts = t[band_first[first_run]].tolist()
+    ends = (t[closes_at[last_run]] + period).tolist()
+    return [AddressSegment(TimeInterval(a, b), rule.label) for a, b in zip(starts, ends)]
 
 
 def enforce_min_words(
@@ -145,15 +181,15 @@ def enforce_min_words(
         raise SessionMismatch(
             f"segments from session {session_id!r}, words from {words.session_id!r}"
         )
-    intervals = words.intervals()  # sorted by end too: words cannot overlap
-    kept = []
-    for seg in segments:
-        hi = bisect_left(intervals, seg.interval.end, key=lambda iv: iv.start)
-        lo = bisect_right(intervals, seg.interval.start, key=lambda iv: iv.end)
-        count = sum(1 for k in range(lo, hi) if overlap(intervals[k], seg.interval) > 0.0)
-        if count >= rule.min_words:
-            kept.append(AddressSegment(seg.interval, seg.label, count))
-    return kept
+    seg_starts = np.array([seg.interval.start for seg in segments], dtype=np.float64)
+    seg_ends = np.array([seg.interval.end for seg in segments], dtype=np.float64)
+    covered, _, _ = overlap_pairs(seg_starts, seg_ends, words.starts, words.ends, 0.0)
+    counts = np.bincount(covered, minlength=len(segments)).tolist()
+    return [
+        AddressSegment(seg.interval, seg.label, count)
+        for seg, count in zip(segments, counts)
+        if count >= rule.min_words
+    ]
 
 
 def segments_to_stream(

@@ -13,7 +13,8 @@ Input formats
 
 A corpus manifest (JSON) lists sessions and points at the per-session
 files; :func:`build_index` parses everything once into a versioned
-directory of per-session blobs that later commands load lazily.  The
+directory of per-session blobs that later commands load lazily.  A blob
+stores its words and its gaze as parallel columns, which load as arrays.  The
 index directory is written to a temporary sibling and renamed into place,
 and rebuilding from unchanged inputs is byte-identical.
 
@@ -42,12 +43,13 @@ from .errors import (
     ValidationError,
     VersionMismatch,
 )
-from .gaze import GazeSample
+from .gaze import GazeSample, GazeTrace, as_trace
 from .pitch import PITCH_RANGE_BY_GENDER, AudioBuffer, PitchRange, SpeakerProfile
 from .stats import PanelRow
-from .timeline import Element, ElementStream, Modality, TimeInterval, build_stream
+from .timeline import ElementStream, Modality, stream_from_columns
 
-INDEX_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 1  # corpus manifests, the input of ``ingest``
+INDEX_FORMAT_VERSION = 2     # index directories: version 2 stores sessions as columns
 
 
 def word_element_id(position: int) -> str:
@@ -152,13 +154,14 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
     if not rows:
         raise ParseError(path, 0, "transcript has no words")
     rows.sort()
-    elements = [
-        Element(word_element_id(i), TimeInterval(s, e), w) for i, (s, e, w) in enumerate(rows)
-    ]
-    return build_stream(
+    starts, ends, words = zip(*rows)
+    return stream_from_columns(
         Modality.TEXT,
         session_id if session_id is not None else path.stem,
-        elements,
+        [word_element_id(i) for i in range(len(rows))],
+        starts,
+        ends,
+        words,
         speaker_id=speakers.pop() if len(speakers) == 1 else None,
     )
 
@@ -166,16 +169,10 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
 def write_transcript(stream: ElementStream, path, speaker_id: str | None = None) -> None:
     sid = speaker_id if speaker_id is not None else (stream.speaker_id or "")
     with open(path, "w", encoding="utf-8") as fh:
-        for e in stream:
+        for word, start, end in zip(stream.payloads, stream.starts.tolist(), stream.ends.tolist()):
             fh.write(
                 json.dumps(
-                    {
-                        "word": e.payload,
-                        "start": e.interval.start,
-                        "end": e.interval.end,
-                        "speaker_id": sid,
-                    },
-                    sort_keys=True,
+                    {"word": word, "start": start, "end": end, "speaker_id": sid}, sort_keys=True
                 )
                 + "\n"
             )
@@ -186,13 +183,13 @@ def write_transcript(stream: ElementStream, path, speaker_id: str | None = None)
 _GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal"
 
 
-def load_gaze(path) -> list[GazeSample]:
+def load_gaze(path) -> GazeTrace:
     """Parse a gaze CSV; samples come back sorted by time.
 
     Times must be finite; yaw must lie in [-180, 180] and pitch in [-90, 90]
     degrees (:class:`AngleOutOfRange` otherwise); ``frontal`` is 0 or 1.
     """
-    samples = []
+    rows = []
     for line_no, parts in _csv_lines(path, _GAZE_HEADER):
         try:
             t, yaw, pitch = (float(v) for v in parts[:3])
@@ -207,15 +204,15 @@ def load_gaze(path) -> list[GazeSample]:
             raise AngleOutOfRange(path, line_no, f"pitch {pitch} outside [-90, 90]")
         if frontal not in (0, 1):
             raise ParseError(path, line_no, f"frontal must be 0 or 1, got {parts[3]}")
-        samples.append(GazeSample(t, yaw, pitch, bool(frontal)))
-    samples.sort(key=lambda s: s.t)
-    return samples
+        rows.append(GazeSample(t, yaw, pitch, bool(frontal)))
+    rows.sort(key=lambda s: s.t)
+    return as_trace(rows)
 
 
-def write_gaze(samples: Sequence[GazeSample], path) -> None:
+def write_gaze(samples: GazeTrace | Sequence[GazeSample], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_GAZE_HEADER + "\n")
-        for s in samples:
+        for s in as_trace(samples):
             fh.write(f"{s.t!r},{s.yaw!r},{s.pitch!r},{int(s.frontal)}\n")
 
 
@@ -341,9 +338,9 @@ def load_manifest(path) -> CorpusManifest:
 
 
 def _parse_manifest(path: Path, doc) -> CorpusManifest:
-    if doc.get("format_version") != INDEX_FORMAT_VERSION:
+    if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise VersionMismatch(
-            f"{path}: format_version {doc.get('format_version')!r} != {INDEX_FORMAT_VERSION}"
+            f"{path}: format_version {doc.get('format_version')!r} != {MANIFEST_FORMAT_VERSION}"
         )
     base = path.parent
     speakers = base / doc["speakers"]
@@ -400,24 +397,23 @@ def build_index(manifest_path, out_dir) -> Path:
         session_rows = []
         for entry in manifest.sessions:
             words = load_transcript(entry.transcript, session_id=entry.session_id)
-            samples = load_gaze(entry.gaze)
+            trace = load_gaze(entry.gaze)
             blob = {
                 "session_id": entry.session_id,
                 "speaker_id": entry.speaker_id,
                 "audio": str(entry.audio.resolve()),
-                "words": [
-                    {
-                        "id": e.id,
-                        "start": e.interval.start,
-                        "end": e.interval.end,
-                        "word": e.payload,
-                    }
-                    for e in words
-                ],
-                "gaze": [
-                    {"t": s.t, "yaw": s.yaw, "pitch": s.pitch, "frontal": int(s.frontal)}
-                    for s in samples
-                ],
+                "words": {
+                    "id": list(words.ids),
+                    "start": words.starts.tolist(),
+                    "end": words.ends.tolist(),
+                    "word": list(words.payloads),
+                },
+                "gaze": {
+                    "t": trace.t.tolist(),
+                    "yaw": trace.yaw.tolist(),
+                    "pitch": trace.pitch.tolist(),
+                    "frontal": trace.frontal.astype(int).tolist(),
+                },
             }
             blob_name = f"sessions/{entry.session_id}.json"
             (tmp / blob_name).write_bytes(_json_bytes(blob, compact=True))
@@ -452,8 +448,49 @@ class SessionData:
     session_id: str
     speaker_id: str
     words: ElementStream
-    gaze: list[GazeSample]
+    gaze: GazeTrace
     audio_path: Path
+
+
+# column -> JSON type of its values; ``bool`` columns are written as 0/1
+_WORD_COLUMNS = {"id": str, "start": float, "end": float, "word": str}
+_GAZE_COLUMNS = {"t": float, "yaw": float, "pitch": float, "frontal": bool}
+_JSON_TYPES = {str: {str}, float: {float, int}, bool: {int}}
+
+
+def _read_columns(path: Path, table: dict, columns: dict[str, type]) -> dict:
+    """The equal-length ``columns`` of one blob table: floats as finite float64, flags as bool.
+
+    Each column is checked once as a whole: a value of the wrong JSON type
+    (a string or ``null`` among numbers, ``true``/``false``), a non-finite
+    number, a flag other than 0/1 or a length that differs from the other
+    columns is a :class:`ParseError` naming the blob.
+    """
+    out = {}
+    for name, kind in columns.items():
+        values = table[name]
+        if not isinstance(values, list):
+            raise ParseError(path, 0, f"column {name!r} is not a list")
+        wrong = set(map(type, values)) - _JSON_TYPES[kind]
+        if wrong:
+            found = ", ".join(sorted(t.__name__ for t in wrong))
+            raise ParseError(path, 0, f"column {name!r} holds {found} values")
+        if kind is float:
+            try:
+                values = np.array(values, dtype=np.float64)
+            except OverflowError as e:
+                raise ParseError(path, 0, f"column {name!r}: {e}") from e
+            if not np.isfinite(values).all():
+                raise ParseError(path, 0, f"column {name!r} holds non-finite numbers")
+        elif kind is bool:
+            if not set(values) <= {0, 1}:
+                raise ParseError(path, 0, f"column {name!r} must hold only 0 and 1")
+            values = np.array(values, dtype=bool)
+        out[name] = values
+    if len({len(v) for v in out.values()}) > 1:
+        lengths = ", ".join(f"{name}={len(v)}" for name, v in out.items())
+        raise ParseError(path, 0, f"columns differ in length: {lengths}")
+    return out
 
 
 class CorpusIndex:
@@ -471,7 +508,7 @@ class CorpusIndex:
         if doc.get("format_version") != INDEX_FORMAT_VERSION:
             raise VersionMismatch(
                 f"index {self.root} has format_version {doc.get('format_version')!r}, "
-                f"this build reads {INDEX_FORMAT_VERSION}"
+                f"this build reads {INDEX_FORMAT_VERSION}; rebuild it with `modalign ingest`"
             )
         return {row["session_id"]: self.root / row["blob"] for row in doc["sessions"]}
 
@@ -494,24 +531,18 @@ class CorpusIndex:
             return self._cache[session_id]
         if session_id not in self._blobs:
             raise ValidationError(f"index has no session {session_id!r}")
-        data = _read_json_file(
-            self._blobs[session_id], lambda doc: self._parse_session(session_id, doc)
-        )
+        path = self._blobs[session_id]
+        data = _read_json_file(path, lambda doc: self._parse_session(session_id, path, doc))
         self._cache[session_id] = data
         return data
 
     @staticmethod
-    def _parse_session(session_id: str, doc) -> SessionData:
-        words = build_stream(
-            Modality.TEXT,
-            session_id,
-            [
-                Element(w["id"], TimeInterval(w["start"], w["end"]), w["word"])
-                for w in doc["words"]
-            ],
+    def _parse_session(session_id: str, path: Path, doc) -> SessionData:
+        w = _read_columns(path, doc["words"], _WORD_COLUMNS)
+        g = _read_columns(path, doc["gaze"], _GAZE_COLUMNS)
+        words = stream_from_columns(
+            Modality.TEXT, session_id, w["id"], w["start"], w["end"], w["word"],
             speaker_id=doc["speaker_id"],
         )
-        samples = [
-            GazeSample(g["t"], g["yaw"], g["pitch"], bool(g["frontal"])) for g in doc["gaze"]
-        ]
-        return SessionData(session_id, doc["speaker_id"], words, samples, Path(doc["audio"]))
+        gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"])
+        return SessionData(session_id, doc["speaker_id"], words, gaze, Path(doc["audio"]))

@@ -270,15 +270,14 @@ def word_pitch(track: PitchTrack, words: ElementStream) -> list[WordPitch]:
         raise SessionMismatch(
             f"track session {track.session_id!r} != words session {words.session_id!r}"
         )
-    times = track.frame_times
+    los = np.searchsorted(track.frame_times, words.starts, side="left").tolist()
+    his = np.searchsorted(track.frame_times, words.ends, side="left").tolist()
     out = []
-    for word in words:
-        lo = int(np.searchsorted(times, word.interval.start, side="left"))
-        hi = int(np.searchsorted(times, word.interval.end, side="left"))
+    for word_id, lo, hi in zip(words.ids, los, his):
         vals = track.f0[lo:hi][track.voiced[lo:hi]]
         out.append(
             WordPitch(
-                word_id=word.id,
+                word_id=word_id,
                 session_id=words.session_id,
                 speaker_id=words.speaker_id,
                 mean_f0=float(vals.mean()) if vals.size else None,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .gaze import AddressSegment
-from .timeline import ElementStream, Modality, sweep_overlaps
+from .timeline import ElementStream, Modality, overlap_pairs
 
 Z_95 = 1.96  # conventional two-sided 95% normal quantile
 
@@ -288,14 +289,16 @@ def four_situation_split(
                 f"no party on record for speaker {stream.speaker_id!r} "
                 f"(session {stream.session_id!r})"
             )
-        from_target = party_by_speaker[stream.speaker_id] == target_party
+        if party_by_speaker[stream.speaker_id] == target_party:
+            to_target, to_others = split.target_to_target, split.target_to_others
+        else:
+            to_target, to_others = split.others_to_target, split.others_to_others
         segs = sorted(s.interval for s in segments_by_session.get(stream.session_id, ()))
-        addressed = {i for i, _, _ in sweep_overlaps(stream.intervals(), segs, 0.0)}
-        for i, word in enumerate(stream):
-            token = str(word.payload).lower()
-            if from_target:
-                cell = split.target_to_target if i in addressed else split.target_to_others
-            else:
-                cell = split.others_to_target if i in addressed else split.others_to_others
-            cell[token] += 1
+        seg_starts = np.array([iv.start for iv in segs], dtype=np.float64)
+        seg_ends = np.array([iv.end for iv in segs], dtype=np.float64)
+        addressed = np.zeros(len(stream), dtype=bool)
+        addressed[overlap_pairs(stream.starts, stream.ends, seg_starts, seg_ends, 0.0)[0]] = True
+        for cell, mask in ((to_target, addressed), (to_others, ~addressed)):
+            for payload, count in Counter(compress(stream.payloads, mask.tolist())).items():
+                cell[str(payload).lower()] += count
     return split

@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .gaze import GazeSample
-from .ingest import INDEX_FORMAT_VERSION, _json_bytes, word_element_id
+from .gaze import GazeTrace
+from .ingest import MANIFEST_FORMAT_VERSION, _json_bytes, word_element_id
 from .ingest import write_gaze, write_speakers, write_transcript, write_wav
-from .timeline import Element, Modality, TimeInterval, build_stream
+from .timeline import Modality, stream_from_columns
 
 WORD_SLOT = 0.375        # seconds per word; 3/8, exact in binary
 GAZE_PERIOD = 0.125      # seconds between gaze samples; 1/8, exact in binary
@@ -149,15 +149,19 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
                 vocab = _ADDRESS_VOCAB if inside else _NEUTRAL_VOCAB
             tokens.append(vocab[int(rng.integers(len(vocab)))])
 
-        elements = [
-            Element(word_element_id(w), TimeInterval(w * WORD_SLOT, (w + 1) * WORD_SLOT), token)
-            for w, token in enumerate(tokens)
-        ]
         files = {
             key: f"sessions/{session_id}.{ext}"
             for key, ext in (("transcript", "jsonl"), ("audio", "wav"), ("gaze", "csv"))
         }
-        words = build_stream(Modality.TEXT, session_id, elements, speaker_id=speaker_id)
+        words = stream_from_columns(
+            Modality.TEXT,
+            session_id,
+            [word_element_id(w) for w in range(n)],
+            [w * WORD_SLOT for w in range(n)],
+            [(w + 1) * WORD_SLOT for w in range(n)],
+            tokens,
+            speaker_id=speaker_id,
+        )
         write_transcript(words, out_dir / files["transcript"])
         write_wav(_render_tones(freqs, sr, slot_samples), sr, out_dir / files["audio"])
 
@@ -166,10 +170,10 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
         addressing = np.repeat(in_segment, SAMPLES_PER_WORD)[:, None]
         low = np.where(addressing, [50.0, -5.0], [0.0, -10.0])
         high = np.where(addressing, [65.0, 5.0], [30.0, 10.0])
-        yaw, pitch = (low + (high - low) * rng.random((n * SAMPLES_PER_WORD, 2))).T.tolist()
-        times = (np.arange(len(yaw)) * GAZE_PERIOD).tolist()
-        samples = list(map(GazeSample, times, yaw, pitch, [True] * len(yaw)))
-        write_gaze(samples, out_dir / files["gaze"])
+        yaw, pitch = (low + (high - low) * rng.random((n * SAMPLES_PER_WORD, 2))).T
+        times = np.arange(yaw.size) * GAZE_PERIOD
+        frontal = np.ones(yaw.size, dtype=bool)
+        write_gaze(GazeTrace(times, yaw, pitch, frontal), out_dir / files["gaze"])
 
         manifest_sessions.append({"session_id": session_id, "speaker_id": speaker_id, **files})
         truth_sessions[session_id] = {
@@ -186,7 +190,7 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
     manifest_path.write_bytes(
         _json_bytes(
             {
-                "format_version": INDEX_FORMAT_VERSION,
+                "format_version": MANIFEST_FORMAT_VERSION,
                 "speakers": "speakers.csv",
                 "sessions": manifest_sessions,
             }

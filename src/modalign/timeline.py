@@ -17,9 +17,12 @@ Conventions
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateIds,
@@ -98,23 +101,106 @@ class Element:
     payload: str | float | tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementStream:
-    """Sorted, immutable sequence of elements from one modality and session."""
+    """Sorted, immutable sequence of elements from one modality and session.
+
+    Held as columns: ``starts``/``ends`` are read-only float64 arrays and
+    ``ids``/``payloads`` are tuples, all in ``(start, end, id)`` order.  An
+    :class:`Element` is built only when one is asked for, by iteration or
+    ``stream[i]``.
+    """
 
     modality: Modality
     session_id: str
     speaker_id: str | None
-    elements: tuple[Element, ...]
+    ids: tuple[str, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+    payloads: tuple
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Element:
+        return self.take([i])[0]
 
     def __iter__(self) -> Iterator[Element]:
-        return iter(self.elements)
+        return iter(self.take(range(len(self))))
 
-    def intervals(self) -> list[TimeInterval]:
-        return [e.interval for e in self.elements]
+    def take(self, positions: Iterable[int]) -> list[Element]:
+        """The elements at ``positions``, built in one pass."""
+        at = np.fromiter(positions, dtype=np.intp)
+        return list(
+            map(
+                Element,
+                [self.ids[k] for k in at.tolist()],
+                map(TimeInterval, self.starts[at].tolist(), self.ends[at].tolist()),
+                [self.payloads[k] for k in at.tolist()],
+            )
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ElementStream):
+            return NotImplemented
+        return (
+            (self.modality, self.session_id, self.speaker_id, self.ids, self.payloads)
+            == (other.modality, other.session_id, other.speaker_id, other.ids, other.payloads)
+            and np.array_equal(self.starts, other.starts)
+            and np.array_equal(self.ends, other.ends)
+        )
+
+
+def stream_from_columns(
+    modality: Modality,
+    session_id: str,
+    ids: Sequence[str],
+    starts,
+    ends,
+    payloads: Sequence,
+    speaker_id: str | None = None,
+) -> ElementStream:
+    """Validate, sort, and freeze a stream given as parallel columns.
+
+    Elements are sorted by ``(start, end, id)``.  Raises
+    :class:`EmptyStream`, :class:`MixedPayload` on payload-variant mixtures,
+    :class:`DuplicateIds` on duplicate element ids,
+    :class:`NegativeInterval` unless ``0 <= start <= end``, and
+    :class:`OverlappingWords` when a text stream's word intervals overlap.
+    """
+    starts = np.array(starts, dtype=np.float64)
+    ends = np.array(ends, dtype=np.float64)
+    ids, payloads = tuple(ids), tuple(payloads)
+    if not len(ids) == len(payloads) == starts.size == ends.size:
+        raise ValidationError("stream columns differ in length")
+    if not ids:
+        raise EmptyStream(f"stream for session {session_id!r} has no elements")
+    kinds = set(map(_payload_kind, payloads))
+    if len(kinds) > 1:
+        raise MixedPayload(f"stream mixes payload variants {sorted(kinds)}")
+    if len(set(ids)) != len(ids):
+        raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
+    bad = np.flatnonzero((starts < 0) | (ends < starts))
+    if bad.size:
+        raise NegativeInterval(f"bad interval [{starts[bad[0]]}, {ends[bad[0]]})")
+
+    if not (starts[1:] > starts[:-1]).all():  # ties or disorder: sort by (start, end, id)
+        order = np.lexsort((np.array(ids), ends, starts))
+        starts, ends = starts[order], ends[order]
+        ids = tuple(ids[k] for k in order.tolist())
+        payloads = tuple(payloads[k] for k in order.tolist())
+
+    if modality is Modality.TEXT:
+        clash = np.flatnonzero(starts[1:] < ends[:-1])
+        if clash.size:
+            k = int(clash[0])
+            raise OverlappingWords(
+                f"words {ids[k]!r} and {ids[k + 1]!r} overlap in session {session_id!r}"
+            )
+
+    starts.setflags(write=False)
+    ends.setflags(write=False)
+    return ElementStream(modality, session_id, speaker_id, ids, starts, ends, payloads)
 
 
 def build_stream(
@@ -123,33 +209,17 @@ def build_stream(
     elements: Iterable[Element],
     speaker_id: str | None = None,
 ) -> ElementStream:
-    """Validate, sort, and freeze a stream of elements.
-
-    Elements are sorted by ``(start, end, id)``.  Raises
-    :class:`EmptyStream`, :class:`MixedPayload` on payload-variant mixtures,
-    :class:`OverlappingWords` when a text stream's word intervals overlap,
-    and :class:`DuplicateIds` on duplicate element ids.
-    """
-    elems = sorted(elements, key=lambda e: (e.interval.start, e.interval.end, e.id))
-    if not elems:
-        raise EmptyStream(f"stream for session {session_id!r} has no elements")
-
-    kinds = {_payload_kind(e.payload) for e in elems}
-    if len(kinds) > 1:
-        raise MixedPayload(f"stream mixes payload variants {sorted(kinds)}")
-
-    ids = {e.id for e in elems}
-    if len(ids) != len(elems):
-        raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
-
-    if modality is Modality.TEXT:
-        for prev, cur in zip(elems, elems[1:]):
-            if cur.interval.start < prev.interval.end:
-                raise OverlappingWords(
-                    f"words {prev.id!r} and {cur.id!r} overlap in session {session_id!r}"
-                )
-
-    return ElementStream(modality, session_id, speaker_id, tuple(elems))
+    """:func:`stream_from_columns` on the columns of ``elements``."""
+    elems = list(elements)
+    return stream_from_columns(
+        modality,
+        session_id,
+        [e.id for e in elems],
+        [e.interval.start for e in elems],
+        [e.interval.end for e in elems],
+        [e.payload for e in elems],
+        speaker_id=speaker_id,
+    )
 
 
 @dataclass(frozen=True)
@@ -170,17 +240,13 @@ class AlignmentMap:
         return len(self.pairs)
 
 
-def _observed_cardinality(pairs: Sequence[AlignedPair]) -> Cardinality:
-    if not pairs:
+def _observed_cardinality(source_idx: np.ndarray, target_idx: np.ndarray) -> Cardinality:
+    """Relation shape of the pairs ``(source_idx[k], target_idx[k])``."""
+    if not source_idx.size:
         # Degenerate: the empty relation constrains nothing.
         return Cardinality.MANY_TO_MANY
-    out_degree: dict[str, int] = {}
-    in_degree: dict[str, int] = {}
-    for p in pairs:
-        out_degree[p.source_id] = out_degree.get(p.source_id, 0) + 1
-        in_degree[p.target_id] = in_degree.get(p.target_id, 0) + 1
-    fan_out = max(out_degree.values())
-    fan_in = max(in_degree.values())
+    fan_out = np.bincount(source_idx).max()
+    fan_in = np.bincount(target_idx).max()
     if fan_out <= 1 and fan_in <= 1:
         return Cardinality.ONE_TO_ONE
     if fan_in <= 1:
@@ -190,40 +256,34 @@ def _observed_cardinality(pairs: Sequence[AlignedPair]) -> Cardinality:
     return Cardinality.MANY_TO_MANY
 
 
-def sweep_overlaps(
-    a: Sequence[TimeInterval],
-    b: Sequence[TimeInterval],
+def overlap_pairs(
+    starts_a: np.ndarray,
+    ends_a: np.ndarray,
+    starts_b: np.ndarray,
+    ends_b: np.ndarray,
     min_overlap: float,
-) -> list[tuple[int, int, float]]:
-    """All index pairs with ``overlap > min_overlap`` between two sorted interval lists.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, overlap)`` for every pair with ``overlap > min_overlap``, ordered by ``(i, j)``.
 
-    Forward-scan plane sweep: whichever side opens earlier scans the other
-    side while start times stay below its end.  Runs in
-    ``O(n + m + candidates)`` after the callers' sort.
+    ``min_overlap`` must be >= 0.  Side ``b`` must be sorted by start; side
+    ``a`` may come in any order.  For each ``a[i]`` the candidates are the
+    ``b[j]`` that start before ``a[i]`` ends (a ``searchsorted`` on the
+    starts) from the first whose running maximum of ends passes ``a[i]``'s
+    start (a ``searchsorted`` on that running maximum); every other ``b[j]``
+    is disjoint from or touches ``a[i]``.  So the work is linear in the
+    candidates, which exceed the pairs only where a long ``b`` interval
+    keeps the running maximum ahead of later, shorter ones.
     """
-    pairs: list[tuple[int, int, float]] = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        if (a[i].start, a[i].end) <= (b[j].start, b[j].end):
-            end = a[i].end
-            k = j
-            while k < nb and b[k].start < end:
-                ov = overlap(a[i], b[k])
-                if ov > min_overlap:
-                    pairs.append((i, k, ov))
-                k += 1
-            i += 1
-        else:
-            end = b[j].end
-            k = i
-            while k < na and a[k].start < end:
-                ov = overlap(a[k], b[j])
-                if ov > min_overlap:
-                    pairs.append((k, j, ov))
-                k += 1
-            j += 1
-    return pairs
+    reach = np.maximum.accumulate(ends_b)
+    lo = np.searchsorted(reach, starts_a, side="right")
+    hi = np.searchsorted(starts_b, ends_a, side="left")
+    counts = np.maximum(hi - lo, 0)
+    i = np.repeat(np.arange(starts_a.size), counts)
+    first = np.cumsum(counts) - counts  # offset of each a[i]'s first candidate
+    j = np.arange(i.size) - np.repeat(first - lo, counts)
+    ov = np.minimum(ends_a[i], ends_b[j]) - np.maximum(starts_a[i], starts_b[j])
+    keep = ov > min_overlap
+    return i[keep], j[keep], ov[keep]
 
 
 def join_streams(
@@ -245,12 +305,16 @@ def join_streams(
         )
     if min_overlap < 0:
         raise ValidationError(f"min_overlap must be >= 0, got {min_overlap}")
-    idx = sweep_overlaps(source.intervals(), target.intervals(), min_overlap)
-    idx.sort(key=lambda t: (t[0], t[1]))
+    i, j, ov = overlap_pairs(source.starts, source.ends, target.starts, target.ends, min_overlap)
     pairs = tuple(
-        AlignedPair(source.elements[i].id, target.elements[j].id, ov) for i, j, ov in idx
+        map(
+            AlignedPair,
+            [source.ids[k] for k in i.tolist()],
+            [target.ids[k] for k in j.tolist()],
+            ov.tolist(),
+        )
     )
-    return AlignmentMap(pairs, _observed_cardinality(pairs))
+    return AlignmentMap(pairs, _observed_cardinality(i, j))
 
 
 def query_crossmodal(
@@ -275,21 +339,25 @@ def query_crossmodal(
     if not filters:
         raise ModalityAbsent(f"corpus has no {where_modality.value} stream")
 
-    matched_by_session: dict[str, list[TimeInterval]] = {}
+    matched_by_session: dict[str, list[tuple[float, float]]] = {}
     for stream in filters:
-        hits = [e.interval for e in stream if where(e)]
+        hits = [(e.interval.start, e.interval.end) for e in stream if where(e)]
         if hits:
             matched_by_session.setdefault(stream.session_id, []).extend(hits)
 
-    out: list[tuple[str, float, float, str, Element]] = []
+    hits_by_session: dict[str, list[list[Element]]] = {}
     for stream in selects:
         matched = matched_by_session.get(stream.session_id)
         if not matched:
             continue
-        matched.sort()
-        hit_idx = {i for i, _, _ in sweep_overlaps(stream.intervals(), matched, 0.0)}
-        for i in sorted(hit_idx):
-            e = stream.elements[i]
-            out.append((stream.session_id, e.interval.start, e.interval.end, e.id, e))
-    out.sort(key=lambda t: t[:4])
-    return [t[4] for t in out]
+        starts, ends = np.array(sorted(matched)).T
+        hit_idx, _, _ = overlap_pairs(stream.starts, stream.ends, starts, ends, 0.0)
+        hits = stream.take(np.unique(hit_idx).tolist())  # in (start, end, id) order
+        hits_by_session.setdefault(stream.session_id, []).append(hits)
+    return [
+        e
+        for sid in sorted(hits_by_session)
+        for e in heapq.merge(
+            *hits_by_session[sid], key=lambda e: (e.interval.start, e.interval.end, e.id)
+        )
+    ]

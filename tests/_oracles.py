@@ -5,11 +5,17 @@ brute force instead of plane sweeps, explicit path enumeration instead of
 dynamic programming, generalized eigenproblems instead of whitened SVDs,
 dummy variables instead of demeaning, arbitrary precision instead of
 float64.  Slow is fine here; being obviously correct is the point.
+
+The loop oracles (``sweep_loop``, ``detect_loop``, ``dtw_loop``) are the
+one-step-per-item versions that vectorised package code replaced; with the
+same arithmetic, the package must match them exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from modalign.timeline import overlap
 
 
 # --- interval joins --------------------------------------------------------
@@ -37,6 +43,86 @@ def brute_force_join_arrays(starts_a, ends_a, starts_b, ends_b, min_overlap=0.0)
     ov = np.maximum(ov, 0.0)
     i, j = np.nonzero(ov > min_overlap)
     return i, j, ov[i, j]
+
+
+def sweep_loop(a, b, min_overlap):
+    """All index pairs with ``overlap > min_overlap`` between two sorted interval lists.
+
+    The forward-scan plane sweep ``timeline.overlap_pairs`` replaced:
+    whichever side opens earlier scans the other side while start times
+    stay below its end, one Python step per candidate.  Returns
+    ``[(i, j, overlap)]`` in discovery order.
+    """
+    pairs = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        if (a[i].start, a[i].end) <= (b[j].start, b[j].end):
+            end = a[i].end
+            k = j
+            while k < nb and b[k].start < end:
+                ov = overlap(a[i], b[k])
+                if ov > min_overlap:
+                    pairs.append((i, k, ov))
+                k += 1
+            i += 1
+        else:
+            end = b[j].end
+            k = i
+            while k < na and a[k].start < end:
+                ov = overlap(a[k], b[j])
+                if ov > min_overlap:
+                    pairs.append((k, j, ov))
+                k += 1
+            j += 1
+    return pairs
+
+
+# --- gaze segmentation -----------------------------------------------------
+
+def detect_loop(samples, rule):
+    """``gaze.detect_address_segments`` as the per-sample state machine.
+
+    One Python step per :class:`GazeSample`, carrying the open run, its last
+    sample, its last in-band sample and the start of the current notes-look.
+    Returns ``[(start, end)]``; samples must be strictly increasing in time.
+    """
+    diffs = sorted(samples[i + 1].t - samples[i].t for i in range(len(samples) - 1))
+    period = diffs[len(diffs) // 2] if diffs else 0.0
+    segments = []
+    start_idx = None
+    last_idx = -1            # last sample belonging to the open run
+    last_in_band = -1        # last in-band sample of the open run
+    notes_since = None
+
+    def close(end_idx):
+        nonlocal start_idx, notes_since
+        if start_idx is not None and end_idx >= start_idx:
+            segments.append((samples[start_idx].t, samples[end_idx].t + period))
+        start_idx = None
+        notes_since = None
+
+    for i, s in enumerate(samples):
+        in_band = s.frontal and rule.yaw_min <= s.yaw <= rule.yaw_max
+        if in_band:
+            if start_idx is None:
+                start_idx = i
+            last_idx = i
+            last_in_band = i
+            notes_since = None
+            continue
+        at_notes = s.frontal and s.pitch < rule.notes_pitch_threshold
+        if at_notes and start_idx is not None:
+            if notes_since is None:
+                notes_since = s.t
+            if rule.max_notes_seconds is not None and s.t - notes_since > rule.max_notes_seconds:
+                close(last_in_band)
+            else:
+                last_idx = i
+            continue
+        close(last_idx)
+    close(last_idx)
+    return segments
 
 
 # --- dynamic time warping --------------------------------------------------

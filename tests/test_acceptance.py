@@ -127,7 +127,7 @@ def test_03_interval_join_matches_brute_force():
             eb = np.array([e.interval.end for e in b])
             ii, jj, ov = brute_force_join_arrays(sa, ea, sb, eb, min_ov)
             expected = {
-                (a.elements[i].id, b.elements[j].id): float(o)
+                (a.ids[i], b.ids[j]): float(o)
                 for i, j, o in zip(ii, jj, ov)
             }
             assert got == expected, f"trial {trial}"

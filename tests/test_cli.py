@@ -311,8 +311,17 @@ def test_exit_codes(planted_corpus, tmp_path, capsys):
     assert "ValidationError" in err or "InvalidSpec" in err
 
 
-_WORD = '{"id": "w0", "start": 0, "end": 1, "word": "ja"}'
 _BLOB = '{"session_id": "sess000", "speaker_id": "spk000", "audio": "a.wav", '
+_WORDS = '"words": {"id": ["w0"], "start": [0], "end": [1], "word": ["ja"]}'
+_TWICE = '"words": {"id": ["w0", "w0"], "start": [0, 0], "end": [1, 1], "word": ["ja", "ja"]}'
+
+
+def _session_blob(words: str = _WORDS, t: str = "[0.0, 0.125]", frontal: str = "[1, 1]") -> dict:
+    """Index blob for sess000 with these words and these gaze ``t`` and ``frontal`` columns."""
+    gaze = f'"gaze": {{"t": {t}, "yaw": [50.0, 50.0], "pitch": [0.0, 0.0], "frontal": {frontal}}}'
+    return {"idx/sessions/sess000.json": _BLOB + words + ", " + gaze + "}"}
+
+
 _PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
 _SPEAKERS = {"s.csv": "speaker_id,party,gender\nspk000,AfD,m\n"}
 _SESSION = '{"session_id": "a", "speaker_id": "spk000", "transcript": 5, "audio": "x", "gaze": "y"}'
@@ -327,10 +336,17 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"idx/manifest.json": "{not json"}, ["segments", "--index", "IDX"], "ParseError"),
         ({"idx/speakers.json": "[1, 2"}, ["fw", "--index", "IDX"], "ParseError"),
         ({"idx/sessions/sess000.json": "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
-        ({"idx/sessions/sess000.json": _BLOB + f'"words": [{_WORD}]}}'},
+        ({"idx/sessions/sess000.json": _BLOB + _WORDS + "}"},
          ["segments", "--index", "IDX"], "ParseError"),
-        ({"idx/sessions/sess000.json": _BLOB + f'"words": [{_WORD}, {_WORD}], "gaze": []}}'},
-         ["segments", "--index", "IDX"], "DuplicateIds"),
+        (_session_blob(words=_TWICE), ["segments", "--index", "IDX"], "DuplicateIds"),
+        (_session_blob(t='["x", 0.125]'), ["segments", "--index", "IDX"], "ParseError"),
+        (_session_blob(t="[null, 0.125]"), ["segments", "--index", "IDX"], "ParseError"),
+        (_session_blob(t="[true, 0.125]"), ["segments", "--index", "IDX"], "ParseError"),
+        (_session_blob(t="[NaN, 0.125]"), ["segments", "--index", "IDX"], "ParseError"),
+        (_session_blob(t="[0.0]"), ["segments", "--index", "IDX"], "ParseError"),
+        (_session_blob(frontal="[1, 2]"), ["segments", "--index", "IDX"], "ParseError"),
+        (_session_blob(words=_WORDS.replace("[0]", '["0"]')), ["segments", "--index", "IDX"],
+         "ParseError"),
         ({"p.csv": _PANEL.format(y="nan", x=1)}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"p.csv": _PANEL.format(y=4, x="inf")}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"a.csv": "word,count\nja,nan\n", "b.csv": "word,count\nja,3\n"},
@@ -354,7 +370,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({}, _QUERY + ["--select", "visual"], "ModalityAbsent"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
-         "session-missing-key", "duplicate-word-ids", "panel-nan", "panel-inf", "counts-nan",
+         "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
+         "gaze-nan", "gaze-ragged", "gaze-frontal-2", "words-start-string", "panel-nan", "panel-inf", "counts-nan",
          "counts-negative", "config-hop-string", "config-threads-string", "config-empty-yaw-band",
          "manifest-list", "manifest-session-number", "manifest-transcript-number",
          "manifest-speakers-number", "query-select-audio", "query-select-visual"],
@@ -369,6 +386,19 @@ def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, 
     assert rc == (2 if issubclass(getattr(errors, error), errors.ValidationError) else 3)
     assert len(err.splitlines()) == 1 and err.startswith(f"{error}: ")
     assert "Traceback" not in err
+    if error == "ParseError" and "idx/sessions/sess000.json" in files:
+        assert "sess000.json" in err
+
+
+def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
+    idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
+    doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
+    doc["format_version"] = 1
+    (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("VersionMismatch: ")
+    assert "rebuild it with `modalign ingest`" in err
 
 
 def test_build_panel_finds_its_stages_through_cli(planted_corpus, monkeypatch):

@@ -12,11 +12,14 @@ from modalign.gaze import (
     AddressRule,
     AddressSegment,
     GazeSample,
+    as_trace,
     detect_address_segments,
     enforce_min_words,
     segments_to_stream,
 )
 from modalign.timeline import Element, Modality, TimeInterval, build_stream
+
+from _oracles import detect_loop
 
 RULE = AddressRule()
 
@@ -172,6 +175,30 @@ def test_time_translation_equivariance(shift_eighths):
     moved = [GazeSample(s.t + shift, s.yaw, s.pitch, s.frontal) for s in trace]
     base = spans(detect_address_segments(trace, RULE))
     assert spans(detect_address_segments(moved, RULE)) == [(a + shift, b + shift) for a, b in base]
+
+
+# one sample: the gap since the previous one (regular or not), yaw (in band,
+# on a band edge, just outside one, far out), pitch (notes-look, just under
+# and on the threshold, level) and frontal (mostly)
+_SAMPLE = st.tuples(
+    st.sampled_from([0.125, 0.25]) | st.floats(0.001, 2.0),
+    st.sampled_from([10.0, 44.999, 45.0, 55.0, 70.0, 70.001]),
+    st.sampled_from([-30.0, -20.001, -20.0, 0.0]),
+    st.sampled_from([True, True, True, False]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_SAMPLE, max_size=60), st.sampled_from([None, 0.0, 0.125, 0.3, 1.0]))
+def test_matches_loop_oracle(rows, max_notes):
+    rule = AddressRule(max_notes_seconds=max_notes)
+    trace, t = [], 0.0
+    for gap, yaw, pitch, frontal in rows:
+        t += gap
+        trace.append(GazeSample(t, yaw, pitch, frontal))
+    expected = detect_loop(trace, rule)
+    assert spans(detect_address_segments(trace, rule)) == expected
+    assert spans(detect_address_segments(as_trace(trace), rule)) == expected
 
 
 # --- word filter -----------------------------------------------------------

@@ -1,12 +1,14 @@
 """File loaders, the corpus index, and the synthetic-corpus generator."""
 
 import json
+import tracemalloc
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modalign.cli import RunConfig, session_segments
 from modalign.errors import (
     AngleOutOfRange,
     InvalidSpec,
@@ -122,7 +124,7 @@ def test_transcript_round_trip(tmp_path):
 def test_gaze_basic_row(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["t,yaw_deg,pitch_deg,frontal", "0.0,50,0,1"])
-    assert load_gaze(p) == [GazeSample(0.0, 50.0, 0.0, True)]
+    assert list(load_gaze(p)) == [GazeSample(0.0, 50.0, 0.0, True)]
 
 
 def test_gaze_sorts_shuffled_rows(tmp_path):
@@ -168,7 +170,7 @@ def test_gaze_round_trip(tmp_path):
     samples = [GazeSample(k * 0.1, 47.25, -21.5, k % 2 == 0) for k in range(5)]
     p = tmp_path / "g.csv"
     write_gaze(samples, p)
-    assert load_gaze(p) == samples
+    assert list(load_gaze(p)) == samples
 
 
 # --- speakers --------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_build_index_layout_and_round_trip(tmp_path):
     data = index.load_session("sessA")
     fresh = load_transcript(tmp_path / "raw" / "sessA.jsonl", session_id="sessA")
     assert list(data.words) == list(fresh)
-    assert data.gaze == load_gaze(tmp_path / "raw" / "sessA.csv")
+    assert list(data.gaze) == list(load_gaze(tmp_path / "raw" / "sessA.csv"))
     assert data.audio_path.is_file()
     assert index.speakers()["s1"].party == "AfD"
     with pytest.raises(ValidationError):
@@ -343,13 +345,30 @@ def test_index_version_gate(tmp_path):
     manifest = tiny_corpus(tmp_path / "raw")
     out = build_index(manifest, tmp_path / "idx")
     doc = json.loads((out / "manifest.json").read_text())
-    doc["format_version"] = 2
-    (out / "manifest.json").write_text(json.dumps(doc))
-    with pytest.raises(VersionMismatch):
-        CorpusIndex(out)
+    for version in (1, 3):  # 1: the row-per-object layout, which must be rebuilt
+        doc["format_version"] = version
+        (out / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(VersionMismatch, match="rebuild it with `modalign ingest`"):
+            CorpusIndex(out)
     with pytest.raises(MissingFile):
         CorpusIndex(tmp_path / "not_an_index")
 
+
+
+def test_session_load_memory_is_columnar(tmp_path):
+    # One 4000-word session with 12000 gaze samples.  Loaded as columns and
+    # segmented on arrays, the peak stays under 4 MB; one object per word
+    # and per sample peaked at 6.8 MB.
+    spec = SynthSpec(seed=1, speakers=1, words_per_speech=4000, sample_rate=8000)
+    root = build_index(synth_corpus(spec, tmp_path / "raw"), tmp_path / "idx")
+    tracemalloc.start()
+    try:
+        segments = session_segments(CorpusIndex(root), RunConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert segments["sess000"]
+    assert peak < 4_000_000, f"peak {peak / 1e6:.2f} MB"
 
 # --- synthetic corpora -----------------------------------------------------
 

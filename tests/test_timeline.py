@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_join
+from _oracles import brute_force_join, sweep_loop
 from modalign.errors import (
     EmptyStream,
     MixedPayload,
@@ -22,6 +22,7 @@ from modalign.timeline import (
     build_stream,
     join_streams,
     overlap,
+    overlap_pairs,
     query_crossmodal,
 )
 
@@ -139,6 +140,27 @@ def test_build_stream_order_invariant(perm):
 
 # --- joins -----------------------------------------------------------------
 
+# quarter-second grid points give zero-length, touching and nested intervals;
+# arbitrary floats give everything else
+_EDGE = st.integers(0, 16).map(lambda k: k * 0.25) | st.floats(0.0, 4.0)
+_LENGTH = st.integers(0, 6).map(lambda k: k * 0.25) | st.floats(0.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_EDGE, _LENGTH), max_size=25),
+    st.lists(st.tuples(_EDGE, _LENGTH), max_size=25),
+    st.sampled_from([0.0, 0.0, 0.25, 0.3]),
+)
+def test_overlap_pairs_match_sweep_loop(a_spans, b_spans, min_ov):
+    a = sorted(TimeInterval(s, s + d) for s, d in a_spans)
+    b = sorted(TimeInterval(s, s + d) for s, d in b_spans)
+    cols = [np.array([getattr(iv, end) for iv in side], dtype=float)
+            for side in (a, b) for end in ("start", "end")]
+    i, j, ov = overlap_pairs(*cols, min_ov)
+    assert list(zip(i.tolist(), j.tolist(), ov.tolist())) == sorted(sweep_loop(a, b, min_ov))
+
+
 def test_join_matches_brute_force_randomized():
     rng = np.random.default_rng(42)
     for trial in range(60):
@@ -240,6 +262,14 @@ def test_query_respects_sessions():
     )
     assert [e.id for e in hits] == ["w000"]
     assert hits[0].payload == "x"
+
+
+def test_query_merges_streams_of_one_session_in_time_order():
+    words = words_stream("s", [("x", 0, 1), ("y", 2, 3)])
+    more = build_stream(Modality.TEXT, "s", [el("v0", 1, 2, "z"), el("v1", 3, 4, "q")])
+    segs = build_stream(Modality.DERIVED, "s", [el("g0", 0.0, 5.0, "AfD")])
+    hits = query_crossmodal([words, more, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
+    assert [e.id for e in hits] == ["w000", "v0", "w001", "v1"]
 
 
 def test_query_requires_both_modalities():
