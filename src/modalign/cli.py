@@ -55,6 +55,10 @@ class RunConfig:
     prior_scale: float = 1.0      # total Dirichlet prior mass for the lexical comparison
     threads: int = 1
 
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {self.threads}")
+
 
 def _read_json(path, what: str):
     """The document in a ``--config`` or ``--spec`` JSON file."""

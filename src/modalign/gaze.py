@@ -10,6 +10,7 @@ discarded as noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -77,8 +78,14 @@ class AddressRule:
     max_notes_seconds: float | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.yaw_min) and math.isfinite(self.yaw_max)):
+            raise ValidationError(f"yaw band [{self.yaw_min}, {self.yaw_max}] must be finite")
         if self.yaw_min > self.yaw_max:
             raise ValidationError(f"yaw band [{self.yaw_min}, {self.yaw_max}] is empty")
+        if math.isnan(self.notes_pitch_threshold):
+            raise ValidationError("notes_pitch_threshold must be a number, got nan")
+        if self.max_notes_seconds is not None and not self.max_notes_seconds >= 0:
+            raise ValidationError(f"max_notes_seconds must be >= 0, got {self.max_notes_seconds}")
         if self.min_words < 0:
             raise ValidationError("min_words must be >= 0")
 

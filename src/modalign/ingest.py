@@ -13,10 +13,12 @@ Input formats
 
 A corpus manifest (JSON) lists sessions and points at the per-session
 files; :func:`build_index` parses everything once into a versioned
-directory of per-session blobs that later commands load lazily.  A blob
-stores its words and its gaze as parallel columns, which load as arrays.  The
-index directory is written to a temporary sibling and renamed into place,
-and rebuilding from unchanged inputs is byte-identical.
+directory of per-session files that later commands load lazily.  A JSON
+blob holds a session's strings; its numbers (word times, gaze samples) sit
+beside it in structured ``.npy`` tables, which load as float64 arrays
+without going through text.  The index directory is written to a temporary
+sibling and renamed into place, and rebuilding from unchanged inputs is
+byte-identical.
 
 Loaders reject rather than repair: every parse failure carries the file
 path and 1-based line number.
@@ -24,9 +26,11 @@ path and 1-based line number.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 import wave
@@ -49,7 +53,11 @@ from .stats import PanelRow
 from .timeline import ElementStream, Modality, stream_from_columns
 
 MANIFEST_FORMAT_VERSION = 1  # corpus manifests, the input of ``ingest``
-INDEX_FORMAT_VERSION = 2     # index directories: version 2 stores sessions as columns
+INDEX_FORMAT_VERSION = 3     # index directories: version 3 keeps session numbers in .npy tables
+
+# The numeric tables of an index session, one structured .npy file each; a flag is a 0/1 byte.
+_WORDS_DTYPE = np.dtype([("start", "<f8"), ("end", "<f8")])
+_GAZE_DTYPE = np.dtype([("t", "<f8"), ("yaw", "<f8"), ("pitch", "<f8"), ("frontal", "u1")])
 
 
 def word_element_id(position: int) -> str:
@@ -398,28 +406,26 @@ def build_index(manifest_path, out_dir) -> Path:
         for entry in manifest.sessions:
             words = load_transcript(entry.transcript, session_id=entry.session_id)
             trace = load_gaze(entry.gaze)
+            row = {
+                "session_id": entry.session_id,
+                "speaker_id": entry.speaker_id,
+                "blob": f"sessions/{entry.session_id}.json",
+                "words": f"sessions/{entry.session_id}.words.npy",
+                "gaze": f"sessions/{entry.session_id}.gaze.npy",
+            }
             blob = {
                 "session_id": entry.session_id,
                 "speaker_id": entry.speaker_id,
                 "audio": str(entry.audio.resolve()),
-                "words": {
-                    "id": list(words.ids),
-                    "start": words.starts.tolist(),
-                    "end": words.ends.tolist(),
-                    "word": list(words.payloads),
-                },
-                "gaze": {
-                    "t": trace.t.tolist(),
-                    "yaw": trace.yaw.tolist(),
-                    "pitch": trace.pitch.tolist(),
-                    "frontal": trace.frontal.astype(int).tolist(),
-                },
+                "words": {"id": list(words.ids), "word": list(words.payloads)},
             }
-            blob_name = f"sessions/{entry.session_id}.json"
-            (tmp / blob_name).write_bytes(_json_bytes(blob, compact=True))
-            session_rows.append(
-                {"session_id": entry.session_id, "speaker_id": entry.speaker_id, "blob": blob_name}
+            (tmp / row["blob"]).write_bytes(_json_bytes(blob, compact=True))
+            _write_table(tmp / row["words"], _WORDS_DTYPE, start=words.starts, end=words.ends)
+            _write_table(
+                tmp / row["gaze"], _GAZE_DTYPE,
+                t=trace.t, yaw=trace.yaw, pitch=trace.pitch, frontal=trace.frontal,
             )
+            session_rows.append(row)
         speakers_doc = {
             sid: {"party": p.party, "floor": p.gender_range.floor, "ceiling": p.gender_range.ceiling}
             for sid, p in sorted(profiles.items())
@@ -443,6 +449,70 @@ def build_index(manifest_path, out_dir) -> Path:
     return out_dir
 
 
+def _write_table(path: Path, dtype: np.dtype, **columns) -> None:
+    """Save equal-length ``columns`` as one flat ``.npy`` table of ``dtype``."""
+    table = np.empty(len(columns[dtype.names[0]]), dtype=dtype)
+    for name in dtype.names:
+        table[name] = columns[name]
+    np.save(path, table, allow_pickle=False)
+
+
+def _table_header(dtype: np.dtype, rows: int) -> bytes:
+    """The ``.npy`` header :func:`numpy.save` writes before a flat table of ``rows`` rows."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (rows,)}
+    )
+    return buf.getvalue()
+
+
+_SHAPE = re.compile(rb"'shape': \((\d{1,18}),\)")
+
+
+def _read_table(path: Path, dtype: np.dtype, rows: int | None = None) -> dict[str, np.ndarray]:
+    """The columns of a table :func:`_write_table` saved, each as its own array.
+
+    The file's header must be byte for byte the one :func:`numpy.save`
+    writes for a flat array of ``dtype`` (with ``rows`` rows when given),
+    its data exactly that many rows, its floats finite and its flags 0 or 1.
+    Checking the header whole takes the place of :func:`numpy.load`, whose
+    lenient header parser can print a warning or raise a tokenizer error on
+    a damaged file, and it never unpickles.  A missing file is
+    :class:`MissingFile`; anything else wrong is a :class:`ParseError`
+    naming it.
+    """
+    if not path.is_file():
+        raise MissingFile(str(path))
+    data = path.read_bytes()
+    end = data.find(b"\n") + 1
+    shape = _SHAPE.search(data, 0, end)
+    count = int(shape[1]) if shape else -1
+    if not shape or data[:end] != _table_header(dtype, count):
+        raise ParseError(path, 0, f"header is not numpy.save's for a flat table of {dtype}")
+    if len(data) - end != count * dtype.itemsize:
+        raise ParseError(
+            path, 0, f"holds {len(data) - end} data bytes, its header promises {count} rows"
+        )
+    if rows is not None and count != rows:
+        raise ParseError(path, 0, f"table has {count} rows, the blob lists {rows}")
+    table = np.frombuffer(data, dtype=dtype, count=count, offset=end)
+    columns = {name: np.array(table[name]) for name in dtype.names}
+    for name, values in columns.items():
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise ParseError(path, 0, f"column {name!r} holds non-finite numbers")
+        if values.dtype.kind == "u" and (values > 1).any():
+            raise ParseError(path, 0, f"column {name!r} must hold only 0 and 1")
+    return columns
+
+
+def _strings(path: Path, table: dict, name: str) -> list[str]:
+    """The JSON list ``table[name]`` of a blob, which must hold only strings."""
+    values = table[name]
+    if not isinstance(values, list) or set(map(type, values)) - {str}:
+        raise ParseError(path, 0, f"column {name!r} is not a list of strings")
+    return values
+
+
 @dataclass(frozen=True)
 class SessionData:
     session_id: str
@@ -452,68 +522,30 @@ class SessionData:
     audio_path: Path
 
 
-# column -> JSON type of its values; ``bool`` columns are written as 0/1
-_WORD_COLUMNS = {"id": str, "start": float, "end": float, "word": str}
-_GAZE_COLUMNS = {"t": float, "yaw": float, "pitch": float, "frontal": bool}
-_JSON_TYPES = {str: {str}, float: {float, int}, bool: {int}}
-
-
-def _read_columns(path: Path, table: dict, columns: dict[str, type]) -> dict:
-    """The equal-length ``columns`` of one blob table: floats as finite float64, flags as bool.
-
-    Each column is checked once as a whole: a value of the wrong JSON type
-    (a string or ``null`` among numbers, ``true``/``false``), a non-finite
-    number, a flag other than 0/1 or a length that differs from the other
-    columns is a :class:`ParseError` naming the blob.
-    """
-    out = {}
-    for name, kind in columns.items():
-        values = table[name]
-        if not isinstance(values, list):
-            raise ParseError(path, 0, f"column {name!r} is not a list")
-        wrong = set(map(type, values)) - _JSON_TYPES[kind]
-        if wrong:
-            found = ", ".join(sorted(t.__name__ for t in wrong))
-            raise ParseError(path, 0, f"column {name!r} holds {found} values")
-        if kind is float:
-            try:
-                values = np.array(values, dtype=np.float64)
-            except OverflowError as e:
-                raise ParseError(path, 0, f"column {name!r}: {e}") from e
-            if not np.isfinite(values).all():
-                raise ParseError(path, 0, f"column {name!r} holds non-finite numbers")
-        elif kind is bool:
-            if not set(values) <= {0, 1}:
-                raise ParseError(path, 0, f"column {name!r} must hold only 0 and 1")
-            values = np.array(values, dtype=bool)
-        out[name] = values
-    if len({len(v) for v in out.values()}) > 1:
-        lengths = ", ".join(f"{name}={len(v)}" for name, v in out.items())
-        raise ParseError(path, 0, f"columns differ in length: {lengths}")
-    return out
-
-
 class CorpusIndex:
     """Lazy, read-only view of an index directory built by :func:`build_index`."""
 
     def __init__(self, root):
         self.root = Path(root)
-        self._blobs: dict[str, Path] = _read_json_file(
+        self._files: dict[str, dict[str, Path]] = _read_json_file(
             self.root / "manifest.json", self._parse_manifest
         )
         self._cache: dict[str, SessionData] = {}
         self._profiles: dict[str, SpeakerProfile] | None = None
 
-    def _parse_manifest(self, doc) -> dict[str, Path]:
+    def _parse_manifest(self, doc) -> dict[str, dict[str, Path]]:
         if doc.get("format_version") != INDEX_FORMAT_VERSION:
             raise VersionMismatch(
                 f"index {self.root} has format_version {doc.get('format_version')!r}, "
                 f"this build reads {INDEX_FORMAT_VERSION}; rebuild it with `modalign ingest`"
             )
-        return {row["session_id"]: self.root / row["blob"] for row in doc["sessions"]}
+        return {
+            row["session_id"]: {key: self.root / row[key] for key in ("blob", "words", "gaze")}
+            for row in doc["sessions"]
+        }
 
     def session_ids(self) -> list[str]:
-        return sorted(self._blobs)
+        return sorted(self._files)
 
     def speakers(self) -> dict[str, SpeakerProfile]:
         if self._profiles is None:
@@ -529,20 +561,27 @@ class CorpusIndex:
     def load_session(self, session_id: str) -> SessionData:
         if session_id in self._cache:
             return self._cache[session_id]
-        if session_id not in self._blobs:
+        if session_id not in self._files:
             raise ValidationError(f"index has no session {session_id!r}")
-        path = self._blobs[session_id]
-        data = _read_json_file(path, lambda doc: self._parse_session(session_id, path, doc))
+        files = self._files[session_id]
+        blob = files["blob"]
+        speaker_id, audio, ids, tokens = _read_json_file(
+            blob,
+            lambda doc: (
+                doc["speaker_id"],
+                Path(doc["audio"]),
+                _strings(blob, doc["words"], "id"),
+                _strings(blob, doc["words"], "word"),
+            ),
+        )
+        if len(tokens) != len(ids):
+            raise ParseError(blob, 0, f"{len(ids)} word ids for {len(tokens)} words")
+        w = _read_table(files["words"], _WORDS_DTYPE, rows=len(ids))
+        g = _read_table(files["gaze"], _GAZE_DTYPE)
+        words = stream_from_columns(
+            Modality.TEXT, session_id, ids, w["start"], w["end"], tokens, speaker_id=speaker_id
+        )
+        gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"] == 1)
+        data = SessionData(session_id, speaker_id, words, gaze, audio)
         self._cache[session_id] = data
         return data
-
-    @staticmethod
-    def _parse_session(session_id: str, path: Path, doc) -> SessionData:
-        w = _read_columns(path, doc["words"], _WORD_COLUMNS)
-        g = _read_columns(path, doc["gaze"], _GAZE_COLUMNS)
-        words = stream_from_columns(
-            Modality.TEXT, session_id, w["id"], w["start"], w["end"], w["word"],
-            speaker_id=doc["speaker_id"],
-        )
-        gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"])
-        return SessionData(session_id, doc["speaker_id"], words, gaze, Path(doc["audio"]))

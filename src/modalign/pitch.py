@@ -202,6 +202,8 @@ def estimate_pitch_track(
             f"frame_length {frame_length} cannot hold two periods at floor "
             f"{search_range.floor} Hz (need >= {2 * sr / search_range.floor:.0f})"
         )
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
     if hop < 1 or hop > frame_length:
         raise ValidationError(f"hop must be in [1, frame_length], got {hop}")
     x = audio.samples

@@ -213,8 +213,8 @@ def fightin_words(
     group are excluded.  Raises :class:`NonPositivePrior` and
     :class:`EmptyVocabulary`.
     """
-    if prior_scale <= 0:
-        raise NonPositivePrior(f"prior_scale must be > 0, got {prior_scale}")
+    if not (prior_scale > 0 and math.isfinite(prior_scale)):
+        raise NonPositivePrior(f"prior_scale must be finite and > 0, got {prior_scale}")
     vocab = sorted(
         w
         for w in set(counts_a) | set(counts_b)

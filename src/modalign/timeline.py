@@ -75,6 +75,19 @@ class TimeInterval:
         return self.end - self.start
 
 
+def _trusted_interval(start: float, end: float) -> TimeInterval:
+    """A :class:`TimeInterval` for bounds already checked, built without checking them again.
+
+    Only for the columns of an :class:`ElementStream`: :func:`stream_from_columns`
+    checked every bound and the arrays are read-only.
+    """
+    interval = object.__new__(TimeInterval)
+    fields = interval.__dict__
+    fields["start"] = start
+    fields["end"] = end
+    return interval
+
+
 def overlap(a: TimeInterval, b: TimeInterval) -> float:
     """Overlap duration of two half-open intervals; 0 when disjoint or touching."""
     return max(0.0, min(a.end, b.end) - max(a.start, b.start))
@@ -135,7 +148,7 @@ class ElementStream:
             map(
                 Element,
                 [self.ids[k] for k in at.tolist()],
-                map(TimeInterval, self.starts[at].tolist(), self.ends[at].tolist()),
+                map(_trusted_interval, self.starts[at].tolist(), self.ends[at].tolist()),
                 [self.payloads[k] for k in at.tolist()],
             )
         )
@@ -175,7 +188,8 @@ def stream_from_columns(
         raise ValidationError("stream columns differ in length")
     if not ids:
         raise EmptyStream(f"stream for session {session_id!r} has no elements")
-    kinds = set(map(_payload_kind, payloads))
+    # All strings, the case of every text stream, is one pass over the types.
+    kinds = {"token"} if set(map(type, payloads)) == {str} else set(map(_payload_kind, payloads))
     if len(kinds) > 1:
         raise MixedPayload(f"stream mixes payload variants {sorted(kinds)}")
     if len(set(ids)) != len(ids):
@@ -303,7 +317,7 @@ def join_streams(
         raise SessionMismatch(
             f"cannot join sessions {source.session_id!r} and {target.session_id!r}"
         )
-    if min_overlap < 0:
+    if not min_overlap >= 0:
         raise ValidationError(f"min_overlap must be >= 0, got {min_overlap}")
     i, j, ov = overlap_pairs(source.starts, source.ends, target.starts, target.ends, min_overlap)
     pairs = tuple(

@@ -1,11 +1,17 @@
 """End-to-end command-line runs against a planted synthetic corpus."""
 
+import contextlib
+import io
 import json
 import math
 import shutil
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalign import cli, errors
 from modalign.cli import main
@@ -46,7 +52,8 @@ def test_synth_and_ingest(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "idx" / "manifest.json").is_file()
     blobs = sorted(p.name for p in (tmp_path / "idx" / "sessions").iterdir())
-    assert blobs == ["sess000.json", "sess001.json"]
+    assert blobs == [f"sess00{k}.{kind}" for k in (0, 1)
+                     for kind in ("gaze.npy", "json", "words.npy")]
 
 
 def test_synth_spec_file_with_flag_override(tmp_path, capsys):
@@ -312,14 +319,31 @@ def test_exit_codes(planted_corpus, tmp_path, capsys):
 
 
 _BLOB = '{"session_id": "sess000", "speaker_id": "spk000", "audio": "a.wav", '
-_WORDS = '"words": {"id": ["w0"], "start": [0], "end": [1], "word": ["ja"]}'
-_TWICE = '"words": {"id": ["w0", "w0"], "start": [0, 0], "end": [1, 1], "word": ["ja", "ja"]}'
+_TWICE = '"words": {"id": ["w0", "w0"], "word": ["ja", "ja"]}'
+_F8 = "<f8"
 
 
-def _session_blob(words: str = _WORDS, t: str = "[0.0, 0.125]", frontal: str = "[1, 1]") -> dict:
-    """Index blob for sess000 with these words and these gaze ``t`` and ``frontal`` columns."""
-    gaze = f'"gaze": {{"t": {t}, "yaw": [50.0, 50.0], "pitch": [0.0, 0.0], "frontal": {frontal}}}'
-    return {"idx/sessions/sess000.json": _BLOB + words + ", " + gaze + "}"}
+def _npy(fields, rows, allow_pickle=False) -> bytes:
+    """``.npy`` bytes of a flat table with these ``(name, dtype)`` fields and rows."""
+    buf = io.BytesIO()
+    np.save(buf, np.array(rows, dtype=fields), allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _words_npy(start=_F8, rows=((0.0, 1.0),)) -> dict:
+    """sess000's word table, with ``start`` stored as this dtype."""
+    return {"idx/sessions/sess000.words.npy": _npy([("start", start), ("end", _F8)], list(rows))}
+
+
+def _gaze_npy(t=_F8, rows=((0.0, 50.0, 0.0, 1), (0.125, 50.0, 0.0, 1))) -> dict:
+    """sess000's gaze table, with ``t`` stored as this dtype."""
+    fields = [("t", t), ("yaw", _F8), ("pitch", _F8), ("frontal", "u1")]
+    return {"idx/sessions/sess000.gaze.npy": _npy(fields, list(rows))}
+
+
+_GAZE_FILE = "idx/sessions/sess000.gaze.npy"
+_GAZE_OBJECT = {_GAZE_FILE: _npy(object, [None, 0.125], allow_pickle=True)}
+_GAZE_SHORT = {_GAZE_FILE: _gaze_npy()[_GAZE_FILE][:-10]}
 
 
 _PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
@@ -336,17 +360,25 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"idx/manifest.json": "{not json"}, ["segments", "--index", "IDX"], "ParseError"),
         ({"idx/speakers.json": "[1, 2"}, ["fw", "--index", "IDX"], "ParseError"),
         ({"idx/sessions/sess000.json": "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
-        ({"idx/sessions/sess000.json": _BLOB + _WORDS + "}"},
+        ({"idx/sessions/sess000.json": _BLOB + '"gaze": {}}'},
          ["segments", "--index", "IDX"], "ParseError"),
-        (_session_blob(words=_TWICE), ["segments", "--index", "IDX"], "DuplicateIds"),
-        (_session_blob(t='["x", 0.125]'), ["segments", "--index", "IDX"], "ParseError"),
-        (_session_blob(t="[null, 0.125]"), ["segments", "--index", "IDX"], "ParseError"),
-        (_session_blob(t="[true, 0.125]"), ["segments", "--index", "IDX"], "ParseError"),
-        (_session_blob(t="[NaN, 0.125]"), ["segments", "--index", "IDX"], "ParseError"),
-        (_session_blob(t="[0.0]"), ["segments", "--index", "IDX"], "ParseError"),
-        (_session_blob(frontal="[1, 2]"), ["segments", "--index", "IDX"], "ParseError"),
-        (_session_blob(words=_WORDS.replace("[0]", '["0"]')), ["segments", "--index", "IDX"],
-         "ParseError"),
+        ({"idx/sessions/sess000.json": _BLOB + _TWICE + "}", **_words_npy(rows=[(0, 1), (0, 1)])},
+         ["segments", "--index", "IDX"], "DuplicateIds"),
+        (_gaze_npy(t="<U5", rows=[("x", 50, 0, 1), ("0.125", 50, 0, 1)]),
+         ["segments", "--index", "IDX"], "ParseError"),
+        (_GAZE_OBJECT, ["segments", "--index", "IDX"], "ParseError"),
+        (_gaze_npy(t="?", rows=[(True, 50, 0, 1), (False, 50, 0, 1)]),
+         ["segments", "--index", "IDX"], "ParseError"),
+        (_gaze_npy(rows=[(math.nan, 50, 0, 1), (0.125, 50, 0, 1)]),
+         ["segments", "--index", "IDX"], "ParseError"),
+        (_GAZE_SHORT, ["segments", "--index", "IDX"], "ParseError"),
+        (_gaze_npy(rows=[(0.0, 50, 0, 1), (0.125, 50, 0, 2)]),
+         ["segments", "--index", "IDX"], "ParseError"),
+        (_words_npy(start="<U3"), ["segments", "--index", "IDX"], "ParseError"),
+        (_words_npy(rows=[(0, 1), (1, 2)]), ["segments", "--index", "IDX"], "ParseError"),
+        ({"idx/sessions/sess000.json": '{"session_id": "sess000", "speaker_id": "spk000", '
+          '"audio": "a.wav", "words": {"id": [0], "word": ["ja"]}}'},
+         ["segments", "--index", "IDX"], "ParseError"),
         ({"p.csv": _PANEL.format(y="nan", x=1)}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"p.csv": _PANEL.format(y=4, x="inf")}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"a.csv": "word,count\nja,nan\n", "b.csv": "word,count\nja,3\n"},
@@ -368,37 +400,115 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          _MANIFEST, "ParseError"),
         ({}, _QUERY + ["--select", "audio"], "ModalityAbsent"),
         ({}, _QUERY + ["--select", "visual"], "ModalityAbsent"),
+        ({}, ["fw", "--index", "IDX", "--prior", "nan"], "NonPositivePrior"),
+        ({}, ["pitch", "--index", "IDX", "--threshold", "nan"], "ValidationError"),
+        ({}, ["pitch", "--index", "IDX", "--threshold", "-1"], "ValidationError"),
+        ({}, ["align", "--index", "IDX", "--min-overlap", "nan"], "ValidationError"),
+        ({}, ["segments", "--index", "IDX", "--yaw-min", "nan"], "ValidationError"),
+        ({}, ["segments", "--index", "IDX", "--notes-pitch", "nan"], "ValidationError"),
+        ({}, ["--threads", "0", "pitch", "--index", "IDX"], "ValidationError"),
+        ({}, ["--threads", "-3", "pitch", "--index", "IDX"], "ValidationError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
-         "gaze-nan", "gaze-ragged", "gaze-frontal-2", "words-start-string", "panel-nan", "panel-inf", "counts-nan",
+         "gaze-nan", "gaze-ragged", "gaze-frontal-2", "words-start-string", "words-ragged",
+         "words-id-number", "panel-nan", "panel-inf", "counts-nan",
          "counts-negative", "config-hop-string", "config-threads-string", "config-empty-yaw-band",
          "manifest-list", "manifest-session-number", "manifest-transcript-number",
-         "manifest-speakers-number", "query-select-audio", "query-select-visual"],
+         "manifest-speakers-number", "query-select-audio", "query-select-visual", "prior-nan",
+         "threshold-nan", "threshold-negative", "min-overlap-nan", "yaw-min-nan",
+         "notes-pitch-nan", "threads-0", "threads-negative"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content, encoding="utf-8")
     argv = [a.replace("IDX", str(tmp_path / "idx")).replace("TMP", str(tmp_path)) for a in argv]
     rc = run(*argv, "--out", tmp_path / "out")
     err = capsys.readouterr().err
     assert rc == (2 if issubclass(getattr(errors, error), errors.ValidationError) else 3)
     assert len(err.splitlines()) == 1 and err.startswith(f"{error}: ")
     assert "Traceback" not in err
-    if error == "ParseError" and "idx/sessions/sess000.json" in files:
-        assert "sess000.json" in err
+    damaged = [Path(name).name for name in files if name.startswith("idx/sessions/")]
+    if error == "ParseError" and len(damaged) == 1:
+        assert damaged[0] in err
 
 
 def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
     doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
-    doc["format_version"] = 1
-    (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
-    assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("VersionMismatch: ")
-    assert "rebuild it with `modalign ingest`" in err
+    for version in (1, 2):  # rows of objects; numbers as JSON columns
+        doc["format_version"] = version
+        (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("VersionMismatch: ")
+        assert "rebuild it with `modalign ingest`" in err
+
+
+_TABLES = ("sess001.words.npy", "sess001.gaze.npy")
+_FRACTION = st.floats(0, 1, exclude_max=True)
+# Where to flip a byte: within the first 160 bytes, which hold a table's
+# whole header, or at a fraction of the file's length.
+_OFFSET = st.one_of(st.integers(0, 159), _FRACTION)
+
+
+def _damage(path: Path, kind: str, detail) -> None:
+    """Damage one index file in place."""
+    data = path.read_bytes()
+    if kind == "truncate":  # always cuts into a JSON blob's closing brace
+        path.write_bytes(data[: int(detail * (len(data) - 1))])
+    elif kind == "flip":
+        buf = bytearray(data)
+        for at, mask in detail:
+            buf[(at if isinstance(at, int) else int(at * len(buf))) % len(buf)] ^= mask
+        path.write_bytes(bytes(buf))
+    elif kind == "delete":
+        path.unlink()
+    else:  # rewrite a table with another dtype, or as pickled objects
+        table = np.load(path, allow_pickle=False)
+        if kind == "object":
+            np.save(path, np.array(table.tolist(), dtype=object), allow_pickle=True)
+        else:
+            np.save(path, table.astype([(name, detail) for name in table.dtype.names]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    damage=st.one_of(
+        st.tuples(st.sampled_from(("sess001.json",) + _TABLES),
+                  st.sampled_from(("truncate", "delete")), _FRACTION),
+        st.tuples(st.sampled_from(("sess001.json",) + _TABLES), st.just("flip"),
+                  st.lists(st.tuples(_OFFSET, st.integers(1, 255)), min_size=1, max_size=4)),
+        st.tuples(st.sampled_from(_TABLES), st.just("dtype"),
+                  st.sampled_from(("<f4", ">f8", "<i8", "<U8", "?"))),
+        st.tuples(st.sampled_from(_TABLES), st.just("object"), st.none()),
+    )
+)
+def test_index_corruption_exits_cleanly(planted_corpus, damage):
+    """A damaged session file never escapes the exit-code contract.
+
+    Truncating, deleting or retyping a file exits 3 with one line naming it;
+    a flipped byte may also yield data that loads (exit 0) or fails a later
+    check, but always with one line and no traceback.
+    """
+    name, kind, detail = damage
+    with tempfile.TemporaryDirectory() as tmp:
+        idx = shutil.copytree(planted_corpus.index, Path(tmp) / "idx")
+        _damage(idx / "sessions" / name, kind, detail)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run("segments", "--index", idx, "--out", Path(tmp) / "s.csv")
+    err = err.getvalue()
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err
+    if rc:
+        assert len(err.splitlines()) == 1
+    if kind != "flip":
+        assert rc == 3 and name in err, err
 
 
 def test_build_panel_finds_its_stages_through_cli(planted_corpus, monkeypatch):

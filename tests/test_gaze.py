@@ -137,6 +137,12 @@ def test_rule_validation():
         AddressRule(yaw_min=70.0, yaw_max=45.0)
     with pytest.raises(ValidationError):
         AddressRule(min_words=-1)
+    for bad in [{"yaw_min": math.nan}, {"yaw_max": math.nan}, {"yaw_min": -math.inf},
+                {"yaw_max": math.inf}, {"notes_pitch_threshold": math.nan},
+                {"max_notes_seconds": math.nan}, {"max_notes_seconds": -1.0}]:
+        with pytest.raises(ValidationError):
+            AddressRule(**bad)
+    AddressRule(notes_pitch_threshold=-math.inf, max_notes_seconds=0.0)  # both allowed
 
 
 def test_matches_plain_run_detection_when_notes_disabled():

@@ -286,7 +286,17 @@ def test_build_index_layout_and_round_trip(tmp_path):
     manifest = tiny_corpus(tmp_path / "raw")
     out = build_index(manifest, tmp_path / "idx")
     names = {p.name for p in out.rglob("*") if p.is_file()}
-    assert names == {"manifest.json", "speakers.json", "sessA.json", "sessB.json"}
+    assert names == {"manifest.json", "speakers.json"} | {
+        f"{sid}.{kind}" for sid in ("sessA", "sessB") for kind in ("json", "words.npy", "gaze.npy")
+    }
+    assert json.loads((out / "manifest.json").read_text())["format_version"] == 3
+    blob = json.loads((out / "sessions" / "sessA.json").read_text())
+    assert blob["words"] == {"id": ["w000000", "w000001"], "word": ["hallo", "welt"]}
+    assert set(blob) == {"session_id", "speaker_id", "audio", "words"}
+    words = np.load(out / "sessions" / "sessA.words.npy", allow_pickle=False)
+    assert words.dtype.names == ("start", "end") and words.tolist() == [(0.0, 0.5), (0.5, 1.0)]
+    gaze = np.load(out / "sessions" / "sessA.gaze.npy", allow_pickle=False)
+    assert gaze.dtype.names == ("t", "yaw", "pitch", "frontal") and gaze.shape == (1,)
     index = CorpusIndex(out)
     assert index.session_ids() == ["sessA", "sessB"]
     data = index.load_session("sessA")
@@ -345,7 +355,7 @@ def test_index_version_gate(tmp_path):
     manifest = tiny_corpus(tmp_path / "raw")
     out = build_index(manifest, tmp_path / "idx")
     doc = json.loads((out / "manifest.json").read_text())
-    for version in (1, 3):  # 1: the row-per-object layout, which must be rebuilt
+    for version in (1, 2, 4):  # 1: rows of objects, 2: JSON columns; both must be rebuilt
         doc["format_version"] = version
         (out / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch, match="rebuild it with `modalign ingest`"):
@@ -356,9 +366,10 @@ def test_index_version_gate(tmp_path):
 
 
 def test_session_load_memory_is_columnar(tmp_path):
-    # One 4000-word session with 12000 gaze samples.  Loaded as columns and
-    # segmented on arrays, the peak stays under 4 MB; one object per word
-    # and per sample peaked at 6.8 MB.
+    # One 4000-word session with 12000 gaze samples.  Loaded from binary
+    # tables and segmented on arrays, the peak is 1.2 MB; decoding the same
+    # numbers from JSON columns peaked at 2.8 MB, and one object per word
+    # and per sample at 6.8 MB.
     spec = SynthSpec(seed=1, speakers=1, words_per_speech=4000, sample_rate=8000)
     root = build_index(synth_corpus(spec, tmp_path / "raw"), tmp_path / "idx")
     tracemalloc.start()
@@ -368,7 +379,34 @@ def test_session_load_memory_is_columnar(tmp_path):
     finally:
         tracemalloc.stop()
     assert segments["sess000"]
-    assert peak < 4_000_000, f"peak {peak / 1e6:.2f} MB"
+    assert peak < 1_600_000, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_index_numbers_round_trip_bit_for_bit(tmp_path):
+    # Values whose shortest decimal needs 17 significant digits, the smallest
+    # subnormal and a near-maximal double come back with the ingested bits.
+    root = tmp_path / "raw"
+    tiny_corpus(root, sessions=("sessA",))
+    starts = [5e-324, 0.1 + 0.2, 0.7, 1e308]
+    ends = [1e-2 / 3, 0.7, 1.0000000000000002, 1e308]
+    write_lines(root / "sessA.jsonl", [word_line(f"w{k}", a, b)
+                                       for k, (a, b) in enumerate(zip(starts, ends))])
+    t = [5e-324, 0.1 + 0.2, 2.0 / 3.0, 1e308]
+    yaw = [179.99999999999997, -0.1 - 0.2, 5e-324, 1 / 3]
+    pitch = [-89.99999999999999, 0.30000000000000004, -5e-324, 2 / 7]
+    write_gaze([GazeSample(*row, frontal=bool(k % 2)) for k, row in enumerate(zip(t, yaw, pitch))],
+               root / "sessA.csv")
+    fresh_words = load_transcript(root / "sessA.jsonl", session_id="sessA")
+    fresh_gaze = load_gaze(root / "sessA.csv")
+
+    data = CorpusIndex(build_index(root / "manifest.json", tmp_path / "idx")).load_session("sessA")
+    for got, want in [(data.words.starts, fresh_words.starts), (data.words.ends, fresh_words.ends),
+                      (data.gaze.t, fresh_gaze.t), (data.gaze.yaw, fresh_gaze.yaw),
+                      (data.gaze.pitch, fresh_gaze.pitch)]:
+        assert got.tobytes() == want.tobytes()
+    assert data.gaze.frontal.tolist() == [False, True, False, True]
+    assert data.words.starts.tolist() == starts and data.words.ends.tolist() == ends
+    assert data.gaze.t.tolist() == t
 
 # --- synthetic corpora -----------------------------------------------------
 

@@ -24,6 +24,7 @@ from modalign.timeline import (
     overlap,
     overlap_pairs,
     query_crossmodal,
+    stream_from_columns,
 )
 
 
@@ -59,7 +60,23 @@ def test_interval_rejects_negative():
     with pytest.raises(NegativeInterval):
         TimeInterval(-0.1, 1.0)
     with pytest.raises(NegativeInterval):
+        TimeInterval(-1, 0)
+    with pytest.raises(NegativeInterval):
         TimeInterval(2.0, 1.0)
+    for starts, ends in [([0.0, -1.0], [1.0, 0.0]), ([0.0, 2.0], [1.0, 1.5])]:
+        with pytest.raises(NegativeInterval):
+            stream_from_columns(Modality.DERIVED, "s", ["a", "b"], starts, ends, [1.0, 2.0])
+
+
+def test_stream_elements_equal_checked_ones():
+    # Elements a stream builds skip the bound check but equal, hash and
+    # order like elements built through TimeInterval.
+    stream = derived([(0.0, 0.5), (0.25, 1.0), (2.0, 2.0)])
+    checked = [el(e.id, e.interval.start, e.interval.end, e.payload) for e in stream]
+    assert list(stream) == checked
+    assert [hash(e) for e in stream] == [hash(e) for e in checked]
+    assert sorted(e.interval for e in stream) == [e.interval for e in checked]
+    assert stream[1].interval.duration == 0.75 and stream[2].interval.point
 
 
 def test_overlap_cases():
