@@ -13,6 +13,7 @@ from .timeline import (
     Element,
     ElementStream,
     Modality,
+    QueryHits,
     TimeInterval,
     build_stream,
     join_streams,
@@ -27,6 +28,7 @@ __all__ = [
     "Element",
     "ElementStream",
     "Modality",
+    "QueryHits",
     "TimeInterval",
     "build_stream",
     "join_streams",

@@ -26,6 +26,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -251,7 +252,7 @@ def cmd_align(args, cfg: RunConfig) -> int:
             summaries.append(f"{sid}: no segments")
             continue
         amap = join_streams(source, target, min_overlap=args.min_overlap)
-        rows += [(sid, pair.source_id, pair.target_id, pair.overlap) for pair in amap.pairs]
+        rows += zip(repeat(sid), amap.source_ids(), amap.target_ids(), amap.overlap.tolist())
         summaries.append(f"{sid}: {len(amap)} pairs, {amap.cardinality.value}")
     _write_csv(args.out, "session_id,source_id,target_id,overlap_seconds", rows)
     for s in summaries:
@@ -305,10 +306,10 @@ def cmd_query(args, cfg: RunConfig) -> int:
         seen |= present
         if where_modality not in present or select not in present:
             continue
-        rows += [
-            (sid, e.id, e.interval.start, e.interval.end, e.payload)
-            for e in query_crossmodal(corpus, select, predicate, where_modality)
-        ]
+        hits = query_crossmodal(corpus, select, predicate, where_modality)
+        rows += zip(
+            hits.session_ids, hits.ids, hits.starts.tolist(), hits.ends.tolist(), hits.payloads
+        )
     for modality in (where_modality, select):
         if modality not in seen:
             raise ModalityAbsent(f"corpus has no {modality.value} stream")
@@ -324,10 +325,10 @@ def interaction_name(party: str) -> str:
 def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
     """Panel rows for the addressing regression, plus the party list."""
     _, pitches = corpus_word_pitches(index, cfg)
-    addressed = set()
+    addressed = {}  # session id -> ids of the words inside an address segment
     for sid, (words, segs) in session_streams(index, cfg).items():
         if segs is not None:
-            addressed.update((sid, p.source_id) for p in join_streams(words, segs).pairs)
+            addressed[sid] = set(join_streams(words, segs).source_ids())
     profiles = index.speakers()
     parties = sorted({p.party for p in profiles.values()})
     others = [p for p in parties if p != cfg.target_party]
@@ -338,7 +339,7 @@ def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
             skipped += 1
             continue
         party = profiles[wp.speaker_id].party
-        a = 1.0 if (wp.session_id, wp.word_id) in addressed else 0.0
+        a = 1.0 if wp.word_id in addressed.get(wp.session_id, ()) else 0.0
         regs = {interaction_name(p): a if party == p else 0.0 for p in others}
         rows.append(stats.PanelRow(wp.z, wp.speaker_id, {"addressing": a, **regs}))
     return rows, parties, skipped

@@ -20,6 +20,7 @@ Layout choices that make the ground truth exact rather than approximate:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -63,8 +64,12 @@ class SynthSpec:
             raise InvalidSpec(f"segment_density {self.segment_density} outside [0, 1]")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
-        if self.jitter_hz <= 0:
-            raise InvalidSpec("jitter_hz must be > 0")
+        if not math.isfinite(self.planted_pitch_effect):
+            raise InvalidSpec(
+                f"planted_pitch_effect must be finite, got {self.planted_pitch_effect}"
+            )
+        if not 0 < self.jitter_hz < math.inf:
+            raise InvalidSpec(f"jitter_hz must be finite and > 0, got {self.jitter_hz}")
         if self.sample_rate < 8000 or self.sample_rate % 8 != 0:
             raise InvalidSpec("sample_rate must be >= 8000 and divisible by 8")
         if self.target_party == self.other_party:

@@ -17,10 +17,11 @@ Conventions
 from __future__ import annotations
 
 import enum
-import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -114,6 +115,14 @@ class Element:
     payload: str | float | tuple[float, float]
 
 
+def _elements(
+    ids: Iterable[str], starts: np.ndarray, ends: np.ndarray, payloads: Iterable
+) -> list[Element]:
+    """One :class:`Element` per row of already-checked columns, built in one pass."""
+    intervals = map(_trusted_interval, starts.tolist(), ends.tolist())
+    return list(map(Element, ids, intervals, payloads))
+
+
 @dataclass(frozen=True, eq=False)
 class ElementStream:
     """Sorted, immutable sequence of elements from one modality and session.
@@ -144,13 +153,11 @@ class ElementStream:
     def take(self, positions: Iterable[int]) -> list[Element]:
         """The elements at ``positions``, built in one pass."""
         at = np.fromiter(positions, dtype=np.intp)
-        return list(
-            map(
-                Element,
-                [self.ids[k] for k in at.tolist()],
-                map(_trusted_interval, self.starts[at].tolist(), self.ends[at].tolist()),
-                [self.payloads[k] for k in at.tolist()],
-            )
+        return _elements(
+            [self.ids[k] for k in at.tolist()],
+            self.starts[at],
+            self.ends[at],
+            [self.payloads[k] for k in at.tolist()],
         )
 
     def __eq__(self, other) -> bool:
@@ -243,15 +250,37 @@ class AlignedPair:
     overlap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentMap:
-    """Result of joining two streams: explicit pairs plus the observed cardinality."""
+    """Result of joining two streams, held as columns, plus the observed cardinality.
 
-    pairs: tuple[AlignedPair, ...]
+    Pair ``k`` joins ``source[i[k]]`` to ``target[j[k]]`` with ``overlap[k]``
+    seconds in common; ``i``, ``j`` and ``overlap`` are read-only arrays in
+    ``(i, j)`` order.  The :class:`AlignedPair` tuple :attr:`pairs` is built
+    only when it is first read.
+    """
+
+    source: ElementStream
+    target: ElementStream
+    i: np.ndarray
+    j: np.ndarray
+    overlap: np.ndarray
     cardinality: Cardinality
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.i.size
+
+    def source_ids(self) -> list[str]:
+        """The source element id of every pair."""
+        return [self.source.ids[k] for k in self.i.tolist()]
+
+    def target_ids(self) -> list[str]:
+        """The target element id of every pair."""
+        return [self.target.ids[k] for k in self.j.tolist()]
+
+    @cached_property
+    def pairs(self) -> tuple[AlignedPair, ...]:
+        return tuple(map(AlignedPair, self.source_ids(), self.target_ids(), self.overlap.tolist()))
 
 
 def _observed_cardinality(source_idx: np.ndarray, target_idx: np.ndarray) -> Cardinality:
@@ -320,15 +349,36 @@ def join_streams(
     if not min_overlap >= 0:
         raise ValidationError(f"min_overlap must be >= 0, got {min_overlap}")
     i, j, ov = overlap_pairs(source.starts, source.ends, target.starts, target.ends, min_overlap)
-    pairs = tuple(
-        map(
-            AlignedPair,
-            [source.ids[k] for k in i.tolist()],
-            [target.ids[k] for k in j.tolist()],
-            ov.tolist(),
-        )
-    )
-    return AlignmentMap(pairs, _observed_cardinality(i, j))
+    for column in (i, j, ov):
+        column.setflags(write=False)
+    return AlignmentMap(source, target, i, j, ov, _observed_cardinality(i, j))
+
+
+@dataclass(frozen=True, eq=False)
+class QueryHits(Sequence):
+    """Read-only sequence of the :class:`Element` hits of :func:`query_crossmodal`.
+
+    Held as flat columns in (session, start, end, id) order: ``session_ids``,
+    ``ids`` and ``payloads`` are tuples and ``starts``/``ends`` read-only
+    float64 arrays.  ``hits[k]`` and iteration build the elements on demand;
+    an element does not carry its session, ``session_ids[k]`` does.
+    """
+
+    session_ids: tuple[str, ...]
+    ids: tuple[str, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+    payloads: tuple
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> Element:
+        interval = _trusted_interval(self.starts[k].item(), self.ends[k].item())
+        return Element(self.ids[k], interval, self.payloads[k])
+
+    def __iter__(self) -> Iterator[Element]:
+        return iter(_elements(self.ids, self.starts, self.ends, self.payloads))
 
 
 def query_crossmodal(
@@ -336,7 +386,7 @@ def query_crossmodal(
     select: Modality,
     where: Callable[[Element], bool],
     where_modality: Modality,
-) -> list[Element]:
+) -> QueryHits:
     """Elements of ``select`` modality that overlap a matching element elsewhere.
 
     ``where`` is evaluated on every element of the ``where_modality``
@@ -359,19 +409,29 @@ def query_crossmodal(
         if hits:
             matched_by_session.setdefault(stream.session_id, []).extend(hits)
 
-    hits_by_session: dict[str, list[list[Element]]] = {}
+    parts = []  # (session id, select stream, positions of its hits)
     for stream in selects:
         matched = matched_by_session.get(stream.session_id)
         if not matched:
             continue
         starts, ends = np.array(sorted(matched)).T
         hit_idx, _, _ = overlap_pairs(stream.starts, stream.ends, starts, ends, 0.0)
-        hits = stream.take(np.unique(hit_idx).tolist())  # in (start, end, id) order
-        hits_by_session.setdefault(stream.session_id, []).append(hits)
-    return [
-        e
-        for sid in sorted(hits_by_session)
-        for e in heapq.merge(
-            *hits_by_session[sid], key=lambda e: (e.interval.start, e.interval.end, e.id)
+        parts.append((stream.session_id, stream, np.unique(hit_idx)))  # in (start, end, id) order
+    parts.sort(key=lambda part: part[0])  # stable: a session's streams keep their corpus order
+
+    session_ids = [sid for sid, _, at in parts for _ in range(at.size)]
+    ids = [s.ids[k] for _, s, at in parts for k in at.tolist()]
+    payloads = [s.payloads[k] for _, s, at in parts for k in at.tolist()]
+    starts = np.concatenate([np.empty(0)] + [s.starts[at] for _, s, at in parts])
+    ends = np.concatenate([np.empty(0)] + [s.ends[at] for _, s, at in parts])
+    if len({sid for sid, _, _ in parts}) < len(parts):
+        # Some session has several select streams; the sort is stable, so
+        # elements with equal keys keep their streams' corpus order.
+        order = np.lexsort((np.array(ids), ends, starts, np.array(session_ids))).tolist()
+        session_ids, ids, payloads = (
+            [column[k] for k in order] for column in (session_ids, ids, payloads)
         )
-    ]
+        starts, ends = starts[order], ends[order]
+    starts.setflags(write=False)
+    ends.setflags(write=False)
+    return QueryHits(tuple(session_ids), tuple(ids), starts, ends, tuple(payloads))

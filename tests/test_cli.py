@@ -408,6 +408,10 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({}, ["segments", "--index", "IDX", "--notes-pitch", "nan"], "ValidationError"),
         ({}, ["--threads", "0", "pitch", "--index", "IDX"], "ValidationError"),
         ({}, ["--threads", "-3", "pitch", "--index", "IDX"], "ValidationError"),
+        ({}, ["synth", "--effect", "nan"], "InvalidSpec"),
+        ({}, ["synth", "--effect", "inf"], "InvalidSpec"),
+        ({"s.json": '{"jitter_hz": NaN}'}, ["synth", "--spec", "TMP/s.json"], "InvalidSpec"),
+        ({"s.json": '{"jitter_hz": Infinity}'}, ["synth", "--spec", "TMP/s.json"], "InvalidSpec"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
@@ -417,7 +421,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "manifest-list", "manifest-session-number", "manifest-transcript-number",
          "manifest-speakers-number", "query-select-audio", "query-select-visual", "prior-nan",
          "threshold-nan", "threshold-negative", "min-overlap-nan", "yaw-min-nan",
-         "notes-pitch-nan", "threads-0", "threads-negative"],
+         "notes-pitch-nan", "threads-0", "threads-negative", "effect-nan", "effect-inf",
+         "jitter-nan", "jitter-inf"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

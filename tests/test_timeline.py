@@ -1,11 +1,14 @@
 """Interval algebra, stream construction, temporal joins, cross-modal queries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_force_join, sweep_loop
+from modalign.cli import RunConfig, session_streams
 from modalign.errors import (
     EmptyStream,
     MixedPayload,
@@ -14,6 +17,8 @@ from modalign.errors import (
     OverlappingWords,
     SessionMismatch,
 )
+from modalign.ingest import CorpusIndex, build_index
+from modalign.synth import SynthSpec, synth_corpus
 from modalign.timeline import (
     Cardinality,
     Element,
@@ -324,3 +329,94 @@ def test_query_matches_brute_force_randomized():
             ),
         )
         assert sorted(e.id for e in got) == expected
+
+
+# --- columnar results ------------------------------------------------------
+
+def _text_stream(session, prefix, gaps_lengths):
+    """A TEXT stream of words laid end to end: each gap, then a word of that length."""
+    ends = np.cumsum([g + d for g, d in gaps_lengths])
+    starts = ends - [d for _, d in gaps_lengths]
+    ids = [f"{prefix}{k}" for k in range(len(starts))]
+    tokens = [f"t{k % 3}" for k in range(len(ids))]
+    return stream_from_columns(Modality.TEXT, session, ids, starts, ends, tokens)
+
+
+# quarter-second grid steps, so words of the two streams often share bounds
+_STEP = st.integers(0, 4).map(lambda k: k * 0.25)
+_WORDS = st.lists(st.tuples(_STEP, _STEP), min_size=1, max_size=12)
+_SESSION = st.tuples(
+    _WORDS,
+    st.none() | _WORDS,  # a second TEXT stream overlapping the first
+    st.lists(st.tuples(_STEP, _STEP, st.booleans()), min_size=1, max_size=6),
+    st.sampled_from(["w", "v"]),  # the second stream's id prefix; "w" repeats the first's ids
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SESSION, min_size=1, max_size=3))
+def test_query_result_is_a_sequence_equal_to_brute_force(sessions):
+    corpus, expected, expected_sessions = [], [], []
+    for n, (words, more, segs, prefix) in enumerate(sessions):
+        sid = f"s{n}"
+        texts = [_text_stream(sid, "w", words)]
+        if more is not None:
+            texts.append(_text_stream(sid, prefix, more))
+        marks = build_stream(
+            Modality.DERIVED,
+            sid,
+            [el(f"g{k}", a, a + d, "hit" if hit else "miss")
+             for k, (a, d, hit) in enumerate(segs)],
+        )
+        corpus += [*texts, marks]
+        matched = [g for g in marks if g.payload == "hit"]
+        # sorted is stable: equal (start, end, id) keys keep the streams' corpus order
+        found = sorted(
+            (w for text in texts for w in text
+             if any(overlap(w.interval, g.interval) > 0 for g in matched)),
+            key=lambda w: (w.interval.start, w.interval.end, w.id),
+        )
+        expected += found
+        expected_sessions += [sid] * len(found)
+
+        for text in texts:
+            amap = join_streams(text, marks)
+            assert len(amap) == len(amap.pairs)
+            got = [((p.source_id, p.target_id), p.overlap) for p in amap.pairs]
+            assert got == list(brute_force_join(text, marks).items())  # in (source, target) order
+            assert amap.pairs is amap.pairs  # built once, on the first read
+
+    hits = query_crossmodal(corpus, Modality.TEXT, lambda e: e.payload == "hit", Modality.DERIVED)
+    assert len(hits) == len(expected)
+    assert list(hits) == expected
+    assert [hits[k] for k in range(-len(hits), len(hits))] == expected + expected
+    for k in (len(hits), -len(hits) - 1):
+        with pytest.raises(IndexError):
+            hits[k]
+    assert list(hits.session_ids) == expected_sessions
+
+
+def test_join_and_query_results_are_columnar(tmp_path):
+    # One 4000-word session joined with its address segments and queried by
+    # them: 1237 pairs and 1237 hits.  Kept as columns, the two calls peak at
+    # 0.23 MB; one AlignedPair per pair and one Element per hit peaked at
+    # 0.65 MB.
+    spec = SynthSpec(seed=1, speakers=1, words_per_speech=4000, sample_rate=8000)
+    root = build_index(synth_corpus(spec, tmp_path / "raw"), tmp_path / "idx")
+    words, segs = session_streams(CorpusIndex(root), RunConfig())["sess000"]
+
+    def afd(e):
+        return e.payload == "AfD"
+
+    # First calls outside the trace: numpy imports modules lazily on first use.
+    join_streams(words, segs)
+    query_crossmodal([words, segs], Modality.TEXT, afd, Modality.DERIVED)
+    tracemalloc.start()
+    try:
+        amap = join_streams(words, segs)
+        hits = query_crossmodal([words, segs], Modality.TEXT, afd, Modality.DERIVED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(amap) == len(hits) > 1000
+    assert peak < 400_000, f"peak {peak / 1e6:.2f} MB"
