@@ -32,7 +32,7 @@ from typing import get_args, get_type_hints
 
 from . import gaze as gaze_mod
 from . import ingest, latent, pitch, stats, synth
-from .errors import DataError, EngineError, ModalityAbsent, ValidationError
+from .errors import DataError, EngineError, ValidationError
 from .timeline import Modality, join_streams, query_crossmodal
 
 
@@ -165,7 +165,7 @@ def session_segments(index: ingest.CorpusIndex, cfg: RunConfig):
     for sid in index.session_ids():
         data = index.load_session(sid)
         raw = gaze_mod.detect_address_segments(data.gaze, rule)
-        out[sid] = gaze_mod.enforce_min_words(raw, data.words, rule, session_id=sid)
+        out[sid] = gaze_mod.enforce_min_words(raw, data.words, rule)
     return out
 
 
@@ -180,8 +180,9 @@ def _fmt(value) -> str:
 def _write_csv(path, header: str, rows) -> None:
     """``header``, then one line per row with every value through :func:`_fmt`."""
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with ingest.writing(path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 # --- commands --------------------------------------------------------------
@@ -295,26 +296,11 @@ def cmd_query(args, cfg: RunConfig) -> int:
     if select is None:
         raise ValidationError(f"unknown select modality {args.select!r}")
     where_modality, predicate = _parse_where(args.where)
-    streams = session_streams(index, cfg)
-
-    rows = []
-    seen = set()
-    for sid in index.session_ids():
-        words, segs = streams[sid]
-        corpus = [s for s in (words, segs) if s is not None]
-        present = {s.modality for s in corpus}
-        seen |= present
-        if where_modality not in present or select not in present:
-            continue
-        hits = query_crossmodal(corpus, select, predicate, where_modality)
-        rows += zip(
-            hits.session_ids, hits.ids, hits.starts.tolist(), hits.ends.tolist(), hits.payloads
-        )
-    for modality in (where_modality, select):
-        if modality not in seen:
-            raise ModalityAbsent(f"corpus has no {modality.value} stream")
+    corpus = [s for pair in session_streams(index, cfg).values() for s in pair if s is not None]
+    hits = query_crossmodal(corpus, select, predicate, where_modality)
+    rows = zip(hits.session_ids, hits.ids, hits.starts.tolist(), hits.ends.tolist(), hits.payloads)
     _write_csv(args.out, "session_id,id,start,end,payload", rows)
-    print(f"{len(rows)} elements -> {args.out}")
+    print(f"{len(hits)} elements -> {args.out}")
     return 0
 
 
@@ -387,9 +373,10 @@ def cmd_regress(args, cfg: RunConfig) -> int:
             print(f"note: {skipped} words without pitch left out")
     result = stats.fe_regress(rows, allow_single_group=args.allow_single_group)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "regression.json").write_bytes(ingest._json_bytes(_result_json(result)))
-    (out_dir / "regression.txt").write_text(stats.render_result_table(result), encoding="utf-8")
+    with ingest.writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "regression.json").write_bytes(ingest._json_bytes(_result_json(result)))
+        (out_dir / "regression.txt").write_text(stats.render_result_table(result), encoding="utf-8")
 
     if parties is not None:
         cells = list(margin_cells(parties, result))
@@ -457,7 +444,8 @@ def cmd_advise(args, cfg: RunConfig) -> int:
 def cmd_synth(args, cfg: RunConfig) -> int:
     doc = _read_json(args.spec, "spec") if args.spec is not None else {}
     spec = _settings(synth.SynthSpec, doc, args, f"spec {args.spec}")
-    print(synth.synth_corpus(spec, args.out))
+    with ingest.writing(args.out):  # synth reads no files: every OSError is a write's
+        print(synth.synth_corpus(spec, args.out))
     return 0
 
 
@@ -589,6 +577,8 @@ def main(argv=None) -> int:
             raise ValidationError("pass exactly one of --index or --panel")
         if args.command == "fw" and args.index is None and args.counts_a is None:
             raise ValidationError("pass --index or --counts-a/--counts-b")
+        if args.command == "fw" and args.index is not None and (args.counts_a or args.counts_b):
+            raise ValidationError("pass --index or --counts-a/--counts-b, not both")
         return args.func(args, cfg)
     except EngineError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -12,22 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import SessionMismatch, UnsortedSamples, ValidationError
-from .timeline import Element, ElementStream, Modality, TimeInterval, build_stream, overlap_pairs
-
-
-@dataclass(frozen=True)
-class GazeSample:
-    """One head-pose sample: time (s), yaw and pitch (degrees), camera-facing flag."""
-
-    t: float
-    yaw: float
-    pitch: float
-    frontal: bool
+from .errors import UnsortedSamples, ValidationError
+from .timeline import ElementStream, Modality, TimeInterval, overlap_pairs, stream_from_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,21 +31,6 @@ class GazeTrace:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __iter__(self) -> Iterator[GazeSample]:
-        return map(
-            GazeSample,
-            self.t.tolist(), self.yaw.tolist(), self.pitch.tolist(), self.frontal.tolist(),
-        )
-
-
-def as_trace(samples: GazeTrace | Sequence[GazeSample]) -> GazeTrace:
-    """``samples`` as a :class:`GazeTrace`; a sequence of samples is stacked into columns."""
-    if isinstance(samples, GazeTrace):
-        return samples
-    rows = [(s.t, s.yaw, s.pitch, s.frontal) for s in samples]
-    t, yaw, pitch, frontal = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return GazeTrace(t, yaw, pitch, frontal != 0)
 
 
 @dataclass(frozen=True)
@@ -114,10 +89,7 @@ def _run_bounds(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
-def detect_address_segments(
-    samples: GazeTrace | Sequence[GazeSample],
-    rule: AddressRule,
-) -> list[AddressSegment]:
+def detect_address_segments(trace: GazeTrace, rule: AddressRule) -> list[AddressSegment]:
     """Scan a gaze trace for maximal addressing runs.
 
     A sample is *in band* when it is frontal and ``yaw_min <= yaw <=
@@ -129,7 +101,6 @@ def detect_address_segments(
 
     Samples must be strictly increasing in time (:class:`UnsortedSamples`).
     """
-    trace = as_trace(samples)
     t = trace.t
     back = np.flatnonzero(t[1:] <= t[:-1])
     if back.size:
@@ -174,8 +145,6 @@ def enforce_min_words(
     segments: Sequence[AddressSegment],
     words: ElementStream,
     rule: AddressRule,
-    *,
-    session_id: str | None = None,
 ) -> list[AddressSegment]:
     """Drop segments covering fewer than ``rule.min_words`` words.
 
@@ -184,10 +153,6 @@ def enforce_min_words(
     """
     if words.modality is not Modality.TEXT:
         raise ValidationError(f"expected a text stream, got {words.modality.value}")
-    if session_id is not None and session_id != words.session_id:
-        raise SessionMismatch(
-            f"segments from session {session_id!r}, words from {words.session_id!r}"
-        )
     seg_starts = np.array([seg.interval.start for seg in segments], dtype=np.float64)
     seg_ends = np.array([seg.interval.end for seg in segments], dtype=np.float64)
     covered, _, _ = overlap_pairs(seg_starts, seg_ends, words.starts, words.ends, 0.0)
@@ -206,7 +171,12 @@ def segments_to_stream(
     speaker_id: str | None = None,
 ) -> ElementStream:
     """Wrap segments as a derived stream so they can be joined and queried."""
-    elems = [
-        Element(f"seg{i:04d}", seg.interval, seg.label) for i, seg in enumerate(segments)
-    ]
-    return build_stream(Modality.DERIVED, session_id, elems, speaker_id=speaker_id)
+    return stream_from_columns(
+        Modality.DERIVED,
+        session_id,
+        [f"seg{i:04d}" for i in range(len(segments))],
+        [seg.interval.start for seg in segments],
+        [seg.interval.end for seg in segments],
+        [seg.label for seg in segments],
+        speaker_id=speaker_id,
+    )

@@ -18,7 +18,8 @@ blob holds a session's strings; its numbers (word times, gaze samples) sit
 beside it in structured ``.npy`` tables, which load as float64 arrays
 without going through text.  The index directory is written to a temporary
 sibling and renamed into place, and rebuilding from unchanged inputs is
-byte-identical.
+byte-identical.  What it replaces must be an earlier index or an empty
+directory.
 
 Loaders reject rather than repair: every parse failure carries the file
 path and 1-based line number.
@@ -34,6 +35,7 @@ import re
 import shutil
 import tempfile
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -47,7 +49,7 @@ from .errors import (
     ValidationError,
     VersionMismatch,
 )
-from .gaze import GazeSample, GazeTrace, as_trace
+from .gaze import GazeTrace
 from .pitch import PITCH_RANGE_BY_GENDER, AudioBuffer, PitchRange, SpeakerProfile
 from .stats import PanelRow
 from .timeline import ElementStream, Modality, stream_from_columns
@@ -212,16 +214,18 @@ def load_gaze(path) -> GazeTrace:
             raise AngleOutOfRange(path, line_no, f"pitch {pitch} outside [-90, 90]")
         if frontal not in (0, 1):
             raise ParseError(path, line_no, f"frontal must be 0 or 1, got {parts[3]}")
-        rows.append(GazeSample(t, yaw, pitch, bool(frontal)))
-    rows.sort(key=lambda s: s.t)
-    return as_trace(rows)
+        rows.append((t, yaw, pitch, frontal))
+    rows.sort(key=lambda row: row[0])
+    t, yaw, pitch, frontal = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    return GazeTrace(t, yaw, pitch, frontal != 0)
 
 
-def write_gaze(samples: GazeTrace | Sequence[GazeSample], path) -> None:
+def write_gaze(trace: GazeTrace, path) -> None:
+    columns = (trace.t.tolist(), trace.yaw.tolist(), trace.pitch.tolist(), trace.frontal.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_GAZE_HEADER + "\n")
-        for s in as_trace(samples):
-            fh.write(f"{s.t!r},{s.yaw!r},{s.pitch!r},{int(s.frontal)}\n")
+        for t, yaw, pitch, frontal in zip(*columns):
+            fh.write(f"{t!r},{yaw!r},{pitch!r},{int(frontal)}\n")
 
 
 # --- speaker metadata ------------------------------------------------------
@@ -387,66 +391,107 @@ def _json_bytes(obj, *, compact: bool = False) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+@contextmanager
+def writing(path):
+    """Re-raise an :class:`OSError` from the block as a one-line :class:`ValidationError`.
+
+    An output path that cannot be written (a directory where a file goes, a
+    file where a directory goes, no permission) is a bad argument, not bad data.
+    """
+    try:
+        yield
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _replaceable(out_dir: Path) -> bool:
+    """Is ``out_dir`` absent, an empty directory, or an index :func:`build_index` wrote?
+
+    Every index format version has a ``speakers.json`` beside a
+    ``manifest.json`` whose session rows each name a ``blob``.
+    """
+    try:
+        if not out_dir.exists() or (out_dir.is_dir() and not any(out_dir.iterdir())):
+            return True
+        rows = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["sessions"]
+        return (out_dir / "speakers.json").is_file() and bool(rows) and all(
+            isinstance(row, dict) and "blob" in row for row in rows
+        )
+    except (OSError, ValueError, LookupError, TypeError):
+        return False
+
+
 def build_index(manifest_path, out_dir) -> Path:
     """Parse every session and write the index directory.
 
-    The directory is assembled in a temporary sibling and renamed into
-    place, replacing any previous index; building twice from unchanged
-    inputs produces byte-identical files.
+    ``out_dir`` must be new, an empty directory, or an earlier index (of any
+    format version), which is replaced; anything else raises
+    :class:`ValidationError` and is left untouched.  The directory is
+    assembled in a temporary sibling and renamed into place; building twice
+    from unchanged inputs produces byte-identical files.
     """
     manifest = load_manifest(manifest_path)
     out_dir = Path(out_dir)
     profiles = load_speakers(manifest.speakers_path)
-
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp", dir=out_dir.parent))
-    try:
-        (tmp / "sessions").mkdir()
-        session_rows = []
-        for entry in manifest.sessions:
-            words = load_transcript(entry.transcript, session_id=entry.session_id)
-            trace = load_gaze(entry.gaze)
-            row = {
-                "session_id": entry.session_id,
-                "speaker_id": entry.speaker_id,
-                "blob": f"sessions/{entry.session_id}.json",
-                "words": f"sessions/{entry.session_id}.words.npy",
-                "gaze": f"sessions/{entry.session_id}.gaze.npy",
-            }
-            blob = {
-                "session_id": entry.session_id,
-                "speaker_id": entry.speaker_id,
-                "audio": str(entry.audio.resolve()),
-                "words": {"id": list(words.ids), "word": list(words.payloads)},
-            }
-            (tmp / row["blob"]).write_bytes(_json_bytes(blob, compact=True))
-            _write_table(tmp / row["words"], _WORDS_DTYPE, start=words.starts, end=words.ends)
-            _write_table(
-                tmp / row["gaze"], _GAZE_DTYPE,
-                t=trace.t, yaw=trace.yaw, pitch=trace.pitch, frontal=trace.frontal,
-            )
-            session_rows.append(row)
-        speakers_doc = {
-            sid: {"party": p.party, "floor": p.gender_range.floor, "ceiling": p.gender_range.ceiling}
-            for sid, p in sorted(profiles.items())
-        }
-        (tmp / "speakers.json").write_bytes(_json_bytes(speakers_doc, compact=True))
-        (tmp / "manifest.json").write_bytes(
-            _json_bytes(
-                {
-                    "format_version": INDEX_FORMAT_VERSION,
-                    "sessions": sorted(session_rows, key=lambda r: r["session_id"]),
-                },
-                compact=True,
-            )
+    sessions = [
+        (entry, load_transcript(entry.transcript, session_id=entry.session_id), load_gaze(entry.gaze))
+        for entry in manifest.sessions
+    ]
+    if not _replaceable(out_dir):
+        raise ValidationError(
+            f"{out_dir} exists and is neither an index nor an empty directory; not replacing it"
         )
-        if out_dir.exists():
-            shutil.rmtree(out_dir)
-        os.rename(tmp, out_dir)
-    finally:
-        if tmp.exists():
-            shutil.rmtree(tmp)
+
+    with writing(out_dir):
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=out_dir.name + ".tmp", dir=out_dir.parent) as tmp:
+            new = Path(tmp) / "index"
+            _write_index(new, sessions, profiles)
+            if out_dir.exists():
+                shutil.rmtree(out_dir)
+            os.rename(new, out_dir)
     return out_dir
+
+
+def _write_index(root: Path, sessions, profiles: dict[str, SpeakerProfile]) -> None:
+    """Write the files of an index of ``(entry, words, trace)`` sessions under ``root``."""
+    (root / "sessions").mkdir(parents=True)
+    session_rows = []
+    for entry, words, trace in sessions:
+        row = {
+            "session_id": entry.session_id,
+            "speaker_id": entry.speaker_id,
+            "blob": f"sessions/{entry.session_id}.json",
+            "words": f"sessions/{entry.session_id}.words.npy",
+            "gaze": f"sessions/{entry.session_id}.gaze.npy",
+        }
+        blob = {
+            "session_id": entry.session_id,
+            "speaker_id": entry.speaker_id,
+            "audio": str(entry.audio.resolve()),
+            "words": {"id": list(words.ids), "word": list(words.payloads)},
+        }
+        (root / row["blob"]).write_bytes(_json_bytes(blob, compact=True))
+        _write_table(root / row["words"], _WORDS_DTYPE, start=words.starts, end=words.ends)
+        _write_table(
+            root / row["gaze"], _GAZE_DTYPE,
+            t=trace.t, yaw=trace.yaw, pitch=trace.pitch, frontal=trace.frontal,
+        )
+        session_rows.append(row)
+    speakers_doc = {
+        sid: {"party": p.party, "floor": p.gender_range.floor, "ceiling": p.gender_range.ceiling}
+        for sid, p in sorted(profiles.items())
+    }
+    (root / "speakers.json").write_bytes(_json_bytes(speakers_doc, compact=True))
+    (root / "manifest.json").write_bytes(
+        _json_bytes(
+            {
+                "format_version": INDEX_FORMAT_VERSION,
+                "sessions": sorted(session_rows, key=lambda r: r["session_id"]),
+            },
+            compact=True,
+        )
+    )
 
 
 def _write_table(path: Path, dtype: np.dtype, **columns) -> None:

@@ -24,30 +24,14 @@ import numpy as np
 from .errors import DimensionMismatch, IncompleteQuery, RankDeficient, ValidationError
 
 
-@dataclass(frozen=True)
-class FeatureSequence:
-    """Ordered feature vectors, shape (n, d)."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise ValidationError("feature sequence must be a non-empty (n, d) array")
-        object.__setattr__(self, "vectors", arr)
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def _as_sequence(obj) -> FeatureSequence:
-    return obj if isinstance(obj, FeatureSequence) else FeatureSequence(obj)
+def _feature_rows(x) -> np.ndarray:
+    """``x`` as a non-empty float64 (n, d) array; a 1-d sequence becomes one column."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ValidationError("feature sequence must be a non-empty (n, d) array")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -61,20 +45,23 @@ class WarpPath:
 def dtw_align(a, b) -> WarpPath:
     """Globally optimal dynamic time warp between two sequences.
 
-    Steps are unconstrained {(1,1), (1,0), (0,1)} and the cell cost is the
-    Euclidean distance; cost ties are broken by preferring the diagonal
-    step, then advancing the first sequence, so the returned path is unique.
+    ``a`` and ``b`` are (n, d) and (m, d) arrays of feature rows; a 1-d
+    sequence is one feature per row.  Steps are unconstrained {(1,1),
+    (1,0), (0,1)} and the cell cost is the Euclidean distance; cost ties
+    are broken by preferring the diagonal step, then advancing the first
+    sequence, so the returned path is unique.
     The accumulator is filled one anti-diagonal at a time, so time is
     O(n*m) in vectorised numpy and memory is O(n+m) floats plus an
     (n+m+1) x (n+1) table of int8 steps.
     Raises :class:`DimensionMismatch` when vector dimensions differ and
-    :class:`ValidationError` when the warp's total cost is not finite.
+    :class:`ValidationError` when a sequence is empty or not 2-d, or when
+    the warp's total cost is not finite.
     """
-    sa, sb = _as_sequence(a), _as_sequence(b)
-    if sa.dim != sb.dim:
-        raise DimensionMismatch(f"dims {sa.dim} != {sb.dim}")
-    n, m = len(sa), len(sb)
-    va, vb_rev = sa.vectors, sb.vectors[::-1]
+    va, vb = _feature_rows(a), _feature_rows(b)
+    if va.shape[1] != vb.shape[1]:
+        raise DimensionMismatch(f"dims {va.shape[1]} != {vb.shape[1]}")
+    n, m = len(va), len(vb)
+    vb_rev = vb[::-1]
 
     # diags[s % 3][i] is the cheapest warp ending at (i-1, s-i-1), behind an
     # inf border; diagonal s needs only diagonals s-1 and s-2

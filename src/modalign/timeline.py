@@ -160,16 +160,6 @@ class ElementStream:
             [self.payloads[k] for k in at.tolist()],
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ElementStream):
-            return NotImplemented
-        return (
-            (self.modality, self.session_id, self.speaker_id, self.ids, self.payloads)
-            == (other.modality, other.session_id, other.speaker_id, other.ids, other.payloads)
-            and np.array_equal(self.starts, other.starts)
-            and np.array_equal(self.ends, other.ends)
-        )
-
 
 def stream_from_columns(
     modality: Modality,
@@ -394,14 +384,14 @@ def query_crossmodal(
     positive overlap) at least one matching element in the same session.
     Results are deduplicated and ordered by (session, start, end, id).
     Raises :class:`ModalityAbsent` when the corpus has no stream of either
-    modality.
+    modality, naming the ``where`` modality first.
     """
     selects = [s for s in corpus if s.modality is select]
     filters = [s for s in corpus if s.modality is where_modality]
-    if not selects:
-        raise ModalityAbsent(f"corpus has no {select.value} stream")
     if not filters:
         raise ModalityAbsent(f"corpus has no {where_modality.value} stream")
+    if not selects:
+        raise ModalityAbsent(f"corpus has no {select.value} stream")
 
     matched_by_session: dict[str, list[tuple[float, float]]] = {}
     for stream in filters:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from modalign.gaze import GazeTrace
 from modalign.timeline import overlap
 
 
@@ -80,14 +81,22 @@ def sweep_loop(a, b, min_overlap):
 
 # --- gaze segmentation -----------------------------------------------------
 
-def detect_loop(samples, rule):
+def gaze_trace(rows) -> GazeTrace:
+    """Hand-written ``(t, yaw, pitch, frontal)`` rows stacked into a :class:`GazeTrace`."""
+    t, yaw, pitch, frontal = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    return GazeTrace(t, yaw, pitch, frontal != 0)
+
+
+def detect_loop(trace, rule):
     """``gaze.detect_address_segments`` as the per-sample state machine.
 
-    One Python step per :class:`GazeSample`, carrying the open run, its last
-    sample, its last in-band sample and the start of the current notes-look.
-    Returns ``[(start, end)]``; samples must be strictly increasing in time.
+    One Python step per sample of the :class:`GazeTrace`, carrying the open
+    run, its last sample, its last in-band sample and the start of the
+    current notes-look.  Returns ``[(start, end)]``; samples must be
+    strictly increasing in time.
     """
-    diffs = sorted(samples[i + 1].t - samples[i].t for i in range(len(samples) - 1))
+    t, yaw, pitch, frontal = (c.tolist() for c in (trace.t, trace.yaw, trace.pitch, trace.frontal))
+    diffs = sorted(t[i + 1] - t[i] for i in range(len(t) - 1))
     period = diffs[len(diffs) // 2] if diffs else 0.0
     segments = []
     start_idx = None
@@ -98,12 +107,12 @@ def detect_loop(samples, rule):
     def close(end_idx):
         nonlocal start_idx, notes_since
         if start_idx is not None and end_idx >= start_idx:
-            segments.append((samples[start_idx].t, samples[end_idx].t + period))
+            segments.append((t[start_idx], t[end_idx] + period))
         start_idx = None
         notes_since = None
 
-    for i, s in enumerate(samples):
-        in_band = s.frontal and rule.yaw_min <= s.yaw <= rule.yaw_max
+    for i in range(len(t)):
+        in_band = frontal[i] and rule.yaw_min <= yaw[i] <= rule.yaw_max
         if in_band:
             if start_idx is None:
                 start_idx = i
@@ -111,11 +120,11 @@ def detect_loop(samples, rule):
             last_in_band = i
             notes_since = None
             continue
-        at_notes = s.frontal and s.pitch < rule.notes_pitch_threshold
+        at_notes = frontal[i] and pitch[i] < rule.notes_pitch_threshold
         if at_notes and start_idx is not None:
             if notes_since is None:
-                notes_since = s.t
-            if rule.max_notes_seconds is not None and s.t - notes_since > rule.max_notes_seconds:
+                notes_since = t[i]
+            if rule.max_notes_seconds is not None and t[i] - notes_since > rule.max_notes_seconds:
                 close(last_in_band)
             else:
                 last_idx = i

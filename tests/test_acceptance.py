@@ -16,7 +16,6 @@ from modalign.cli import main
 from modalign.errors import IncompleteQuery
 from modalign.gaze import (
     AddressRule,
-    GazeSample,
     detect_address_segments,
     enforce_min_words,
 )
@@ -47,6 +46,7 @@ from _oracles import (
     dummy_variable_ols,
     exhaustive_dtw_cost,
     fightin_words_mp,
+    gaze_trace,
 )
 
 
@@ -146,28 +146,29 @@ def test_03_interval_join_matches_brute_force():
 def test_04_gaze_segmentation_hand_traces():
     with verdict("gaze: yaw-band entry/exit, notes dips, non-frontal breaks, 10-word floor"):
         rule = AddressRule()
-        look = lambda t, yaw=55.0, pitch=0.0, frontal=True: GazeSample(t, yaw, pitch, frontal)
+        look = lambda t, yaw=55.0, pitch=0.0, frontal=True: (t, yaw, pitch, frontal)
         spans = lambda segs: [(s.interval.start, s.interval.end) for s in segs]
+        detect = lambda rows: detect_address_segments(gaze_trace(rows), rule)
 
         # entry and exit at the yaw band edges
         trace = [look(k * 0.125, yaw=10.0) for k in range(8)]
         trace += [look(1.0 + k * 0.125, yaw=45.0) for k in range(8)]
         trace += [look(2.0 + k * 0.125, yaw=80.0) for k in range(8)]
-        assert spans(detect_address_segments(trace, rule)) == [(1.0, 2.0)]
+        assert spans(detect(trace)) == [(1.0, 2.0)]
 
         # a notes dip (pitch below -20 degrees) bridges; a plain look-away splits
         bridged = [look(k * 0.125) for k in range(4)]
         bridged += [look(0.5 + k * 0.125, yaw=5.0, pitch=-30.0) for k in range(4)]
         bridged += [look(1.0 + k * 0.125) for k in range(4)]
-        assert spans(detect_address_segments(bridged, rule)) == [(0.0, 1.5)]
+        assert spans(detect(bridged)) == [(0.0, 1.5)]
         split = [look(k * 0.125) for k in range(4)]
         split += [look(0.5 + k * 0.125, yaw=5.0, pitch=-19.0) for k in range(4)]
         split += [look(1.0 + k * 0.125) for k in range(4)]
-        assert spans(detect_address_segments(split, rule)) == [(0.0, 0.5), (1.0, 1.5)]
+        assert spans(detect(split)) == [(0.0, 0.5), (1.0, 1.5)]
 
         # a non-frontal sample breaks even at an in-band yaw
         broken = [look(0.0), look(0.125, frontal=False), look(0.25)]
-        assert spans(detect_address_segments(broken, rule)) == [(0.0, 0.125), (0.25, 0.375)]
+        assert spans(detect(broken)) == [(0.0, 0.125), (0.25, 0.375)]
 
         # ten-word minimum: 10 covered words keep a segment, 9 drop it
         words = build_stream(
@@ -175,11 +176,11 @@ def test_04_gaze_segmentation_hand_traces():
             [Element(f"w{i:02d}", TimeInterval(i * 0.375, (i + 1) * 0.375), "tok")
              for i in range(40)],
         )
-        segs = detect_address_segments([look(k * 0.125) for k in range(31)], rule)
+        segs = detect([look(k * 0.125) for k in range(31)])
         assert spans(segs) == [(0.0, 31 * 0.125)]  # covers 10 words and a sliver of the 11th
         kept = enforce_min_words(segs, words, rule)
         assert [s.word_count for s in kept] == [11]
-        shorter = detect_address_segments([look(k * 0.125) for k in range(26)], rule)
+        shorter = detect([look(k * 0.125) for k in range(26)])
         assert enforce_min_words(shorter, words, rule) == []  # 9 words covered
 
 

@@ -412,6 +412,13 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({}, ["synth", "--effect", "inf"], "InvalidSpec"),
         ({"s.json": '{"jitter_hz": NaN}'}, ["synth", "--spec", "TMP/s.json"], "InvalidSpec"),
         ({"s.json": '{"jitter_hz": Infinity}'}, ["synth", "--spec", "TMP/s.json"], "InvalidSpec"),
+        ({"out/notes.txt": "keep\n"}, ["segments", "--index", "IDX"], "ValidationError"),
+        ({"out": "keep\n"}, ["synth", "--words", "5"], "ValidationError"),
+        ({"p.csv": _PANEL.format(y=4, x=1), "out": "keep\n"},
+         ["regress", "--panel", "TMP/p.csv"], "ValidationError"),
+        ({"a.csv": "word,count\nja,1\n", "b.csv": "word,count\nja,3\n"},
+         ["fw", "--index", "IDX", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"],
+         "ValidationError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
@@ -422,11 +429,13 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "manifest-speakers-number", "query-select-audio", "query-select-visual", "prior-nan",
          "threshold-nan", "threshold-negative", "min-overlap-nan", "yaw-min-nan",
          "notes-pitch-nan", "threads-0", "threads-negative", "effect-nan", "effect-inf",
-         "jitter-nan", "jitter-inf"],
+         "jitter-nan", "jitter-inf", "out-is-dir", "out-is-file", "regress-out-is-file",
+         "fw-index-and-counts"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
     for name, content in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         if isinstance(content, bytes):
             (tmp_path / name).write_bytes(content)
         else:
@@ -440,6 +449,10 @@ def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, 
     damaged = [Path(name).name for name in files if name.startswith("idx/sessions/")]
     if error == "ParseError" and len(damaged) == 1:
         assert damaged[0] in err
+    kept = [name for name in files if name.split("/")[0] == "out"]
+    if kept:  # an unwritable --out is named in the error and left as it was
+        assert f"cannot write {tmp_path / 'out'}" in err
+        assert all((tmp_path / name).read_text() == "keep\n" for name in kept)
 
 
 def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):

@@ -7,37 +7,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalign.errors import SessionMismatch, UnsortedSamples, ValidationError
+from modalign.errors import UnsortedSamples, ValidationError
 from modalign.gaze import (
     AddressRule,
     AddressSegment,
-    GazeSample,
-    as_trace,
     detect_address_segments,
     enforce_min_words,
     segments_to_stream,
 )
 from modalign.timeline import Element, Modality, TimeInterval, build_stream
 
-from _oracles import detect_loop
+from _oracles import detect_loop, gaze_trace
 
 RULE = AddressRule()
 
 
+# one gaze sample as a (t, yaw, pitch, frontal) row; ``detect`` stacks the rows
+
 def in_band(t, yaw=55.0):
-    return GazeSample(t, yaw, 0.0, True)
+    return (t, yaw, 0.0, True)
 
 
 def away(t, yaw=10.0):
-    return GazeSample(t, yaw, 0.0, True)
+    return (t, yaw, 0.0, True)
 
 
 def notes(t, yaw=10.0, pitch=-30.0):
-    return GazeSample(t, yaw, pitch, True)
+    return (t, yaw, pitch, True)
 
 
 def backturned(t, yaw=55.0):
-    return GazeSample(t, yaw, 0.0, False)
+    return (t, yaw, 0.0, False)
+
+
+def detect(rows, rule=RULE):
+    return detect_address_segments(gaze_trace(rows), rule)
 
 
 def spans(segments):
@@ -48,7 +52,7 @@ def spans(segments):
 
 def test_constant_in_band_trace_is_one_segment():
     trace = [in_band(k * 0.125) for k in range(40)]  # 5 s at 8 Hz
-    segs = detect_address_segments(trace, RULE)
+    segs = detect(trace)
     assert spans(segs) == [(0.0, 5.0)]
     assert segs[0].label == "AfD"
 
@@ -57,56 +61,56 @@ def test_entry_and_exit():
     trace = [away(k * 0.125) for k in range(8)]
     trace += [in_band(1.0 + k * 0.125) for k in range(8)]
     trace += [away(2.0 + k * 0.125) for k in range(8)]
-    assert spans(detect_address_segments(trace, RULE)) == [(1.0, 2.0)]
+    assert spans(detect(trace)) == [(1.0, 2.0)]
 
 
 def test_yaw_band_edges_are_inclusive():
-    segs = detect_address_segments([in_band(0.0, yaw=45.0), in_band(0.125, yaw=70.0)], RULE)
+    segs = detect([in_band(0.0, yaw=45.0), in_band(0.125, yaw=70.0)])
     assert spans(segs) == [(0.0, 0.25)]
-    assert detect_address_segments([in_band(0.0, yaw=44.9), in_band(0.125, yaw=70.1)], RULE) == []
+    assert detect([in_band(0.0, yaw=44.9), in_band(0.125, yaw=70.1)]) == []
 
 
 def test_notes_look_bridges_a_gap():
     trace = [in_band(k * 0.125) for k in range(8)]
     trace += [notes(1.0 + k * 0.125) for k in range(8)]  # glancing down
     trace += [in_band(2.0 + k * 0.125) for k in range(8)]
-    assert spans(detect_address_segments(trace, RULE)) == [(0.0, 3.0)]
+    assert spans(detect(trace)) == [(0.0, 3.0)]
 
 
 def test_out_of_band_gap_splits():
     trace = [in_band(k * 0.125) for k in range(8)]
     trace += [away(1.0 + k * 0.125) for k in range(8)]  # pitch 0: not a notes look
     trace += [in_band(2.0 + k * 0.125) for k in range(8)]
-    assert spans(detect_address_segments(trace, RULE)) == [(0.0, 1.0), (2.0, 3.0)]
+    assert spans(detect(trace)) == [(0.0, 1.0), (2.0, 3.0)]
 
 
 def test_notes_look_cannot_open_a_segment():
     trace = [notes(k * 0.125) for k in range(8)]
     trace += [in_band(1.0 + k * 0.125) for k in range(8)]
-    assert spans(detect_address_segments(trace, RULE)) == [(1.0, 2.0)]
+    assert spans(detect(trace)) == [(1.0, 2.0)]
 
 
 def test_trailing_notes_extend_the_open_segment():
     trace = [in_band(k * 0.125) for k in range(8)]
     trace += [notes(1.0 + k * 0.125) for k in range(4)]
-    assert spans(detect_address_segments(trace, RULE)) == [(0.0, 1.5)]
+    assert spans(detect(trace)) == [(0.0, 1.5)]
 
 
 def test_notes_threshold_is_strict():
     # pitch exactly at the threshold does not count as a notes look
-    trace = [in_band(0.0), GazeSample(0.125, 10.0, -20.0, True), in_band(0.25)]
-    assert spans(detect_address_segments(trace, RULE)) == [(0.0, 0.125), (0.25, 0.375)]
-    trace = [in_band(0.0), GazeSample(0.125, 10.0, -20.001, True), in_band(0.25)]
-    assert spans(detect_address_segments(trace, RULE)) == [(0.0, 0.375)]
+    trace = [in_band(0.0), (0.125, 10.0, -20.0, True), in_band(0.25)]
+    assert spans(detect(trace)) == [(0.0, 0.125), (0.25, 0.375)]
+    trace = [in_band(0.0), (0.125, 10.0, -20.001, True), in_band(0.25)]
+    assert spans(detect(trace)) == [(0.0, 0.375)]
 
 
 def test_non_frontal_always_breaks():
     # an in-band yaw away from the camera terminates the run
     trace = [in_band(0.0), backturned(0.125), in_band(0.25)]
-    assert spans(detect_address_segments(trace, RULE)) == [(0.0, 0.125), (0.25, 0.375)]
+    assert spans(detect(trace)) == [(0.0, 0.125), (0.25, 0.375)]
     # ... even at a notes-like pitch angle
-    trace = [in_band(0.0), GazeSample(0.125, 10.0, -40.0, False), in_band(0.25)]
-    assert len(detect_address_segments(trace, RULE)) == 2
+    trace = [in_band(0.0), (0.125, 10.0, -40.0, False), in_band(0.25)]
+    assert len(detect(trace)) == 2
 
 
 def test_notes_timeout_trims_to_last_in_band():
@@ -114,22 +118,22 @@ def test_notes_timeout_trims_to_last_in_band():
     trace = [in_band(k * 0.125) for k in range(8)]
     trace += [notes(1.0 + k * 0.125) for k in range(16)]  # 2 s of notes
     trace += [in_band(3.0 + k * 0.125) for k in range(8)]
-    assert spans(detect_address_segments(trace, rule)) == [(0.0, 1.0), (3.0, 4.0)]
+    assert spans(detect(trace, rule)) == [(0.0, 1.0), (3.0, 4.0)]
     # without the cap the whole stretch is bridged
-    assert spans(detect_address_segments(trace, RULE)) == [(0.0, 4.0)]
+    assert spans(detect(trace)) == [(0.0, 4.0)]
 
 
 def test_empty_and_single_sample_traces():
-    assert detect_address_segments([], RULE) == []
-    segs = detect_address_segments([in_band(2.0)], RULE)
+    assert detect([]) == []
+    segs = detect([in_band(2.0)])
     assert spans(segs) == [(2.0, 2.0)]  # zero period: a point segment
 
 
 def test_unsorted_samples_rejected():
     with pytest.raises(UnsortedSamples):
-        detect_address_segments([in_band(1.0), in_band(0.5)], RULE)
+        detect([in_band(1.0), in_band(0.5)])
     with pytest.raises(UnsortedSamples):
-        detect_address_segments([in_band(1.0), in_band(1.0)], RULE)
+        detect([in_band(1.0), in_band(1.0)])
 
 
 def test_rule_validation():
@@ -151,7 +155,7 @@ def test_matches_plain_run_detection_when_notes_disabled():
     for trial in range(30):
         n = int(rng.integers(2, 120))
         trace = [
-            GazeSample(
+            (
                 k * 0.125,
                 float(rng.uniform(0, 90)),
                 float(rng.uniform(-45, 10)),
@@ -159,7 +163,7 @@ def test_matches_plain_run_detection_when_notes_disabled():
             )
             for k in range(n)
         ]
-        flags = [s.frontal and 45.0 <= s.yaw <= 70.0 for s in trace]
+        flags = [frontal and 45.0 <= yaw <= 70.0 for _, yaw, _, frontal in trace]
         expected = []
         k = 0
         while k < n:  # maximal runs of in-band samples
@@ -167,20 +171,20 @@ def test_matches_plain_run_detection_when_notes_disabled():
                 j = k
                 while j + 1 < n and flags[j + 1]:
                     j += 1
-                expected.append((trace[k].t, trace[j].t + 0.125))
+                expected.append((trace[k][0], trace[j][0] + 0.125))
                 k = j + 1
             else:
                 k += 1
-        assert spans(detect_address_segments(trace, rule)) == expected
+        assert spans(detect(trace, rule)) == expected
 
 
 @given(st.integers(-40, 40))
 def test_time_translation_equivariance(shift_eighths):
     shift = shift_eighths * 0.125 + 5.0  # keep times nonnegative, exactly representable
     trace = [in_band(0.0), in_band(0.125), away(0.25), in_band(0.5), notes(0.625), in_band(0.75)]
-    moved = [GazeSample(s.t + shift, s.yaw, s.pitch, s.frontal) for s in trace]
-    base = spans(detect_address_segments(trace, RULE))
-    assert spans(detect_address_segments(moved, RULE)) == [(a + shift, b + shift) for a, b in base]
+    moved = [(t + shift, yaw, pitch, frontal) for t, yaw, pitch, frontal in trace]
+    base = spans(detect(trace))
+    assert spans(detect(moved)) == [(a + shift, b + shift) for a, b in base]
 
 
 # one sample: the gap since the previous one (regular or not), yaw (in band,
@@ -198,13 +202,12 @@ _SAMPLE = st.tuples(
 @given(st.lists(_SAMPLE, max_size=60), st.sampled_from([None, 0.0, 0.125, 0.3, 1.0]))
 def test_matches_loop_oracle(rows, max_notes):
     rule = AddressRule(max_notes_seconds=max_notes)
-    trace, t = [], 0.0
+    samples, t = [], 0.0
     for gap, yaw, pitch, frontal in rows:
         t += gap
-        trace.append(GazeSample(t, yaw, pitch, frontal))
-    expected = detect_loop(trace, rule)
-    assert spans(detect_address_segments(trace, rule)) == expected
-    assert spans(detect_address_segments(as_trace(trace), rule)) == expected
+        samples.append((t, yaw, pitch, frontal))
+    trace = gaze_trace(samples)
+    assert spans(detect_address_segments(trace, rule)) == detect_loop(trace, rule)
 
 
 # --- word filter -----------------------------------------------------------
@@ -276,13 +279,6 @@ def test_word_filter_matches_brute_force_count():
             if count >= rule.min_words:
                 expected.append(AddressSegment(s.interval, s.label, count))
         assert enforce_min_words(segs, words, rule) == expected
-
-
-def test_word_filter_session_check():
-    words = words_at(12)
-    with pytest.raises(SessionMismatch):
-        enforce_min_words([seg(0, 5)], words, RULE, session_id="other")
-    assert enforce_min_words([seg(0, 5)], words, RULE, session_id="s")
 
 
 def test_word_filter_requires_text():

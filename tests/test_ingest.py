@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalign.cli import RunConfig, session_segments
+from modalign.cli import RunConfig, main, session_segments
 from modalign.errors import (
     AngleOutOfRange,
     InvalidSpec,
@@ -18,7 +18,7 @@ from modalign.errors import (
     ValidationError,
     VersionMismatch,
 )
-from modalign.gaze import AddressRule, GazeSample, detect_address_segments, enforce_min_words
+from modalign.gaze import AddressRule, detect_address_segments, enforce_min_words
 from modalign.ingest import (
     CorpusIndex,
     build_index,
@@ -38,7 +38,7 @@ from modalign.synth import TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
 from modalign.timeline import Element, Modality, TimeInterval, build_stream
 
 from _e2e import interaction_name, planted_run
-from _oracles import word_tones
+from _oracles import gaze_trace, word_tones
 
 
 # --- transcripts -----------------------------------------------------------
@@ -121,16 +121,21 @@ def test_transcript_round_trip(tmp_path):
 
 # --- gaze traces -----------------------------------------------------------
 
+def gaze_rows(trace):
+    """A trace's samples as ``(t, yaw, pitch, frontal)`` tuples."""
+    return list(zip(*(c.tolist() for c in (trace.t, trace.yaw, trace.pitch, trace.frontal))))
+
+
 def test_gaze_basic_row(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["t,yaw_deg,pitch_deg,frontal", "0.0,50,0,1"])
-    assert list(load_gaze(p)) == [GazeSample(0.0, 50.0, 0.0, True)]
+    assert gaze_rows(load_gaze(p)) == [(0.0, 50.0, 0.0, True)]
 
 
 def test_gaze_sorts_shuffled_rows(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["t,yaw_deg,pitch_deg,frontal", "2.0,10,0,0", "1.0,20,0,1"])
-    assert [s.t for s in load_gaze(p)] == [1.0, 2.0]
+    assert gaze_rows(load_gaze(p)) == [(1.0, 20.0, 0.0, True), (2.0, 10.0, 0.0, False)]
 
 
 def test_gaze_angle_limits(tmp_path):
@@ -167,10 +172,10 @@ def test_gaze_format_errors(tmp_path):
 
 
 def test_gaze_round_trip(tmp_path):
-    samples = [GazeSample(k * 0.1, 47.25, -21.5, k % 2 == 0) for k in range(5)]
+    rows = [(k * 0.1, 47.25, -21.5, k % 2 == 0) for k in range(5)]
     p = tmp_path / "g.csv"
-    write_gaze(samples, p)
-    assert list(load_gaze(p)) == samples
+    write_gaze(gaze_trace(rows), p)
+    assert gaze_rows(load_gaze(p)) == rows
 
 
 # --- speakers --------------------------------------------------------------
@@ -261,7 +266,7 @@ def tiny_corpus(root, sessions=("sessA", "sessB")):
     for sid in sessions:
         write_lines(root / f"{sid}.jsonl", [word_line("hallo", 0.0, 0.5), word_line("welt", 0.5, 1.0)])
         write_wav(np.zeros(16000), 16000, root / f"{sid}.wav")
-        write_gaze([GazeSample(0.0, 50.0, 0.0, True)], root / f"{sid}.csv")
+        write_gaze(gaze_trace([(0.0, 50.0, 0.0, True)]), root / f"{sid}.csv")
         rows.append(
             {
                 "session_id": sid,
@@ -302,7 +307,7 @@ def test_build_index_layout_and_round_trip(tmp_path):
     data = index.load_session("sessA")
     fresh = load_transcript(tmp_path / "raw" / "sessA.jsonl", session_id="sessA")
     assert list(data.words) == list(fresh)
-    assert list(data.gaze) == list(load_gaze(tmp_path / "raw" / "sessA.csv"))
+    assert gaze_rows(data.gaze) == gaze_rows(load_gaze(tmp_path / "raw" / "sessA.csv"))
     assert data.audio_path.is_file()
     assert index.speakers()["s1"].party == "AfD"
     with pytest.raises(ValidationError):
@@ -317,6 +322,42 @@ def test_index_rebuild_is_byte_identical(tmp_path):
     # rebuilding over an existing index replaces it cleanly
     again = build_index(manifest, tmp_path / "idx_a")
     assert tree_bytes(again) == tree_bytes(b)
+
+
+def test_ingest_replaces_only_an_index_or_an_empty_directory(tmp_path, capsys):
+    manifest = tiny_corpus(tmp_path / "raw")
+
+    def ingest(out):
+        rc = main(["ingest", "--manifest", str(manifest), "--out", str(out)])
+        return rc, capsys.readouterr().err
+
+    user = tmp_path / "user"
+    (user / "sub").mkdir(parents=True)
+    (user / "notes.txt").write_text("keep me\n")
+    (user / "sub" / "data.bin").write_bytes(b"\x00\x01")
+    (tmp_path / "file.txt").write_text("keep me too\n")
+    before = tree_bytes(tmp_path)
+    for out in (user, tmp_path / "file.txt", tmp_path / "raw", user / "notes.txt" / "idx"):
+        rc, err = ingest(out)
+        assert rc == 2, out
+        assert len(err.splitlines()) == 1 and err.startswith("ValidationError: ")
+        assert str(out) in err
+    assert tree_bytes(tmp_path) == before  # the corpus included, nothing touched or added
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert ingest(empty) == (0, "")
+    fresh = tree_bytes(empty)
+    doc = json.loads((empty / "manifest.json").read_text())
+    for version in (1, 2):  # older layouts: rows name only a blob, no .npy tables
+        rows = [{k: row[k] for k in ("session_id", "speaker_id", "blob")} for row in doc["sessions"]]
+        (empty / "manifest.json").write_text(json.dumps({"format_version": version, "sessions": rows}))
+        for table in (empty / "sessions").glob("*.npy"):
+            table.unlink()
+        with pytest.raises(VersionMismatch):
+            CorpusIndex(empty)
+        assert ingest(empty) == (0, "")
+        assert tree_bytes(empty) == fresh
 
 
 def test_manifest_missing_audio(tmp_path):
@@ -394,7 +435,7 @@ def test_index_numbers_round_trip_bit_for_bit(tmp_path):
     t = [5e-324, 0.1 + 0.2, 2.0 / 3.0, 1e308]
     yaw = [179.99999999999997, -0.1 - 0.2, 5e-324, 1 / 3]
     pitch = [-89.99999999999999, 0.30000000000000004, -5e-324, 2 / 7]
-    write_gaze([GazeSample(*row, frontal=bool(k % 2)) for k, row in enumerate(zip(t, yaw, pitch))],
+    write_gaze(gaze_trace([(*row, k % 2) for k, row in enumerate(zip(t, yaw, pitch))]),
                root / "sessA.csv")
     fresh_words = load_transcript(root / "sessA.jsonl", session_id="sessA")
     fresh_gaze = load_gaze(root / "sessA.csv")
@@ -465,9 +506,7 @@ def test_detected_segments_equal_planted_truth(planted_corpus):
     rule = AddressRule()
     for sid in index.session_ids():
         data = index.load_session(sid)
-        segs = enforce_min_words(
-            detect_address_segments(data.gaze, rule), data.words, rule, session_id=sid
-        )
+        segs = enforce_min_words(detect_address_segments(data.gaze, rule), data.words, rule)
         expected = truth["sessions"][sid]["segments_time"]
         assert [[s.interval.start, s.interval.end] for s in segs] == expected
         planted_words = truth["sessions"][sid]["segments_words"]

@@ -12,7 +12,6 @@ from modalign.errors import DimensionMismatch, IncompleteQuery, RankDeficient, V
 from modalign.latent import (
     CcaResult,
     DataKind,
-    FeatureSequence,
     Integration,
     Representation,
     Strategy,
@@ -123,10 +122,11 @@ def test_non_finite_warp_cost_rejected():
 
 def test_sequence_validation():
     with pytest.raises(ValidationError):
-        FeatureSequence(np.zeros((0, 3)))
+        dtw_align(np.zeros((0, 3)), np.zeros((2, 3)))
     with pytest.raises(ValidationError):
-        FeatureSequence(np.zeros((2, 2, 2)))
-    assert FeatureSequence([1.0, 2.0]).dim == 1  # 1-d promotes to a column
+        dtw_align(np.zeros((2, 2, 2)), np.zeros((2, 2)))
+    # 1-d promotes to a column
+    assert dtw_align([1.0, 2.0], [[1.0], [2.0]]).pairs == ((0, 0), (1, 1))
 
 
 @given(

@@ -157,7 +157,7 @@ def test_build_stream_order_invariant(perm):
     elems = [el(f"e{i}", *spans[i]) for i in range(6)]
     reference = build_stream(Modality.DERIVED, "s", elems)
     shuffled = build_stream(Modality.DERIVED, "s", [elems[i] for i in perm])
-    assert shuffled == reference
+    assert list(shuffled) == list(reference)
 
 
 # --- joins -----------------------------------------------------------------
@@ -300,6 +300,8 @@ def test_query_requires_both_modalities():
         query_crossmodal([words], Modality.TEXT, lambda e: True, Modality.DERIVED)
     with pytest.raises(ModalityAbsent):
         query_crossmodal([words], Modality.DERIVED, lambda e: True, Modality.TEXT)
+    with pytest.raises(ModalityAbsent, match="no audio stream"):  # both absent: where first
+        query_crossmodal([words], Modality.DERIVED, lambda e: True, Modality.AUDIO)
 
 
 def test_query_matches_brute_force_randomized():
