@@ -18,7 +18,9 @@ from modalign.pitch import (
     PitchRange,
     PitchTrack,
     WordPitch,
+    _block_size,
     _difference_chunk,
+    _fft_size,
     estimate_pitch_track,
     missing_count,
     speaker_statistics,
@@ -111,30 +113,89 @@ def test_chunking_does_not_change_results():
 @pytest.mark.parametrize("frame_length", [1024, 2048, 1500])
 def test_difference_function_matches_direct_sum(frame_length):
     # an FFT too short for the lags it returns would wrap and corrupt the
-    # correlation; check every returned lag against the definition, for the
-    # full lag range and for a trimmed one, on frames either side of a chunk
-    # boundary
+    # correlation, and a frame summing the wrong blocks (or rows already
+    # overwritten) would be off; check every returned lag against the
+    # definition, for the full lag range and for a trimmed one, on frames
+    # either side of a chunk boundary, for hops that tile each frame's head
+    # with 1, 2 and 4 blocks
     rng = np.random.default_rng(frame_length)
-    hop = 317
-    n_frames = 9
-    t = np.arange(frame_length + hop * (n_frames - 1)) / SR
-    x = 0.3 * np.sin(2 * np.pi * 143.0 * t) + 0.2 * rng.standard_normal(t.size)
-    starts = np.arange(n_frames) * hop
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop]
     max_lag = frame_length // 2
+    n_frames = 9
     cut = 4
-    for last_lag in (max_lag, 107):
-        got = np.vstack(
-            [
-                _difference_chunk(frames[:cut], max_lag, last_lag),
-                _difference_chunk(frames[cut:], max_lag, last_lag),
-            ]
-        )
-        assert got.shape == (n_frames, last_lag + 1)
-        for row, start in zip(got, starts):
-            ref = direct_difference(x[start : start + frame_length], max_lag, last_lag)
-            # d(0) is exactly 0, so the tolerance is relative to the frame's scale
-            np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-9 * ref.max())
+    tilings = set()
+    # 317 divides no window here; W // 2 and W // 4 tile it with 2 and 4
+    # blocks when they divide W and reach the last lag; a hop of W or more
+    # leaves one block per frame
+    for hop in (317, max_lag // 2, max_lag // 4, max_lag, max_lag + 50):
+        t = np.arange(frame_length + hop * (n_frames - 1)) / SR
+        x = 0.3 * np.sin(2 * np.pi * 143.0 * t) + 0.2 * rng.standard_normal(t.size)
+        for last_lag in (max_lag, 107):
+            tilings.add(max_lag // _block_size(max_lag, hop, last_lag))
+            got = np.vstack(
+                [
+                    _difference_chunk(x, 0, cut, hop, max_lag, last_lag),
+                    _difference_chunk(x, cut, n_frames - cut, hop, max_lag, last_lag),
+                ]
+            )
+            assert got.shape == (n_frames, last_lag + 1)
+            for i, row in enumerate(got):
+                start = i * hop
+                ref = direct_difference(x[start : start + frame_length], max_lag, last_lag)
+                # d(0) is exactly 0, so the tolerance is relative to the frame's scale
+                np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-9 * ref.max())
+    assert {1, 2} <= tilings
+    if frame_length != 1500:  # 750 // 4 does not divide 750
+        assert 4 in tilings
+
+
+@pytest.mark.parametrize(
+    "window, hop, last_lag, blk",
+    [
+        (512, 256, 107, 256),     # the bench framing: two blocks per frame
+        (1024, 512, 214, 512),    # the command-line default
+        (1024, 128, 214, 256),    # the smallest multiple of the hop that reaches the last lag
+        (1024, 1, 214, 256),
+        (1024, 317, 107, 1024),   # the hop divides no block: one block per frame
+        (1024, 1024, 107, 1024),
+        (1024, 2000, 107, 1024),
+        (512, 256, 512, 512),     # a block must cover the last lag
+        (750, 125, 107, 125),
+    ],
+)
+def test_block_size(window, hop, last_lag, blk):
+    assert _block_size(window, hop, last_lag) == blk
+
+
+def test_fft_size_is_smallest_one_three_or_five_times_a_power_of_two():
+    allowed = sorted(c << a for c in (1, 3, 5) for a in range(16))
+    for n in range(1, 5000):
+        assert _fft_size(n) == next(m for m in allowed if m >= n)
+    assert [_fft_size(n) for n in (363, 619, 726, 1238)] == [384, 640, 768, 1280]
+
+
+def test_quiet_and_silent_stretches_after_a_loud_tone():
+    # energies restart at each block, so the rounding of a loud stretch
+    # cannot land on the quiet tone after it (which tracks as it does
+    # alone) or on the digital silence after that (which stays unvoiced)
+    n = 64 * 256  # whole hops, so the quiet tone's frames line up with its own track's
+    t = np.arange(n) / SR
+    loud = 1e3 * np.sin(2 * np.pi * 180.0 * t)
+    quiet = 1e-6 * np.sin(2 * np.pi * 240.0 * t)
+    audio = AudioBuffer(np.concatenate([loud, quiet, np.zeros(n)]), SR)
+    track = estimate_pitch_track(audio, WIDE, frame_length=1024, hop=256)
+    alone = estimate_pitch_track(AudioBuffer(quiet, SR), WIDE, frame_length=1024, hop=256)
+    inside = track.f0[64 : 64 + len(alone)]
+    assert alone.voiced.all()
+    np.testing.assert_allclose(inside, alone.f0, rtol=1e-9, atol=0)
+    silent = track.frame_times - 512 / SR >= 2 * n / SR  # frames starting inside the silence
+    assert silent.sum() > 50
+    assert not track.voiced[silent].any()
+
+
+@pytest.mark.parametrize("chunk_frames", [0, -1])
+def test_chunk_frames_must_be_positive(chunk_frames):
+    with pytest.raises(ValidationError, match="chunk_frames"):
+        estimate_pitch_track(sine(150.0), WIDE, chunk_frames=chunk_frames)
 
 
 def test_short_audio_rejected():
