@@ -67,6 +67,23 @@ def word_element_id(position: int) -> str:
     return f"w{position:06d}"
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, split at ``\n``.
+
+    A missing file is :class:`MissingFile`; bytes that are not UTF-8 raise
+    a :class:`ParseError` naming the file and line.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(str(path))
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        line_no = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from None
+
+
 def _csv_lines(path, header: str | None) -> Iterator[tuple[int, list[str]]]:
     """``(line_no, fields)`` for every non-blank line of a CSV file after its header.
 
@@ -74,24 +91,21 @@ def _csv_lines(path, header: str | None) -> Iterator[tuple[int, list[str]]]:
     is accepted and comes first, as line 1.  Every line must have as many
     fields as the header (:class:`ParseError` otherwise).
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if header is None:
-            yield 1, first.split(",")
-        elif first != header:
-            raise ParseError(path, 1, f"expected header {header!r}, got {first!r}")
-        width = first.count(",") + 1
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise ParseError(path, line_no, f"expected {width} fields, got {len(parts)}")
-            yield line_no, parts
+    lines = _text_lines(path)
+    first = lines[0].strip()
+    if header is None:
+        yield 1, first.split(",")
+    elif first != header:
+        raise ParseError(path, 1, f"expected header {header!r}, got {first!r}")
+    width = first.count(",") + 1
+    for line_no, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ParseError(path, line_no, f"expected {width} fields, got {len(parts)}")
+        yield line_no, parts
 
 
 def _finite(path, line_no: int, text: str) -> float:
@@ -132,35 +146,32 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
     file's unique ``speaker_id`` (None when files mix speakers).
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     rows = []
     speakers = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(path, line_no, f"bad JSON: {e.msg}") from e
-            if not isinstance(obj, dict):
-                raise ParseError(path, line_no, "expected a JSON object")
-            missing = {"word", "start", "end", "speaker_id"} - obj.keys()
-            if missing:
-                raise ParseError(path, line_no, f"missing keys {sorted(missing)}")
-            word, start, end = obj["word"], obj["start"], obj["end"]
-            if not isinstance(word, str) or not word:
-                raise ParseError(path, line_no, "word must be a non-empty string")
-            if type(start) not in (int, float) or type(end) not in (int, float):
-                raise ParseError(path, line_no, "start/end must be numbers")
-            if not (math.isfinite(start) and math.isfinite(end)):
-                raise ParseError(path, line_no, f"start/end must be finite, got [{start}, {end})")
-            if start < 0 or end < start:
-                raise ParseError(path, line_no, f"bad word interval [{start}, {end})")
-            rows.append((float(start), float(end), word))
-            speakers.add(str(obj["speaker_id"]))
+    for line_no, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(path, line_no, f"bad JSON: {e.msg}") from e
+        if not isinstance(obj, dict):
+            raise ParseError(path, line_no, "expected a JSON object")
+        missing = {"word", "start", "end", "speaker_id"} - obj.keys()
+        if missing:
+            raise ParseError(path, line_no, f"missing keys {sorted(missing)}")
+        word, start, end = obj["word"], obj["start"], obj["end"]
+        if not isinstance(word, str) or not word:
+            raise ParseError(path, line_no, "word must be a non-empty string")
+        if type(start) not in (int, float) or type(end) not in (int, float):
+            raise ParseError(path, line_no, "start/end must be numbers")
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ParseError(path, line_no, f"start/end must be finite, got [{start}, {end})")
+        if start < 0 or end < start:
+            raise ParseError(path, line_no, f"bad word interval [{start}, {end})")
+        rows.append((float(start), float(end), word))
+        speakers.add(str(obj["speaker_id"]))
     if not rows:
         raise ParseError(path, 0, "transcript has no words")
     rows.sort()
@@ -404,21 +415,47 @@ def writing(path):
         raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _replaceable(out_dir: Path) -> bool:
-    """Is ``out_dir`` absent, an empty directory, or an index :func:`build_index` wrote?
+def _is_index(out_dir: Path) -> bool:
+    """Does ``out_dir`` look like an index :func:`build_index` wrote?
 
     Every index format version has a ``speakers.json`` beside a
     ``manifest.json`` whose session rows each name a ``blob``.
     """
+    rows = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["sessions"]
+    return (out_dir / "speakers.json").is_file() and bool(rows) and all(
+        isinstance(row, dict) and "blob" in row for row in rows
+    )
+
+
+@contextmanager
+def replacing(out_dir: Path, ours: Callable[[Path], bool], what: str) -> Iterator[Path]:
+    """A new directory for the block to fill, renamed into place as ``out_dir`` after it.
+
+    ``out_dir`` must be absent, an empty directory, or a directory that
+    ``ours`` recognizes as ``what`` an earlier run wrote; anything else
+    raises :class:`ValidationError` before the block runs and is left
+    untouched.  The block writes into a temporary sibling, which then
+    replaces ``out_dir`` whole, so nothing the old directory held stays
+    behind.  An :class:`OSError` is re-raised as in :func:`writing`.
+    """
     try:
-        if not out_dir.exists() or (out_dir.is_dir() and not any(out_dir.iterdir())):
-            return True
-        rows = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["sessions"]
-        return (out_dir / "speakers.json").is_file() and bool(rows) and all(
-            isinstance(row, dict) and "blob" in row for row in rows
+        replaceable = not out_dir.exists() or (
+            out_dir.is_dir() and (not any(out_dir.iterdir()) or ours(out_dir))
         )
-    except (OSError, ValueError, LookupError, TypeError):
-        return False
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        replaceable = False
+    if not replaceable:
+        raise ValidationError(
+            f"cannot write {out_dir}: it exists and is neither {what} nor an empty directory"
+        )
+    with writing(out_dir):
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=out_dir.name + ".tmp", dir=out_dir.parent) as tmp:
+            new = Path(tmp) / out_dir.name
+            yield new
+            if out_dir.exists():
+                shutil.rmtree(out_dir)
+            os.rename(new, out_dir)
 
 
 def build_index(manifest_path, out_dir) -> Path:
@@ -426,9 +463,8 @@ def build_index(manifest_path, out_dir) -> Path:
 
     ``out_dir`` must be new, an empty directory, or an earlier index (of any
     format version), which is replaced; anything else raises
-    :class:`ValidationError` and is left untouched.  The directory is
-    assembled in a temporary sibling and renamed into place; building twice
-    from unchanged inputs produces byte-identical files.
+    :class:`ValidationError` and is left untouched (see :func:`replacing`).
+    Building twice from unchanged inputs produces byte-identical files.
     """
     manifest = load_manifest(manifest_path)
     out_dir = Path(out_dir)
@@ -437,19 +473,8 @@ def build_index(manifest_path, out_dir) -> Path:
         (entry, load_transcript(entry.transcript, session_id=entry.session_id), load_gaze(entry.gaze))
         for entry in manifest.sessions
     ]
-    if not _replaceable(out_dir):
-        raise ValidationError(
-            f"{out_dir} exists and is neither an index nor an empty directory; not replacing it"
-        )
-
-    with writing(out_dir):
-        out_dir.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(prefix=out_dir.name + ".tmp", dir=out_dir.parent) as tmp:
-            new = Path(tmp) / "index"
-            _write_index(new, sessions, profiles)
-            if out_dir.exists():
-                shutil.rmtree(out_dir)
-            os.rename(new, out_dir)
+    with replacing(out_dir, _is_index, "an index") as root:
+        _write_index(root, sessions, profiles)
     return out_dir
 
 

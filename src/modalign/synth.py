@@ -20,6 +20,7 @@ Layout choices that make the ground truth exact rather than approximate:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .gaze import GazeTrace
-from .ingest import MANIFEST_FORMAT_VERSION, _json_bytes, word_element_id
+from .ingest import MANIFEST_FORMAT_VERSION, _json_bytes, replacing, word_element_id
 from .ingest import write_gaze, write_speakers, write_transcript, write_wav
 from .timeline import Modality, stream_from_columns
 
@@ -116,10 +117,26 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
     transcript/WAV/gaze), a ``ground_truth.json`` sidecar records the
     planted effect and, per session, the segment word ranges, their time
     intervals, and the exact in-segment word ids.
+
+    ``out_dir`` must be new, an empty directory, or a corpus this function
+    wrote, which is replaced whole; anything else raises
+    :class:`~modalign.errors.ValidationError` and is left untouched.
     """
     spec = spec.validated()
     out_dir = Path(out_dir)
-    (out_dir / "sessions").mkdir(parents=True, exist_ok=True)
+    with replacing(out_dir, _is_corpus, "a synthetic corpus") as root:
+        _write_corpus(spec, root)
+    return out_dir / "manifest.json"
+
+
+def _is_corpus(out_dir: Path) -> bool:
+    """Does ``out_dir`` look like a corpus :func:`synth_corpus` wrote?"""
+    truth = json.loads((out_dir / "ground_truth.json").read_text(encoding="utf-8"))
+    return (out_dir / "manifest.json").is_file() and {"planted_effect", "spec"} <= truth.keys()
+
+
+def _write_corpus(spec: SynthSpec, out_dir: Path) -> None:
+    (out_dir / "sessions").mkdir(parents=True)
     rng = np.random.default_rng(spec.seed)
     sr = spec.sample_rate
     slot_samples = int(round(WORD_SLOT * sr))
@@ -191,8 +208,7 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
         }
 
     write_speakers(speaker_rows, out_dir / "speakers.csv")
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_bytes(
+    (out_dir / "manifest.json").write_bytes(
         _json_bytes(
             {
                 "format_version": MANIFEST_FORMAT_VERSION,
@@ -210,4 +226,3 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
             }
         )
     )
-    return manifest_path

@@ -349,6 +349,10 @@ _GAZE_SHORT = {_GAZE_FILE: _gaze_npy()[_GAZE_FILE][:-10]}
 _PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
 _SPEAKERS = {"s.csv": "speaker_id,party,gender\nspk000,AfD,m\n"}
 _SESSION = '{"session_id": "a", "speaker_id": "spk000", "transcript": 5, "audio": "x", "gaze": "y"}'
+_SESSION_FILES = ('{"session_id": "a", "speaker_id": "spk000", "transcript": "t.jsonl", '
+                  '"audio": "a.wav", "gaze": "g.csv"}')
+_WORD = b'{"word": "ja", "start": 0, "end": 1, "speaker_id": "spk000"}\n'
+_GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal\n"
 _MANIFEST = ["ingest", "--manifest", "TMP/m.json"]
 _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
 
@@ -419,6 +423,11 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"a.csv": "word,count\nja,1\n", "b.csv": "word,count\nja,3\n"},
          ["fw", "--index", "IDX", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"],
          "ValidationError"),
+        ({"m.json": f'{{"format_version": 1, "speakers": "s.csv", "sessions": [{_SESSION_FILES}]}}',
+          **_SPEAKERS, "t.jsonl": _WORD + b"\xff\xfe", "a.wav": "", "g.csv": _GAZE_HEADER},
+         _MANIFEST, "ParseError"),
+        ({"a.csv": b"word,count\nja\xff,1\n", "b.csv": "word,count\nja,3\n"},
+         ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "ParseError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
@@ -430,7 +439,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "threshold-nan", "threshold-negative", "min-overlap-nan", "yaw-min-nan",
          "notes-pitch-nan", "threads-0", "threads-negative", "effect-nan", "effect-inf",
          "jitter-nan", "jitter-inf", "out-is-dir", "out-is-file", "regress-out-is-file",
-         "fw-index-and-counts"],
+         "fw-index-and-counts", "transcript-not-utf8", "counts-not-utf8"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

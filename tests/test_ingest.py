@@ -51,6 +51,17 @@ def word_line(word, start, end, speaker="s1"):
     return json.dumps({"word": word, "start": start, "end": end, "speaker_id": speaker})
 
 
+@pytest.mark.parametrize("loader", [load_transcript, load_gaze])
+def test_bytes_that_are_not_utf8_name_file_and_line(tmp_path, loader):
+    p = tmp_path / "bad.txt"
+    first = word_line("ja", 0.0, 0.4) if loader is load_transcript else "t,yaw_deg,pitch_deg,frontal"
+    p.write_bytes(first.encode() + b"\n" + b"\xff\xfe" + b"\n")
+    with pytest.raises(ParseError) as info:
+        loader(p)
+    assert (info.value.path, info.value.line_no) == (str(p), 2)
+    assert "not UTF-8" in str(info.value)
+
+
 def test_transcript_two_lines(tmp_path):
     p = tmp_path / "t.jsonl"
     write_lines(p, [word_line("guten", 0.0, 0.4), word_line("tag", 0.4, 0.8)])
@@ -471,6 +482,34 @@ def test_synth_is_deterministic(tmp_path):
     assert tree_bytes(a.parent) == tree_bytes(b.parent)
     c = synth_corpus(SynthSpec(seed=8, speakers=2, words_per_speech=40), tmp_path / "c")
     assert tree_bytes(c.parent) != tree_bytes(a.parent)
+
+
+def test_synth_replaces_only_a_corpus_or_an_empty_directory(tmp_path, capsys):
+    def synth(out, speakers):
+        rc = main(["synth", "--out", str(out), "--speakers", str(speakers), "--words", "10"])
+        return rc, capsys.readouterr().err
+
+    user = tmp_path / "user"
+    user.mkdir()
+    (user / "notes.txt").write_text("keep me\n")
+    (tmp_path / "file.txt").write_text("keep me too\n")
+    before = tree_bytes(tmp_path)
+    for out in (user, tmp_path / "file.txt"):
+        rc, err = synth(out, 2)
+        assert rc == 2, out
+        assert len(err.splitlines()) == 1 and err.startswith(f"ValidationError: cannot write {out}")
+    assert tree_bytes(tmp_path) == before
+
+    corpus = tmp_path / "corpus"
+    assert synth(corpus, 3) == (0, "")
+    assert synth(corpus, 1) == (0, "")  # a corpus synth wrote is replaced whole
+    assert sorted(p.name for p in (corpus / "sessions").iterdir()) == [
+        "sess000.csv", "sess000.jsonl", "sess000.wav"
+    ]
+    fresh = tmp_path / "fresh"
+    assert synth(fresh, 1) == (0, "")
+    assert tree_bytes(corpus) == tree_bytes(fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "file.txt", "fresh", "user"]
 
 
 def test_synth_passes_every_loader(planted_corpus):
