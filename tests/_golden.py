@@ -110,15 +110,12 @@ def _snapshot_file(path: Path, name: str) -> dict[str, bytes]:
 
 
 def _snapshot(workdir: Path, output: str) -> dict[str, bytes]:
+    """``{golden name: bytes}`` for an output file, or for every file under an output directory."""
     root = workdir / output
-    if not root.exists():
-        return {}
-    if root.is_file():
-        return _snapshot_file(root, output)
+    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
     out = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            out.update(_snapshot_file(path, path.relative_to(workdir).as_posix()))
+    for path in paths:
+        out.update(_snapshot_file(path, path.relative_to(workdir).as_posix()))
     return out
 
 
@@ -133,10 +130,7 @@ def run_battery(workdir) -> tuple[dict[str, dict], dict[str, bytes]]:
         for case, argv, outputs in BATTERY:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as e:  # argparse rejections
-                    code = e.code
+                code = main(argv)
             results[case] = {"argv": argv, "exit_code": code,
                              "stdout": out.getvalue(), "stderr": err.getvalue()}
             for output in outputs:
