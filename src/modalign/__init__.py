@@ -14,10 +14,8 @@ from .timeline import (
     ElementStream,
     Modality,
     QueryHits,
-    TimeInterval,
     build_stream,
     join_streams,
-    overlap,
     query_crossmodal,
 )
 
@@ -29,10 +27,8 @@ __all__ = [
     "ElementStream",
     "Modality",
     "QueryHits",
-    "TimeInterval",
     "build_stream",
     "join_streams",
-    "overlap",
     "query_crossmodal",
 ]
 

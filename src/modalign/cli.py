@@ -218,11 +218,11 @@ def cmd_pitch(args, cfg: RunConfig) -> int:
 def cmd_segments(args, cfg: RunConfig) -> int:
     index = ingest.CorpusIndex(args.index)
     segments = session_segments(index, cfg)
-    rows = [
-        (sid, seg.label, seg.interval.start, seg.interval.end, seg.word_count)
-        for sid in index.session_ids()
-        for seg in segments[sid]
-    ]
+    rows = []
+    for sid in index.session_ids():
+        segs = segments[sid]
+        rows += zip(repeat(sid), repeat(segs.label), segs.starts.tolist(), segs.ends.tolist(),
+                    segs.word_counts.tolist())
     _write_csv(args.out, "session_id,label,start,end,word_count", rows)
     print(f"{len(rows)} segments -> {args.out}")
     return 0
@@ -308,15 +308,26 @@ def interaction_name(party: str) -> str:
     return f"addressing_x_{party}"
 
 
+def speaker_parties(index: ingest.CorpusIndex, cfg: RunConfig) -> dict[str, str]:
+    """Party per speaker id; :class:`ValidationError` unless ``cfg.target_party`` is one of them."""
+    party_of = {spk: p.party for spk, p in index.speakers().items()}
+    if cfg.target_party not in party_of.values():
+        raise ValidationError(
+            f"target party {cfg.target_party!r} has no speaker; "
+            f"parties on record: {', '.join(sorted(set(party_of.values())))}"
+        )
+    return party_of
+
+
 def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
     """Panel rows for the addressing regression, plus the party list."""
+    party_of = speaker_parties(index, cfg)
     _, pitches = corpus_word_pitches(index, cfg)
     addressed = {}  # session id -> ids of the words inside an address segment
     for sid, (words, segs) in session_streams(index, cfg).items():
         if segs is not None:
             addressed[sid] = set(join_streams(words, segs).source_ids())
-    profiles = index.speakers()
-    parties = sorted({p.party for p in profiles.values()})
+    parties = sorted(set(party_of.values()))
     others = [p for p in parties if p != cfg.target_party]
     rows = []
     skipped = 0
@@ -324,7 +335,7 @@ def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
         if wp.z is None:
             skipped += 1
             continue
-        party = profiles[wp.speaker_id].party
+        party = party_of[wp.speaker_id]
         a = 1.0 if wp.word_id in addressed.get(wp.session_id, ()) else 0.0
         regs = {interaction_name(p): a if party == p else 0.0 for p in others}
         rows.append(stats.PanelRow(wp.z, wp.speaker_id, {"addressing": a, **regs}))
@@ -402,14 +413,11 @@ def cmd_fw(args, cfg: RunConfig) -> int:
         ]
     else:
         index = ingest.CorpusIndex(args.index)
+        party_of = speaker_parties(index, cfg)
         segments = session_segments(index, cfg)
-        profiles = index.speakers()
         streams = [index.load_session(sid).words for sid in index.session_ids()]
         split = stats.four_situation_split(
-            streams,
-            segments,
-            {sid: p.party for sid, p in profiles.items()},
-            target_party=cfg.target_party,
+            streams, segments, party_of, target_party=cfg.target_party
         )
         named = {
             cell.replace("target", cfg.target_party): counts

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import UnsortedSamples, ValidationError
-from .timeline import ElementStream, Modality, TimeInterval, overlap_pairs, stream_from_columns
+from .timeline import ElementStream, Modality, overlap_pairs, stream_from_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,13 +64,21 @@ class AddressRule:
             raise ValidationError("min_words must be >= 0")
 
 
-@dataclass(frozen=True)
-class AddressSegment:
-    """Maximal span of addressing gaze; ``word_count`` is filled by the word filter."""
+@dataclass(frozen=True, eq=False)
+class AddressSegments:
+    """Address segments as columns: float64 ``starts``/``ends``, int ``word_counts``, one ``label``.
 
-    interval: TimeInterval
+    Segment ``k`` is the half-open ``[starts[k], ends[k])`` in seconds.
+    ``word_counts`` is zero until :func:`enforce_min_words` fills it.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    word_counts: np.ndarray
     label: str
-    word_count: int = 0
+
+    def __len__(self) -> int:
+        return self.starts.size
 
 
 def _sample_period(t: np.ndarray) -> float:
@@ -89,15 +96,17 @@ def _run_bounds(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
-def detect_address_segments(trace: GazeTrace, rule: AddressRule) -> list[AddressSegment]:
-    """Scan a gaze trace for maximal addressing runs.
+def detect_address_segments(trace: GazeTrace, rule: AddressRule) -> AddressSegments:
+    """Scan a gaze trace for maximal addressing runs, labelled ``rule.label``.
 
     A sample is *in band* when it is frontal and ``yaw_min <= yaw <=
     yaw_max``.  A frontal sample with ``pitch < notes_pitch_threshold``
     keeps an already-open run going (it cannot open one).  Any other
     sample — including every non-frontal one — closes the run.  A run
     spanning samples ``i..j`` becomes ``[t_i, t_j + period)`` where
-    ``period`` is the median sample spacing of the trace.
+    ``period`` is the median sample spacing of the trace.  The segments
+    come in time order with zero word counts; with no sample in band there
+    are none.
 
     Samples must be strictly increasing in time (:class:`UnsortedSamples`).
     """
@@ -112,7 +121,7 @@ def detect_address_segments(trace: GazeTrace, rule: AddressRule) -> list[Address
     at_notes = trace.frontal & ~in_band & (trace.pitch < rule.notes_pitch_threshold)
     band_first, band_last = _run_bounds(in_band)
     if not band_first.size:
-        return []
+        return AddressSegments(np.empty(0), np.empty(0), np.zeros(0, dtype=np.intp), rule.label)
     notes_first, notes_last = _run_bounds(at_notes)
 
     # The notes-look run right after each in-band run, if any: [band_last + 1, gap_last].
@@ -136,36 +145,35 @@ def detect_address_segments(trace: GazeTrace, rule: AddressRule) -> list[Address
 
     last_run = np.flatnonzero(~bridged)
     first_run = np.concatenate(([0], last_run[:-1] + 1))
-    starts = t[band_first[first_run]].tolist()
-    ends = (t[closes_at[last_run]] + period).tolist()
-    return [AddressSegment(TimeInterval(a, b), rule.label) for a, b in zip(starts, ends)]
+    return AddressSegments(
+        t[band_first[first_run]],
+        t[closes_at[last_run]] + period,
+        np.zeros(last_run.size, dtype=np.intp),
+        rule.label,
+    )
 
 
 def enforce_min_words(
-    segments: Sequence[AddressSegment],
+    segments: AddressSegments,
     words: ElementStream,
     rule: AddressRule,
-) -> list[AddressSegment]:
+) -> AddressSegments:
     """Drop segments covering fewer than ``rule.min_words`` words.
 
     A word counts when its interval overlap with the segment is strictly
-    positive.  Surviving segments come back with ``word_count`` filled.
+    positive.  The segments may come in any order and keep it; the ones
+    kept come back with ``word_counts`` filled.
     """
     if words.modality is not Modality.TEXT:
         raise ValidationError(f"expected a text stream, got {words.modality.value}")
-    seg_starts = np.array([seg.interval.start for seg in segments], dtype=np.float64)
-    seg_ends = np.array([seg.interval.end for seg in segments], dtype=np.float64)
-    covered, _, _ = overlap_pairs(seg_starts, seg_ends, words.starts, words.ends, 0.0)
-    counts = np.bincount(covered, minlength=len(segments)).tolist()
-    return [
-        AddressSegment(seg.interval, seg.label, count)
-        for seg, count in zip(segments, counts)
-        if count >= rule.min_words
-    ]
+    covered, _, _ = overlap_pairs(segments.starts, segments.ends, words.starts, words.ends, 0.0)
+    counts = np.bincount(covered, minlength=len(segments))
+    keep = counts >= rule.min_words
+    return AddressSegments(segments.starts[keep], segments.ends[keep], counts[keep], segments.label)
 
 
 def segments_to_stream(
-    segments: Sequence[AddressSegment],
+    segments: AddressSegments,
     session_id: str,
     *,
     speaker_id: str | None = None,
@@ -175,8 +183,8 @@ def segments_to_stream(
         Modality.DERIVED,
         session_id,
         [f"seg{i:04d}" for i in range(len(segments))],
-        [seg.interval.start for seg in segments],
-        [seg.interval.end for seg in segments],
-        [seg.label for seg in segments],
+        segments.starts,
+        segments.ends,
+        [segments.label] * len(segments),
         speaker_id=speaker_id,
     )

@@ -30,7 +30,7 @@ from .errors import (
     UnknownRegressor,
     ValidationError,
 )
-from .gaze import AddressSegment
+from .gaze import AddressSegments
 from .timeline import ElementStream, Modality, overlap_pairs
 
 Z_95 = 1.96  # conventional two-sided 95% normal quantile
@@ -268,7 +268,7 @@ class FourWaySplit:
 
 def four_situation_split(
     text_streams: Sequence[ElementStream],
-    segments_by_session: Mapping[str, Sequence[AddressSegment]],
+    segments_by_session: Mapping[str, AddressSegments],
     party_by_speaker: Mapping[str, str],
     *,
     target_party: str = "AfD",
@@ -276,8 +276,10 @@ def four_situation_split(
     """Assign every token to one of four speaker/audience situations.
 
     A token lands on the "target" audience side when its word interval
-    overlaps (strictly) any address segment of its session; the speaker
-    side is decided by party membership.  Tokens are lowercased.  Raises
+    overlaps (strictly) any address segment of its session, in whatever
+    order the segments come; a session with no entry in
+    ``segments_by_session`` addresses nobody.  The speaker side is decided
+    by party membership.  Tokens are lowercased.  Raises
     :class:`MissingPartyMetadata` when a stream's speaker has no party entry.
     """
     split = FourWaySplit(Counter(), Counter(), Counter(), Counter())
@@ -293,11 +295,11 @@ def four_situation_split(
             to_target, to_others = split.target_to_target, split.target_to_others
         else:
             to_target, to_others = split.others_to_target, split.others_to_others
-        segs = sorted(s.interval for s in segments_by_session.get(stream.session_id, ()))
-        seg_starts = np.array([iv.start for iv in segs], dtype=np.float64)
-        seg_ends = np.array([iv.end for iv in segs], dtype=np.float64)
         addressed = np.zeros(len(stream), dtype=bool)
-        addressed[overlap_pairs(stream.starts, stream.ends, seg_starts, seg_ends, 0.0)[0]] = True
+        segs = segments_by_session.get(stream.session_id)
+        if segs is not None:
+            _, words, _ = overlap_pairs(segs.starts, segs.ends, stream.starts, stream.ends, 0.0)
+            addressed[words] = True
         for cell, mask in ((to_target, addressed), (to_others, ~addressed)):
             for payload, count in Counter(compress(stream.payloads, mask.tolist())).items():
                 cell[str(payload).lower()] += count

@@ -7,10 +7,13 @@ modality by a condition on another is a join followed by a filter.
 
 Conventions
 -----------
-* Intervals are half-open ``[start, end)`` in seconds.  Two intervals that
-  merely touch (``a.end == b.start``) do not overlap.
+* An interval is two floats, a half-open ``[start, end)`` in seconds.  Two
+  intervals that merely touch (``a.end == b.start``) do not overlap.
 * Point samples are represented as ``start == end`` and never align with
   anything: a zero-length interval has zero overlap with everything.
+* Bounds are checked in one place, :func:`stream_from_columns`, which
+  raises :class:`~modalign.errors.NegativeInterval` unless
+  ``0 <= start <= end``.
 * Streams are immutable once built; operations return new objects.
 """
 
@@ -53,47 +56,6 @@ class Cardinality(enum.Enum):
     MANY_TO_MANY = "many-to-many"
 
 
-@dataclass(frozen=True, order=True)
-class TimeInterval:
-    """Half-open interval ``[start, end)`` in seconds.
-
-    ``start == end`` marks a point sample (exposed via :attr:`point`).
-    """
-
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise NegativeInterval(f"bad interval [{self.start}, {self.end})")
-
-    @property
-    def point(self) -> bool:
-        return self.start == self.end
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-def _trusted_interval(start: float, end: float) -> TimeInterval:
-    """A :class:`TimeInterval` for bounds already checked, built without checking them again.
-
-    Only for the columns of an :class:`ElementStream`: :func:`stream_from_columns`
-    checked every bound and the arrays are read-only.
-    """
-    interval = object.__new__(TimeInterval)
-    fields = interval.__dict__
-    fields["start"] = start
-    fields["end"] = end
-    return interval
-
-
-def overlap(a: TimeInterval, b: TimeInterval) -> float:
-    """Overlap duration of two half-open intervals; 0 when disjoint or touching."""
-    return max(0.0, min(a.end, b.end) - max(a.start, b.start))
-
-
 def _payload_kind(payload) -> str:
     if isinstance(payload, str):
         return "token"
@@ -108,23 +70,34 @@ def _payload_kind(payload) -> str:
 
 @dataclass(frozen=True)
 class Element:
-    """One discrete item on the timeline: a word, a sample, a segment."""
+    """One discrete item on the timeline: a word, a sample, a segment, over ``[start, end)``."""
 
     id: str
-    interval: TimeInterval
+    start: float
+    end: float
     payload: str | float | tuple[float, float]
 
 
-def _elements(
-    ids: Iterable[str], starts: np.ndarray, ends: np.ndarray, payloads: Iterable
-) -> list[Element]:
-    """One :class:`Element` per row of already-checked columns, built in one pass."""
-    intervals = map(_trusted_interval, starts.tolist(), ends.tolist())
-    return list(map(Element, ids, intervals, payloads))
+class _ElementColumns(Sequence):
+    """The one place that builds :class:`Element` objects from columns.
+
+    A subclass holds ``ids``, ``starts``, ``ends`` and ``payloads``;
+    ``seq[k]`` and iteration build its elements on demand, with ``start``
+    and ``end`` as Python floats.
+    """
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> Element:
+        return Element(self.ids[k], self.starts[k].item(), self.ends[k].item(), self.payloads[k])
+
+    def __iter__(self) -> Iterator[Element]:
+        return map(Element, self.ids, self.starts.tolist(), self.ends.tolist(), self.payloads)
 
 
 @dataclass(frozen=True, eq=False)
-class ElementStream:
+class ElementStream(_ElementColumns):
     """Sorted, immutable sequence of elements from one modality and session.
 
     Held as columns: ``starts``/``ends`` are read-only float64 arrays and
@@ -140,25 +113,6 @@ class ElementStream:
     starts: np.ndarray
     ends: np.ndarray
     payloads: tuple
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, i: int) -> Element:
-        return self.take([i])[0]
-
-    def __iter__(self) -> Iterator[Element]:
-        return iter(self.take(range(len(self))))
-
-    def take(self, positions: Iterable[int]) -> list[Element]:
-        """The elements at ``positions``, built in one pass."""
-        at = np.fromiter(positions, dtype=np.intp)
-        return _elements(
-            [self.ids[k] for k in at.tolist()],
-            self.starts[at],
-            self.ends[at],
-            [self.payloads[k] for k in at.tolist()],
-        )
 
 
 def stream_from_columns(
@@ -226,8 +180,8 @@ def build_stream(
         modality,
         session_id,
         [e.id for e in elems],
-        [e.interval.start for e in elems],
-        [e.interval.end for e in elems],
+        [e.start for e in elems],
+        [e.end for e in elems],
         [e.payload for e in elems],
         speaker_id=speaker_id,
     )
@@ -345,7 +299,7 @@ def join_streams(
 
 
 @dataclass(frozen=True, eq=False)
-class QueryHits(Sequence):
+class QueryHits(_ElementColumns):
     """Read-only sequence of the :class:`Element` hits of :func:`query_crossmodal`.
 
     Held as flat columns in (session, start, end, id) order: ``session_ids``,
@@ -359,16 +313,6 @@ class QueryHits(Sequence):
     starts: np.ndarray
     ends: np.ndarray
     payloads: tuple
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, k: int) -> Element:
-        interval = _trusted_interval(self.starts[k].item(), self.ends[k].item())
-        return Element(self.ids[k], interval, self.payloads[k])
-
-    def __iter__(self) -> Iterator[Element]:
-        return iter(_elements(self.ids, self.starts, self.ends, self.payloads))
 
 
 def query_crossmodal(
@@ -395,7 +339,7 @@ def query_crossmodal(
 
     matched_by_session: dict[str, list[tuple[float, float]]] = {}
     for stream in filters:
-        hits = [(e.interval.start, e.interval.end) for e in stream if where(e)]
+        hits = [(e.start, e.end) for e in stream if where(e)]
         if hits:
             matched_by_session.setdefault(stream.session_id, []).extend(hits)
 

@@ -16,21 +16,21 @@ from __future__ import annotations
 import numpy as np
 
 from modalign.gaze import GazeTrace
-from modalign.timeline import overlap
 
 
 # --- interval joins --------------------------------------------------------
+
+def overlap(a, b):
+    """Overlap in seconds of two ``(start, end)`` intervals; 0 when disjoint or touching."""
+    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+
 
 def brute_force_join(source, target, min_overlap=0.0):
     """Every pair checked directly, O(n*m).  Returns {(source_id, target_id): overlap}."""
     out = {}
     for ea in source:
         for eb in target:
-            ov = max(
-                0.0,
-                min(ea.interval.end, eb.interval.end)
-                - max(ea.interval.start, eb.interval.start),
-            )
+            ov = overlap((ea.start, ea.end), (eb.start, eb.end))
             if ov > min_overlap:
                 out[(ea.id, eb.id)] = ov
     return out
@@ -47,7 +47,7 @@ def brute_force_join_arrays(starts_a, ends_a, starts_b, ends_b, min_overlap=0.0)
 
 
 def sweep_loop(a, b, min_overlap):
-    """All index pairs with ``overlap > min_overlap`` between two sorted interval lists.
+    """All index pairs with ``overlap > min_overlap`` between two sorted ``(start, end)`` lists.
 
     The forward-scan plane sweep ``timeline.overlap_pairs`` replaced:
     whichever side opens earlier scans the other side while start times
@@ -58,19 +58,19 @@ def sweep_loop(a, b, min_overlap):
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
-        if (a[i].start, a[i].end) <= (b[j].start, b[j].end):
-            end = a[i].end
+        if a[i] <= b[j]:
+            end = a[i][1]
             k = j
-            while k < nb and b[k].start < end:
+            while k < nb and b[k][0] < end:
                 ov = overlap(a[i], b[k])
                 if ov > min_overlap:
                     pairs.append((i, k, ov))
                 k += 1
             i += 1
         else:
-            end = b[j].end
+            end = b[j][1]
             k = i
-            while k < na and a[k].start < end:
+            while k < na and a[k][0] < end:
                 ov = overlap(a[k], b[j])
                 if ov > min_overlap:
                     pairs.append((k, j, ov))

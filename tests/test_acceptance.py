@@ -37,7 +37,7 @@ from modalign.pitch import (
 )
 from modalign.stats import PanelRow, fe_regress, fightin_words
 from modalign.synth import SynthSpec
-from modalign.timeline import Element, Modality, TimeInterval, build_stream, join_streams
+from modalign.timeline import Element, Modality, build_stream, join_streams
 
 from _e2e import interaction_name, planted_run
 from _oracles import (
@@ -105,7 +105,7 @@ def _random_stream(rng, session, modality, n):
     durations = np.round(rng.uniform(0, 2, size=n), 3)
     durations[rng.uniform(size=n) < 0.15] = 0.0  # sprinkle point elements
     elements = [
-        Element(f"e{i:04d}", TimeInterval(float(s), float(s + d)), float(i))
+        Element(f"e{i:04d}", float(s), float(s + d), float(i))
         for i, (s, d) in enumerate(zip(starts, durations))
     ]
     return build_stream(modality, session, elements)
@@ -121,10 +121,10 @@ def test_03_interval_join_matches_brute_force():
             min_ov = float(rng.choice([0.0, 0.0, 0.25]))
             amap = join_streams(a, b, min_overlap=min_ov)
             got = {(p.source_id, p.target_id): p.overlap for p in amap.pairs}
-            sa = np.array([e.interval.start for e in a])
-            ea = np.array([e.interval.end for e in a])
-            sb = np.array([e.interval.start for e in b])
-            eb = np.array([e.interval.end for e in b])
+            sa = np.array([e.start for e in a])
+            ea = np.array([e.end for e in a])
+            sb = np.array([e.start for e in b])
+            eb = np.array([e.end for e in b])
             ii, jj, ov = brute_force_join_arrays(sa, ea, sb, eb, min_ov)
             expected = {
                 (a.ids[i], b.ids[j]): float(o)
@@ -134,11 +134,11 @@ def test_03_interval_join_matches_brute_force():
         # alternating half-open tiles share only endpoints and never align
         left = build_stream(
             Modality.TEXT, "s",
-            [Element(f"w{i}", TimeInterval(2 * i, 2 * i + 1), "x") for i in range(50)],
+            [Element(f"w{i}", 2 * i, 2 * i + 1, "x") for i in range(50)],
         )
         right = build_stream(
             Modality.DERIVED, "s",
-            [Element(f"d{i}", TimeInterval(2 * i + 1, 2 * i + 2), 0.0) for i in range(50)],
+            [Element(f"d{i}", 2 * i + 1, 2 * i + 2, 0.0) for i in range(50)],
         )
         assert len(join_streams(left, right)) == 0
 
@@ -147,7 +147,7 @@ def test_04_gaze_segmentation_hand_traces():
     with verdict("gaze: yaw-band entry/exit, notes dips, non-frontal breaks, 10-word floor"):
         rule = AddressRule()
         look = lambda t, yaw=55.0, pitch=0.0, frontal=True: (t, yaw, pitch, frontal)
-        spans = lambda segs: [(s.interval.start, s.interval.end) for s in segs]
+        spans = lambda segs: list(zip(segs.starts.tolist(), segs.ends.tolist()))
         detect = lambda rows: detect_address_segments(gaze_trace(rows), rule)
 
         # entry and exit at the yaw band edges
@@ -173,15 +173,15 @@ def test_04_gaze_segmentation_hand_traces():
         # ten-word minimum: 10 covered words keep a segment, 9 drop it
         words = build_stream(
             Modality.TEXT, "s",
-            [Element(f"w{i:02d}", TimeInterval(i * 0.375, (i + 1) * 0.375), "tok")
+            [Element(f"w{i:02d}", i * 0.375, (i + 1) * 0.375, "tok")
              for i in range(40)],
         )
         segs = detect([look(k * 0.125) for k in range(31)])
         assert spans(segs) == [(0.0, 31 * 0.125)]  # covers 10 words and a sliver of the 11th
         kept = enforce_min_words(segs, words, rule)
-        assert [s.word_count for s in kept] == [11]
+        assert kept.word_counts.tolist() == [11]
         shorter = detect([look(k * 0.125) for k in range(26)])
-        assert enforce_min_words(shorter, words, rule) == []  # 9 words covered
+        assert len(enforce_min_words(shorter, words, rule)) == 0  # 9 words covered
 
 
 def test_05_fixed_effects_regression_oracle():

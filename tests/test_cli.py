@@ -106,6 +106,18 @@ def test_segments_command_matches_truth(planted_corpus, tmp_path, capsys):
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "flags", [["--yaw-min", "89", "--yaw-max", "90"], ["--min-words", "100000"]],
+    ids=["none-in-band", "none-with-enough-words"],
+)
+def test_segments_command_without_segments_writes_the_header(planted_corpus, tmp_path, capsys,
+                                                             flags):
+    out = tmp_path / "segs.csv"
+    assert run("segments", "--index", planted_corpus.index, "--out", out, *flags) == 0
+    assert capsys.readouterr().out == f"0 segments -> {out}\n"
+    assert out.read_text(encoding="utf-8") == "session_id,label,start,end,word_count\n"
+
+
 def test_align_command(planted_corpus, tmp_path, capsys):
     out = tmp_path / "pairs.csv"
     assert run("align", "--index", planted_corpus.index, "--out", out) == 0
@@ -428,6 +440,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          _MANIFEST, "ParseError"),
         ({"a.csv": b"word,count\nja\xff,1\n", "b.csv": "word,count\nja,3\n"},
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "ParseError"),
+        ({}, ["fw", "--index", "IDX", "--target-party", "nobody"], "ValidationError"),
+        ({}, ["regress", "--index", "IDX", "--target-party", "nobody"], "ValidationError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
@@ -439,7 +453,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "threshold-nan", "threshold-negative", "min-overlap-nan", "yaw-min-nan",
          "notes-pitch-nan", "threads-0", "threads-negative", "effect-nan", "effect-inf",
          "jitter-nan", "jitter-inf", "out-is-dir", "out-is-file", "regress-out-is-file",
-         "fw-index-and-counts", "transcript-not-utf8", "counts-not-utf8"],
+         "fw-index-and-counts", "transcript-not-utf8", "counts-not-utf8",
+         "fw-unknown-target-party", "regress-unknown-target-party"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
@@ -462,6 +477,20 @@ def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, 
     if kept:  # an unwritable --out is named in the error and left as it was
         assert f"cannot write {tmp_path / 'out'}" in err
         assert all((tmp_path / name).read_text() == "keep\n" for name in kept)
+
+
+@pytest.mark.parametrize("command", ["fw", "regress"])
+def test_unknown_target_party_names_the_parties_on_record(planted_corpus, tmp_path, capsys,
+                                                          command):
+    out = tmp_path / "out"
+    assert run(command, "--index", planted_corpus.index, "--out", out,
+               "--target-party", "nobody") == 2
+    parties = sorted({p.party for p in CorpusIndex(planted_corpus.index).speakers().values()})
+    assert capsys.readouterr().err == (
+        f"ValidationError: target party 'nobody' has no speaker; "
+        f"parties on record: {', '.join(parties)}\n"
+    )
+    assert not out.exists()
 
 
 def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from modalign.errors import UnsortedSamples, ValidationError
 from modalign.gaze import (
     AddressRule,
-    AddressSegment,
+    AddressSegments,
     detect_address_segments,
     enforce_min_words,
     segments_to_stream,
 )
-from modalign.timeline import Element, Modality, TimeInterval, build_stream
+from modalign.timeline import Element, Modality, build_stream
 
 from _oracles import detect_loop, gaze_trace
 
@@ -45,7 +45,7 @@ def detect(rows, rule=RULE):
 
 
 def spans(segments):
-    return [(s.interval.start, s.interval.end) for s in segments]
+    return list(zip(segments.starts.tolist(), segments.ends.tolist()))
 
 
 # --- detection -------------------------------------------------------------
@@ -54,7 +54,7 @@ def test_constant_in_band_trace_is_one_segment():
     trace = [in_band(k * 0.125) for k in range(40)]  # 5 s at 8 Hz
     segs = detect(trace)
     assert spans(segs) == [(0.0, 5.0)]
-    assert segs[0].label == "AfD"
+    assert segs.label == "AfD" and segs.word_counts.tolist() == [0]
 
 
 def test_entry_and_exit():
@@ -67,7 +67,7 @@ def test_entry_and_exit():
 def test_yaw_band_edges_are_inclusive():
     segs = detect([in_band(0.0, yaw=45.0), in_band(0.125, yaw=70.0)])
     assert spans(segs) == [(0.0, 0.25)]
-    assert detect([in_band(0.0, yaw=44.9), in_band(0.125, yaw=70.1)]) == []
+    assert len(detect([in_band(0.0, yaw=44.9), in_band(0.125, yaw=70.1)])) == 0
 
 
 def test_notes_look_bridges_a_gap():
@@ -124,7 +124,10 @@ def test_notes_timeout_trims_to_last_in_band():
 
 
 def test_empty_and_single_sample_traces():
-    assert detect([]) == []
+    for nothing in (detect([]), detect([away(0.0), notes(0.125)], AddressRule(label="CDU"))):
+        assert len(nothing) == 0 and not nothing
+        assert spans(nothing) == [] and nothing.word_counts.size == 0
+    assert nothing.label == "CDU"
     segs = detect([in_band(2.0)])
     assert spans(segs) == [(2.0, 2.0)]  # zero period: a point segment
 
@@ -214,42 +217,51 @@ def test_matches_loop_oracle(rows, max_notes):
 
 def words_at(count, start=0.0, width=0.375):
     elems = [
-        Element(f"w{i:03d}", TimeInterval(start + i * width, start + (i + 1) * width), "tok")
+        Element(f"w{i:03d}", start + i * width, start + (i + 1) * width, "tok")
         for i in range(count)
     ]
     return build_stream(Modality.TEXT, "s", elems)
 
 
-def seg(a, b, label="AfD"):
-    return AddressSegment(TimeInterval(a, b), label)
+def segs(*spans, label="AfD"):
+    """Hand-built segments with zero word counts, in the order given."""
+    starts, ends = np.array(spans, dtype=float).reshape(-1, 2).T
+    return AddressSegments(starts, ends, np.zeros(len(spans), dtype=np.intp), label)
 
 
 def test_min_words_keeps_and_drops():
     words = words_at(30)
-    long_enough = seg(0.0, 10 * 0.375)  # exactly 10 words
-    too_short = seg(0.0, 9 * 0.375)
-    kept = enforce_min_words([long_enough, too_short], words, RULE)
+    long_enough = (0.0, 10 * 0.375)  # exactly 10 words
+    too_short = (0.0, 9 * 0.375)
+    kept = enforce_min_words(segs(long_enough, too_short), words, RULE)
     assert spans(kept) == [(0.0, 3.75)]
-    assert kept[0].word_count == 10
+    assert kept.word_counts.tolist() == [10]
+    assert kept.label == "AfD"
 
 
 def test_partial_word_overlap_counts():
     words = words_at(30)
     # covers 8 words fully plus slivers of the ones on each side
-    partial = seg(0.375 - 0.01, 9 * 0.375 + 0.01)
-    assert enforce_min_words([partial], words, RULE)[0].word_count == 10
+    partial = (0.375 - 0.01, 9 * 0.375 + 0.01)
+    assert enforce_min_words(segs(partial), words, RULE).word_counts.tolist() == [10]
 
 
 def test_touching_word_does_not_count():
     words = words_at(30)
-    touching = seg(0.375, 11 * 0.375)  # word w000 ends exactly at 0.375
-    assert enforce_min_words([touching], words, RULE)[0].word_count == 10
+    touching = (0.375, 11 * 0.375)  # word w000 ends exactly at 0.375
+    assert enforce_min_words(segs(touching), words, RULE).word_counts.tolist() == [10]
 
 
 def test_point_segment_covers_nothing():
     words = words_at(5)
-    assert enforce_min_words([seg(1.0, 1.0)], words, AddressRule(min_words=0)) != []
-    assert enforce_min_words([seg(1.0, 1.0)], words, AddressRule(min_words=1)) == []
+    assert len(enforce_min_words(segs((1.0, 1.0)), words, AddressRule(min_words=0))) == 1
+    assert len(enforce_min_words(segs((1.0, 1.0)), words, AddressRule(min_words=1))) == 0
+
+
+def test_no_segments_pass_the_word_filter():
+    for rule in (RULE, AddressRule(min_words=0)):
+        kept = enforce_min_words(segs(label="CDU"), words_at(5), rule)
+        assert len(kept) == 0 and kept.word_counts.size == 0 and kept.label == "CDU"
 
 
 def test_word_filter_matches_brute_force_count():
@@ -259,37 +271,36 @@ def test_word_filter_matches_brute_force_count():
         elems, t = [], 0.0
         for i in range(int(rng.integers(1, 40))):
             width = float(rng.integers(0, 4)) * 0.25
-            elems.append(Element(f"w{i:03d}", TimeInterval(t, t + width), "tok"))
+            elems.append(Element(f"w{i:03d}", t, t + width, "tok"))
             t += width + float(rng.integers(0, 2)) * 0.25
         words = build_stream(Modality.TEXT, "s", elems)
         # segments in any order, overlapping one another, some of zero length
-        segs = []
+        pieces = []
         for _ in range(int(rng.integers(0, 8))):
             a = float(rng.integers(0, int(4 * t) + 2)) * 0.25
-            segs.append(seg(a, a + float(rng.integers(0, 12)) * 0.25))
+            pieces.append((a, a + float(rng.integers(0, 12)) * 0.25))
         rule = AddressRule(min_words=int(rng.integers(0, 4)))
 
         expected = []
-        for s in segs:
-            count = sum(
-                1
-                for w in words
-                if min(s.interval.end, w.interval.end) > max(s.interval.start, w.interval.start)
-            )
+        for a, b in pieces:
+            count = sum(1 for w in words if min(b, w.end) > max(a, w.start))
             if count >= rule.min_words:
-                expected.append(AddressSegment(s.interval, s.label, count))
-        assert enforce_min_words(segs, words, rule) == expected
+                expected.append((a, b, count))
+        kept = enforce_min_words(segs(*pieces), words, rule)
+        assert list(zip(kept.starts.tolist(), kept.ends.tolist(),
+                        kept.word_counts.tolist())) == expected
 
 
 def test_word_filter_requires_text():
-    stream = build_stream(Modality.DERIVED, "s", [Element("d0", TimeInterval(0, 1), 1.0)])
+    stream = build_stream(Modality.DERIVED, "s", [Element("d0", 0, 1, 1.0)])
     with pytest.raises(ValidationError):
-        enforce_min_words([seg(0, 5)], stream, RULE)
+        enforce_min_words(segs((0, 5)), stream, RULE)
 
 
 def test_segments_to_stream():
-    stream = segments_to_stream([seg(0, 1), seg(2, 3, label="CDU")], "sess01", speaker_id="spk")
+    stream = segments_to_stream(segs((2, 3), (0, 1), label="CDU"), "sess01", speaker_id="spk")
     assert stream.modality is Modality.DERIVED
-    assert [e.id for e in stream] == ["seg0000", "seg0001"]
-    assert [e.payload for e in stream] == ["AfD", "CDU"]
+    assert [(e.id, e.start, e.end) for e in stream] == [("seg0001", 0.0, 1.0),
+                                                       ("seg0000", 2.0, 3.0)]
+    assert [e.payload for e in stream] == ["CDU", "CDU"]
     assert stream.speaker_id == "spk"

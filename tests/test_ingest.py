@@ -35,7 +35,7 @@ from modalign.ingest import (
 )
 from modalign.pitch import PITCH_RANGE_BY_GENDER
 from modalign.synth import TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
-from modalign.timeline import Element, Modality, TimeInterval, build_stream
+from modalign.timeline import Element, Modality, build_stream
 
 from _e2e import interaction_name, planted_run
 from _oracles import gaze_trace, word_tones
@@ -119,7 +119,7 @@ def test_transcript_mixed_speakers_have_no_stream_speaker(tmp_path):
 
 def test_transcript_round_trip(tmp_path):
     elements = [
-        Element(word_element_id(i), TimeInterval(i * 0.5, (i + 1) * 0.5), w)
+        Element(word_element_id(i), i * 0.5, (i + 1) * 0.5, w)
         for i, w in enumerate(["ich", "rede", "jetzt"])
     ]
     stream = build_stream(Modality.TEXT, "rt", elements, speaker_id="s9")
@@ -547,9 +547,9 @@ def test_detected_segments_equal_planted_truth(planted_corpus):
         data = index.load_session(sid)
         segs = enforce_min_words(detect_address_segments(data.gaze, rule), data.words, rule)
         expected = truth["sessions"][sid]["segments_time"]
-        assert [[s.interval.start, s.interval.end] for s in segs] == expected
+        assert [list(s) for s in zip(segs.starts.tolist(), segs.ends.tolist())] == expected
         planted_words = truth["sessions"][sid]["segments_words"]
-        assert [s.word_count for s in segs] == [b - a for a, b in planted_words]
+        assert segs.word_counts.tolist() == [b - a for a, b in planted_words]
 
 
 def test_recovers_planted_effect_at_example_scale(tmp_path):

@@ -27,7 +27,7 @@ from modalign.pitch import (
     standardize_by_speaker,
     word_pitch,
 )
-from modalign.timeline import Element, Modality, TimeInterval, build_stream
+from modalign.timeline import Element, Modality, build_stream
 
 from _oracles import direct_difference
 
@@ -44,7 +44,7 @@ def text_stream(spans, session="s", speaker=None):
     return build_stream(
         Modality.TEXT,
         session,
-        [Element(f"w{i:03d}", TimeInterval(a, b), "tok") for i, (a, b) in enumerate(spans)],
+        [Element(f"w{i:03d}", a, b, "tok") for i, (a, b) in enumerate(spans)],
         speaker_id=speaker,
     )
 
@@ -282,7 +282,7 @@ def test_word_membership_matches_brute_force():
         inside = [
             v
             for t, v in zip(times, f0)
-            if word.interval.start <= t < word.interval.end and not np.isnan(v)
+            if word.start <= t < word.end and not np.isnan(v)
         ]
         if inside:
             assert wp.mean_f0 == pytest.approx(np.mean(inside))
@@ -294,7 +294,7 @@ def test_word_membership_matches_brute_force():
 def test_word_pitch_requires_text_stream():
     track = hand_track([0.1], [100.0])
     segments = build_stream(
-        Modality.DERIVED, "s", [Element("g0", TimeInterval(0, 1), "AfD")]
+        Modality.DERIVED, "s", [Element("g0", 0, 1, "AfD")]
     )
     with pytest.raises(ValidationError):
         word_pitch(track, segments)

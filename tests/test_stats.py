@@ -15,7 +15,7 @@ from modalign.errors import (
     UnknownRegressor,
     ValidationError,
 )
-from modalign.gaze import AddressSegment
+from modalign.gaze import AddressSegments
 from modalign.stats import (
     PanelRow,
     Z_95,
@@ -25,7 +25,7 @@ from modalign.stats import (
     margins,
     render_result_table,
 )
-from modalign.timeline import Element, Modality, TimeInterval, build_stream
+from modalign.timeline import Element, Modality, build_stream
 
 from _oracles import dummy_variable_ols, fightin_words_mp
 
@@ -255,15 +255,17 @@ def test_two_word_example_by_hand():
 # --- four-situation split --------------------------------------------------
 
 def word(i, start, end, token):
-    return Element(f"w{i:03d}", TimeInterval(start, end), token)
+    return Element(f"w{i:03d}", start, end, token)
 
 
 def make_stream(session, speaker, words):
     return build_stream(Modality.TEXT, session, words, speaker_id=speaker)
 
 
-def seg(a, b, label="AfD"):
-    return AddressSegment(TimeInterval(a, b), label)
+def segs(*spans, label="AfD"):
+    """Hand-built segments with zero word counts, in the order given."""
+    starts, ends = np.array(spans, dtype=float).reshape(-1, 2).T
+    return AddressSegments(starts, ends, np.zeros(len(spans), dtype=np.intp), label)
 
 
 PARTIES = {"s1": "AfD", "s2": "SPD", "s3": "SPD"}
@@ -274,8 +276,8 @@ def test_known_small_split():
         make_stream("a", "s1", [word(0, 0, 1, "Hallo"), word(1, 1, 2, "welt")]),
         make_stream("b", "s2", [word(0, 0, 1, "guten"), word(1, 1, 2, "tag")]),
     ]
-    segs = {"a": [seg(0.5, 1.5)], "b": [seg(1.2, 3.0)]}
-    split = four_situation_split(streams, segs, PARTIES, target_party="AfD")
+    by_session = {"a": segs((0.5, 1.5)), "b": segs((1.2, 3.0))}
+    split = four_situation_split(streams, by_session, PARTIES, target_party="AfD")
     assert split.target_to_target == Counter({"hallo": 1, "welt": 1})
     assert split.target_to_others == Counter()
     assert split.others_to_target == Counter({"tag": 1})
@@ -285,9 +287,11 @@ def test_known_small_split():
 
 def test_touching_segment_does_not_address():
     streams = [make_stream("a", "s1", [word(0, 0, 1, "rand")])]
-    split = four_situation_split(streams, {"a": [seg(1.0, 2.0)]}, PARTIES)
-    assert split.target_to_others == Counter({"rand": 1})
-    assert split.target_to_target == Counter()
+    # a touching segment, no segments, and no entry for the session all address nobody
+    for by_session in ({"a": segs((1.0, 2.0))}, {"a": segs()}, {}):
+        split = four_situation_split(streams, by_session, PARTIES)
+        assert split.target_to_others == Counter({"rand": 1})
+        assert split.target_to_target == Counter()
 
 
 def test_missing_party_metadata():
@@ -300,7 +304,7 @@ def test_missing_party_metadata():
 
 
 def test_rejects_non_text_streams():
-    gaze = build_stream(Modality.DERIVED, "a", [Element("d0", TimeInterval(0, 1), "AfD")])
+    gaze = build_stream(Modality.DERIVED, "a", [Element("d0", 0, 1, "AfD")])
     with pytest.raises(ValidationError):
         four_situation_split([gaze], {}, PARTIES)
 
@@ -309,7 +313,7 @@ def test_matches_naive_recount():
     rng = np.random.default_rng(33)
     tokens = [f"tok{i}" for i in range(12)]
     for trial in range(40):
-        streams, segs_by_session = [], {}
+        streams, spans_by_session = [], {}
         for s_idx in range(int(rng.integers(1, 4))):
             session = f"sess{s_idx}"
             speaker = f"s{int(rng.integers(1, 4))}"
@@ -320,21 +324,24 @@ def test_matches_naive_recount():
                 t += width + float(rng.integers(0, 2)) * 0.25
             streams.append(make_stream(session, speaker, words))
             # segments in any order, overlapping one another, some of zero length
-            segs = []
+            spans = []
             for _ in range(int(rng.integers(0, 6))):
                 a = float(rng.integers(0, int(4 * t) + 2)) * 0.25
-                segs.append(seg(a, a + float(rng.integers(0, 12)) * 0.25))
-            segs_by_session[session] = segs
+                spans.append((a, a + float(rng.integers(0, 12)) * 0.25))
+            spans_by_session[session] = spans
 
-        split = four_situation_split(streams, segs_by_session, PARTIES)
+        split = four_situation_split(
+            streams, {sid: segs(*spans) for sid, spans in spans_by_session.items()}, PARTIES
+        )
+        reordered = {sid: segs(*spans[::-1]) for sid, spans in spans_by_session.items()}
+        assert four_situation_split(streams, reordered, PARTIES) == split
 
         expected = {name: Counter() for name in split.cells()}
         for stream in streams:
             from_target = PARTIES[stream.speaker_id] == "AfD"
             for w in stream:
                 hit = any(
-                    min(s.interval.end, w.interval.end) > max(s.interval.start, w.interval.start)
-                    for s in segs_by_session[stream.session_id]
+                    min(b, w.end) > max(a, w.start) for a, b in spans_by_session[stream.session_id]
                 )
                 key = ("target" if from_target else "others") + "_to_" + (
                     "target" if hit else "others"
@@ -342,3 +349,4 @@ def test_matches_naive_recount():
                 expected[key][str(w.payload).lower()] += 1
         assert split.cells() == expected
         assert split.total() == sum(len(list(s)) for s in streams)
+

@@ -1,4 +1,4 @@
-"""Interval algebra, stream construction, temporal joins, cross-modal queries."""
+"""Interval overlap, stream construction, temporal joins, cross-modal queries."""
 
 import tracemalloc
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_join, sweep_loop
+from _oracles import brute_force_join, overlap, sweep_loop
 from modalign.cli import RunConfig, session_streams
 from modalign.errors import (
     EmptyStream,
@@ -23,10 +23,8 @@ from modalign.timeline import (
     Cardinality,
     Element,
     Modality,
-    TimeInterval,
     build_stream,
     join_streams,
-    overlap,
     overlap_pairs,
     query_crossmodal,
     stream_from_columns,
@@ -34,7 +32,7 @@ from modalign.timeline import (
 
 
 def el(eid, start, end, payload=1.0):
-    return Element(eid, TimeInterval(start, end), payload)
+    return Element(eid, start, end, payload)
 
 
 def derived(spans, session="s", prefix="e"):
@@ -54,43 +52,58 @@ def random_spans(rng, n):
 
 # --- intervals -------------------------------------------------------------
 
-def test_interval_basics():
-    iv = TimeInterval(1.0, 2.5)
-    assert iv.duration == 1.5
-    assert not iv.point
-    assert TimeInterval(3.0, 3.0).point
-
-
 def test_interval_rejects_negative():
-    with pytest.raises(NegativeInterval):
-        TimeInterval(-0.1, 1.0)
-    with pytest.raises(NegativeInterval):
-        TimeInterval(-1, 0)
-    with pytest.raises(NegativeInterval):
-        TimeInterval(2.0, 1.0)
+    for spans in [[(-0.1, 1.0)], [(-1, 0)], [(2.0, 1.0)], [(0.0, 1.0), (2.0, 1.5)]]:
+        elems = [el(f"e{i}", a, b) for i, (a, b) in enumerate(spans)]
+        with pytest.raises(NegativeInterval):
+            build_stream(Modality.DERIVED, "s", elems)
     for starts, ends in [([0.0, -1.0], [1.0, 0.0]), ([0.0, 2.0], [1.0, 1.5])]:
         with pytest.raises(NegativeInterval):
             stream_from_columns(Modality.DERIVED, "s", ["a", "b"], starts, ends, [1.0, 2.0])
+    # a point sample, start == end, is a valid interval
+    assert len(derived([(3.0, 3.0), (0.0, 0.0)])) == 2
 
 
 def test_stream_elements_equal_checked_ones():
-    # Elements a stream builds skip the bound check but equal, hash and
-    # order like elements built through TimeInterval.
+    # Elements a stream builds equal, hash and order like elements built
+    # directly, and hold their bounds as Python floats.
     stream = derived([(0.0, 0.5), (0.25, 1.0), (2.0, 2.0)])
-    checked = [el(e.id, e.interval.start, e.interval.end, e.payload) for e in stream]
-    assert list(stream) == checked
+    checked = [el(e.id, e.start, e.end, e.payload) for e in stream]
+    assert list(stream) == checked == [stream[k] for k in range(len(stream))]
     assert [hash(e) for e in stream] == [hash(e) for e in checked]
-    assert sorted(e.interval for e in stream) == [e.interval for e in checked]
-    assert stream[1].interval.duration == 0.75 and stream[2].interval.point
+    assert sorted((e.start, e.end) for e in stream) == [(e.start, e.end) for e in checked]
+    assert all(type(e.start) is float and type(e.end) is float for e in stream)
+
+
+def test_negative_positions_give_python_floats():
+    # CSV cells are repr()s of the bounds, so an element read from either end
+    # of a stream or of the query hits must hold plain floats.
+    words = build_stream(Modality.TEXT, "s", [el("w0", 0, 0.1, "ja"), el("w1", 0.1, 0.3, "nein")])
+    segs = build_stream(Modality.DERIVED, "s", [el("g0", 0.0, 1.0, "AfD")])
+    hits = query_crossmodal([words, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
+    for last in (words[-1], hits[-1]):
+        assert last == Element("w1", 0.1, 0.3, "nein")
+        assert type(last.start) is float and type(last.end) is float
+        assert (repr(last.start), repr(last.end)) == ("0.1", "0.3")
+    assert words[-2] == hits[-2] == Element("w0", 0.0, 0.1, "ja")
+    with pytest.raises(IndexError):
+        words[-3]
+
+
+def _one_pair_overlap(a, b):
+    """The overlap ``overlap_pairs`` reports between single intervals ``a`` and ``b``; 0 for none."""
+    cols = [np.array([bound], dtype=float) for side in (a, b) for bound in side]
+    _, _, ov = overlap_pairs(*cols, 0.0)
+    return float(ov[0]) if ov.size else 0.0
 
 
 def test_overlap_cases():
-    assert overlap(TimeInterval(0, 2), TimeInterval(1, 3)) == 1.0
-    assert overlap(TimeInterval(0, 10), TimeInterval(2, 3)) == 1.0  # containment
-    assert overlap(TimeInterval(0, 1), TimeInterval(1, 2)) == 0.0  # touching
-    assert overlap(TimeInterval(0, 1), TimeInterval(5, 6)) == 0.0
+    assert _one_pair_overlap((0, 2), (1, 3)) == 1.0
+    assert _one_pair_overlap((0, 10), (2, 3)) == 1.0  # containment
+    assert _one_pair_overlap((0, 1), (1, 2)) == 0.0  # touching
+    assert _one_pair_overlap((0, 1), (5, 6)) == 0.0
     # a point inside a covering interval still has zero measure
-    assert overlap(TimeInterval(0, 10), TimeInterval(4, 4)) == 0.0
+    assert _one_pair_overlap((0, 10), (4, 4)) == 0.0
 
 
 @given(
@@ -103,10 +116,10 @@ def test_overlap_cases():
 )
 def test_overlap_symmetric_and_bounded(vals):
     a1, d1, a2, d2 = vals
-    a = TimeInterval(a1, a1 + d1)
-    b = TimeInterval(a2, a2 + d2)
-    assert overlap(a, b) == overlap(b, a)
-    assert 0.0 <= overlap(a, b) <= min(a.duration, b.duration)
+    a = (a1, a1 + d1)
+    b = (a2, a2 + d2)
+    assert _one_pair_overlap(a, b) == _one_pair_overlap(b, a) == overlap(a, b)
+    assert 0.0 <= _one_pair_overlap(a, b) <= min(a[1] - a[0], b[1] - b[0])
 
 
 # --- stream construction ---------------------------------------------------
@@ -175,10 +188,9 @@ _LENGTH = st.integers(0, 6).map(lambda k: k * 0.25) | st.floats(0.0, 2.0)
     st.sampled_from([0.0, 0.0, 0.25, 0.3]),
 )
 def test_overlap_pairs_match_sweep_loop(a_spans, b_spans, min_ov):
-    a = sorted(TimeInterval(s, s + d) for s, d in a_spans)
-    b = sorted(TimeInterval(s, s + d) for s, d in b_spans)
-    cols = [np.array([getattr(iv, end) for iv in side], dtype=float)
-            for side in (a, b) for end in ("start", "end")]
+    a = sorted((s, s + d) for s, d in a_spans)
+    b = sorted((s, s + d) for s, d in b_spans)
+    cols = [np.array([iv[end] for iv in side], dtype=float) for side in (a, b) for end in (0, 1)]
     i, j, ov = overlap_pairs(*cols, min_ov)
     assert list(zip(i.tolist(), j.tolist(), ov.tolist())) == sorted(sweep_loop(a, b, min_ov))
 
@@ -325,7 +337,7 @@ def test_query_matches_brute_force_randomized():
                 w.id
                 for w in words
                 if any(
-                    min(w.interval.end, g.interval.end) - max(w.interval.start, g.interval.start) > 0
+                    min(w.end, g.end) - max(w.start, g.start) > 0
                     for g in matched
                 )
             ),
@@ -375,8 +387,8 @@ def test_query_result_is_a_sequence_equal_to_brute_force(sessions):
         # sorted is stable: equal (start, end, id) keys keep the streams' corpus order
         found = sorted(
             (w for text in texts for w in text
-             if any(overlap(w.interval, g.interval) > 0 for g in matched)),
-            key=lambda w: (w.interval.start, w.interval.end, w.id),
+             if any(overlap((w.start, w.end), (g.start, g.end)) > 0 for g in matched)),
+            key=lambda w: (w.start, w.end, w.id),
         )
         expected += found
         expected_sessions += [sid] * len(found)
