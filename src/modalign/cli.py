@@ -125,9 +125,7 @@ def _speaker_range(cfg: RunConfig, profile: pitch.SpeakerProfile) -> pitch.Pitch
 
 def _pitch_one_session(index: ingest.CorpusIndex, cfg: RunConfig, session_id: str):
     data = index.load_session(session_id)
-    profile = index.speakers().get(data.speaker_id)
-    if profile is None:
-        raise DataError(f"session {session_id!r}: speaker {data.speaker_id!r} not in speakers table")
+    profile = index.speakers()[data.speaker_id]
     audio = ingest.read_wav(data.audio_path)
     track = pitch.estimate_pitch_track(
         audio,
@@ -588,7 +586,8 @@ def main(argv=None) -> int:
             raise ValidationError("pass --index or --counts-a/--counts-b, not both")
         return args.func(args, cfg)
     except EngineError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        # one line even when a message quotes a file name holding a line break
+        print(" ".join(f"{type(e).__name__}: {e}".splitlines()), file=sys.stderr)
         return 3 if isinstance(e, DataError) else 2
 
 

@@ -13,13 +13,14 @@ Input formats
 
 A corpus manifest (JSON) lists sessions and points at the per-session
 files; :func:`build_index` parses everything once into a versioned
-directory of per-session files that later commands load lazily.  A JSON
-blob holds a session's strings; its numbers (word times, gaze samples) sit
-beside it in structured ``.npy`` tables, which load as float64 arrays
-without going through text.  The index directory is written to a temporary
-sibling and renamed into place, and rebuilding from unchanged inputs is
-byte-identical.  What it replaces must be an earlier index or an empty
-directory.
+directory that later commands load lazily.  Its manifest holds one row
+of strings per session; a JSON blob holds the session's words, and its
+numbers (word times, gaze samples) sit beside it in structured ``.npy``
+tables, which load as float64 arrays without going through text.  The
+speakers CSV is kept as ingested.  The index directory is written to a
+temporary sibling and renamed into place, and rebuilding from unchanged
+inputs is byte-identical.  What it replaces must be an earlier index or an
+empty directory.
 
 Loaders reject rather than repair: every parse failure carries the file
 path and 1-based line number.
@@ -50,16 +51,18 @@ from .errors import (
     VersionMismatch,
 )
 from .gaze import GazeTrace
-from .pitch import PITCH_RANGE_BY_GENDER, AudioBuffer, PitchRange, SpeakerProfile
+from .pitch import PITCH_RANGE_BY_GENDER, AudioBuffer, SpeakerProfile
 from .stats import PanelRow
 from .timeline import ElementStream, Modality, stream_from_columns
 
 MANIFEST_FORMAT_VERSION = 1  # corpus manifests, the input of ``ingest``
-INDEX_FORMAT_VERSION = 3     # index directories: version 3 keeps session numbers in .npy tables
+INDEX_FORMAT_VERSION = 4     # index directories: version 4 keeps the speakers CSV, each fact once
 
 # The numeric tables of an index session, one structured .npy file each; a flag is a 0/1 byte.
 _WORDS_DTYPE = np.dtype([("start", "<f8"), ("end", "<f8")])
 _GAZE_DTYPE = np.dtype([("t", "<f8"), ("yaw", "<f8"), ("pitch", "<f8"), ("frontal", "u1")])
+# The string fields of an index manifest's session row.
+_ROW_KEYS = ("session_id", "speaker_id", "audio", "blob", "words", "gaze")
 
 
 def word_element_id(position: int) -> str:
@@ -375,7 +378,11 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
         missing = {"session_id", "speaker_id", "transcript", "audio", "gaze"} - sess.keys()
         if missing:
             raise ParseError(path, 0, f"session #{i} missing keys {sorted(missing)}")
-        sid = sess["session_id"]
+        sid, speaker = sess["session_id"], sess["speaker_id"]
+        if not (isinstance(sid, str) and isinstance(speaker, str)):
+            raise ParseError(path, 0, f"session #{i}: session_id and speaker_id must be strings")
+        if sid in ("", ".", "..") or set(sid) & set("/\\\0"):
+            raise ParseError(path, 0, f"session_id {sid!r} is not a plain file name")
         if sid in seen:
             raise ParseError(path, 0, f"duplicate session_id {sid!r}")
         seen.add(sid)
@@ -383,7 +390,7 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
         for p in paths.values():
             if not p.is_file():
                 raise MissingFile(str(p))
-        entries.append(SessionEntry(sid, sess["speaker_id"], **paths))
+        entries.append(SessionEntry(sid, speaker, **paths))
     if not entries:
         raise ParseError(path, 0, "manifest lists no sessions")
     return CorpusManifest(tuple(entries), speakers)
@@ -418,13 +425,13 @@ def writing(path):
 def _is_index(out_dir: Path) -> bool:
     """Does ``out_dir`` look like an index :func:`build_index` wrote?
 
-    Every index format version has a ``speakers.json`` beside a
-    ``manifest.json`` whose session rows each name a ``blob``.
+    Every index format version has a ``speakers.json`` (versions 1-3) or a
+    ``speakers.csv`` (4) beside a ``manifest.json`` whose session rows each
+    name a ``blob``; a corpus manifest's rows name none.
     """
     rows = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["sessions"]
-    return (out_dir / "speakers.json").is_file() and bool(rows) and all(
-        isinstance(row, dict) and "blob" in row for row in rows
-    )
+    speakers = (out_dir / "speakers.json").is_file() or (out_dir / "speakers.csv").is_file()
+    return speakers and bool(rows) and all(isinstance(row, dict) and "blob" in row for row in rows)
 
 
 @contextmanager
@@ -461,41 +468,43 @@ def replacing(out_dir: Path, ours: Callable[[Path], bool], what: str) -> Iterato
 def build_index(manifest_path, out_dir) -> Path:
     """Parse every session and write the index directory.
 
-    ``out_dir`` must be new, an empty directory, or an earlier index (of any
-    format version), which is replaced; anything else raises
+    Every session's speaker must have a line in the speakers file
+    (:class:`ParseError` naming the manifest otherwise).  ``out_dir`` must
+    be new, an empty directory, or an earlier index (of any format
+    version), which is replaced; anything else raises
     :class:`ValidationError` and is left untouched (see :func:`replacing`).
     Building twice from unchanged inputs produces byte-identical files.
     """
     manifest = load_manifest(manifest_path)
     out_dir = Path(out_dir)
     profiles = load_speakers(manifest.speakers_path)
+    unlisted = sorted({entry.speaker_id for entry in manifest.sessions} - profiles.keys())
+    if unlisted:
+        raise ParseError(manifest_path, 0, f"speakers not in {manifest.speakers_path}: {unlisted}")
     sessions = [
         (entry, load_transcript(entry.transcript, session_id=entry.session_id), load_gaze(entry.gaze))
         for entry in manifest.sessions
     ]
     with replacing(out_dir, _is_index, "an index") as root:
-        _write_index(root, sessions, profiles)
+        _write_index(root, sessions)
+        shutil.copyfile(manifest.speakers_path, root / "speakers.csv")
     return out_dir
 
 
-def _write_index(root: Path, sessions, profiles: dict[str, SpeakerProfile]) -> None:
-    """Write the files of an index of ``(entry, words, trace)`` sessions under ``root``."""
+def _write_index(root: Path, sessions) -> None:
+    """Write the session files and manifest of an index of ``(entry, words, trace)`` sessions."""
     (root / "sessions").mkdir(parents=True)
     session_rows = []
     for entry, words, trace in sessions:
         row = {
             "session_id": entry.session_id,
             "speaker_id": entry.speaker_id,
+            "audio": str(entry.audio.resolve()),
             "blob": f"sessions/{entry.session_id}.json",
             "words": f"sessions/{entry.session_id}.words.npy",
             "gaze": f"sessions/{entry.session_id}.gaze.npy",
         }
-        blob = {
-            "session_id": entry.session_id,
-            "speaker_id": entry.speaker_id,
-            "audio": str(entry.audio.resolve()),
-            "words": {"id": list(words.ids), "word": list(words.payloads)},
-        }
+        blob = {"id": list(words.ids), "word": list(words.payloads)}
         (root / row["blob"]).write_bytes(_json_bytes(blob, compact=True))
         _write_table(root / row["words"], _WORDS_DTYPE, start=words.starts, end=words.ends)
         _write_table(
@@ -503,11 +512,6 @@ def _write_index(root: Path, sessions, profiles: dict[str, SpeakerProfile]) -> N
             t=trace.t, yaw=trace.yaw, pitch=trace.pitch, frontal=trace.frontal,
         )
         session_rows.append(row)
-    speakers_doc = {
-        sid: {"party": p.party, "floor": p.gender_range.floor, "ceiling": p.gender_range.ceiling}
-        for sid, p in sorted(profiles.items())
-    }
-    (root / "speakers.json").write_bytes(_json_bytes(speakers_doc, compact=True))
     (root / "manifest.json").write_bytes(
         _json_bytes(
             {
@@ -597,61 +601,59 @@ class CorpusIndex:
 
     def __init__(self, root):
         self.root = Path(root)
-        self._files: dict[str, dict[str, Path]] = _read_json_file(
+        self._rows: dict[str, dict[str, str]] = _read_json_file(
             self.root / "manifest.json", self._parse_manifest
         )
         self._cache: dict[str, SessionData] = {}
         self._profiles: dict[str, SpeakerProfile] | None = None
 
-    def _parse_manifest(self, doc) -> dict[str, dict[str, Path]]:
+    def _parse_manifest(self, doc) -> dict[str, dict[str, str]]:
         if doc.get("format_version") != INDEX_FORMAT_VERSION:
             raise VersionMismatch(
                 f"index {self.root} has format_version {doc.get('format_version')!r}, "
                 f"this build reads {INDEX_FORMAT_VERSION}; rebuild it with `modalign ingest`"
             )
-        return {
-            row["session_id"]: {key: self.root / row[key] for key in ("blob", "words", "gaze")}
-            for row in doc["sessions"]
-        }
+        path, rows = self.root / "manifest.json", doc["sessions"]
+        if any({type(row[key]) for key in _ROW_KEYS} != {str} for row in rows):
+            raise ParseError(path, 0, f"row fields {_ROW_KEYS} must be strings")
+        by_id = {row["session_id"]: row for row in rows}
+        if len(by_id) != len(rows):
+            raise ParseError(path, 0, "a session_id is repeated")
+        return by_id
 
     def session_ids(self) -> list[str]:
-        return sorted(self._files)
+        return sorted(self._rows)
 
     def speakers(self) -> dict[str, SpeakerProfile]:
+        """Profiles from ``speakers.csv``, which must list every session's speaker."""
         if self._profiles is None:
-            self._profiles = _read_json_file(
-                self.root / "speakers.json",
-                lambda doc: {
-                    sid: SpeakerProfile(sid, row["party"], PitchRange(row["floor"], row["ceiling"]))
-                    for sid, row in doc.items()
-                },
-            )
+            path = self.root / "speakers.csv"
+            profiles = load_speakers(path)
+            unlisted = sorted({row["speaker_id"] for row in self._rows.values()} - profiles.keys())
+            if unlisted:
+                raise ParseError(path, 0, f"no line for the sessions' speakers {unlisted}")
+            self._profiles = profiles
         return self._profiles
 
     def load_session(self, session_id: str) -> SessionData:
         if session_id in self._cache:
             return self._cache[session_id]
-        if session_id not in self._files:
+        if session_id not in self._rows:
             raise ValidationError(f"index has no session {session_id!r}")
-        files = self._files[session_id]
-        blob = files["blob"]
-        speaker_id, audio, ids, tokens = _read_json_file(
-            blob,
-            lambda doc: (
-                doc["speaker_id"],
-                Path(doc["audio"]),
-                _strings(blob, doc["words"], "id"),
-                _strings(blob, doc["words"], "word"),
-            ),
+        row = self._rows[session_id]
+        blob = self.root / row["blob"]
+        ids, tokens = _read_json_file(
+            blob, lambda doc: (_strings(blob, doc, "id"), _strings(blob, doc, "word"))
         )
         if len(tokens) != len(ids):
             raise ParseError(blob, 0, f"{len(ids)} word ids for {len(tokens)} words")
-        w = _read_table(files["words"], _WORDS_DTYPE, rows=len(ids))
-        g = _read_table(files["gaze"], _GAZE_DTYPE)
+        w = _read_table(self.root / row["words"], _WORDS_DTYPE, rows=len(ids))
+        g = _read_table(self.root / row["gaze"], _GAZE_DTYPE)
         words = stream_from_columns(
-            Modality.TEXT, session_id, ids, w["start"], w["end"], tokens, speaker_id=speaker_id
+            Modality.TEXT, session_id, ids, w["start"], w["end"], tokens,
+            speaker_id=row["speaker_id"],
         )
         gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"] == 1)
-        data = SessionData(session_id, speaker_id, words, gaze, audio)
+        data = SessionData(session_id, row["speaker_id"], words, gaze, Path(row["audio"]))
         self._cache[session_id] = data
         return data

@@ -82,9 +82,6 @@ class PitchTrack:
     frame_times: np.ndarray
     f0: np.ndarray
     voiced: np.ndarray
-    sample_rate: int
-    frame_length: int
-    hop: int
     session_id: str | None = None
 
     def __len__(self) -> int:
@@ -302,7 +299,7 @@ def estimate_pitch_track(
         f0[lo : lo + count] = np.where(has, est, np.nan)
         voiced[lo : lo + count] = has
 
-    return PitchTrack(times, f0, voiced, sr, frame_length, hop, session_id)
+    return PitchTrack(times, f0, voiced, session_id)
 
 
 def word_pitch(track: PitchTrack, words: ElementStream) -> list[WordPitch]:

@@ -184,33 +184,19 @@ class WordScore:
     z: float
 
 
-@dataclass(frozen=True)
-class FightinWordsResult:
-    """Per-word log-odds scores, sorted by z descending (ties: word ascending)."""
-
-    scores: tuple[WordScore, ...]
-    total_a: float
-    total_b: float
-
-    def __iter__(self):
-        return iter(self.scores)
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-
 def fightin_words(
     counts_a: Mapping[str, float],
     counts_b: Mapping[str, float],
     prior_scale: float = 1.0,
-) -> FightinWordsResult:
+) -> tuple[WordScore, ...]:
     """Informative-Dirichlet-prior log-odds comparison of two count maps.
 
     Prior mass per word is ``prior_scale * total_w / grand_total`` (so the
     full prior sums to ``prior_scale``); ``delta`` is the difference of the
     prior-smoothed log-odds, ``z = delta / sqrt(variance)`` with the usual
-    ``1/(y_a + a_w) + 1/(y_b + a_w)`` variance.  Words occurring in neither
-    group are excluded.  Raises :class:`NonPositivePrior` and
+    ``1/(y_a + a_w) + 1/(y_b + a_w)`` variance.  Scores come sorted by z
+    descending (ties: word ascending); words occurring in neither group are
+    excluded.  Raises :class:`NonPositivePrior` and
     :class:`EmptyVocabulary`.
     """
     if not (prior_scale > 0 and math.isfinite(prior_scale)):
@@ -242,7 +228,7 @@ def fightin_words(
         for w, a, b, d, v, zz in zip(vocab, ya, yb, delta, variance, z)
     ]
     scores.sort(key=lambda s: (-s.z, s.word))
-    return FightinWordsResult(tuple(scores), na, nb)
+    return tuple(scores)
 
 
 @dataclass(frozen=True)
@@ -261,9 +247,6 @@ class FourWaySplit:
             "others_to_target": self.others_to_target,
             "others_to_others": self.others_to_others,
         }
-
-    def total(self) -> int:
-        return sum(sum(c.values()) for c in self.cells().values())
 
 
 def four_situation_split(

@@ -330,8 +330,7 @@ def test_exit_codes(planted_corpus, tmp_path, capsys):
     assert "ValidationError" in err or "InvalidSpec" in err
 
 
-_BLOB = '{"session_id": "sess000", "speaker_id": "spk000", "audio": "a.wav", '
-_TWICE = '"words": {"id": ["w0", "w0"], "word": ["ja", "ja"]}'
+_BLOB = "idx/sessions/sess000.json"
 _F8 = "<f8"
 
 
@@ -361,10 +360,18 @@ _GAZE_SHORT = {_GAZE_FILE: _gaze_npy()[_GAZE_FILE][:-10]}
 _PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
 _SPEAKERS = {"s.csv": "speaker_id,party,gender\nspk000,AfD,m\n"}
 _SESSION = '{"session_id": "a", "speaker_id": "spk000", "transcript": 5, "audio": "x", "gaze": "y"}'
-_SESSION_FILES = ('{"session_id": "a", "speaker_id": "spk000", "transcript": "t.jsonl", '
-                  '"audio": "a.wav", "gaze": "g.csv"}')
 _WORD = b'{"word": "ja", "start": 0, "end": 1, "speaker_id": "spk000"}\n'
 _GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal\n"
+
+
+def _corpus(session_id='"a"', speaker_id='"spk000"', transcript=_WORD) -> dict:
+    """The files of a one-session corpus whose manifest gives these ids (as JSON text)."""
+    session = (f'{{"session_id": {session_id}, "speaker_id": {speaker_id}, '
+               '"transcript": "t.jsonl", "audio": "a.wav", "gaze": "g.csv"}')
+    return {"m.json": f'{{"format_version": 1, "speakers": "s.csv", "sessions": [{session}]}}',
+            **_SPEAKERS, "t.jsonl": transcript, "a.wav": "", "g.csv": _GAZE_HEADER}
+
+
 _MANIFEST = ["ingest", "--manifest", "TMP/m.json"]
 _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
 
@@ -374,11 +381,10 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
     [
         ({}, ["align", "--index", "IDX", "--min-overlap", "-1"], "ValidationError"),
         ({"idx/manifest.json": "{not json"}, ["segments", "--index", "IDX"], "ParseError"),
-        ({"idx/speakers.json": "[1, 2"}, ["fw", "--index", "IDX"], "ParseError"),
-        ({"idx/sessions/sess000.json": "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
-        ({"idx/sessions/sess000.json": _BLOB + '"gaze": {}}'},
-         ["segments", "--index", "IDX"], "ParseError"),
-        ({"idx/sessions/sess000.json": _BLOB + _TWICE + "}", **_words_npy(rows=[(0, 1), (0, 1)])},
+        ({"idx/speakers.csv": "[1, 2"}, ["fw", "--index", "IDX"], "ParseError"),
+        ({_BLOB: "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"id": ["w0"]}'}, ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"id": ["w0", "w0"], "word": ["ja", "ja"]}', **_words_npy(rows=[(0, 1), (0, 1)])},
          ["segments", "--index", "IDX"], "DuplicateIds"),
         (_gaze_npy(t="<U5", rows=[("x", 50, 0, 1), ("0.125", 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
@@ -392,9 +398,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["segments", "--index", "IDX"], "ParseError"),
         (_words_npy(start="<U3"), ["segments", "--index", "IDX"], "ParseError"),
         (_words_npy(rows=[(0, 1), (1, 2)]), ["segments", "--index", "IDX"], "ParseError"),
-        ({"idx/sessions/sess000.json": '{"session_id": "sess000", "speaker_id": "spk000", '
-          '"audio": "a.wav", "words": {"id": [0], "word": ["ja"]}}'},
-         ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"id": [0], "word": ["ja"]}'}, ["segments", "--index", "IDX"], "ParseError"),
         ({"p.csv": _PANEL.format(y="nan", x=1)}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"p.csv": _PANEL.format(y=4, x="inf")}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"a.csv": "word,count\nja,nan\n", "b.csv": "word,count\nja,3\n"},
@@ -435,13 +439,18 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"a.csv": "word,count\nja,1\n", "b.csv": "word,count\nja,3\n"},
          ["fw", "--index", "IDX", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"],
          "ValidationError"),
-        ({"m.json": f'{{"format_version": 1, "speakers": "s.csv", "sessions": [{_SESSION_FILES}]}}',
-          **_SPEAKERS, "t.jsonl": _WORD + b"\xff\xfe", "a.wav": "", "g.csv": _GAZE_HEADER},
-         _MANIFEST, "ParseError"),
+        (_corpus(transcript=_WORD + b"\xff\xfe"), _MANIFEST, "ParseError"),
         ({"a.csv": b"word,count\nja\xff,1\n", "b.csv": "word,count\nja,3\n"},
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "ParseError"),
         ({}, ["fw", "--index", "IDX", "--target-party", "nobody"], "ValidationError"),
         ({}, ["regress", "--index", "IDX", "--target-party", "nobody"], "ValidationError"),
+        (_corpus(session_id='"../../../escaped"'), _MANIFEST, "ParseError"),
+        (_corpus(session_id="5"), _MANIFEST, "ParseError"),
+        (_corpus(speaker_id='"nobody"'), _MANIFEST, "ParseError"),
+        ({"idx/speakers.csv": "speaker_id,party,gender\nspk000,AfD,x\n"},
+         ["fw", "--index", "IDX"], "ParseError"),
+        ({"idx/speakers.csv": "speaker_id,party,gender\nspk000,AfD,m\n"},
+         ["pitch", "--index", "IDX"], "ParseError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
@@ -454,7 +463,9 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "notes-pitch-nan", "threads-0", "threads-negative", "effect-nan", "effect-inf",
          "jitter-nan", "jitter-inf", "out-is-dir", "out-is-file", "regress-out-is-file",
          "fw-index-and-counts", "transcript-not-utf8", "counts-not-utf8",
-         "fw-unknown-target-party", "regress-unknown-target-party"],
+         "fw-unknown-target-party", "regress-unknown-target-party", "manifest-session-id-escapes",
+         "manifest-session-id-number", "manifest-speaker-not-listed", "speakers-bad-gender",
+         "speakers-missing-speaker"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
@@ -465,12 +476,15 @@ def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, 
         else:
             (tmp_path / name).write_text(content, encoding="utf-8")
     argv = [a.replace("IDX", str(tmp_path / "idx")).replace("TMP", str(tmp_path)) for a in argv]
-    rc = run(*argv, "--out", tmp_path / "out")
+    out = tmp_path / "out"
+    before = set(tmp_path.rglob("*"))
+    rc = run(*argv, "--out", out)
     err = capsys.readouterr().err
+    assert all(p == out or out in p.parents for p in set(tmp_path.rglob("*")) - before)
     assert rc == (2 if issubclass(getattr(errors, error), errors.ValidationError) else 3)
     assert len(err.splitlines()) == 1 and err.startswith(f"{error}: ")
     assert "Traceback" not in err
-    damaged = [Path(name).name for name in files if name.startswith("idx/sessions/")]
+    damaged = [Path(name).name for name in files if name.startswith("idx/")]
     if error == "ParseError" and len(damaged) == 1:
         assert damaged[0] in err
     kept = [name for name in files if name.split("/")[0] == "out"]
@@ -496,7 +510,7 @@ def test_unknown_target_party_names_the_parties_on_record(planted_corpus, tmp_pa
 def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
     doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
-    for version in (1, 2):  # rows of objects; numbers as JSON columns
+    for version in (1, 2, 3):  # rows of objects; numbers as JSON columns; speakers.json
         doc["format_version"] = version
         (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3
@@ -505,7 +519,27 @@ def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
         assert "rebuild it with `modalign ingest`" in err
 
 
+@pytest.mark.parametrize("command", ["segments", "fw"])
+@pytest.mark.parametrize(
+    "key, value, error, names",
+    [("session_id", 3, "ParseError", "manifest.json"),
+     ("blob", "sessions/sess001.js\n", "MissingFile", "sess001.js")],
+    ids=["session-id-number", "blob-with-line-break"],
+)
+def test_damaged_index_row_exits_with_one_line(planted_corpus, tmp_path, capsys, command,
+                                               key, value, error, names):
+    idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
+    doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
+    doc["sessions"][1][key] = value
+    (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run(command, "--index", idx, "--out", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"{error}: {idx}")
+    assert names in err and not (tmp_path / "out").exists()
+
+
 _TABLES = ("sess001.words.npy", "sess001.gaze.npy")
+_TEXT = ("manifest.json", "speakers.csv")  # index files outside sessions/, read by fw
 _FRACTION = st.floats(0, 1, exclude_max=True)
 # Where to flip a byte: within the first 160 bytes, which hold a table's
 # whole header, or at a fraction of the file's length.
@@ -535,9 +569,9 @@ def _damage(path: Path, kind: str, detail) -> None:
 @settings(max_examples=150, deadline=None)
 @given(
     damage=st.one_of(
-        st.tuples(st.sampled_from(("sess001.json",) + _TABLES),
+        st.tuples(st.sampled_from(("sess001.json",) + _TABLES + _TEXT),
                   st.sampled_from(("truncate", "delete")), _FRACTION),
-        st.tuples(st.sampled_from(("sess001.json",) + _TABLES), st.just("flip"),
+        st.tuples(st.sampled_from(("sess001.json",) + _TABLES + _TEXT), st.just("flip"),
                   st.lists(st.tuples(_OFFSET, st.integers(1, 255)), min_size=1, max_size=4)),
         st.tuples(st.sampled_from(_TABLES), st.just("dtype"),
                   st.sampled_from(("<f4", ">f8", "<i8", "<U8", "?"))),
@@ -545,19 +579,21 @@ def _damage(path: Path, kind: str, detail) -> None:
     )
 )
 def test_index_corruption_exits_cleanly(planted_corpus, damage):
-    """A damaged session file never escapes the exit-code contract.
+    """A damaged index file never escapes the exit-code contract.
 
     Truncating, deleting or retyping a file exits 3 with one line naming it;
     a flipped byte may also yield data that loads (exit 0) or fails a later
-    check, but always with one line and no traceback.
+    check, but always with one line and no traceback.  ``segments`` reads the
+    session files, and ``fw`` also the speakers.
     """
     name, kind, detail = damage
     with tempfile.TemporaryDirectory() as tmp:
         idx = shutil.copytree(planted_corpus.index, Path(tmp) / "idx")
-        _damage(idx / "sessions" / name, kind, detail)
+        _damage(idx / name if name in _TEXT else idx / "sessions" / name, kind, detail)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = run("segments", "--index", idx, "--out", Path(tmp) / "s.csv")
+            rc = run("fw" if name in _TEXT else "segments", "--index", idx,
+                     "--out", Path(tmp) / "s.csv")
     err = err.getvalue()
     assert rc in (0, 2, 3)
     assert "Traceback" not in err

@@ -302,13 +302,20 @@ def test_build_index_layout_and_round_trip(tmp_path):
     manifest = tiny_corpus(tmp_path / "raw")
     out = build_index(manifest, tmp_path / "idx")
     names = {p.name for p in out.rglob("*") if p.is_file()}
-    assert names == {"manifest.json", "speakers.json"} | {
+    assert names == {"manifest.json", "speakers.csv"} | {
         f"{sid}.{kind}" for sid in ("sessA", "sessB") for kind in ("json", "words.npy", "gaze.npy")
     }
-    assert json.loads((out / "manifest.json").read_text())["format_version"] == 3
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["format_version"] == 4
+    assert doc["sessions"][0] == {
+        "session_id": "sessA", "speaker_id": "s1",
+        "audio": str((tmp_path / "raw" / "sessA.wav").resolve()),
+        "blob": "sessions/sessA.json", "words": "sessions/sessA.words.npy",
+        "gaze": "sessions/sessA.gaze.npy",
+    }
     blob = json.loads((out / "sessions" / "sessA.json").read_text())
-    assert blob["words"] == {"id": ["w000000", "w000001"], "word": ["hallo", "welt"]}
-    assert set(blob) == {"session_id", "speaker_id", "audio", "words"}
+    assert blob == {"id": ["w000000", "w000001"], "word": ["hallo", "welt"]}
+    assert (out / "speakers.csv").read_bytes() == (tmp_path / "raw" / "speakers.csv").read_bytes()
     words = np.load(out / "sessions" / "sessA.words.npy", allow_pickle=False)
     assert words.dtype.names == ("start", "end") and words.tolist() == [(0.0, 0.5), (0.5, 1.0)]
     gaze = np.load(out / "sessions" / "sessA.gaze.npy", allow_pickle=False)
@@ -360,11 +367,15 @@ def test_ingest_replaces_only_an_index_or_an_empty_directory(tmp_path, capsys):
     assert ingest(empty) == (0, "")
     fresh = tree_bytes(empty)
     doc = json.loads((empty / "manifest.json").read_text())
-    for version in (1, 2):  # older layouts: rows name only a blob, no .npy tables
-        rows = [{k: row[k] for k in ("session_id", "speaker_id", "blob")} for row in doc["sessions"]]
+    # older layouts keep a speakers.json; rows of 1 and 2 name only a blob, rows of 3 also tables
+    for version, keys in ((1, ("blob",)), (2, ("blob",)), (3, ("blob", "words", "gaze"))):
+        rows = [{k: row[k] for k in ("session_id", "speaker_id", *keys)} for row in doc["sessions"]]
         (empty / "manifest.json").write_text(json.dumps({"format_version": version, "sessions": rows}))
-        for table in (empty / "sessions").glob("*.npy"):
-            table.unlink()
+        (empty / "speakers.csv").unlink()
+        (empty / "speakers.json").write_text('{"s1": {"party": "AfD", "floor": 75, "ceiling": 300}}')
+        if version < 3:
+            for table in (empty / "sessions").glob("*.npy"):
+                table.unlink()
         with pytest.raises(VersionMismatch):
             CorpusIndex(empty)
         assert ingest(empty) == (0, "")
@@ -403,11 +414,60 @@ def test_manifest_validation(tmp_path):
         load_manifest(manifest)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("session_id", 5, "must be strings"),
+        ("speaker_id", None, "must be strings"),
+        ("session_id", "", "not a plain file name"),
+        ("session_id", ".", "not a plain file name"),
+        ("session_id", "..", "not a plain file name"),
+        ("session_id", "../../../escaped", "not a plain file name"),
+        ("session_id", "a\\b", "not a plain file name"),
+        ("session_id", "a\0b", "not a plain file name"),
+        ("speaker_id", "nobody", r"speakers not in .*speakers\.csv: \['nobody'\]"),
+    ],
+)
+def test_manifest_ids_are_checked_before_anything_is_written(tmp_path, field, value, message):
+    manifest = tiny_corpus(tmp_path / "raw")
+    doc = json.loads(manifest.read_text())
+    doc["sessions"][1][field] = value
+    manifest.write_text(json.dumps(doc))
+    before = tree_bytes(tmp_path)
+    with pytest.raises(ParseError, match=message) as info:
+        build_index(manifest, tmp_path / "out" / "idx")
+    assert info.value.path == str(manifest)
+    assert tree_bytes(tmp_path) == before and not (tmp_path / "out").exists()
+
+
+def test_index_rows_and_speakers_are_checked(tmp_path):
+    out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
+    doc = json.loads((out / "manifest.json").read_text())
+    keys = ("session_id", "speaker_id", "audio", "blob", "words", "gaze")
+    for key, value, message in [*((k, 3, "must be strings") for k in keys),
+                                ("session_id", "sessA", "repeated")]:
+        bad = json.loads(json.dumps(doc))
+        bad["sessions"][1][key] = value
+        (out / "manifest.json").write_text(json.dumps(bad))
+        with pytest.raises(ParseError, match=message) as info:
+            CorpusIndex(out)
+        assert info.value.path == str(out / "manifest.json")
+    (out / "manifest.json").write_text(json.dumps(doc))
+    speakers = out / "speakers.csv"
+    for text, message in [("speaker_id,party,gender\ns1,AfD,x\n", "gender must be one of"),
+                          ("speaker_id,party,gender\ns2,AfD,m\n", r"speakers \['s1'\]")]:
+        speakers.write_text(text)
+        with pytest.raises(ParseError, match=message) as info:
+            CorpusIndex(out).speakers()
+        assert info.value.path == str(speakers)
+
+
 def test_index_version_gate(tmp_path):
     manifest = tiny_corpus(tmp_path / "raw")
     out = build_index(manifest, tmp_path / "idx")
     doc = json.loads((out / "manifest.json").read_text())
-    for version in (1, 2, 4):  # 1: rows of objects, 2: JSON columns; both must be rebuilt
+    # 1: rows of objects, 2: JSON columns, 3: speakers.json; all must be rebuilt
+    for version in (1, 2, 3, 5):
         doc["format_version"] = version
         (out / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch, match="rebuild it with `modalign ingest`"):

@@ -239,9 +239,6 @@ def hand_track(times, f0, session=None):
         frame_times=np.asarray(times, float),
         f0=f0,
         voiced=~np.isnan(f0),
-        sample_rate=SR,
-        frame_length=2048,
-        hop=512,
         session_id=session,
     )
 
