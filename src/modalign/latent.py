@@ -42,17 +42,58 @@ class WarpPath:
     total_cost: float
 
 
+# DTW cell costs come in tiles of _TILE_DIAGONALS anti-diagonals; each tile's
+# difference workspace holds about _TILE_BYTES whatever the lengths and dims
+_TILE_DIAGONALS = 8
+_TILE_BYTES = 1 << 20
+
+
+def _pairwise_row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum ``x`` over axis 0 in place, in the order numpy sums one contiguous row.
+
+    numpy's pairwise sum adds fewer than 8 values in turn; up to 128 values
+    in eight accumulators stepping by 8, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in turn; and
+    splits longer rows at half their length rounded down to a multiple of 8.
+    Following that order makes each column's sum equal, bit for bit, to
+    ``x[:, k].sum()``.  Returns the view ``x[0]``, which holds the sums.
+    """
+    d = len(x)
+    if d < 8:
+        for f in range(1, d):
+            x[0] += x[f]
+    elif d <= 128:
+        stop = d - d % 8
+        for f in range(8, stop, 8):
+            x[:8] += x[f : f + 8]
+        x[0:8:2] += x[1:8:2]
+        x[0:8:4] += x[2:8:4]
+        x[0] += x[4]
+        for f in range(stop, d):
+            x[0] += x[f]
+    else:
+        half = d // 2
+        half -= half % 8
+        _pairwise_row_sum(x[:half])
+        x[0] += _pairwise_row_sum(x[half:])
+    return x[0]
+
+
 def dtw_align(a, b) -> WarpPath:
     """Globally optimal dynamic time warp between two sequences.
 
     ``a`` and ``b`` are (n, d) and (m, d) arrays of feature rows; a 1-d
     sequence is one feature per row.  Steps are unconstrained {(1,1),
-    (1,0), (0,1)} and the cell cost is the Euclidean distance; cost ties
-    are broken by preferring the diagonal step, then advancing the first
-    sequence, so the returned path is unique.
-    The accumulator is filled one anti-diagonal at a time, so time is
-    O(n*m) in vectorised numpy and memory is O(n+m) floats plus an
-    (n+m+1) x (n+1) table of int8 steps.
+    (1,0), (0,1)} and the cell cost is the Euclidean distance, its d
+    squares added in numpy's pairwise order for one row (see
+    :func:`_pairwise_row_sum`); cost ties are broken by preferring the
+    diagonal step, then advancing the first sequence, so the returned path
+    is unique.
+    The accumulator is filled one anti-diagonal at a time, and the costs
+    of eight anti-diagonals at a time from feature-major copies of ``a``
+    and reversed ``b``, so time is O(n*m) in vectorised numpy.  Memory is
+    O(n+m) floats, an (n+m+1) x (n+1) table of int8 steps and a fixed
+    workspace of about 1 MB for the costs.
     Raises :class:`DimensionMismatch` when vector dimensions differ and
     :class:`ValidationError` when a sequence is empty or not 2-d, or when
     the warp's total cost is not finite.
@@ -61,7 +102,19 @@ def dtw_align(a, b) -> WarpPath:
     if va.shape[1] != vb.shape[1]:
         raise DimensionMismatch(f"dims {va.shape[1]} != {vb.shape[1]}")
     n, m = len(va), len(vb)
-    vb_rev = vb[::-1]
+    dim, K = va.shape[1], _TILE_DIAGONALS
+
+    # a tile covers at most `chunk` rows, so its workspace stays near _TILE_BYTES
+    chunk = min(n, max(1, _TILE_BYTES // (8 * dim * K)))
+    work = np.empty(dim * K * chunk)
+    # column k of the padded copy is row m+K-1-k of b; the padding repeats
+    # b's edge rows, so every difference taken is one of a real cell, and
+    # the right side is `chunk` columns wider so one window view serves all
+    fa = np.ascontiguousarray(va.T)
+    fb = np.pad(vb[::-1].T, ((0, 0), (K, K + chunk)), mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(fb, chunk, axis=1)
+    # tile[K-1-(s-s0), i-r0] is the cost of cell (i-1, s-i-1) for s0 <= s < s0+K
+    tile = np.empty((K, n))
 
     # diags[s % 3][i] is the cheapest warp ending at (i-1, s-i-1), behind an
     # inf border; diagonal s needs only diagonals s-1 and s-2
@@ -69,21 +122,34 @@ def dtw_align(a, b) -> WarpPath:
     diags[0, 0] = 0.0
     # step taken to ENTER cell (i, s-i): 0 diagonal, 1 from (i-1, j), 2 from (i, j-1)
     steps = np.zeros((n + m + 1, n + 1), dtype=np.int8)
-    for s in range(2, n + m + 1):
-        lo, hi = max(1, s - m), min(n, s - 1)
-        prev = diags[(s - 1) % 3]
-        best = diags[(s - 2) % 3][lo - 1 : hi].copy()
-        step = steps[s, lo : hi + 1]
-        # strict < keeps the earlier candidate on a tie: diagonal, (i-1, j), (i, j-1)
-        for code, cand in ((1, prev[lo - 1 : hi]), (2, prev[lo : hi + 1])):
-            better = np.less(cand, best)
-            np.copyto(best, cand, where=better)
-            np.copyto(step, code, where=better)
-        # rows i-1 of a against rows s-i-1 of b, read as one slice of b reversed
-        d = va[lo - 1 : hi] - vb_rev[m - s + lo : m - s + hi + 1]
-        cur = diags[s % 3]
-        cur.fill(np.inf)
-        cur[lo : hi + 1] = best + np.sqrt((d * d).sum(axis=1))
+    for s0 in range(2, n + m + 1, K):
+        # rows r0..r1 hold every cell of diagonals s0..s0+K-1; row i of
+        # diagonal s0+K-1-k reads column i+k+m+1-s0 of the padded b
+        r0, r1 = max(1, s0 - m), min(n, s0 + K - 2)
+        for c0 in range(0, r1 - r0 + 1, chunk):
+            rows = min(chunk, r1 - r0 + 1 - c0)
+            col = r0 + c0 + m + 1 - s0
+            x = work[: dim * K * rows].reshape(dim, K, rows)
+            np.subtract(
+                fa[:, None, r0 - 1 + c0 : r0 - 1 + c0 + rows],
+                windows[:, col : col + K, :rows],
+                out=x,
+            )
+            np.multiply(x, x, out=x)
+            np.sqrt(_pairwise_row_sum(x), out=tile[:, c0 : c0 + rows])
+        for s in range(s0, min(s0 + K, n + m + 1)):
+            lo, hi = max(1, s - m), min(n, s - 1)
+            prev = diags[(s - 1) % 3]
+            best = diags[(s - 2) % 3][lo - 1 : hi].copy()
+            step = steps[s, lo : hi + 1]
+            # strict < keeps the earlier candidate on a tie: diagonal, (i-1, j), (i, j-1)
+            for code, cand in ((1, prev[lo - 1 : hi]), (2, prev[lo : hi + 1])):
+                better = np.less(cand, best)
+                np.copyto(best, cand, where=better)
+                np.copyto(step, code, where=better)
+            cur = diags[s % 3]
+            cur.fill(np.inf)
+            np.add(best, tile[K - 1 - (s - s0), lo - r0 : hi - r0 + 1], out=cur[lo : hi + 1])
     total = diags[(n + m) % 3][n]
     if not np.isfinite(total):
         raise ValidationError(f"warp cost is {total}: costs must be finite")

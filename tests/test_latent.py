@@ -10,12 +10,15 @@ from hypothesis.extra import numpy as hnp
 
 from modalign.errors import DimensionMismatch, IncompleteQuery, RankDeficient, ValidationError
 from modalign.latent import (
+    _TILE_BYTES,
+    _TILE_DIAGONALS,
     CcaResult,
     DataKind,
     Integration,
     Representation,
     Strategy,
     StrategyQuery,
+    _pairwise_row_sum,
     advise,
     cca_align,
     dtw_align,
@@ -87,12 +90,41 @@ def test_matches_loop_oracle_bit_for_bit():
     }
     cases = [(n, m, d, kind) for n, m in shapes for d in (1, 3, 13) for kind in features]
     cases += [(200, 300, 13, "random"), (300, 200, 13, "random"), (800, 700, 13, "random")]
+    # lengths around one band of anti-diagonals, at dims around numpy's sum blocks
+    K = _TILE_DIAGONALS
+    for d in (7, 8, 9, 16, 17, 129, 200):
+        cases += [(n, m, d, "random") for n in (K - 1, K, K + 1) for m in (K - 1, K, K + 1)]
+        cases += [(K + 1, K, d, "binary")]
+    # one row past the row chunk, and very unequal lengths
+    for d in (13, 129, 200):
+        past = _TILE_BYTES // (8 * d * K) + 1
+        cases += [(past, 9, d, "random"), (9, past, d, "random"), (past, K, d, "zero")]
+    cases += [(120, 120, 200, "random"), (400, 2, 3, "random"), (2, 400, 3, "random")]
     for n, m, d, kind in cases:
         a, b = features[kind](n, d), features[kind](m, d)
         path = dtw_align(a, b)
         pairs, total = dtw_loop(euclid_matrix(a, b))
         assert path.pairs == pairs, (n, m, d, kind)
         assert path.total_cost == total, (n, m, d, kind)
+
+
+def test_row_sum_order_matches_numpy():
+    rng = np.random.default_rng(14)
+    for d in range(1, 301):
+        x = rng.random((37, d)) * 10.0 ** rng.integers(-8, 8, size=(37, d))
+        sq = x * x
+        got = _pairwise_row_sum(np.ascontiguousarray(sq.T)).copy()
+        assert np.array_equal(got, sq.sum(axis=1)), (
+            f"d={d}: numpy's row sum no longer adds in the pairwise order "
+            "latent._pairwise_row_sum copies; dtw_align's bit-identical costs rest on it"
+        )
+
+
+def test_huge_equal_features_cost_nothing_without_overflow():
+    # every real cell's difference is 0; a tile cell outside the grid must be too
+    path = dtw_align(np.full((50, 3), 1e200), np.full((50, 3), 1e200))
+    assert path.total_cost == 0.0
+    assert path.pairs == tuple((i, i) for i in range(50))
 
 
 def test_memory_is_linear_in_sequence_lengths():
