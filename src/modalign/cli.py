@@ -33,7 +33,7 @@ from typing import get_args, get_type_hints
 from . import gaze as gaze_mod
 from . import ingest, latent, pitch, stats, synth
 from .errors import DataError, EngineError, ValidationError
-from .timeline import Modality, join_streams, query_crossmodal
+from .timeline import Modality, covered, join_streams, query_crossmodal
 
 
 # --- configuration ---------------------------------------------------------
@@ -227,7 +227,7 @@ def cmd_segments(args, cfg: RunConfig) -> int:
 
 
 def session_streams(index: ingest.CorpusIndex, cfg: RunConfig):
-    """(words, segments-or-None stream) per session, for align, query and regress."""
+    """(words, segments-or-None stream) per session, for align and query."""
     out = {}
     for sid, segs in session_segments(index, cfg).items():
         data = index.load_session(sid)
@@ -321,20 +321,19 @@ def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
     """Panel rows for the addressing regression, plus the party list."""
     party_of = speaker_parties(index, cfg)
     _, pitches = corpus_word_pitches(index, cfg)
-    addressed = {}  # session id -> ids of the words inside an address segment
-    for sid, (words, segs) in session_streams(index, cfg).items():
-        if segs is not None:
-            addressed[sid] = set(join_streams(words, segs).source_ids())
+    addressed = []  # per word, in the (session, time) order of the pitches
+    for sid, segs in session_segments(index, cfg).items():
+        words = index.load_session(sid).words
+        addressed += covered(segs.starts, segs.ends, words.starts, words.ends).tolist()
     parties = sorted(set(party_of.values()))
     others = [p for p in parties if p != cfg.target_party]
     rows = []
     skipped = 0
-    for wp in pitches:
+    for wp, a in zip(pitches, map(float, addressed), strict=True):
         if wp.z is None:
             skipped += 1
             continue
         party = party_of[wp.speaker_id]
-        a = 1.0 if wp.word_id in addressed.get(wp.session_id, ()) else 0.0
         regs = {interaction_name(p): a if party == p else 0.0 for p in others}
         rows.append(stats.PanelRow(wp.z, wp.speaker_id, {"addressing": a, **regs}))
     return rows, parties, skipped
@@ -456,8 +455,15 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments go through :func:`main`'s one-line path, exit 2; subparsers inherit this."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modalign",
         description="Align words, pitch, and gaze on a shared timeline and analyze the result.",
     )
@@ -574,8 +580,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         doc = _read_json(args.config, "config") if args.config else {}
         cfg = _settings(RunConfig, doc, args, f"config {args.config}")
         if args.command == "regress" and (args.index is None) == (args.panel is None):

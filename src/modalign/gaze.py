@@ -92,21 +92,24 @@ def _sample_period(t: np.ndarray) -> float:
 
 def _run_bounds(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and last index of every maximal run of True in ``flags``."""
-    edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    padded = np.concatenate(([False], flags, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])  # alternately a run's first, last + 1
+    return edges[::2], edges[1::2] - 1
 
 
 def detect_address_segments(trace: GazeTrace, rule: AddressRule) -> AddressSegments:
     """Scan a gaze trace for maximal addressing runs, labelled ``rule.label``.
 
     A sample is *in band* when it is frontal and ``yaw_min <= yaw <=
-    yaw_max``.  A frontal sample with ``pitch < notes_pitch_threshold``
-    keeps an already-open run going (it cannot open one).  Any other
-    sample — including every non-frontal one — closes the run.  A run
-    spanning samples ``i..j`` becomes ``[t_i, t_j + period)`` where
-    ``period`` is the median sample spacing of the trace.  The segments
-    come in time order with zero word counts; with no sample in band there
-    are none.
+    yaw_max``; a frontal sample out of band with ``pitch <
+    notes_pitch_threshold`` is a *notes-look*.  A run of notes-looks lasting
+    more than ``max_notes_seconds`` (first to last sample) bridges nothing.
+    Every maximal run of in-band and bridging samples that holds an in-band
+    sample becomes ``[t_i, t_j + period)``: ``i`` is its first in-band
+    sample, ``j`` its last sample and ``period`` the median sample spacing.
+    So a notes-look keeps a segment open but cannot open one, and any other
+    sample, every non-frontal one included, closes it.  The segments come
+    in time order with zero word counts.
 
     Samples must be strictly increasing in time (:class:`UnsortedSamples`).
     """
@@ -115,40 +118,20 @@ def detect_address_segments(trace: GazeTrace, rule: AddressRule) -> AddressSegme
     if back.size:
         k = int(back[0])
         raise UnsortedSamples(f"sample at t={t[k + 1]} does not follow t={t[k]}")
-    period = _sample_period(t)
 
     in_band = trace.frontal & (rule.yaw_min <= trace.yaw) & (trace.yaw <= rule.yaw_max)
-    at_notes = trace.frontal & ~in_band & (trace.pitch < rule.notes_pitch_threshold)
-    band_first, band_last = _run_bounds(in_band)
-    if not band_first.size:
-        return AddressSegments(np.empty(0), np.empty(0), np.zeros(0, dtype=np.intp), rule.label)
-    notes_first, notes_last = _run_bounds(at_notes)
-
-    # The notes-look run right after each in-band run, if any: [band_last + 1, gap_last].
-    after = band_last + 1
-    k = np.searchsorted(notes_first, after)
-    has_gap = k < notes_first.size
-    has_gap[has_gap] = notes_first[k[has_gap]] == after[has_gap]
-    gap_last = band_last.copy()
-    gap_last[has_gap] = notes_last[k[has_gap]]
-    # A gap that outlasts max_notes_seconds closes the segment at its last in-band sample.
-    timed_out = np.zeros_like(has_gap)
+    bridge = trace.frontal & ~in_band & (trace.pitch < rule.notes_pitch_threshold)
     if rule.max_notes_seconds is not None:
-        timed_out[has_gap] = (
-            t[gap_last[has_gap]] - t[after[has_gap]] > rule.max_notes_seconds
-        )
-    # Otherwise a gap bridges to the next in-band run when one starts right after it.
-    nxt = gap_last + 1
-    bridged = ~timed_out & (nxt < t.size)
-    bridged[bridged] = in_band[nxt[bridged]]
-    closes_at = np.where(timed_out, band_last, gap_last)
-
-    last_run = np.flatnonzero(~bridged)
-    first_run = np.concatenate(([0], last_run[:-1] + 1))
+        first, last = _run_bounds(bridge)
+        bridge[bridge] = np.repeat(t[last] - t[first] <= rule.max_notes_seconds, last - first + 1)
+    first, last = _run_bounds(in_band | bridge)
+    band = np.append(np.flatnonzero(in_band), t.size)
+    opens = band[np.searchsorted(band, first)]  # each run's first in-band sample, if it has one
+    kept = opens <= last
     return AddressSegments(
-        t[band_first[first_run]],
-        t[closes_at[last_run]] + period,
-        np.zeros(last_run.size, dtype=np.intp),
+        t[opens[kept]],
+        t[last[kept]] + _sample_period(t),
+        np.zeros(np.count_nonzero(kept), dtype=np.intp),
         rule.label,
     )
 

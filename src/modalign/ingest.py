@@ -210,8 +210,8 @@ _GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal"
 def load_gaze(path) -> GazeTrace:
     """Parse a gaze CSV; samples come back sorted by time.
 
-    Times must be finite; yaw must lie in [-180, 180] and pitch in [-90, 90]
-    degrees (:class:`AngleOutOfRange` otherwise); ``frontal`` is 0 or 1.
+    Times must be finite and >= 0; yaw must lie in [-180, 180] and pitch in
+    [-90, 90] degrees (:class:`AngleOutOfRange` otherwise); ``frontal`` is 0 or 1.
     """
     rows = []
     for line_no, parts in _csv_lines(path, _GAZE_HEADER):
@@ -220,8 +220,8 @@ def load_gaze(path) -> GazeTrace:
             frontal = int(parts[3])
         except ValueError as e:
             raise ParseError(path, line_no, f"bad field: {e}") from e
-        if not math.isfinite(t):
-            raise ParseError(path, line_no, f"t must be finite, got {parts[0]!r}")
+        if not 0.0 <= t < math.inf:  # also false for nan
+            raise ParseError(path, line_no, f"t must be finite and >= 0, got {parts[0]!r}")
         if not -180.0 <= yaw <= 180.0:
             raise AngleOutOfRange(path, line_no, f"yaw {yaw} outside [-180, 180]")
         if not -90.0 <= pitch <= 90.0:
@@ -327,7 +327,10 @@ def read_wav(path) -> AudioBuffer:
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
-    return AudioBuffer(data, sr)
+    try:
+        return AudioBuffer(data, sr)
+    except ValidationError as e:  # no frames, or a rate below 8000 Hz
+        raise ParseError(path, 0, str(e)) from None
 
 
 def write_wav(samples: np.ndarray, sample_rate: int, path) -> None:
@@ -649,6 +652,8 @@ class CorpusIndex:
             raise ParseError(blob, 0, f"{len(ids)} word ids for {len(tokens)} words")
         w = _read_table(self.root / row["words"], _WORDS_DTYPE, rows=len(ids))
         g = _read_table(self.root / row["gaze"], _GAZE_DTYPE)
+        if (g["t"] < 0).any():
+            raise ParseError(self.root / row["gaze"], 0, "column 't' holds negative times")
         words = stream_from_columns(
             Modality.TEXT, session_id, ids, w["start"], w["end"], tokens,
             speaker_id=row["speaker_id"],

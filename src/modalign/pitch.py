@@ -55,6 +55,9 @@ PITCH_RANGE_BY_GENDER = {
     "f": PitchRange(100.0, 500.0),
 }
 
+#: Frames :func:`estimate_pitch_track` processes per batch; bounds memory, not results.
+CHUNK_FRAMES = 2048
+
 
 @dataclass(frozen=True)
 class AudioBuffer:
@@ -204,7 +207,6 @@ def estimate_pitch_track(
     hop: int = 512,
     threshold: float = 0.15,
     session_id: str | None = None,
-    chunk_frames: int = 2048,
 ) -> PitchTrack:
     """Estimate f0 per frame.
 
@@ -220,8 +222,6 @@ def estimate_pitch_track(
         twice the longest admissible period (``2 * sample_rate / floor``).
     threshold:
         Absolute voicing threshold on the normalized difference.
-    chunk_frames:
-        Frames processed per batch; bounds memory, not results.
 
     The dip search and the parabolic refinement read no lag past
     ``tau_hi + 1`` (``tau_hi = sample_rate/floor``), and the cumulative mean
@@ -229,13 +229,13 @@ def estimate_pitch_track(
     ``min(tau_hi + 1, frame_length // 2)`` are neither computed nor
     normalized.  Overlapping frames share work: the difference function is
     computed once per hop-aligned block of the waveform, copied out of it
-    once per batch, and each frame sums the blocks that tile its window
-    (see :func:`_difference_chunk`).
+    once per batch of :data:`CHUNK_FRAMES` frames, and each frame sums the
+    blocks that tile its window (see :func:`_difference_chunk`).
 
     Raises :class:`AudioTooShort` when the signal is shorter than one
     frame, :class:`InvalidRange` when framing cannot cover the band or
     the band holds no whole-sample lag of at least 2, and
-    :class:`ValidationError` for a bad threshold, hop or ``chunk_frames``.
+    :class:`ValidationError` for a bad threshold or hop.
     """
     sr = audio.sample_rate
     if frame_length < 2 * sr / search_range.floor:
@@ -247,11 +247,9 @@ def estimate_pitch_track(
         raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
     if hop < 1 or hop > frame_length:
         raise ValidationError(f"hop must be in [1, frame_length], got {hop}")
-    if chunk_frames < 1:
-        raise ValidationError(f"chunk_frames must be >= 1, got {chunk_frames}")
     x = audio.samples
     if x.size < frame_length:
-        raise AudioTooShort(f"{x.size} samples < one frame of {frame_length}")
+        raise AudioTooShort(f"session {session_id!r}: {x.size} samples < one frame of {frame_length}")
 
     max_lag = frame_length // 2
     tau_lo = max(2, math.ceil(sr / search_range.ceiling))
@@ -265,8 +263,8 @@ def estimate_pitch_track(
     f0 = np.full(starts.size, np.nan)
     voiced = np.zeros(starts.size, dtype=bool)
 
-    for lo in range(0, starts.size, chunk_frames):
-        count = min(chunk_frames, starts.size - lo)
+    for lo in range(0, starts.size, CHUNK_FRAMES):
+        count = min(CHUNK_FRAMES, starts.size - lo)
         cmnd = _normalize(_difference_chunk(x, lo, count, hop, max_lag, last_lag))
 
         band = cmnd[:, tau_lo : tau_hi + 1]

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .gaze import AddressSegments
-from .timeline import ElementStream, Modality, overlap_pairs
+from .timeline import ElementStream, Modality, covered
 
 Z_95 = 1.96  # conventional two-sided 95% normal quantile
 
@@ -278,11 +278,9 @@ def four_situation_split(
             to_target, to_others = split.target_to_target, split.target_to_others
         else:
             to_target, to_others = split.others_to_target, split.others_to_others
-        addressed = np.zeros(len(stream), dtype=bool)
         segs = segments_by_session.get(stream.session_id)
-        if segs is not None:
-            _, words, _ = overlap_pairs(segs.starts, segs.ends, stream.starts, stream.ends, 0.0)
-            addressed[words] = True
+        bounds = (segs.starts, segs.ends) if segs is not None else (np.empty(0), np.empty(0))
+        addressed = covered(*bounds, stream.starts, stream.ends)
         for cell, mask in ((to_target, addressed), (to_others, ~addressed)):
             for payload, count in Counter(compress(stream.payloads, mask.tolist())).items():
                 cell[str(payload).lower()] += count

@@ -273,6 +273,13 @@ def overlap_pairs(
     return i[keep], j[keep], ov[keep]
 
 
+def covered(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
+    """Mask of the ``b`` intervals (sorted by start) that overlap, strictly, an ``a`` (any order)."""
+    mask = np.zeros(starts_b.size, dtype=bool)
+    mask[overlap_pairs(starts_a, ends_a, starts_b, ends_b, 0.0)[1]] = True
+    return mask
+
+
 def join_streams(
     source: ElementStream,
     target: ElementStream,
@@ -348,9 +355,9 @@ def query_crossmodal(
         matched = matched_by_session.get(stream.session_id)
         if not matched:
             continue
-        starts, ends = np.array(sorted(matched)).T
-        hit_idx, _, _ = overlap_pairs(stream.starts, stream.ends, starts, ends, 0.0)
-        parts.append((stream.session_id, stream, np.unique(hit_idx)))  # in (start, end, id) order
+        starts, ends = np.array(matched).T
+        at = np.flatnonzero(covered(starts, ends, stream.starts, stream.ends))
+        parts.append((stream.session_id, stream, at))  # in (start, end, id) order
     parts.sort(key=lambda part: part[0])  # stable: a session's streams keep their corpus order
 
     session_ids = [sid for sid, _, at in parts for _ in range(at.size)]

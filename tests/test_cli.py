@@ -6,6 +6,7 @@ import json
 import math
 import shutil
 import tempfile
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,8 @@ from hypothesis import strategies as st
 
 from modalign import cli, errors
 from modalign.cli import main
-from modalign.ingest import CorpusIndex
+from modalign.ingest import INDEX_FORMAT_VERSION, CorpusIndex
 from modalign.stats import PanelRow, fe_regress, fightin_words
-from modalign.timeline import join_streams
 
 ADDRESS_VOCAB = {"zuruf", "emport", "skandal", "widerspruch", "aufregung"}
 NEUTRAL_VOCAB = {"bericht", "haushalt", "antrag", "ausschuss", "verfahren"}
@@ -364,12 +364,27 @@ _WORD = b'{"word": "ja", "start": 0, "end": 1, "speaker_id": "spk000"}\n'
 _GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal\n"
 
 
-def _corpus(session_id='"a"', speaker_id='"spk000"', transcript=_WORD) -> dict:
+def _corpus(session_id='"a"', speaker_id='"spk000"', transcript=_WORD, gaze="") -> dict:
     """The files of a one-session corpus whose manifest gives these ids (as JSON text)."""
     session = (f'{{"session_id": {session_id}, "speaker_id": {speaker_id}, '
                '"transcript": "t.jsonl", "audio": "a.wav", "gaze": "g.csv"}')
     return {"m.json": f'{{"format_version": 1, "speakers": "s.csv", "sessions": [{session}]}}',
-            **_SPEAKERS, "t.jsonl": transcript, "a.wav": "", "g.csv": _GAZE_HEADER}
+            **_SPEAKERS, "t.jsonl": transcript, "a.wav": "", "g.csv": _GAZE_HEADER + gaze}
+
+
+def _sess000_with_wav(rate: int, frames: int) -> dict:
+    """An index of sess000 alone whose audio is a silent WAV of ``frames`` frames at ``rate`` Hz."""
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(rate)
+        wf.writeframes(b"\0\0" * frames)
+    row = {"session_id": "sess000", "speaker_id": "spk000", "audio": "TMP/idx/a.wav",
+           "blob": "sessions/sess000.json", "words": "sessions/sess000.words.npy",
+           "gaze": "sessions/sess000.gaze.npy"}
+    doc = {"format_version": INDEX_FORMAT_VERSION, "sessions": [row]}
+    return {"idx/manifest.json": json.dumps(doc), "idx/a.wav": buf.getvalue()}
 
 
 _MANIFEST = ["ingest", "--manifest", "TMP/m.json"]
@@ -451,6 +466,14 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["fw", "--index", "IDX"], "ParseError"),
         ({"idx/speakers.csv": "speaker_id,party,gender\nspk000,AfD,m\n"},
          ["pitch", "--index", "IDX"], "ParseError"),
+        (_sess000_with_wav(16000, 0), ["pitch", "--index", "IDX"], "ParseError"),
+        (_sess000_with_wav(4000, 8000), ["regress", "--index", "IDX"], "ParseError"),
+        (_corpus(gaze="-5.0,50,0,1\n"), _MANIFEST, "ParseError"),
+        (_gaze_npy(rows=[(-5.0, 50, 0, 1), (0.125, 50, 0, 1)]),
+         ["segments", "--index", "IDX"], "ParseError"),
+        ({}, ["pitch", "--index", "IDX", "--hop", "abc"], "ValidationError"),
+        ({}, ["pitch"], "ValidationError"),
+        ({}, ["nosuch"], "ValidationError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
@@ -465,7 +488,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "fw-index-and-counts", "transcript-not-utf8", "counts-not-utf8",
          "fw-unknown-target-party", "regress-unknown-target-party", "manifest-session-id-escapes",
          "manifest-session-id-number", "manifest-speaker-not-listed", "speakers-bad-gender",
-         "speakers-missing-speaker"],
+         "speakers-missing-speaker", "wav-no-frames", "wav-rate-4000", "gaze-csv-negative-t",
+         "gaze-negative-t", "hop-not-int", "index-missing", "unknown-command"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
@@ -474,7 +498,7 @@ def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, 
         if isinstance(content, bytes):
             (tmp_path / name).write_bytes(content)
         else:
-            (tmp_path / name).write_text(content, encoding="utf-8")
+            (tmp_path / name).write_text(content.replace("TMP", str(tmp_path)), encoding="utf-8")
     argv = [a.replace("IDX", str(tmp_path / "idx")).replace("TMP", str(tmp_path)) for a in argv]
     out = tmp_path / "out"
     before = set(tmp_path.rglob("*"))
@@ -610,19 +634,28 @@ def test_build_panel_finds_its_stages_through_cli(planted_corpus, monkeypatch):
         assert hasattr(cli, name), name
     seen = []
 
-    def pitches(index, cfg):
-        seen.append("corpus_word_pitches")
-        return {sid: index.load_session(sid) for sid in index.session_ids()}, []
+    def spy(name):
+        stage = getattr(cli, name)
 
-    def join(*args, **kwargs):
-        seen.append("join_streams")
-        return join_streams(*args, **kwargs)
+        def call(*args, **kwargs):
+            seen.append(name)
+            return stage(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "corpus_word_pitches", pitches)
-    monkeypatch.setattr(cli, "join_streams", join)
+        return call
+
+    for name in ("corpus_word_pitches", "session_segments", "join_streams"):
+        monkeypatch.setattr(cli, name, spy(name))
     rows, parties, skipped = cli.build_panel(CorpusIndex(planted_corpus.index), cli.RunConfig())
-    assert seen == ["corpus_word_pitches"] + ["join_streams"] * 4
-    assert (rows, parties, skipped) == ([], ["AfD", "SPD"], 0)
+    assert seen == ["corpus_word_pitches", "session_segments"]
+    assert parties == ["AfD", "SPD"] and len(rows) + skipped == 4 * 120
+    assert 0 < sum(row.regressors["addressing"] for row in rows) < len(rows)
+
+
+def test_missing_out_exits_2_with_one_line(planted_corpus, capsys):
+    assert run("segments", "--index", planted_corpus.index) == 2
+    assert capsys.readouterr().err == (
+        "ValidationError: modalign segments: the following arguments are required: --out\n"
+    )
 
 
 def test_advise_incomplete_query_exits_2(capsys):

@@ -175,11 +175,11 @@ def test_gaze_format_errors(tmp_path):
     write_lines(p, ["t,yaw_deg,pitch_deg,frontal", "zero,0,0,1"])
     with pytest.raises(ParseError, match="bad field"):
         load_gaze(p)
-    for t in ("nan", "inf", "-inf"):
+    for t in ("nan", "inf", "-inf", "-0.5"):
         write_lines(p, ["t,yaw_deg,pitch_deg,frontal", "0.0,26,-3,1", f"{t},26,-3,1"])
-        with pytest.raises(ParseError, match="finite") as exc:
+        with pytest.raises(ParseError, match="finite and >= 0") as exc:
             load_gaze(p)
-        assert exc.value.line_no == 3
+        assert exc.value.line_no == 3 and exc.value.path == str(p)
 
 
 def test_gaze_round_trip(tmp_path):
@@ -266,6 +266,11 @@ def test_wav_rejects_other_encodings(tmp_path):
         read_wav(garbage)
     with pytest.raises(MissingFile):
         read_wav(tmp_path / "absent.wav")
+    for rate, samples in ((16000, 0), (4000, 100)):  # no frames; a rate below 8000 Hz
+        write_wav(np.zeros(samples), rate, p)
+        with pytest.raises(ParseError) as exc:
+            read_wav(p)
+        assert exc.value.path == str(p)
 
 
 # --- manifest and index ----------------------------------------------------

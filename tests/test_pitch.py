@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modalign import pitch
 from modalign.errors import (
     AudioTooShort,
     DegenerateSpeaker,
@@ -100,12 +101,13 @@ def test_frame_times_are_centers():
     assert np.allclose(np.diff(track.frame_times), 512 / SR)
 
 
-def test_chunking_does_not_change_results():
+def test_chunking_does_not_change_results(monkeypatch):
     # batched FFTs may differ in the last bit between batch shapes, so
     # chunk size must not move anything beyond float noise
     audio = sine(205.0, seconds=1.5)
     whole = estimate_pitch_track(audio, WIDE)
-    chunked = estimate_pitch_track(audio, WIDE, chunk_frames=7)
+    monkeypatch.setattr(pitch, "CHUNK_FRAMES", 7)
+    chunked = estimate_pitch_track(audio, WIDE)
     assert (whole.voiced == chunked.voiced).all()
     assert np.allclose(whole.f0, chunked.f0, rtol=1e-9, atol=0, equal_nan=True)
 
@@ -192,15 +194,9 @@ def test_quiet_and_silent_stretches_after_a_loud_tone():
     assert not track.voiced[silent].any()
 
 
-@pytest.mark.parametrize("chunk_frames", [0, -1])
-def test_chunk_frames_must_be_positive(chunk_frames):
-    with pytest.raises(ValidationError, match="chunk_frames"):
-        estimate_pitch_track(sine(150.0), WIDE, chunk_frames=chunk_frames)
-
-
 def test_short_audio_rejected():
-    with pytest.raises(AudioTooShort):
-        estimate_pitch_track(AudioBuffer(np.zeros(1000), SR), WIDE, frame_length=2048)
+    with pytest.raises(AudioTooShort, match="session 'sess009': 1000 samples"):
+        estimate_pitch_track(AudioBuffer(np.zeros(1000), SR), WIDE, session_id="sess009")
 
 
 def test_frame_must_cover_two_periods_at_floor():

@@ -24,6 +24,7 @@ from modalign.timeline import (
     Element,
     Modality,
     build_stream,
+    covered,
     join_streams,
     overlap_pairs,
     query_crossmodal,
@@ -193,6 +194,18 @@ def test_overlap_pairs_match_sweep_loop(a_spans, b_spans, min_ov):
     cols = [np.array([iv[end] for iv in side], dtype=float) for side in (a, b) for end in (0, 1)]
     i, j, ov = overlap_pairs(*cols, min_ov)
     assert list(zip(i.tolist(), j.tolist(), ov.tolist())) == sorted(sweep_loop(a, b, min_ov))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_EDGE, _LENGTH), max_size=25),
+       st.lists(st.tuples(_EDGE, _LENGTH), max_size=25))
+def test_covered_matches_brute_force(a_spans, b_spans):
+    a = [(s, s + d) for s, d in a_spans]  # side a in the order drawn
+    b = sorted((s, s + d) for s, d in b_spans)
+    cols = [np.array([iv[end] for iv in side], dtype=float) for side in (a, b) for end in (0, 1)]
+    mask = covered(*cols)
+    assert mask.dtype == bool
+    assert mask.tolist() == [any(overlap(x, y) > 0 for x in a) for y in b]
 
 
 def test_join_matches_brute_force_randomized():
