@@ -14,7 +14,6 @@ from .timeline import (
     ElementStream,
     Modality,
     QueryHits,
-    build_stream,
     join_streams,
     query_crossmodal,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "ElementStream",
     "Modality",
     "QueryHits",
-    "build_stream",
     "join_streams",
     "query_crossmodal",
 ]

@@ -167,22 +167,6 @@ def session_segments(index: ingest.CorpusIndex, cfg: RunConfig):
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """``header``, then one line per row with every value through :func:`_fmt`."""
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    with ingest.writing(path):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
 # --- commands --------------------------------------------------------------
 
 def cmd_ingest(args, cfg: RunConfig) -> int:
@@ -200,7 +184,7 @@ def cmd_pitch(args, cfg: RunConfig) -> int:
         for word in zip(data.words.ids, data.words.payloads,
                         data.words.starts.tolist(), data.words.ends.tolist())
     ]
-    _write_csv(
+    ingest.write_csv(
         args.out,
         "session_id,word_id,word,start,end,speaker_id,mean_f0,voiced_frames,z",
         [
@@ -221,7 +205,7 @@ def cmd_segments(args, cfg: RunConfig) -> int:
         segs = segments[sid]
         rows += zip(repeat(sid), repeat(segs.label), segs.starts.tolist(), segs.ends.tolist(),
                     segs.word_counts.tolist())
-    _write_csv(args.out, "session_id,label,start,end,word_count", rows)
+    ingest.write_csv(args.out, "session_id,label,start,end,word_count", rows)
     print(f"{len(rows)} segments -> {args.out}")
     return 0
 
@@ -253,7 +237,7 @@ def cmd_align(args, cfg: RunConfig) -> int:
         amap = join_streams(source, target, min_overlap=args.min_overlap)
         rows += zip(repeat(sid), amap.source_ids(), amap.target_ids(), amap.overlap.tolist())
         summaries.append(f"{sid}: {len(amap)} pairs, {amap.cardinality.value}")
-    _write_csv(args.out, "session_id,source_id,target_id,overlap_seconds", rows)
+    ingest.write_csv(args.out, "session_id,source_id,target_id,overlap_seconds", rows)
     for s in summaries:
         print(s)
     return 0
@@ -261,8 +245,6 @@ def cmd_align(args, cfg: RunConfig) -> int:
 
 _WHERE_MODALITIES = {
     "text": Modality.TEXT,
-    "audio": Modality.AUDIO,
-    "visual": Modality.VISUAL,
     "derived": Modality.DERIVED,
     "gaze": Modality.DERIVED,      # address segments are a derived stream
     "segments": Modality.DERIVED,
@@ -285,7 +267,7 @@ def _parse_where(expr: str):
         )
     if attr not in ("label", "word", "payload"):
         raise ValidationError(f"unknown attribute {attr!r}; choose label, word, or payload")
-    return _WHERE_MODALITIES[mod_name], (lambda e: str(e.payload) == value)
+    return _WHERE_MODALITIES[mod_name], (lambda e: e.payload == value)
 
 
 def cmd_query(args, cfg: RunConfig) -> int:
@@ -297,7 +279,7 @@ def cmd_query(args, cfg: RunConfig) -> int:
     corpus = [s for pair in session_streams(index, cfg).values() for s in pair if s is not None]
     hits = query_crossmodal(corpus, select, predicate, where_modality)
     rows = zip(hits.session_ids, hits.ids, hits.starts.tolist(), hits.ends.tolist(), hits.payloads)
-    _write_csv(args.out, "session_id,id,start,end,payload", rows)
+    ingest.write_csv(args.out, "session_id,id,start,end,payload", rows)
     print(f"{len(hits)} elements -> {args.out}")
     return 0
 
@@ -389,7 +371,7 @@ def cmd_regress(args, cfg: RunConfig) -> int:
     if parties is not None:
         cells = list(margin_cells(parties, result))
         margins = stats.margins(result, [(party, settings) for party, _, settings in cells])
-        _write_csv(
+        ingest.write_csv(
             out_dir / "margins.csv",
             "party,addressing,predicted,ci_low,ci_high",
             [
@@ -430,7 +412,7 @@ def cmd_fw(args, cfg: RunConfig) -> int:
         for name, counts, rest in comparisons
         for s in stats.fightin_words(counts, rest, prior_scale=cfg.prior_scale)
     ]
-    _write_csv(args.out, "situation,word,count,count_rest,delta,variance,z", rows)
+    ingest.write_csv(args.out, "situation,word,count,count_rest,delta,variance,z", rows)
     print(f"{len(rows)} scores -> {args.out}")
     return 0
 
@@ -521,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="select elements overlapping a condition on another modality")
     p.add_argument("--index", required=True, metavar="DIR", help="corpus index directory")
     p.add_argument("--select", required=True, metavar="MODALITY",
-                   help="modality to return (text, audio, visual, derived)")
+                   help="modality to return: text, or derived (also named gaze or segments)")
     p.add_argument("--where", required=True, metavar="EXPR",
                    help="filter like gaze.label==AfD on the other modality")
     p.add_argument("--out", required=True, metavar="CSV", help="matching elements CSV to write")

@@ -27,10 +27,6 @@ class EmptyStream(DataError):
     """A stream was built from zero elements."""
 
 
-class MixedPayload(DataError):
-    """Elements of a single stream carry more than one payload variant."""
-
-
 class OverlappingWords(DataError):
     """Word intervals in a text stream overlap; transcripts must tile time."""
 

@@ -4,7 +4,8 @@ Input formats
 -------------
 * Transcripts: JSON Lines, one object per word:
   ``{"word": str, "start": seconds, "end": seconds, "speaker_id": str}``.
-* Gaze traces: CSV with header ``t,yaw_deg,pitch_deg,frontal``.
+* Gaze traces: CSV with header ``t,yaw_deg,pitch_deg,frontal``; rows may
+  come in any order, but no two may share a time.
 * Speaker metadata: CSV with header ``speaker_id,party,gender``.
 * Regression panels: CSV with an outcome, a group and regressor columns.
 * Word counts: CSV with header ``word,count``.
@@ -46,6 +47,8 @@ import numpy as np
 from .errors import (
     AngleOutOfRange,
     MissingFile,
+    NegativeInterval,
+    OverlappingWords,
     ParseError,
     ValidationError,
     VersionMismatch,
@@ -109,6 +112,23 @@ def _csv_lines(path, header: str | None) -> Iterator[tuple[int, list[str]]]:
         if len(parts) != width:
             raise ParseError(path, line_no, f"expected {width} fields, got {len(parts)}")
         yield line_no, parts
+
+
+def _fmt(value) -> str:
+    """A CSV cell: empty for None, ``repr`` of a float, ``str`` of anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """``header``, then a line per row of :func:`_fmt` cells; see :func:`writing` for errors."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
+    with writing(path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _finite(path, line_no: int, text: str) -> float:
@@ -190,8 +210,8 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
     )
 
 
-def write_transcript(stream: ElementStream, path, speaker_id: str | None = None) -> None:
-    sid = speaker_id if speaker_id is not None else (stream.speaker_id or "")
+def write_transcript(stream: ElementStream, path) -> None:
+    sid = stream.speaker_id or ""
     with open(path, "w", encoding="utf-8") as fh:
         for word, start, end in zip(stream.payloads, stream.starts.tolist(), stream.ends.tolist()):
             fh.write(
@@ -210,8 +230,9 @@ _GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal"
 def load_gaze(path) -> GazeTrace:
     """Parse a gaze CSV; samples come back sorted by time.
 
-    Times must be finite and >= 0; yaw must lie in [-180, 180] and pitch in
-    [-90, 90] degrees (:class:`AngleOutOfRange` otherwise); ``frontal`` is 0 or 1.
+    Times must be finite, >= 0 and distinct, in any row order; yaw must lie
+    in [-180, 180] and pitch in [-90, 90] degrees (:class:`AngleOutOfRange`
+    otherwise); ``frontal`` is 0 or 1.
     """
     rows = []
     for line_no, parts in _csv_lines(path, _GAZE_HEADER):
@@ -228,18 +249,20 @@ def load_gaze(path) -> GazeTrace:
             raise AngleOutOfRange(path, line_no, f"pitch {pitch} outside [-90, 90]")
         if frontal not in (0, 1):
             raise ParseError(path, line_no, f"frontal must be 0 or 1, got {parts[3]}")
-        rows.append((t, yaw, pitch, frontal))
+        rows.append((t, yaw, pitch, frontal, line_no))
     rows.sort(key=lambda row: row[0])
-    t, yaw, pitch, frontal = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    t, yaw, pitch, frontal, line = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    repeat = np.flatnonzero(t[1:] == t[:-1])
+    if repeat.size:
+        k = int(repeat[0])
+        raise ParseError(path, int(line[k + 1]), f"t={t[k]} repeats line {int(line[k])}'s time")
     return GazeTrace(t, yaw, pitch, frontal != 0)
 
 
 def write_gaze(trace: GazeTrace, path) -> None:
-    columns = (trace.t.tolist(), trace.yaw.tolist(), trace.pitch.tolist(), trace.frontal.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_GAZE_HEADER + "\n")
-        for t, yaw, pitch, frontal in zip(*columns):
-            fh.write(f"{t!r},{yaw!r},{pitch!r},{int(frontal)}\n")
+    frontal = trace.frontal.astype(int)  # 0/1, where a bool cell would read True/False
+    columns = (trace.t.tolist(), trace.yaw.tolist(), trace.pitch.tolist(), frontal.tolist())
+    write_csv(path, _GAZE_HEADER, zip(*columns))
 
 
 # --- speaker metadata ------------------------------------------------------
@@ -260,10 +283,7 @@ def load_speakers(path) -> dict[str, SpeakerProfile]:
 
 
 def write_speakers(rows: Sequence[tuple[str, str, str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("speaker_id,party,gender\n")
-        for sid, party, gender in rows:
-            fh.write(f"{sid},{party},{gender}\n")
+    write_csv(path, "speaker_id,party,gender", rows)
 
 
 # --- regression panels and word counts -------------------------------------
@@ -650,14 +670,18 @@ class CorpusIndex:
         )
         if len(tokens) != len(ids):
             raise ParseError(blob, 0, f"{len(ids)} word ids for {len(tokens)} words")
-        w = _read_table(self.root / row["words"], _WORDS_DTYPE, rows=len(ids))
-        g = _read_table(self.root / row["gaze"], _GAZE_DTYPE)
-        if (g["t"] < 0).any():
-            raise ParseError(self.root / row["gaze"], 0, "column 't' holds negative times")
-        words = stream_from_columns(
-            Modality.TEXT, session_id, ids, w["start"], w["end"], tokens,
-            speaker_id=row["speaker_id"],
-        )
+        words_path, gaze_path = self.root / row["words"], self.root / row["gaze"]
+        w = _read_table(words_path, _WORDS_DTYPE, rows=len(ids))
+        g = _read_table(gaze_path, _GAZE_DTYPE)
+        if (g["t"][:1] < 0).any() or (g["t"][1:] <= g["t"][:-1]).any():
+            raise ParseError(gaze_path, 0, "column 't' must rise strictly from a time >= 0")
+        try:
+            words = stream_from_columns(
+                Modality.TEXT, session_id, ids, w["start"], w["end"], tokens,
+                speaker_id=row["speaker_id"],
+            )
+        except (NegativeInterval, OverlappingWords) as e:
+            raise ParseError(words_path, 0, f"words of session {session_id!r}: {e}") from None
         gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"] == 1)
         data = SessionData(session_id, row["speaker_id"], words, gaze, Path(row["audio"]))
         self._cache[session_id] = data

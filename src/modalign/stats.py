@@ -283,5 +283,5 @@ def four_situation_split(
         addressed = covered(*bounds, stream.starts, stream.ends)
         for cell, mask in ((to_target, addressed), (to_others, ~addressed)):
             for payload, count in Counter(compress(stream.payloads, mask.tolist())).items():
-                cell[str(payload).lower()] += count
+                cell[payload.lower()] += count
     return split

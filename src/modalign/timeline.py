@@ -1,6 +1,6 @@
 """Timestamped element streams, interval joins, and cross-modal queries.
 
-Every modality is reduced to a stream of discrete elements (words, frames,
+Every modality is reduced to a stream of discrete elements (words and
 segments) stamped with half-open time intervals on a shared per-session
 clock.  Aligning two modalities is then an interval join; querying one
 modality by a condition on another is a join followed by a filter.
@@ -11,6 +11,7 @@ Conventions
   intervals that merely touch (``a.end == b.start``) do not overlap.
 * Point samples are represented as ``start == end`` and never align with
   anything: a zero-length interval has zero overlap with everything.
+* Payloads are strings: a word's token, a segment's label.
 * Bounds are checked in one place, :func:`stream_from_columns`, which
   raises :class:`~modalign.errors.NegativeInterval` unless
   ``0 <= start <= end``.
@@ -23,15 +24,13 @@ import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import (
     DuplicateIds,
     EmptyStream,
-    MixedPayload,
     ModalityAbsent,
     NegativeInterval,
     OverlappingWords,
@@ -42,8 +41,6 @@ from .errors import (
 
 class Modality(enum.Enum):
     TEXT = "text"
-    AUDIO = "audio"
-    VISUAL = "visual"
     DERIVED = "derived"
 
 
@@ -56,26 +53,14 @@ class Cardinality(enum.Enum):
     MANY_TO_MANY = "many-to-many"
 
 
-def _payload_kind(payload) -> str:
-    if isinstance(payload, str):
-        return "token"
-    if isinstance(payload, tuple):
-        if len(payload) == 2 and all(isinstance(v, Real) for v in payload):
-            return "angles"
-        raise MixedPayload(f"tuple payload must be a (yaw, pitch) pair, got {payload!r}")
-    if isinstance(payload, Real):
-        return "scalar"
-    raise MixedPayload(f"unsupported payload type {type(payload).__name__}")
-
-
 @dataclass(frozen=True)
 class Element:
-    """One discrete item on the timeline: a word, a sample, a segment, over ``[start, end)``."""
+    """One discrete item on the timeline, a word or a segment, over ``[start, end)``."""
 
     id: str
     start: float
     end: float
-    payload: str | float | tuple[float, float]
+    payload: str
 
 
 class _ElementColumns(Sequence):
@@ -112,7 +97,7 @@ class ElementStream(_ElementColumns):
     ids: tuple[str, ...]
     starts: np.ndarray
     ends: np.ndarray
-    payloads: tuple
+    payloads: tuple[str, ...]
 
 
 def stream_from_columns(
@@ -121,14 +106,14 @@ def stream_from_columns(
     ids: Sequence[str],
     starts,
     ends,
-    payloads: Sequence,
+    payloads: Sequence[str],
     speaker_id: str | None = None,
 ) -> ElementStream:
     """Validate, sort, and freeze a stream given as parallel columns.
 
     Elements are sorted by ``(start, end, id)``.  Raises
-    :class:`EmptyStream`, :class:`MixedPayload` on payload-variant mixtures,
-    :class:`DuplicateIds` on duplicate element ids,
+    :class:`ValidationError` unless every payload is a string,
+    :class:`EmptyStream`, :class:`DuplicateIds` on duplicate element ids,
     :class:`NegativeInterval` unless ``0 <= start <= end``, and
     :class:`OverlappingWords` when a text stream's word intervals overlap.
     """
@@ -139,10 +124,8 @@ def stream_from_columns(
         raise ValidationError("stream columns differ in length")
     if not ids:
         raise EmptyStream(f"stream for session {session_id!r} has no elements")
-    # All strings, the case of every text stream, is one pass over the types.
-    kinds = {"token"} if set(map(type, payloads)) == {str} else set(map(_payload_kind, payloads))
-    if len(kinds) > 1:
-        raise MixedPayload(f"stream mixes payload variants {sorted(kinds)}")
+    if set(map(type, payloads)) != {str}:
+        raise ValidationError(f"payloads of the stream for session {session_id!r} must be strings")
     if len(set(ids)) != len(ids):
         raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
     bad = np.flatnonzero((starts < 0) | (ends < starts))
@@ -166,25 +149,6 @@ def stream_from_columns(
     starts.setflags(write=False)
     ends.setflags(write=False)
     return ElementStream(modality, session_id, speaker_id, ids, starts, ends, payloads)
-
-
-def build_stream(
-    modality: Modality,
-    session_id: str,
-    elements: Iterable[Element],
-    speaker_id: str | None = None,
-) -> ElementStream:
-    """:func:`stream_from_columns` on the columns of ``elements``."""
-    elems = list(elements)
-    return stream_from_columns(
-        modality,
-        session_id,
-        [e.id for e in elems],
-        [e.start for e in elems],
-        [e.end for e in elems],
-        [e.payload for e in elems],
-        speaker_id=speaker_id,
-    )
 
 
 @dataclass(frozen=True)
@@ -319,7 +283,7 @@ class QueryHits(_ElementColumns):
     ids: tuple[str, ...]
     starts: np.ndarray
     ends: np.ndarray
-    payloads: tuple
+    payloads: tuple[str, ...]
 
 
 def query_crossmodal(

@@ -37,7 +37,7 @@ from modalign.pitch import (
 )
 from modalign.stats import PanelRow, fe_regress, fightin_words
 from modalign.synth import SynthSpec
-from modalign.timeline import Element, Modality, build_stream, join_streams
+from modalign.timeline import Modality, join_streams, stream_from_columns
 
 from _e2e import interaction_name, planted_run
 from _oracles import (
@@ -100,15 +100,14 @@ def test_02_speaker_standardization_moments():
             assert abs(zs.std(ddof=1) - 1.0) < 1e-9, speaker
 
 
-def _random_stream(rng, session, modality, n):
+def _random_stream(rng, session, n):
+    """A DERIVED stream of ``n`` random, possibly overlapping intervals."""
     starts = np.round(rng.uniform(0, 300, size=n), 3)
     durations = np.round(rng.uniform(0, 2, size=n), 3)
     durations[rng.uniform(size=n) < 0.15] = 0.0  # sprinkle point elements
-    elements = [
-        Element(f"e{i:04d}", float(s), float(s + d), float(i))
-        for i, (s, d) in enumerate(zip(starts, durations))
-    ]
-    return build_stream(modality, session, elements)
+    ids = [f"e{i:04d}" for i in range(n)]
+    payloads = [str(i) for i in range(n)]
+    return stream_from_columns(Modality.DERIVED, session, ids, starts, starts + durations, payloads)
 
 
 def test_03_interval_join_matches_brute_force():
@@ -116,8 +115,8 @@ def test_03_interval_join_matches_brute_force():
         rng = np.random.default_rng(91)
         for trial in range(200):
             n, m = int(rng.integers(1, 1001)), int(rng.integers(1, 1001))
-            a = _random_stream(rng, "s", Modality.AUDIO, n)
-            b = _random_stream(rng, "s", Modality.DERIVED, m)
+            a = _random_stream(rng, "s", n)  # the join ignores modality
+            b = _random_stream(rng, "s", m)
             min_ov = float(rng.choice([0.0, 0.0, 0.25]))
             amap = join_streams(a, b, min_overlap=min_ov)
             got = {(p.source_id, p.target_id): p.overlap for p in amap.pairs}
@@ -132,13 +131,12 @@ def test_03_interval_join_matches_brute_force():
             }
             assert got == expected, f"trial {trial}"
         # alternating half-open tiles share only endpoints and never align
-        left = build_stream(
-            Modality.TEXT, "s",
-            [Element(f"w{i}", 2 * i, 2 * i + 1, "x") for i in range(50)],
+        tiles = np.arange(50) * 2.0
+        left = stream_from_columns(
+            Modality.TEXT, "s", [f"w{i}" for i in range(50)], tiles, tiles + 1, ["x"] * 50
         )
-        right = build_stream(
-            Modality.DERIVED, "s",
-            [Element(f"d{i}", 2 * i + 1, 2 * i + 2, 0.0) for i in range(50)],
+        right = stream_from_columns(
+            Modality.DERIVED, "s", [f"d{i}" for i in range(50)], tiles + 1, tiles + 2, ["0.0"] * 50
         )
         assert len(join_streams(left, right)) == 0
 
@@ -171,10 +169,9 @@ def test_04_gaze_segmentation_hand_traces():
         assert spans(detect(broken)) == [(0.0, 0.125), (0.25, 0.375)]
 
         # ten-word minimum: 10 covered words keep a segment, 9 drop it
-        words = build_stream(
-            Modality.TEXT, "s",
-            [Element(f"w{i:02d}", i * 0.375, (i + 1) * 0.375, "tok")
-             for i in range(40)],
+        slots = np.arange(40) * 0.375
+        words = stream_from_columns(
+            Modality.TEXT, "s", [f"w{i:02d}" for i in range(40)], slots, slots + 0.375, ["tok"] * 40
         )
         segs = detect([look(k * 0.125) for k in range(31)])
         assert spans(segs) == [(0.0, 31 * 0.125)]  # covers 10 words and a sliver of the 11th

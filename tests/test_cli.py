@@ -433,8 +433,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
           **_SPEAKERS}, _MANIFEST, "ParseError"),
         ({"m.json": '{"format_version": 1, "speakers": 7, "sessions": []}'},
          _MANIFEST, "ParseError"),
-        ({}, _QUERY + ["--select", "audio"], "ModalityAbsent"),
-        ({}, _QUERY + ["--select", "visual"], "ModalityAbsent"),
+        ({}, _QUERY + ["--select", "audio"], "ValidationError"),
+        ({}, _QUERY + ["--select", "visual"], "ValidationError"),
         ({}, ["fw", "--index", "IDX", "--prior", "nan"], "NonPositivePrior"),
         ({}, ["pitch", "--index", "IDX", "--threshold", "nan"], "ValidationError"),
         ({}, ["pitch", "--index", "IDX", "--threshold", "-1"], "ValidationError"),
@@ -471,6 +471,11 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         (_corpus(gaze="-5.0,50,0,1\n"), _MANIFEST, "ParseError"),
         (_gaze_npy(rows=[(-5.0, 50, 0, 1), (0.125, 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
+        (_corpus(gaze="0.125,50,0,1\n0.0,50,0,1\n0.125,50,0,1\n"), _MANIFEST, "ParseError"),
+        (_gaze_npy(rows=[(0.0, 50, 0, 1), (0.0, 50, 0, 1)]),
+         ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"id": ["w0"], "word": ["ja"]}', **_words_npy(rows=[(-5.0, 0.375)])},
+         ["segments", "--index", "IDX"], "ParseError"),
         ({}, ["pitch", "--index", "IDX", "--hop", "abc"], "ValidationError"),
         ({}, ["pitch"], "ValidationError"),
         ({}, ["nosuch"], "ValidationError"),
@@ -489,7 +494,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "fw-unknown-target-party", "regress-unknown-target-party", "manifest-session-id-escapes",
          "manifest-session-id-number", "manifest-speaker-not-listed", "speakers-bad-gender",
          "speakers-missing-speaker", "wav-no-frames", "wav-rate-4000", "gaze-csv-negative-t",
-         "gaze-negative-t", "hop-not-int", "index-missing", "unknown-command"],
+         "gaze-negative-t", "gaze-csv-repeated-t", "gaze-repeated-t", "words-negative-start",
+         "hop-not-int", "index-missing", "unknown-command"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

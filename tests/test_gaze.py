@@ -15,7 +15,7 @@ from modalign.gaze import (
     enforce_min_words,
     segments_to_stream,
 )
-from modalign.timeline import Element, Modality, build_stream
+from modalign.timeline import Modality, stream_from_columns
 
 from _oracles import detect_loop, gaze_trace
 
@@ -216,11 +216,10 @@ def test_matches_loop_oracle(rows, max_notes):
 # --- word filter -----------------------------------------------------------
 
 def words_at(count, start=0.0, width=0.375):
-    elems = [
-        Element(f"w{i:03d}", start + i * width, start + (i + 1) * width, "tok")
-        for i in range(count)
-    ]
-    return build_stream(Modality.TEXT, "s", elems)
+    ids = [f"w{i:03d}" for i in range(count)]
+    starts = [start + i * width for i in range(count)]
+    ends = [start + (i + 1) * width for i in range(count)]
+    return stream_from_columns(Modality.TEXT, "s", ids, starts, ends, ["tok"] * count)
 
 
 def segs(*spans, label="AfD"):
@@ -268,12 +267,14 @@ def test_word_filter_matches_brute_force_count():
     rng = np.random.default_rng(51)
     for trial in range(60):
         # words tiling time on a quarter-second grid, with gaps and zero-length words
-        elems, t = [], 0.0
-        for i in range(int(rng.integers(1, 40))):
+        starts, ends, t = [], [], 0.0
+        for _ in range(int(rng.integers(1, 40))):
             width = float(rng.integers(0, 4)) * 0.25
-            elems.append(Element(f"w{i:03d}", t, t + width, "tok"))
+            starts.append(t)
+            ends.append(t + width)
             t += width + float(rng.integers(0, 2)) * 0.25
-        words = build_stream(Modality.TEXT, "s", elems)
+        ids = [f"w{i:03d}" for i in range(len(starts))]
+        words = stream_from_columns(Modality.TEXT, "s", ids, starts, ends, ["tok"] * len(ids))
         # segments in any order, overlapping one another, some of zero length
         pieces = []
         for _ in range(int(rng.integers(0, 8))):
@@ -292,7 +293,7 @@ def test_word_filter_matches_brute_force_count():
 
 
 def test_word_filter_requires_text():
-    stream = build_stream(Modality.DERIVED, "s", [Element("d0", 0, 1, 1.0)])
+    stream = stream_from_columns(Modality.DERIVED, "s", ["d0"], [0], [1], ["AfD"])
     with pytest.raises(ValidationError):
         enforce_min_words(segs((0, 5)), stream, RULE)
 

@@ -35,7 +35,7 @@ from modalign.ingest import (
 )
 from modalign.pitch import PITCH_RANGE_BY_GENDER
 from modalign.synth import TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
-from modalign.timeline import Element, Modality, build_stream
+from modalign.timeline import Modality, stream_from_columns
 
 from _e2e import interaction_name, planted_run
 from _oracles import gaze_trace, word_tones
@@ -118,11 +118,11 @@ def test_transcript_mixed_speakers_have_no_stream_speaker(tmp_path):
 
 
 def test_transcript_round_trip(tmp_path):
-    elements = [
-        Element(word_element_id(i), i * 0.5, (i + 1) * 0.5, w)
-        for i, w in enumerate(["ich", "rede", "jetzt"])
-    ]
-    stream = build_stream(Modality.TEXT, "rt", elements, speaker_id="s9")
+    ids = [word_element_id(i) for i in range(3)]
+    stream = stream_from_columns(
+        Modality.TEXT, "rt", ids, [0.0, 0.5, 1.0], [0.5, 1.0, 1.5], ["ich", "rede", "jetzt"],
+        speaker_id="s9",
+    )
     p = tmp_path / "rt.jsonl"
     write_transcript(stream, p)
     again = load_transcript(p, session_id="rt")
@@ -180,6 +180,11 @@ def test_gaze_format_errors(tmp_path):
         with pytest.raises(ParseError, match="finite and >= 0") as exc:
             load_gaze(p)
         assert exc.value.line_no == 3 and exc.value.path == str(p)
+    # rows may come in any order, but a time may not repeat: the later row is named
+    write_lines(p, ["t,yaw_deg,pitch_deg,frontal", "0.5,0,0,1", "0.0,0,0,1", "0.5,0,0,1"])
+    with pytest.raises(ParseError, match="repeats line 2") as exc:
+        load_gaze(p)
+    assert exc.value.line_no == 4
 
 
 def test_gaze_round_trip(tmp_path):
@@ -465,6 +470,26 @@ def test_index_rows_and_speakers_are_checked(tmp_path):
         with pytest.raises(ParseError, match=message) as info:
             CorpusIndex(out).speakers()
         assert info.value.path == str(speakers)
+
+
+def test_damaged_session_tables_name_table_and_session(tmp_path):
+    # tables that pass the format checks but break a stream or trace rule
+    out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
+    words, gaze = out / "sessions" / "sessA.words.npy", out / "sessions" / "sessA.gaze.npy"
+    negative, overlapping, repeated = np.load(words), np.load(words), np.load(gaze)
+    negative["start"][0] = -5.0
+    overlapping["start"][1] = 0.25
+    repeated = np.concatenate([repeated, repeated])
+    for path, table, message in [(words, negative, "words of session 'sessA': bad interval"),
+                                 (words, overlapping, "words of session 'sessA': words"),
+                                 (gaze, repeated, "must rise strictly")]:
+        good = path.read_bytes()
+        np.save(path, table)
+        with pytest.raises(ParseError, match=message) as info:
+            CorpusIndex(out).load_session("sessA")
+        assert info.value.path == str(path)
+        path.write_bytes(good)
+    assert len(CorpusIndex(out).load_session("sessA").words) == 2
 
 
 def test_index_version_gate(tmp_path):

@@ -28,7 +28,7 @@ from modalign.pitch import (
     standardize_by_speaker,
     word_pitch,
 )
-from modalign.timeline import Element, Modality, build_stream
+from modalign.timeline import Modality, stream_from_columns
 
 from _oracles import direct_difference
 
@@ -42,11 +42,10 @@ def sine(freq, seconds=1.0, sr=SR, amp=0.4):
 
 
 def text_stream(spans, session="s", speaker=None):
-    return build_stream(
-        Modality.TEXT,
-        session,
-        [Element(f"w{i:03d}", a, b, "tok") for i, (a, b) in enumerate(spans)],
-        speaker_id=speaker,
+    ids = [f"w{i:03d}" for i in range(len(spans))]
+    starts, ends = [a for a, _ in spans], [b for _, b in spans]
+    return stream_from_columns(
+        Modality.TEXT, session, ids, starts, ends, ["tok"] * len(ids), speaker_id=speaker
     )
 
 
@@ -286,9 +285,7 @@ def test_word_membership_matches_brute_force():
 
 def test_word_pitch_requires_text_stream():
     track = hand_track([0.1], [100.0])
-    segments = build_stream(
-        Modality.DERIVED, "s", [Element("g0", 0, 1, "AfD")]
-    )
+    segments = stream_from_columns(Modality.DERIVED, "s", ["g0"], [0], [1], ["AfD"])
     with pytest.raises(ValidationError):
         word_pitch(track, segments)
 

@@ -25,7 +25,7 @@ from modalign.stats import (
     margins,
     render_result_table,
 )
-from modalign.timeline import Element, Modality, build_stream
+from modalign.timeline import Modality, stream_from_columns
 
 from _oracles import dummy_variable_ols, fightin_words_mp
 
@@ -254,12 +254,13 @@ def test_two_word_example_by_hand():
 
 # --- four-situation split --------------------------------------------------
 
-def word(i, start, end, token):
-    return Element(f"w{i:03d}", start, end, token)
-
-
 def make_stream(session, speaker, words):
-    return build_stream(Modality.TEXT, session, words, speaker_id=speaker)
+    """A TEXT stream of ``(start, end, token)`` words with ids ``w000``... in that order."""
+    starts, ends, tokens = zip(*words)
+    ids = [f"w{i:03d}" for i in range(len(tokens))]
+    return stream_from_columns(
+        Modality.TEXT, session, ids, starts, ends, tokens, speaker_id=speaker
+    )
 
 
 def segs(*spans, label="AfD"):
@@ -273,8 +274,8 @@ PARTIES = {"s1": "AfD", "s2": "SPD", "s3": "SPD"}
 
 def test_known_small_split():
     streams = [
-        make_stream("a", "s1", [word(0, 0, 1, "Hallo"), word(1, 1, 2, "welt")]),
-        make_stream("b", "s2", [word(0, 0, 1, "guten"), word(1, 1, 2, "tag")]),
+        make_stream("a", "s1", [(0, 1, "Hallo"), (1, 2, "welt")]),
+        make_stream("b", "s2", [(0, 1, "guten"), (1, 2, "tag")]),
     ]
     by_session = {"a": segs((0.5, 1.5)), "b": segs((1.2, 3.0))}
     split = four_situation_split(streams, by_session, PARTIES, target_party="AfD")
@@ -286,7 +287,7 @@ def test_known_small_split():
 
 
 def test_touching_segment_does_not_address():
-    streams = [make_stream("a", "s1", [word(0, 0, 1, "rand")])]
+    streams = [make_stream("a", "s1", [(0, 1, "rand")])]
     # a touching segment, no segments, and no entry for the session all address nobody
     for by_session in ({"a": segs((1.0, 2.0))}, {"a": segs()}, {}):
         split = four_situation_split(streams, by_session, PARTIES)
@@ -295,16 +296,16 @@ def test_touching_segment_does_not_address():
 
 
 def test_missing_party_metadata():
-    anonymous = build_stream(Modality.TEXT, "a", [word(0, 0, 1, "x")])
+    anonymous = make_stream("a", None, [(0, 1, "x")])
     with pytest.raises(MissingPartyMetadata):
         four_situation_split([anonymous], {}, PARTIES)
-    unknown = make_stream("a", "nobody", [word(0, 0, 1, "x")])
+    unknown = make_stream("a", "nobody", [(0, 1, "x")])
     with pytest.raises(MissingPartyMetadata):
         four_situation_split([unknown], {}, PARTIES)
 
 
 def test_rejects_non_text_streams():
-    gaze = build_stream(Modality.DERIVED, "a", [Element("d0", 0, 1, "AfD")])
+    gaze = stream_from_columns(Modality.DERIVED, "a", ["d0"], [0], [1], ["AfD"])
     with pytest.raises(ValidationError):
         four_situation_split([gaze], {}, PARTIES)
 
@@ -318,9 +319,9 @@ def test_matches_naive_recount():
             session = f"sess{s_idx}"
             speaker = f"s{int(rng.integers(1, 4))}"
             words, t = [], 0.0
-            for i in range(int(rng.integers(1, 60))):
+            for _ in range(int(rng.integers(1, 60))):
                 width = float(rng.integers(0, 4)) * 0.25  # zero-length words too
-                words.append(word(i, t, t + width, str(rng.choice(tokens))))
+                words.append((t, t + width, str(rng.choice(tokens))))
                 t += width + float(rng.integers(0, 2)) * 0.25
             streams.append(make_stream(session, speaker, words))
             # segments in any order, overlapping one another, some of zero length

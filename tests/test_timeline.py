@@ -11,11 +11,11 @@ from _oracles import brute_force_join, overlap, sweep_loop
 from modalign.cli import RunConfig, session_streams
 from modalign.errors import (
     EmptyStream,
-    MixedPayload,
     ModalityAbsent,
     NegativeInterval,
     OverlappingWords,
     SessionMismatch,
+    ValidationError,
 )
 from modalign.ingest import CorpusIndex, build_index
 from modalign.synth import SynthSpec, synth_corpus
@@ -23,7 +23,6 @@ from modalign.timeline import (
     Cardinality,
     Element,
     Modality,
-    build_stream,
     covered,
     join_streams,
     overlap_pairs,
@@ -32,16 +31,12 @@ from modalign.timeline import (
 )
 
 
-def el(eid, start, end, payload=1.0):
-    return Element(eid, start, end, payload)
-
-
-def derived(spans, session="s", prefix="e"):
-    return build_stream(
-        Modality.DERIVED,
-        session,
-        [el(f"{prefix}{i:03d}", a, b) for i, (a, b) in enumerate(spans)],
-    )
+def derived(spans, session="s", prefix="e", labels=None):
+    """A DERIVED stream of ``spans`` with ids ``{prefix}000``...; each label defaults to "x"."""
+    ids = [f"{prefix}{i:03d}" for i in range(len(spans))]
+    starts, ends = [a for a, _ in spans], [b for _, b in spans]
+    labels = labels or ["x"] * len(ids)
+    return stream_from_columns(Modality.DERIVED, session, ids, starts, ends, labels)
 
 
 def random_spans(rng, n):
@@ -55,12 +50,11 @@ def random_spans(rng, n):
 
 def test_interval_rejects_negative():
     for spans in [[(-0.1, 1.0)], [(-1, 0)], [(2.0, 1.0)], [(0.0, 1.0), (2.0, 1.5)]]:
-        elems = [el(f"e{i}", a, b) for i, (a, b) in enumerate(spans)]
         with pytest.raises(NegativeInterval):
-            build_stream(Modality.DERIVED, "s", elems)
+            derived(spans)
     for starts, ends in [([0.0, -1.0], [1.0, 0.0]), ([0.0, 2.0], [1.0, 1.5])]:
         with pytest.raises(NegativeInterval):
-            stream_from_columns(Modality.DERIVED, "s", ["a", "b"], starts, ends, [1.0, 2.0])
+            stream_from_columns(Modality.DERIVED, "s", ["a", "b"], starts, ends, ["x", "y"])
     # a point sample, start == end, is a valid interval
     assert len(derived([(3.0, 3.0), (0.0, 0.0)])) == 2
 
@@ -69,7 +63,7 @@ def test_stream_elements_equal_checked_ones():
     # Elements a stream builds equal, hash and order like elements built
     # directly, and hold their bounds as Python floats.
     stream = derived([(0.0, 0.5), (0.25, 1.0), (2.0, 2.0)])
-    checked = [el(e.id, e.start, e.end, e.payload) for e in stream]
+    checked = [Element(e.id, e.start, e.end, e.payload) for e in stream]
     assert list(stream) == checked == [stream[k] for k in range(len(stream))]
     assert [hash(e) for e in stream] == [hash(e) for e in checked]
     assert sorted((e.start, e.end) for e in stream) == [(e.start, e.end) for e in checked]
@@ -79,8 +73,8 @@ def test_stream_elements_equal_checked_ones():
 def test_negative_positions_give_python_floats():
     # CSV cells are repr()s of the bounds, so an element read from either end
     # of a stream or of the query hits must hold plain floats.
-    words = build_stream(Modality.TEXT, "s", [el("w0", 0, 0.1, "ja"), el("w1", 0.1, 0.3, "nein")])
-    segs = build_stream(Modality.DERIVED, "s", [el("g0", 0.0, 1.0, "AfD")])
+    words = stream_from_columns(Modality.TEXT, "s", ["w0", "w1"], [0, 0.1], [0.1, 0.3], ["ja", "nein"])
+    segs = derived([(0.0, 1.0)], prefix="g", labels=["AfD"])
     hits = query_crossmodal([words, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
     for last in (words[-1], hits[-1]):
         assert last == Element("w1", 0.1, 0.3, "nein")
@@ -125,39 +119,33 @@ def test_overlap_symmetric_and_bounded(vals):
 
 # --- stream construction ---------------------------------------------------
 
-def test_build_stream_sorts_elements():
-    s = build_stream(
-        Modality.DERIVED, "s", [el("b", 5, 6), el("a", 1, 2), el("c", 3, 4)]
-    )
+def test_stream_from_columns_sorts_elements():
+    s = stream_from_columns(Modality.DERIVED, "s", ["b", "a", "c"], [5, 1, 3], [6, 2, 4], list("xyz"))
     assert [e.id for e in s] == ["a", "c", "b"]
 
 
-def test_build_stream_rejects_empty():
+def test_stream_from_columns_rejects_empty():
     with pytest.raises(EmptyStream):
-        build_stream(Modality.TEXT, "s", [])
+        stream_from_columns(Modality.TEXT, "s", [], [], [], [])
 
 
-def test_build_stream_rejects_mixed_payloads():
-    with pytest.raises(MixedPayload):
-        build_stream(Modality.DERIVED, "s", [el("a", 0, 1, "word"), el("b", 2, 3, 1.5)])
-    with pytest.raises(MixedPayload):
-        build_stream(Modality.DERIVED, "s", [el("a", 0, 1, [1, 2])])
+def test_stream_from_columns_rejects_non_string_payloads():
+    with pytest.raises(ValidationError):
+        stream_from_columns(Modality.DERIVED, "s", ["a", "b"], [0, 2], [1, 3], ["word", 1.5])
+    with pytest.raises(ValidationError):
+        stream_from_columns(Modality.DERIVED, "s", ["a"], [0], [1], [[1, 2]])
 
 
-def test_build_stream_rejects_duplicate_ids():
+def test_stream_from_columns_rejects_duplicate_ids():
     with pytest.raises(ValueError):
-        build_stream(Modality.DERIVED, "s", [el("a", 0, 1), el("a", 2, 3)])
+        stream_from_columns(Modality.DERIVED, "s", ["a", "a"], [0, 2], [1, 3], ["x", "x"])
 
 
 def test_text_words_may_touch_but_not_overlap():
-    ok = build_stream(
-        Modality.TEXT, "s", [el("w0", 0.0, 0.5, "ja"), el("w1", 0.5, 1.0, "nein")]
-    )
+    ok = stream_from_columns(Modality.TEXT, "s", ["w0", "w1"], [0.0, 0.5], [0.5, 1.0], ["ja", "nein"])
     assert len(ok) == 2
     with pytest.raises(OverlappingWords):
-        build_stream(
-            Modality.TEXT, "s", [el("w0", 0.0, 0.6, "ja"), el("w1", 0.5, 1.0, "nein")]
-        )
+        stream_from_columns(Modality.TEXT, "s", ["w0", "w1"], [0.0, 0.5], [0.6, 1.0], ["ja", "nein"])
 
 
 def test_non_text_streams_may_overlap():
@@ -166,11 +154,12 @@ def test_non_text_streams_may_overlap():
 
 
 @given(st.permutations(list(range(6))))
-def test_build_stream_order_invariant(perm):
+def test_stream_from_columns_order_invariant(perm):
     spans = [(0.0, 1.0), (0.5, 2.0), (2.0, 2.0), (3.0, 4.5), (4.0, 4.1), (6.0, 7.0)]
-    elems = [el(f"e{i}", *spans[i]) for i in range(6)]
-    reference = build_stream(Modality.DERIVED, "s", elems)
-    shuffled = build_stream(Modality.DERIVED, "s", [elems[i] for i in perm])
+    ids, labels = [f"e{i}" for i in range(6)], [f"p{i}" for i in range(6)]
+    reference = stream_from_columns(Modality.DERIVED, "s", ids, *zip(*spans), labels)
+    columns = [[column[i] for i in perm] for column in (ids, *zip(*spans), labels)]
+    shuffled = stream_from_columns(Modality.DERIVED, "s", *columns)
     assert list(shuffled) == list(reference)
 
 
@@ -276,25 +265,21 @@ def test_empty_alignment_is_degenerate_many_to_many():
 # --- cross-modal queries ---------------------------------------------------
 
 def words_stream(session, toks_spans):
-    return build_stream(
-        Modality.TEXT,
-        session,
-        [el(f"w{i:03d}", a, b, tok) for i, (tok, a, b) in enumerate(toks_spans)],
-    )
+    tokens, starts, ends = zip(*toks_spans)
+    ids = [f"w{i:03d}" for i in range(len(tokens))]
+    return stream_from_columns(Modality.TEXT, session, ids, starts, ends, tokens)
 
 
 def test_query_selects_overlapping_elements():
     words = words_stream("s", [("ja", 0, 1), ("nein", 1, 2), ("doch", 4, 5)])
-    segs = build_stream(Modality.DERIVED, "s", [el("g0", 0.5, 1.5, "AfD")])
+    segs = derived([(0.5, 1.5)], prefix="g", labels=["AfD"])
     hits = query_crossmodal([words, segs], Modality.TEXT, lambda e: e.payload == "AfD", Modality.DERIVED)
     assert [e.id for e in hits] == ["w000", "w001"]
 
 
 def test_query_deduplicates_and_orders():
     words = words_stream("s", [("a", 0, 3), ("b", 3, 4)])
-    segs = build_stream(
-        Modality.DERIVED, "s", [el("g0", 0.0, 1.5, "AfD"), el("g1", 1.0, 3.5, "AfD")]
-    )
+    segs = derived([(0.0, 1.5), (1.0, 3.5)], prefix="g", labels=["AfD", "AfD"])
     hits = query_crossmodal([words, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
     # w000 overlaps both segments but appears once, in timeline order
     assert [e.id for e in hits] == ["w000", "w001"]
@@ -303,7 +288,7 @@ def test_query_deduplicates_and_orders():
 def test_query_respects_sessions():
     words_a = words_stream("sa", [("x", 0, 1)])
     words_b = words_stream("sb", [("y", 0, 1)])
-    segs_a = build_stream(Modality.DERIVED, "sa", [el("g0", 0.0, 1.0, "AfD")])
+    segs_a = derived([(0.0, 1.0)], session="sa", prefix="g", labels=["AfD"])
     hits = query_crossmodal(
         [words_a, words_b, segs_a], Modality.TEXT, lambda e: True, Modality.DERIVED
     )
@@ -313,8 +298,8 @@ def test_query_respects_sessions():
 
 def test_query_merges_streams_of_one_session_in_time_order():
     words = words_stream("s", [("x", 0, 1), ("y", 2, 3)])
-    more = build_stream(Modality.TEXT, "s", [el("v0", 1, 2, "z"), el("v1", 3, 4, "q")])
-    segs = build_stream(Modality.DERIVED, "s", [el("g0", 0.0, 5.0, "AfD")])
+    more = stream_from_columns(Modality.TEXT, "s", ["v0", "v1"], [1, 3], [2, 4], ["z", "q"])
+    segs = derived([(0.0, 5.0)], prefix="g", labels=["AfD"])
     hits = query_crossmodal([words, more, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
     assert [e.id for e in hits] == ["w000", "v0", "w001", "v1"]
 
@@ -325,25 +310,23 @@ def test_query_requires_both_modalities():
         query_crossmodal([words], Modality.TEXT, lambda e: True, Modality.DERIVED)
     with pytest.raises(ModalityAbsent):
         query_crossmodal([words], Modality.DERIVED, lambda e: True, Modality.TEXT)
-    with pytest.raises(ModalityAbsent, match="no audio stream"):  # both absent: where first
-        query_crossmodal([words], Modality.DERIVED, lambda e: True, Modality.AUDIO)
+    with pytest.raises(ModalityAbsent, match="no derived stream"):  # both absent: where first
+        query_crossmodal([], Modality.TEXT, lambda e: True, Modality.DERIVED)
 
 
 def test_query_matches_brute_force_randomized():
     rng = np.random.default_rng(3)
     for trial in range(25):
-        words = derived(random_spans(rng, 40), prefix="w")
-        words = build_stream(Modality.AUDIO, "s", list(words))  # any non-filter modality
+        # words laid end to end over the segments' span, some of zero length
+        lengths = rng.exponential(1.0, size=40) * (rng.uniform(size=40) >= 0.2)
+        ends = np.cumsum(lengths + rng.exponential(0.3, size=40))
+        ids = [f"w{i:03d}" for i in range(40)]
+        words = stream_from_columns(Modality.TEXT, "s", ids, ends - lengths, ends, ["x"] * 40)
         marks = rng.uniform(size=30) < 0.4
-        segs = build_stream(
-            Modality.DERIVED,
-            "s",
-            [
-                el(f"g{i:03d}", a, b, "hit" if marks[i] else "miss")
-                for i, (a, b) in enumerate(random_spans(rng, 30))
-            ],
+        segs = derived(
+            random_spans(rng, 30), prefix="g", labels=["hit" if m else "miss" for m in marks]
         )
-        got = query_crossmodal([words, segs], Modality.AUDIO, lambda e: e.payload == "hit", Modality.DERIVED)
+        got = query_crossmodal([words, segs], Modality.TEXT, lambda e: e.payload == "hit", Modality.DERIVED)
         matched = [e for e in segs if e.payload == "hit"]
         expected = sorted(
             (
@@ -389,12 +372,8 @@ def test_query_result_is_a_sequence_equal_to_brute_force(sessions):
         texts = [_text_stream(sid, "w", words)]
         if more is not None:
             texts.append(_text_stream(sid, prefix, more))
-        marks = build_stream(
-            Modality.DERIVED,
-            sid,
-            [el(f"g{k}", a, a + d, "hit" if hit else "miss")
-             for k, (a, d, hit) in enumerate(segs)],
-        )
+        marks = derived([(a, a + d) for a, d, _ in segs], session=sid, prefix="g",
+                        labels=["hit" if hit else "miss" for _, _, hit in segs])
         corpus += [*texts, marks]
         matched = [g for g in marks if g.payload == "hit"]
         # sorted is stable: equal (start, end, id) keys keep the streams' corpus order
