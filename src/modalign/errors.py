@@ -96,7 +96,7 @@ class UnknownRegressor(ValidationError):
 
 
 class EmptyVocabulary(DataError):
-    """No word occurs in either group."""
+    """Fewer than two distinct words occur in the two groups together."""
 
 
 class NonPositivePrior(ValidationError):

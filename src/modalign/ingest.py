@@ -114,12 +114,21 @@ def _csv_lines(path, header: str | None) -> Iterator[tuple[int, list[str]]]:
         yield line_no, parts
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def _fmt(value) -> str:
-    """A CSV cell: empty for None, ``repr`` of a float, ``str`` of anything else."""
+    """A CSV cell: empty for None, ``repr`` of a float, ``str`` of anything else.
+
+    A string holding a comma, a quote or a line break goes in quotes, its
+    quotes doubled; every other cell is written bare.
+    """
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str) and _NEEDS_QUOTES.search(value):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 

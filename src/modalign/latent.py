@@ -48,45 +48,13 @@ _TILE_DIAGONALS = 8
 _TILE_BYTES = 1 << 20
 
 
-def _pairwise_row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum ``x`` over axis 0 in place, in the order numpy sums one contiguous row.
-
-    numpy's pairwise sum adds fewer than 8 values in turn; up to 128 values
-    in eight accumulators stepping by 8, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in turn; and
-    splits longer rows at half their length rounded down to a multiple of 8.
-    Following that order makes each column's sum equal, bit for bit, to
-    ``x[:, k].sum()``.  Returns the view ``x[0]``, which holds the sums.
-    """
-    d = len(x)
-    if d < 8:
-        for f in range(1, d):
-            x[0] += x[f]
-    elif d <= 128:
-        stop = d - d % 8
-        for f in range(8, stop, 8):
-            x[:8] += x[f : f + 8]
-        x[0:8:2] += x[1:8:2]
-        x[0:8:4] += x[2:8:4]
-        x[0] += x[4]
-        for f in range(stop, d):
-            x[0] += x[f]
-    else:
-        half = d // 2
-        half -= half % 8
-        _pairwise_row_sum(x[:half])
-        x[0] += _pairwise_row_sum(x[half:])
-    return x[0]
-
-
 def dtw_align(a, b) -> WarpPath:
     """Globally optimal dynamic time warp between two sequences.
 
     ``a`` and ``b`` are (n, d) and (m, d) arrays of feature rows; a 1-d
     sequence is one feature per row.  Steps are unconstrained {(1,1),
     (1,0), (0,1)} and the cell cost is the Euclidean distance, its d
-    squares added in numpy's pairwise order for one row (see
-    :func:`_pairwise_row_sum`); cost ties are broken by preferring the
+    squares added in feature order; cost ties are broken by preferring the
     diagonal step, then advancing the first sequence, so the returned path
     is unique.
     The accumulator is filled one anti-diagonal at a time, and the costs
@@ -136,7 +104,9 @@ def dtw_align(a, b) -> WarpPath:
                 out=x,
             )
             np.multiply(x, x, out=x)
-            np.sqrt(_pairwise_row_sum(x), out=tile[:, c0 : c0 + rows])
+            for f in range(1, dim):
+                x[0] += x[f]
+            np.sqrt(x[0], out=tile[:, c0 : c0 + rows])
         for s in range(s0, min(s0 + K, n + m + 1)):
             lo, hi = max(1, s - m), min(n, s - 1)
             prev = diags[(s - 1) % 3]
@@ -270,14 +240,15 @@ class StrategyQuery:
     """Shape of an alignment problem.
 
     ``representation`` and ``integration`` apply only to discrete elements
-    and must be omitted for continuous ones.
+    and must be omitted for continuous ones; a query that breaks this rule
+    raises :class:`IncompleteQuery` when it is built.
     """
 
     data_kind: DataKind
     representation: Representation | None = None
     integration: Integration | None = None
 
-    def validated(self) -> "StrategyQuery":
+    def __post_init__(self):
         if self.data_kind is DataKind.DISCRETE:
             if self.representation is None or self.integration is None:
                 raise IncompleteQuery(
@@ -288,7 +259,6 @@ class StrategyQuery:
                 raise IncompleteQuery(
                     "continuous queries take neither representation nor integration"
                 )
-        return self
 
 
 @dataclass(frozen=True)
@@ -352,10 +322,8 @@ def advise(query: StrategyQuery) -> list[Strategy]:
     """Recommend alignment strategies for a problem shape.
 
     The mapping is a fixed decision table; the same query always yields
-    the same ordered list.  Raises :class:`IncompleteQuery` on malformed
-    queries (missing or inapplicable fields).
+    the same ordered list.
     """
-    q = query.validated()
-    if q.data_kind is DataKind.CONTINUOUS:
+    if query.data_kind is DataKind.CONTINUOUS:
         return list(_CONTINUOUS)
-    return list(_DISCRETE[(q.representation, q.integration)])
+    return list(_DISCRETE[(query.representation, query.integration)])

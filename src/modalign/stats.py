@@ -196,8 +196,9 @@ def fightin_words(
     prior-smoothed log-odds, ``z = delta / sqrt(variance)`` with the usual
     ``1/(y_a + a_w) + 1/(y_b + a_w)`` variance.  Scores come sorted by z
     descending (ties: word ascending); words occurring in neither group are
-    excluded.  Raises :class:`NonPositivePrior` and
-    :class:`EmptyVocabulary`.
+    excluded.  Raises :class:`NonPositivePrior`, and
+    :class:`EmptyVocabulary` when fewer than two distinct words occur (a
+    lone word has no other words to be compared against).
     """
     if not (prior_scale > 0 and math.isfinite(prior_scale)):
         raise NonPositivePrior(f"prior_scale must be finite and > 0, got {prior_scale}")
@@ -206,8 +207,8 @@ def fightin_words(
         for w in set(counts_a) | set(counts_b)
         if counts_a.get(w, 0) + counts_b.get(w, 0) > 0
     )
-    if not vocab:
-        raise EmptyVocabulary("no word occurs in either group")
+    if len(vocab) < 2:
+        raise EmptyVocabulary(f"need at least 2 distinct words, got {len(vocab)}")
 
     ya = np.array([float(counts_a.get(w, 0)) for w in vocab])
     yb = np.array([float(counts_b.get(w, 0)) for w in vocab])

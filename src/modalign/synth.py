@@ -58,7 +58,7 @@ class SynthSpec:
     target_party: str = "AfD"
     other_party: str = "SPD"
 
-    def validated(self) -> "SynthSpec":
+    def __post_init__(self):
         if self.speakers < 1 or self.words_per_speech < 1:
             raise InvalidSpec("speakers and words_per_speech must be positive")
         if not 0.0 <= self.segment_density <= 1.0:
@@ -75,7 +75,6 @@ class SynthSpec:
             raise InvalidSpec("sample_rate must be >= 8000 and divisible by 8")
         if self.target_party == self.other_party:
             raise InvalidSpec("target and other party must differ")
-        return self
 
 
 def _plant_segments(n_words: int, density: float, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -122,7 +121,6 @@ def synth_corpus(spec: SynthSpec, out_dir) -> Path:
     wrote, which is replaced whole; anything else raises
     :class:`~modalign.errors.ValidationError` and is left untouched.
     """
-    spec = spec.validated()
     out_dir = Path(out_dir)
     with replacing(out_dir, _is_corpus, "a synthetic corpus") as root:
         _write_corpus(spec, root)

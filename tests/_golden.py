@@ -154,10 +154,17 @@ def load_goldens() -> tuple[dict[str, dict], dict[str, bytes]]:
 
 
 def write_goldens(results: dict[str, dict], files: dict[str, bytes]) -> None:
-    """Replace the stored goldens with ``results`` and ``files``."""
+    """Replace the stored goldens with ``results`` and ``files``.
+
+    A stored file that :func:`differences` accepts keeps its bytes, so a
+    rerun on unchanged code leaves the goldens as they were.
+    """
+    _, stored = load_goldens()
     root = GOLDEN_DIR / "files"
     shutil.rmtree(root, ignore_errors=True)
     for name, data in files.items():
+        if name in stored and differences(name, stored[name], data) is None:
+            data = stored[name]
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_bytes(data)
     (GOLDEN_DIR / "battery.json").write_text(

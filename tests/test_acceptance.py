@@ -334,17 +334,17 @@ def test_10_strategy_advisor_decision_table():
             got = advise(StrategyQuery(kind, rep, integ))
             assert [s.name for s in got] == expected
         for bad in (
-            StrategyQuery(DataKind.DISCRETE),
-            StrategyQuery(DataKind.DISCRETE, Representation.SEMANTIC),
-            StrategyQuery(DataKind.CONTINUOUS, Representation.SEMANTIC),
-            StrategyQuery(DataKind.CONTINUOUS, None, Integration.EXPLICIT),
+            (DataKind.DISCRETE,),
+            (DataKind.DISCRETE, Representation.SEMANTIC),
+            (DataKind.CONTINUOUS, Representation.SEMANTIC),
+            (DataKind.CONTINUOUS, None, Integration.EXPLICIT),
         ):
             try:
-                advise(bad)
+                advise(StrategyQuery(*bad))
             except IncompleteQuery:
                 pass
             else:
-                raise AssertionError(f"{bad} should have been rejected")
+                raise AssertionError(f"StrategyQuery{bad} should have been rejected")
 
 
 def test_11_cli_reruns_are_byte_identical(planted_corpus, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against a planted synthetic corpus."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -245,6 +246,32 @@ def test_fw_counts_mode(tmp_path, capsys):
         assert math.isclose(float(r["z"]), direct[r["word"]], rel_tol=1e-15)
 
 
+def test_csv_cells_with_commas_quotes_and_line_breaks_are_quoted(tmp_path, capsys):
+    tokens = ['ja, "so"', 'sag "nein"', "zwei\nzeilen", "drei\rteile"]
+    assert run("synth", "--out", tmp_path / "raw", "--seed", 3, "--speakers", 2,
+               "--words", 40, "--effect", 0.1) == 0
+    transcript = tmp_path / "raw" / "sessions" / "sess000.jsonl"
+    lines = transcript.read_text(encoding="utf-8").splitlines()
+    for k, token in enumerate(tokens):
+        lines[k] = json.dumps({**json.loads(lines[k]), "word": token})
+    transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("ingest", "--manifest", tmp_path / "raw" / "manifest.json",
+               "--out", tmp_path / "idx") == 0
+    idx = ["--index", tmp_path / "idx"]
+    commands = {"pitch.csv": (["pitch", *idx], tokens), "fw.csv": (["fw", *idx], tokens),
+                "segments.csv": (["segments", *idx, "--label", "a,b"], ["a,b"])}
+    for k, token in enumerate(tokens):
+        commands[f"query{k}.csv"] = (
+            ["query", *idx, "--select", "text", "--where", f"text.word=={token}"], [token])
+    for name, (argv, want) in commands.items():
+        assert run(*argv, "--out", tmp_path / name) == 0, name
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), name
+        assert set(want) <= {cell for row in rows for cell in row}, name
+    capsys.readouterr()
+
+
 def test_advise_command(capsys):
     assert run("advise", "--data", "continuous") == 0
     out = capsys.readouterr().out.splitlines()
@@ -420,6 +447,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "ParseError"),
         ({"a.csv": "word,count\nja,-5\n", "b.csv": "word,count\nja,3\n"},
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "ParseError"),
+        ({"a.csv": "word,count\nja,3\n", "b.csv": "word,count\nja,2\n"},
+         ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "EmptyVocabulary"),
         ({"c.json": '{"pitch": {"hop": "x"}}'},
          ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
         ({"c.json": '{"threads": "two"}'},
@@ -483,9 +512,10 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
          "gaze-nan", "gaze-ragged", "gaze-frontal-2", "words-start-string", "words-ragged",
-         "words-id-number", "panel-nan", "panel-inf", "counts-nan",
-         "counts-negative", "config-hop-string", "config-threads-string", "config-empty-yaw-band",
-         "manifest-list", "manifest-session-number", "manifest-transcript-number",
+         "words-id-number", "panel-nan", "panel-inf", "counts-nan", "counts-negative",
+         "fw-counts-one-word", "config-hop-string", "config-threads-string",
+         "config-empty-yaw-band", "manifest-list", "manifest-session-number",
+         "manifest-transcript-number",
          "manifest-speakers-number", "query-select-audio", "query-select-visual", "prior-nan",
          "threshold-nan", "threshold-negative", "min-overlap-nan", "yaw-min-nan",
          "notes-pitch-nan", "threads-0", "threads-negative", "effect-nan", "effect-inf",

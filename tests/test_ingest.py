@@ -554,15 +554,15 @@ def test_index_numbers_round_trip_bit_for_bit(tmp_path):
 
 def test_synth_spec_validation():
     with pytest.raises(InvalidSpec):
-        SynthSpec(speakers=0).validated()
+        SynthSpec(speakers=0)
     with pytest.raises(InvalidSpec):
-        SynthSpec(words_per_speech=0).validated()
+        SynthSpec(words_per_speech=0)
     with pytest.raises(InvalidSpec):
-        SynthSpec(segment_density=1.5).validated()
+        SynthSpec(segment_density=1.5)
     with pytest.raises(InvalidSpec):
-        SynthSpec(segment_density=-0.1).validated()
+        SynthSpec(segment_density=-0.1)
     with pytest.raises(InvalidSpec):
-        SynthSpec(sample_rate=4000).validated()
+        SynthSpec(sample_rate=4000)
 
 
 def test_synth_is_deterministic(tmp_path):

@@ -18,7 +18,6 @@ from modalign.latent import (
     Representation,
     Strategy,
     StrategyQuery,
-    _pairwise_row_sum,
     advise,
     cca_align,
     dtw_align,
@@ -30,8 +29,13 @@ from _oracles import cca_correlations_eig, dtw_loop, exhaustive_dtw_cost
 # --- dynamic time warping --------------------------------------------------
 
 def euclid_matrix(a, b):
+    """Euclidean cell costs, each adding its squares in feature order as dtw_align does."""
     d = a[:, None, :] - b[None, :, :]
-    return np.sqrt((d * d).sum(axis=2))
+    sq = d * d
+    total = sq[:, :, 0].copy()
+    for f in range(1, sq.shape[2]):
+        total += sq[:, :, f]
+    return np.sqrt(total)
 
 
 def assert_valid_path(path, n, m):
@@ -90,7 +94,7 @@ def test_matches_loop_oracle_bit_for_bit():
     }
     cases = [(n, m, d, kind) for n, m in shapes for d in (1, 3, 13) for kind in features]
     cases += [(200, 300, 13, "random"), (300, 200, 13, "random"), (800, 700, 13, "random")]
-    # lengths around one band of anti-diagonals, at dims around numpy's sum blocks
+    # lengths around one band of anti-diagonals, at several dims
     K = _TILE_DIAGONALS
     for d in (7, 8, 9, 16, 17, 129, 200):
         cases += [(n, m, d, "random") for n in (K - 1, K, K + 1) for m in (K - 1, K, K + 1)]
@@ -106,18 +110,6 @@ def test_matches_loop_oracle_bit_for_bit():
         pairs, total = dtw_loop(euclid_matrix(a, b))
         assert path.pairs == pairs, (n, m, d, kind)
         assert path.total_cost == total, (n, m, d, kind)
-
-
-def test_row_sum_order_matches_numpy():
-    rng = np.random.default_rng(14)
-    for d in range(1, 301):
-        x = rng.random((37, d)) * 10.0 ** rng.integers(-8, 8, size=(37, d))
-        sq = x * x
-        got = _pairwise_row_sum(np.ascontiguousarray(sq.T)).copy()
-        assert np.array_equal(got, sq.sum(axis=1)), (
-            f"d={d}: numpy's row sum no longer adds in the pairwise order "
-            "latent._pairwise_row_sum copies; dtw_align's bit-identical costs rest on it"
-        )
 
 
 def test_huge_equal_features_cost_nothing_without_overflow():

@@ -239,6 +239,12 @@ def test_prior_validation():
         fightin_words({"a": 0}, {"b": 0})
 
 
+def test_one_word_has_nothing_to_be_compared_against():
+    for ca, cb in (({"ja": 3}, {"ja": 2}), ({"ja": 3}, {"nein": 0}), ({}, {"ja": 1})):
+        with pytest.raises(EmptyVocabulary, match="at least 2 distinct words, got 1"):
+            fightin_words(ca, cb)
+
+
 def test_two_word_example_by_hand():
     ca, cb = {"x": 9, "y": 1}, {"x": 4, "y": 6}
     res = {s.word: s for s in fightin_words(ca, cb, prior_scale=2.0)}
