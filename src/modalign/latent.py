@@ -57,11 +57,12 @@ def dtw_align(a, b) -> WarpPath:
     squares added in feature order; cost ties are broken by preferring the
     diagonal step, then advancing the first sequence, so the returned path
     is unique.
-    The accumulator is filled one anti-diagonal at a time, and the costs
-    of eight anti-diagonals at a time from feature-major copies of ``a``
-    and reversed ``b``, so time is O(n*m) in vectorised numpy.  Memory is
-    O(n+m) floats, an (n+m+1) x (n+1) table of int8 steps and a fixed
-    workspace of about 1 MB for the costs.
+    The accumulator is filled one anti-diagonal at a time, two minima and
+    an add each; the costs and the steps of eight anti-diagonals at a time
+    come from feature-major copies of ``a`` and reversed ``b`` and from the
+    kept minima, so time is O(n*m) in vectorised numpy.  Memory is O(n+m)
+    floats (10 x (n+1) and 8 x n blocks), an (n+m+1) x (n+1) table of int8
+    steps and a fixed workspace of about 1 MB for the costs.
     Raises :class:`DimensionMismatch` when vector dimensions differ and
     :class:`ValidationError` when a sequence is empty or not 2-d, or when
     the warp's total cost is not finite.
@@ -84,43 +85,49 @@ def dtw_align(a, b) -> WarpPath:
     # tile[K-1-(s-s0), i-r0] is the cost of cell (i-1, s-i-1) for s0 <= s < s0+K
     tile = np.empty((K, n))
 
-    # diags[s % 3][i] is the cheapest warp ending at (i-1, s-i-1), behind an
-    # inf border; diagonal s needs only diagonals s-1 and s-2
-    diags = np.full((3, n + 1), np.inf)
-    diags[0, 0] = 0.0
+    # acc[2+s-s0][i] is the cheapest warp ending at (i-1, s-i-1), behind an inf
+    # border; rows 0 and 1 carry diagonals s0-2 and s0-1 into the tile
+    acc = np.full((K + 2, n + 1), np.inf)
+    acc[0, 0] = 0.0
+    # best[s-s0, i-r0] is the cheapest predecessor of cell (i-1, s-i-1)
+    best = np.full((K, n), np.inf)
     # step taken to ENTER cell (i, s-i): 0 diagonal, 1 from (i-1, j), 2 from (i, j-1)
     steps = np.zeros((n + m + 1, n + 1), dtype=np.int8)
-    for s0 in range(2, n + m + 1, K):
-        # rows r0..r1 hold every cell of diagonals s0..s0+K-1; row i of
-        # diagonal s0+K-1-k reads column i+k+m+1-s0 of the padded b
-        r0, r1 = max(1, s0 - m), min(n, s0 + K - 2)
-        for c0 in range(0, r1 - r0 + 1, chunk):
-            rows = min(chunk, r1 - r0 + 1 - c0)
-            col = r0 + c0 + m + 1 - s0
-            x = work[: dim * K * rows].reshape(dim, K, rows)
-            np.subtract(
-                fa[:, None, r0 - 1 + c0 : r0 - 1 + c0 + rows],
-                windows[:, col : col + K, :rows],
-                out=x,
-            )
-            np.multiply(x, x, out=x)
-            for f in range(1, dim):
-                x[0] += x[f]
-            np.sqrt(x[0], out=tile[:, c0 : c0 + rows])
-        for s in range(s0, min(s0 + K, n + m + 1)):
-            lo, hi = max(1, s - m), min(n, s - 1)
-            prev = diags[(s - 1) % 3]
-            best = diags[(s - 2) % 3][lo - 1 : hi].copy()
-            step = steps[s, lo : hi + 1]
-            # strict < keeps the earlier candidate on a tie: diagonal, (i-1, j), (i, j-1)
-            for code, cand in ((1, prev[lo - 1 : hi]), (2, prev[lo : hi + 1])):
-                better = np.less(cand, best)
-                np.copyto(best, cand, where=better)
-                np.copyto(step, code, where=better)
-            cur = diags[s % 3]
-            cur.fill(np.inf)
-            np.add(best, tile[K - 1 - (s - s0), lo - r0 : hi - r0 + 1], out=cur[lo : hi + 1])
-    total = diags[(n + m) % 3][n]
+    # an infinite cost is a defined input: only a warp through one is refused, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s0 in range(2, n + m + 1, K):
+            # rows r0..r1 hold every cell of diagonals s0..s0+K-1; row i of
+            # diagonal s0+K-1-k reads column i+k+m+1-s0 of the padded b
+            r0, r1 = max(1, s0 - m), min(n, s0 + K - 2)
+            for c0 in range(0, r1 - r0 + 1, chunk):
+                rows = min(chunk, r1 - r0 + 1 - c0)
+                col = r0 + c0 + m + 1 - s0
+                x = work[: dim * K * rows].reshape(dim, K, rows)
+                np.subtract(
+                    fa[:, None, r0 - 1 + c0 : r0 - 1 + c0 + rows],
+                    windows[:, col : col + K, :rows],
+                    out=x,
+                )
+                np.multiply(x, x, out=x)
+                for f in range(1, dim):
+                    x[0] += x[f]
+                np.sqrt(x[0], out=tile[:, c0 : c0 + rows])
+            ks = min(K, n + m + 1 - s0)
+            for k in range(ks):
+                lo, hi = max(1, s0 + k - m), min(n, s0 + k - 1)
+                row = best[k, lo - r0 : hi - r0 + 1]
+                np.minimum(acc[k, lo - 1 : hi], acc[k + 1, lo - 1 : hi], out=row)
+                np.minimum(row, acc[k + 1, lo : hi + 1], out=row)
+                np.add(row, tile[K - 1 - k, lo - r0 : hi - r0 + 1], out=acc[k + 2, lo : hi + 1])
+            # the tie order of a strict < scan: 0 iff the diagonal is the minimum,
+            # else 1 iff (i-1, j) is, else 2; a step off its diagonal is never read
+            w = r1 - r0 + 1
+            off_d = acc[:ks, r0 - 1 : r1] != best[:ks, :w]
+            off_u = acc[1 : ks + 1, r0 - 1 : r1] != best[:ks, :w]
+            steps[s0 : s0 + ks, r0 : r1 + 1] = off_d.view(np.int8) << off_u.view(np.int8)
+            acc[:2] = acc[ks : ks + 2]
+            acc[2:].fill(np.inf)
+    total = acc[1, n]
     if not np.isfinite(total):
         raise ValidationError(f"warp cost is {total}: costs must be finite")
 

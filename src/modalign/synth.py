@@ -75,6 +75,10 @@ class SynthSpec:
             raise InvalidSpec("sample_rate must be >= 8000 and divisible by 8")
         if self.target_party == self.other_party:
             raise InvalidSpec("target and other party must differ")
+        for party in (self.target_party, self.other_party):
+            # speakers.csv is read unquoted, so these would split or rename a party
+            if any(c in party for c in ',"\r\n'):
+                raise InvalidSpec(f"party {party!r} holds a comma, quote or line break")
 
 
 def _plant_segments(n_words: int, density: float, rng: np.random.Generator) -> list[tuple[int, int]]:

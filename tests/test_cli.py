@@ -476,6 +476,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({}, ["synth", "--effect", "inf"], "InvalidSpec"),
         ({"s.json": '{"jitter_hz": NaN}'}, ["synth", "--spec", "TMP/s.json"], "InvalidSpec"),
         ({"s.json": '{"jitter_hz": Infinity}'}, ["synth", "--spec", "TMP/s.json"], "InvalidSpec"),
+        ({"s.json": '{"target_party": "A,B"}'}, ["synth", "--spec", "TMP/s.json"], "InvalidSpec"),
         ({"out/notes.txt": "keep\n"}, ["segments", "--index", "IDX"], "ValidationError"),
         ({"out": "keep\n"}, ["synth", "--words", "5"], "ValidationError"),
         ({"p.csv": _PANEL.format(y=4, x=1), "out": "keep\n"},
@@ -519,7 +520,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "manifest-speakers-number", "query-select-audio", "query-select-visual", "prior-nan",
          "threshold-nan", "threshold-negative", "min-overlap-nan", "yaw-min-nan",
          "notes-pitch-nan", "threads-0", "threads-negative", "effect-nan", "effect-inf",
-         "jitter-nan", "jitter-inf", "out-is-dir", "out-is-file", "regress-out-is-file",
+         "jitter-nan", "jitter-inf", "synth-spec-party-comma",
+         "out-is-dir", "out-is-file", "regress-out-is-file",
          "fw-index-and-counts", "transcript-not-utf8", "counts-not-utf8",
          "fw-unknown-target-party", "regress-unknown-target-party", "manifest-session-id-escapes",
          "manifest-session-id-number", "manifest-speaker-not-listed", "speakers-bad-gender",

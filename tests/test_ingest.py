@@ -563,6 +563,12 @@ def test_synth_spec_validation():
         SynthSpec(segment_density=-0.1)
     with pytest.raises(InvalidSpec):
         SynthSpec(sample_rate=4000)
+    # speakers.csv is read unquoted, so no party name may need CSV quoting
+    for name in ("A,B", 'A"B', "A\nB", "A\rB"):
+        with pytest.raises(InvalidSpec, match="party"):
+            SynthSpec(target_party=name)
+        with pytest.raises(InvalidSpec, match="party"):
+            SynthSpec(other_party=name)
 
 
 def test_synth_is_deterministic(tmp_path):

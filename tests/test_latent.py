@@ -112,6 +112,49 @@ def test_matches_loop_oracle_bit_for_bit():
         assert path.total_cost == total, (n, m, d, kind)
 
 
+def test_tie_heavy_features_match_loop_oracle_across_tile_edges():
+    # features in {0, 1, 2} make U == L < D and every other tie common; lengths
+    # up to 39 put n, m and n+m on both sides of multiples of the tile height
+    rng = np.random.default_rng(14)
+    for trial in range(300):
+        n, m, d = int(rng.integers(1, 40)), int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        a = rng.integers(0, 3, size=(n, d)).astype(float)
+        b = rng.integers(0, 3, size=(m, d)).astype(float)
+        path = dtw_align(a, b)
+        pairs, total = dtw_loop(euclid_matrix(a, b))
+        assert path.pairs == pairs, (trial, n, m, d)
+        assert path.total_cost == total, (trial, n, m, d)
+
+
+def test_overflowing_costs_off_the_warp_match_loop_oracle():
+    # b repeats rows of a, so a zero-cost warp exists while most other cells
+    # square a difference of 1e200 or 2e200 and cost inf
+    rng = np.random.default_rng(15)
+    for trial in range(60):
+        n, d = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        a = rng.choice([0.0, 1e200, -1e200], size=(n, d))
+        b = a[np.repeat(np.arange(n), rng.integers(1, 4, size=n))]
+        path = dtw_align(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs, total = dtw_loop(euclid_matrix(a, b))
+        assert path.pairs == pairs, (trial, n, d)
+        assert path.total_cost == total == 0.0, (trial, n, d)
+
+
+def test_non_finite_features_always_rejected():
+    # a non-finite feature makes a whole row or column of costs inf or nan,
+    # and every warp crosses it
+    rng = np.random.default_rng(16)
+    for trial in range(200):
+        n, m, d = int(rng.integers(1, 20)), int(rng.integers(1, 20)), int(rng.integers(1, 4))
+        a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        for _ in range(int(rng.integers(1, 4))):
+            seq = a if rng.integers(2) else b
+            seq[rng.integers(len(seq)), rng.integers(d)] = rng.choice([np.inf, -np.inf, np.nan])
+        with pytest.raises(ValidationError, match="finite"):
+            dtw_align(a, b)
+
+
 def test_huge_equal_features_cost_nothing_without_overflow():
     # every real cell's difference is 0; a tile cell outside the grid must be too
     path = dtw_align(np.full((50, 3), 1e200), np.full((50, 3), 1e200))
