@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -33,20 +34,11 @@ from typing import get_args, get_type_hints
 from . import gaze as gaze_mod
 from . import ingest, latent, pitch, stats, synth
 from .errors import DataError, EngineError, ValidationError
+from .pitch import PitchSettings
 from .timeline import Modality, covered, join_streams, query_crossmodal
 
 
 # --- configuration ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class PitchSettings:
-    frame_length: int = 2048      # samples per analysis frame
-    hop: int = 512                # samples between frames
-    threshold: float = 0.15       # voicing threshold on the normalized difference
-    floor: float | None = None    # Hz; overrides per-gender band when set
-    ceiling: float | None = None  # Hz; overrides per-gender band when set
-    per_session: bool = False     # standardize within session instead of corpus-wide
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -115,26 +107,11 @@ def _settings(cls, doc, args: argparse.Namespace, where: str):
 
 # --- shared pipeline pieces ------------------------------------------------
 
-def _speaker_range(cfg: RunConfig, profile: pitch.SpeakerProfile) -> pitch.PitchRange:
-    if cfg.pitch.floor is not None or cfg.pitch.ceiling is not None:
-        floor = cfg.pitch.floor if cfg.pitch.floor is not None else profile.gender_range.floor
-        ceiling = cfg.pitch.ceiling if cfg.pitch.ceiling is not None else profile.gender_range.ceiling
-        return pitch.PitchRange(floor, ceiling)
-    return profile.gender_range
-
-
 def _pitch_one_session(index: ingest.CorpusIndex, cfg: RunConfig, session_id: str):
     data = index.load_session(session_id)
     profile = index.speakers()[data.speaker_id]
     audio = ingest.read_wav(data.audio_path)
-    track = pitch.estimate_pitch_track(
-        audio,
-        _speaker_range(cfg, profile),
-        frame_length=cfg.pitch.frame_length,
-        hop=cfg.pitch.hop,
-        threshold=cfg.pitch.threshold,
-        session_id=session_id,
-    )
+    track = pitch.estimate_pitch_track(audio, profile.gender_range, cfg.pitch, session_id=session_id)
     return data, pitch.word_pitch(track, data.words)
 
 
@@ -347,7 +324,7 @@ def _result_json(result: stats.RegressionResult) -> dict:
         "n_obs": result.n_obs,
         "n_groups": result.n_groups,
         "deviance": result.deviance,
-        "log_likelihood": result.log_likelihood,
+        "log_likelihood": result.log_likelihood if math.isfinite(result.log_likelihood) else None,
     }
 
 

@@ -103,6 +103,10 @@ class NonPositivePrior(ValidationError):
     """The prior scale must be strictly positive."""
 
 
+class NonFiniteStatistic(DataError):
+    """A statistic's float64 arithmetic overflowed, divided by zero or made a NaN."""
+
+
 class MissingPartyMetadata(DataError):
     """A speaker in the corpus has no party affiliation on record."""
 

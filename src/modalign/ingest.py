@@ -364,12 +364,14 @@ def read_wav(path) -> AudioBuffer:
 
 def write_wav(samples: np.ndarray, sample_rate: int, path) -> None:
     """Write mono float samples (clipped to [-1, 1]) as 16-bit PCM."""
-    pcm = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767).astype("<i2")
+    pcm = np.multiply(samples, 32768.0)
+    np.rint(pcm, out=pcm)
+    np.clip(pcm, -32768, 32767, out=pcm)
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(sample_rate)
-        wf.writeframes(pcm.tobytes())
+        wf.writeframes(pcm.astype("<i2").tobytes())
 
 
 # --- corpus manifest and index ---------------------------------------------

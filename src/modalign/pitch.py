@@ -55,6 +55,29 @@ PITCH_RANGE_BY_GENDER = {
     "f": PitchRange(100.0, 500.0),
 }
 
+@dataclass(frozen=True)
+class PitchSettings:
+    """Framing, voicing threshold, band override and z-score grouping; checked when built."""
+
+    frame_length: int = 2048      # samples per analysis frame
+    hop: int = 512                # samples between frames
+    threshold: float = 0.15       # voicing threshold on the normalized difference
+    floor: float | None = None    # Hz; overrides per-gender band when set
+    ceiling: float | None = None  # Hz; overrides per-gender band when set
+    per_session: bool = False     # standardize within session instead of corpus-wide
+
+    def __post_init__(self):
+        if not (self.threshold > 0 and math.isfinite(self.threshold)):
+            raise ValidationError(f"threshold must be finite and > 0, got {self.threshold}")
+        if not 1 <= self.hop <= self.frame_length:
+            raise ValidationError(f"hop must be in [1, frame_length], got {self.hop}")
+        for name, hz in (("floor", self.floor), ("ceiling", self.ceiling)):
+            if hz is not None and not hz > 0:
+                raise InvalidRange(f"need {name} > 0, got {hz}")
+        if self.floor is not None and self.ceiling is not None:
+            PitchRange(self.floor, self.ceiling)
+
+
 #: Frames :func:`estimate_pitch_track` processes per batch; bounds memory, not results.
 CHUNK_FRAMES = 2048
 
@@ -201,11 +224,9 @@ def _normalize(diff: np.ndarray) -> np.ndarray:
 
 def estimate_pitch_track(
     audio: AudioBuffer,
-    search_range: PitchRange,
+    band: PitchRange,
+    settings: PitchSettings = PitchSettings(),
     *,
-    frame_length: int = 2048,
-    hop: int = 512,
-    threshold: float = 0.15,
     session_id: str | None = None,
 ) -> PitchTrack:
     """Estimate f0 per frame.
@@ -214,14 +235,14 @@ def estimate_pitch_track(
     ----------
     audio:
         Mono waveform.
-    search_range:
-        Band of admissible f0 in Hz; lags searched are
+    band:
+        Band of admissible f0 in Hz, with its floor or ceiling replaced by
+        the one ``settings`` sets; lags searched are
         ``[sample_rate/ceiling, sample_rate/floor]``.
-    frame_length, hop:
-        Analysis framing in samples.  ``frame_length`` must be at least
-        twice the longest admissible period (``2 * sample_rate / floor``).
-    threshold:
-        Absolute voicing threshold on the normalized difference.
+    settings:
+        Framing in samples and the absolute voicing threshold on the
+        normalized difference.  ``frame_length`` must be at least twice the
+        longest admissible period (``2 * sample_rate / floor``).
 
     The dip search and the parabolic refinement read no lag past
     ``tau_hi + 1`` (``tau_hi = sample_rate/floor``), and the cumulative mean
@@ -233,29 +254,26 @@ def estimate_pitch_track(
     blocks that tile its window (see :func:`_difference_chunk`).
 
     Raises :class:`AudioTooShort` when the signal is shorter than one
-    frame, :class:`InvalidRange` when framing cannot cover the band or
-    the band holds no whole-sample lag of at least 2, and
-    :class:`ValidationError` for a bad threshold or hop.
+    frame, and :class:`InvalidRange` when the band is empty, framing cannot
+    cover it, or it holds no whole-sample lag of at least 2.
     """
+    band = PitchRange(settings.floor or band.floor, settings.ceiling or band.ceiling)  # set ends are > 0
     sr = audio.sample_rate
-    if frame_length < 2 * sr / search_range.floor:
+    frame_length, hop = settings.frame_length, settings.hop
+    if frame_length < 2 * sr / band.floor:
         raise InvalidRange(
             f"frame_length {frame_length} cannot hold two periods at floor "
-            f"{search_range.floor} Hz (need >= {2 * sr / search_range.floor:.0f})"
+            f"{band.floor} Hz (need >= {2 * sr / band.floor:.0f})"
         )
-    if not (threshold > 0 and math.isfinite(threshold)):
-        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
-    if hop < 1 or hop > frame_length:
-        raise ValidationError(f"hop must be in [1, frame_length], got {hop}")
     x = audio.samples
     if x.size < frame_length:
         raise AudioTooShort(f"session {session_id!r}: {x.size} samples < one frame of {frame_length}")
 
     max_lag = frame_length // 2
-    tau_lo = max(2, math.ceil(sr / search_range.ceiling))
-    tau_hi = min(max_lag, math.floor(sr / search_range.floor))
+    tau_lo = max(2, math.ceil(sr / band.ceiling))
+    tau_hi = min(max_lag, math.floor(sr / band.floor))
     if tau_lo > tau_hi:
-        raise InvalidRange(f"{search_range} holds no whole-sample lag >= 2 at {sr} Hz")
+        raise InvalidRange(f"{band} holds no whole-sample lag >= 2 at {sr} Hz")
     last_lag = min(tau_hi + 1, max_lag)
 
     starts = np.arange(0, x.size - frame_length + 1, hop)
@@ -267,12 +285,12 @@ def estimate_pitch_track(
         count = min(CHUNK_FRAMES, starts.size - lo)
         cmnd = _normalize(_difference_chunk(x, lo, count, hop, max_lag, last_lag))
 
-        band = cmnd[:, tau_lo : tau_hi + 1]
+        searched = cmnd[:, tau_lo : tau_hi + 1]
         # Value at tau+1, with +inf past the band edge so a dip that is
         # still falling at the edge is accepted there.
-        nxt = np.full_like(band, np.inf)
-        nxt[:, :-1] = band[:, 1:]
-        stop = (band < threshold) & (nxt >= band)
+        nxt = np.full_like(searched, np.inf)
+        nxt[:, :-1] = searched[:, 1:]
+        stop = (searched < settings.threshold) & (nxt >= searched)
         has = stop.any(axis=1)
         tau = np.argmax(stop, axis=1) + tau_lo
 
@@ -293,7 +311,7 @@ def estimate_pitch_track(
             shift[rows] = s
 
         est = sr / (tau + shift)
-        est = np.clip(est, search_range.floor, search_range.ceiling)
+        est = np.clip(est, band.floor, band.ceiling)
         f0[lo : lo + count] = np.where(has, est, np.nan)
         voiced[lo : lo + count] = has
 
@@ -334,30 +352,6 @@ def missing_count(word_pitches: Iterable[WordPitch]) -> int:
     return sum(1 for wp in word_pitches if wp.mean_f0 is None)
 
 
-def speaker_statistics(
-    word_pitches: Sequence[WordPitch],
-    *,
-    per_session: bool = False,
-) -> dict:
-    """Sample mean and SD (ddof=1) of word pitch per speaker (or speaker+session)."""
-    groups: dict = {}
-    for wp in word_pitches:
-        if wp.mean_f0 is None:
-            continue
-        key = (wp.speaker_id, wp.session_id) if per_session else wp.speaker_id
-        groups.setdefault(key, []).append(wp.mean_f0)
-    stats = {}
-    for key, vals in groups.items():
-        if len(vals) < 2:
-            raise DegenerateSpeaker(f"speaker {key!r} has {len(vals)} pitch observation(s)")
-        arr = np.asarray(vals)
-        sd = float(arr.std(ddof=1))
-        if sd == 0.0:
-            raise DegenerateSpeaker(f"speaker {key!r} has zero pitch variance")
-        stats[key] = (float(arr.mean()), sd, len(vals))
-    return stats
-
-
 def standardize_by_speaker(
     word_pitches: Sequence[WordPitch],
     *,
@@ -365,19 +359,26 @@ def standardize_by_speaker(
 ) -> list[WordPitch]:
     """Fill ``z = (mean_f0 - speaker mean) / speaker SD`` for every observed word.
 
-    The speaker mean is taken over everything passed in — hand this the
-    whole corpus for corpus-wide baselines, or set ``per_session=True`` to
-    re-center within each session.  Words without an observation pass
-    through with ``z = None``.  Raises :class:`DegenerateSpeaker` when a
-    speaker has fewer than two observations or zero variance.
+    The speaker mean and sample SD (ddof=1) are taken over everything passed
+    in — hand this the whole corpus for corpus-wide baselines, or set
+    ``per_session=True`` to re-center within each session.  Words without an
+    observation pass through with ``z = None``.  Raises
+    :class:`DegenerateSpeaker` when a speaker has fewer than two
+    observations or zero variance.
     """
-    stats = speaker_statistics(word_pitches, per_session=per_session)
-    out = []
-    for wp in word_pitches:
-        if wp.mean_f0 is None:
-            out.append(wp)
-            continue
-        key = (wp.speaker_id, wp.session_id) if per_session else wp.speaker_id
-        mean, sd, _ = stats[key]
-        out.append(replace(wp, z=(wp.mean_f0 - mean) / sd))
+    groups: dict = {}
+    for i, wp in enumerate(word_pitches):
+        if wp.mean_f0 is not None:
+            key = (wp.speaker_id, wp.session_id) if per_session else wp.speaker_id
+            groups.setdefault(key, []).append(i)
+    out = list(word_pitches)
+    for key, rows in groups.items():
+        if len(rows) < 2:
+            raise DegenerateSpeaker(f"speaker {key!r} has {len(rows)} pitch observation(s)")
+        arr = np.asarray([out[i].mean_f0 for i in rows])
+        mean, sd = float(arr.mean()), float(arr.std(ddof=1))
+        if sd == 0.0:
+            raise DegenerateSpeaker(f"speaker {key!r} has zero pitch variance")
+        for i in rows:
+            out[i] = replace(out[i], z=(out[i].mean_f0 - mean) / sd)
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping, Sequence
@@ -25,6 +26,7 @@ from .errors import (
     EmptyPanel,
     EmptyVocabulary,
     MissingPartyMetadata,
+    NonFiniteStatistic,
     NonPositivePrior,
     RankDeficientDesign,
     UnknownRegressor,
@@ -34,6 +36,16 @@ from .gaze import AddressSegments
 from .timeline import ElementStream, Modality, covered
 
 Z_95 = 1.96  # conventional two-sided 95% normal quantile
+
+
+@contextmanager
+def _finite(statistic: str):
+    """Overflow, division by zero or a NaN inside raise :class:`NonFiniteStatistic`."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            yield
+    except FloatingPointError as e:
+        raise NonFiniteStatistic(f"{statistic} is not finite on these inputs: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -95,29 +107,30 @@ def fe_regress(rows: Sequence[PanelRow], *, allow_single_group: bool = False) ->
     if g < 2 and not allow_single_group:
         raise ValidationError("single-group panel: pass allow_single_group=True if intended")
 
+    df = n - k - g
+    if df <= 0:
+        raise RankDeficientDesign(f"no residual degrees of freedom (n={n}, k={k}, G={g})")
     y = np.array([r.y for r in rows])
     x = np.array([[float(r.regressors[name]) for name in names] for r in rows])
     gi = np.array([group_ids[r.group] for r in rows])
 
-    counts = np.bincount(gi, minlength=g).astype(float)
-    y_demeaned = y - (np.bincount(gi, weights=y, minlength=g) / counts)[gi]
-    x_demeaned = np.empty_like(x)
-    for col in range(k):
-        means = np.bincount(gi, weights=x[:, col], minlength=g) / counts
-        x_demeaned[:, col] = x[:, col] - means[gi]
+    with _finite("fe_regress"):
+        counts = np.bincount(gi, minlength=g).astype(float)
+        y_demeaned = y - (np.bincount(gi, weights=y, minlength=g) / counts)[gi]
+        x_demeaned = np.empty_like(x)
+        for col in range(k):
+            means = np.bincount(gi, weights=x[:, col], minlength=g) / counts
+            x_demeaned[:, col] = x[:, col] - means[gi]
 
-    df = n - k - g
-    if df <= 0:
-        raise RankDeficientDesign(f"no residual degrees of freedom (n={n}, k={k}, G={g})")
-    if np.linalg.matrix_rank(x_demeaned) < k:
-        raise RankDeficientDesign("design matrix is rank deficient after the within-transform")
+        if np.linalg.matrix_rank(x_demeaned) < k:
+            raise RankDeficientDesign("design matrix is rank deficient after the within-transform")
 
-    beta, *_ = np.linalg.lstsq(x_demeaned, y_demeaned, rcond=None)
-    resid = y_demeaned - x_demeaned @ beta
-    rss = float(resid @ resid)
-    sigma2 = rss / df
-    cov = sigma2 * np.linalg.inv(x_demeaned.T @ x_demeaned)
-    se = np.sqrt(np.diag(cov))
+        beta, *_ = np.linalg.lstsq(x_demeaned, y_demeaned, rcond=None)
+        resid = y_demeaned - x_demeaned @ beta
+        rss = float(resid @ resid)
+        sigma2 = rss / df
+        cov = sigma2 * np.linalg.inv(x_demeaned.T @ x_demeaned)
+        se = np.sqrt(np.diag(cov))
 
     if rss > 0:
         ll = -0.5 * n * (math.log(2 * math.pi) + math.log(rss / n) + 1.0)
@@ -212,17 +225,18 @@ def fightin_words(
 
     ya = np.array([float(counts_a.get(w, 0)) for w in vocab])
     yb = np.array([float(counts_b.get(w, 0)) for w in vocab])
-    na, nb = float(ya.sum()), float(yb.sum())
-    grand = na + nb
-    alpha = prior_scale * (ya + yb) / grand
-    alpha0 = prior_scale  # the alphas sum to the scale by construction
+    with _finite("fightin_words"):
+        na, nb = ya.sum(), yb.sum()  # numpy scalars, so their sum overflows loudly too
+        grand = na + nb
+        alpha = prior_scale * (ya + yb) / grand
+        alpha0 = prior_scale  # the alphas sum to the scale by construction
 
-    # grouped per corpus so swapping the two maps negates delta bit-exactly
-    log_odds_a = np.log(ya + alpha) - np.log(na + alpha0 - ya - alpha)
-    log_odds_b = np.log(yb + alpha) - np.log(nb + alpha0 - yb - alpha)
-    delta = log_odds_a - log_odds_b
-    variance = 1.0 / (ya + alpha) + 1.0 / (yb + alpha)
-    z = delta / np.sqrt(variance)
+        # grouped per corpus so swapping the two maps negates delta bit-exactly
+        log_odds_a = np.log(ya + alpha) - np.log(na + alpha0 - ya - alpha)
+        log_odds_b = np.log(yb + alpha) - np.log(nb + alpha0 - yb - alpha)
+        delta = log_odds_a - log_odds_b
+        variance = 1.0 / (ya + alpha) + 1.0 / (yb + alpha)
+        z = delta / np.sqrt(variance)
 
     scores = [
         WordScore(w, float(a), float(b), float(d), float(v), float(zz))

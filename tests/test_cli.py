@@ -206,6 +206,22 @@ def test_regress_panel_mode(tmp_path, capsys):
     assert list(doc2["coefficients"]) == ["x0"]
 
 
+def test_exact_fit_writes_standard_json(tmp_path, capsys):
+    """JSON has no infinity, so an exact fit's log-likelihood is written as null."""
+    panel = tmp_path / "panel.csv"
+    panel.write_text("y,group,x\n1,a,1\n2,a,2\n3,b,3\n5,b,5\n7,c,7\n")
+    out = tmp_path / "reg"
+    assert run("regress", "--panel", panel, "--out", out) == 0
+    capsys.readouterr()
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads((out / "regression.json").read_text(), parse_constant=refuse)
+    assert doc["log_likelihood"] is None and doc["deviance"] == 0.0
+    assert "log-likelihood         inf" in (out / "regression.txt").read_text()
+
+
 def test_fw_command(planted_corpus, tmp_path, capsys):
     out = tmp_path / "fw.csv"
     assert run("fw", "--index", planted_corpus.index, "--out", out) == 0
@@ -507,6 +523,20 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({_BLOB: '{"id": ["w0"], "word": ["ja"]}', **_words_npy(rows=[(-5.0, 0.375)])},
          ["segments", "--index", "IDX"], "ParseError"),
         ({}, ["pitch", "--index", "IDX", "--hop", "abc"], "ValidationError"),
+        ({}, ["pitch", "--index", "IDX", "--hop", "0"], "ValidationError"),
+        ({}, ["pitch", "--index", "IDX", "--frame-length", "1024", "--hop", "2048"],
+         "ValidationError"),
+        ({"c.json": '{"pitch": {"threshold": -1}}'},
+         ["--config", "TMP/c.json", "segments", "--index", "IDX"], "ValidationError"),
+        ({"c.json": '{"pitch": {"floor": 300, "ceiling": 100}}'},
+         ["--config", "TMP/c.json", "fw", "--index", "IDX"], "InvalidRange"),
+        ({"a.csv": "word,count\nx,1\n", "b.csv": "word,count\ny,1\n"},
+         ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv", "--prior", "5e-324"],
+         "NonFiniteStatistic"),
+        ({"a.csv": "word,count\nx,1e308\ny,1e308\n", "b.csv": "word,count\nx,1e308\ny,1e308\n"},
+         ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "NonFiniteStatistic"),
+        ({"p.csv": "y,group,x\n1e308,a,0\n-1e308,a,1\n1e308,b,0\n-1e308,b,1\n1e308,c,0\n"},
+         ["regress", "--panel", "TMP/p.csv"], "NonFiniteStatistic"),
         ({}, ["pitch"], "ValidationError"),
         ({}, ["nosuch"], "ValidationError"),
     ],
@@ -527,7 +557,9 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "manifest-session-id-number", "manifest-speaker-not-listed", "speakers-bad-gender",
          "speakers-missing-speaker", "wav-no-frames", "wav-rate-4000", "gaze-csv-negative-t",
          "gaze-negative-t", "gaze-csv-repeated-t", "gaze-repeated-t", "words-negative-start",
-         "hop-not-int", "index-missing", "unknown-command"],
+         "hop-not-int", "hop-0", "hop-over-frame", "config-threshold-on-segments",
+         "config-inverted-band-on-fw", "fw-prior-underflows", "fw-counts-overflow",
+         "panel-overflow", "index-missing", "unknown-command"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

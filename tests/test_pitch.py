@@ -17,6 +17,7 @@ from modalign.pitch import (
     PITCH_RANGE_BY_GENDER,
     AudioBuffer,
     PitchRange,
+    PitchSettings,
     PitchTrack,
     WordPitch,
     _block_size,
@@ -24,7 +25,6 @@ from modalign.pitch import (
     _fft_size,
     estimate_pitch_track,
     missing_count,
-    speaker_statistics,
     standardize_by_speaker,
     word_pitch,
 )
@@ -95,7 +95,7 @@ def test_track_is_deterministic():
 
 
 def test_frame_times_are_centers():
-    track = estimate_pitch_track(sine(150.0), WIDE, frame_length=2048, hop=512)
+    track = estimate_pitch_track(sine(150.0), WIDE, PitchSettings(frame_length=2048, hop=512))
     assert track.frame_times[0] == pytest.approx(1024 / SR)
     assert np.allclose(np.diff(track.frame_times), 512 / SR)
 
@@ -183,8 +183,9 @@ def test_quiet_and_silent_stretches_after_a_loud_tone():
     loud = 1e3 * np.sin(2 * np.pi * 180.0 * t)
     quiet = 1e-6 * np.sin(2 * np.pi * 240.0 * t)
     audio = AudioBuffer(np.concatenate([loud, quiet, np.zeros(n)]), SR)
-    track = estimate_pitch_track(audio, WIDE, frame_length=1024, hop=256)
-    alone = estimate_pitch_track(AudioBuffer(quiet, SR), WIDE, frame_length=1024, hop=256)
+    framing = PitchSettings(frame_length=1024, hop=256)
+    track = estimate_pitch_track(audio, WIDE, framing)
+    alone = estimate_pitch_track(AudioBuffer(quiet, SR), WIDE, framing)
     inside = track.f0[64 : 64 + len(alone)]
     assert alone.voiced.all()
     np.testing.assert_allclose(inside, alone.f0, rtol=1e-9, atol=0)
@@ -200,11 +201,37 @@ def test_short_audio_rejected():
 
 def test_frame_must_cover_two_periods_at_floor():
     with pytest.raises(InvalidRange):
-        estimate_pitch_track(sine(200.0), PitchRange(75.0, 300.0), frame_length=256)
+        estimate_pitch_track(sine(200.0), PitchRange(75.0, 300.0), PitchSettings(frame_length=256, hop=256))
     # a band with no whole-sample lag between sr/ceiling and sr/floor
     for sr in (8000, 16000):
         with pytest.raises(InvalidRange, match="no whole-sample lag"):
             estimate_pitch_track(sine(100.5, sr=sr), PitchRange(100.3, 100.6))
+
+
+def test_settings_checked_when_built():
+    assert PitchSettings() == PitchSettings(2048, 512, 0.15, None, None, False)
+    PitchSettings(frame_length=256, hop=256, floor=100.0)
+    PitchSettings(ceiling=400.0)
+    for bad in (dict(threshold=0.0), dict(threshold=-1.0), dict(threshold=float("nan")),
+                dict(threshold=float("inf"))):
+        with pytest.raises(ValidationError, match="threshold must be finite and > 0"):
+            PitchSettings(**bad)
+    for bad in (dict(hop=0), dict(hop=-3), dict(frame_length=1024, hop=2048)):
+        with pytest.raises(ValidationError, match=r"hop must be in \[1, frame_length\]"):
+            PitchSettings(**bad)
+    for bad in (dict(floor=0.0), dict(floor=float("nan")), dict(ceiling=-5.0),
+                dict(floor=300.0, ceiling=100.0), dict(floor=200.0, ceiling=200.0)):
+        with pytest.raises(InvalidRange):
+            PitchSettings(**bad)
+
+
+def test_settings_band_replaces_the_given_ends():
+    # a 220 Hz tone lies outside 300-500 Hz (test_tone_outside_band_is_unvoiced)
+    narrow = PitchRange(300.0, 500.0)
+    widened = estimate_pitch_track(sine(220.0), narrow, PitchSettings(floor=75.0))
+    np.testing.assert_array_equal(widened.f0, estimate_pitch_track(sine(220.0), WIDE).f0)
+    with pytest.raises(InvalidRange):  # the set ceiling falls below the band's floor
+        estimate_pitch_track(sine(220.0), narrow, PitchSettings(ceiling=250.0))
 
 
 def test_range_validation():
@@ -339,10 +366,9 @@ def test_degenerate_speakers_rejected():
 
 
 def test_statistics_use_sample_sd():
-    stats = speaker_statistics(wp_list("a", [100.0, 200.0, 300.0]))
-    mean, sd, n = stats["a"]
-    assert (mean, n) == (200.0, 3)
-    assert sd == pytest.approx(100.0)  # ddof=1
+    # mean 200 and sample SD 100 (ddof=1); the population SD would give +-1.22
+    out = standardize_by_speaker(wp_list("a", [100.0, 200.0, 300.0]))
+    assert [w.z for w in out] == [-1.0, 0.0, 1.0]
 
 
 def test_per_session_standardization():

@@ -10,6 +10,7 @@ from modalign.errors import (
     EmptyPanel,
     EmptyVocabulary,
     MissingPartyMetadata,
+    NonFiniteStatistic,
     NonPositivePrior,
     RankDeficientDesign,
     UnknownRegressor,
@@ -137,6 +138,14 @@ def test_perfect_fit_likelihood():
     assert res.deviance < 1e-24
 
 
+def test_fe_regress_refuses_what_float64_cannot_hold():
+    rows = [PanelRow(y, g, {"x": x}) for y, g, x in
+            ((1e308, "a", 0.0), (-1e308, "a", 1.0), (1e308, "b", 0.0), (-1e308, "b", 1.0),
+             (1e308, "c", 0.0))]
+    with pytest.raises(NonFiniteStatistic, match="^fe_regress is not finite"):
+        fe_regress(rows)
+
+
 def test_likelihood_matches_formula():
     rng = np.random.default_rng(25)
     rows, _, _ = random_panel(rng, n_groups=3, k=1)
@@ -237,6 +246,17 @@ def test_prior_validation():
         fightin_words({"a": 1}, {"a": 2}, prior_scale=-1.0)
     with pytest.raises(EmptyVocabulary):
         fightin_words({"a": 0}, {"b": 0})
+
+
+def test_fightin_words_refuses_what_float64_cannot_hold():
+    # the smallest prior underflows to zero mass on a word one group lacks
+    with pytest.raises(NonFiniteStatistic, match="^fightin_words is not finite.*divide by zero"):
+        fightin_words({"x": 1}, {"y": 1}, prior_scale=5e-324)
+    with pytest.raises(NonFiniteStatistic, match="^fightin_words is not finite.*overflow"):
+        fightin_words({"x": 1e308, "y": 1e308}, {"x": 1e308, "y": 1e308})
+    # underflow alone is no error: every word keeps a count in both groups
+    res = fightin_words({"x": 1, "y": 1}, {"x": 2, "y": 1}, prior_scale=5e-324)
+    assert all(math.isfinite(s.z) for s in res)
 
 
 def test_one_word_has_nothing_to_be_compared_against():
