@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from modalign.cli import PitchSettings, RunConfig, build_panel, interaction_name
-from modalign.ingest import CorpusIndex, build_index
+from modalign.ingest import CorpusIndex, build_index, write_csv
 from modalign.stats import Z_95, fe_regress
 from modalign.synth import SynthSpec, synth_corpus
 
@@ -79,10 +79,7 @@ def main(argv=None):
     print(f"wall time       {elapsed:.1f} s")
 
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("seed,estimate,std_error,ci_low,ci_high,covered\n")
-            for r in rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in r) + "\n")
+        write_csv(args.csv, "seed,estimate,std_error,ci_low,ci_high,covered", rows)
         print(f"wrote {args.csv}")
 
 

@@ -15,9 +15,10 @@ Input formats
 A corpus manifest (JSON) lists sessions and points at the per-session
 files; :func:`build_index` parses everything once into a versioned
 directory that later commands load lazily.  Its manifest holds one row
-of strings per session; a JSON blob holds the session's words, and its
-numbers (word times, gaze samples) sit beside it in structured ``.npy``
-tables, which load as float64 arrays without going through text.  The
+of strings per session: the ids and the audio path, relative to the
+index.  The session's files are named by its id: a JSON blob holds its
+words, and its numbers (word times, gaze samples) sit beside it in
+structured ``.npy`` tables, which load as float64 arrays.  The
 speakers CSV is kept as ingested.  The index directory is written to a
 temporary sibling and renamed into place, and rebuilding from unchanged
 inputs is byte-identical.  What it replaces must be an earlier index or an
@@ -46,9 +47,8 @@ import numpy as np
 
 from .errors import (
     AngleOutOfRange,
+    EngineError,
     MissingFile,
-    NegativeInterval,
-    OverlappingWords,
     ParseError,
     ValidationError,
     VersionMismatch,
@@ -59,13 +59,13 @@ from .stats import PanelRow
 from .timeline import ElementStream, Modality, stream_from_columns
 
 MANIFEST_FORMAT_VERSION = 1  # corpus manifests, the input of ``ingest``
-INDEX_FORMAT_VERSION = 4     # index directories: version 4 keeps the speakers CSV, each fact once
+INDEX_FORMAT_VERSION = 5     # index directories: version 5 names a session's files by its id
 
 # The numeric tables of an index session, one structured .npy file each; a flag is a 0/1 byte.
 _WORDS_DTYPE = np.dtype([("start", "<f8"), ("end", "<f8")])
 _GAZE_DTYPE = np.dtype([("t", "<f8"), ("yaw", "<f8"), ("pitch", "<f8"), ("frontal", "u1")])
-# The string fields of an index manifest's session row.
-_ROW_KEYS = ("session_id", "speaker_id", "audio", "blob", "words", "gaze")
+# The string fields of an index manifest's session row, and no others.
+_ROW_KEYS = ("session_id", "speaker_id", "audio")
 
 
 def word_element_id(position: int) -> str:
@@ -415,8 +415,7 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
         sid, speaker = sess["session_id"], sess["speaker_id"]
         if not (isinstance(sid, str) and isinstance(speaker, str)):
             raise ParseError(path, 0, f"session #{i}: session_id and speaker_id must be strings")
-        if sid in ("", ".", "..") or set(sid) & set("/\\\0"):
-            raise ParseError(path, 0, f"session_id {sid!r} is not a plain file name")
+        _check_session_id(path, sid)
         if sid in seen:
             raise ParseError(path, 0, f"duplicate session_id {sid!r}")
         seen.add(sid)
@@ -428,6 +427,12 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
     if not entries:
         raise ParseError(path, 0, "manifest lists no sessions")
     return CorpusManifest(tuple(entries), speakers)
+
+
+def _check_session_id(path: Path, sid: str) -> None:
+    """Raise a :class:`ParseError` naming ``path`` unless ``sid`` is a plain file name."""
+    if sid in ("", ".", "..") or set(sid) & set("/\\\0"):
+        raise ParseError(path, 0, f"session_id {sid!r} is not a plain file name")
 
 
 def _json_bytes(obj, *, compact: bool = False) -> bytes:
@@ -460,12 +465,17 @@ def _is_index(out_dir: Path) -> bool:
     """Does ``out_dir`` look like an index :func:`build_index` wrote?
 
     Every index format version has a ``speakers.json`` (versions 1-3) or a
-    ``speakers.csv`` (4) beside a ``manifest.json`` whose session rows each
-    name a ``blob``; a corpus manifest's rows name none.
+    ``speakers.csv`` (4-5) beside a ``manifest.json`` whose session rows
+    each hold exactly :data:`_ROW_KEYS` (5) or name a ``blob`` (1-4); a
+    corpus manifest's rows, at its version 1, name no blob.
     """
-    rows = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["sessions"]
+    doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    rows, current = doc["sessions"], doc["format_version"] == INDEX_FORMAT_VERSION
     speakers = (out_dir / "speakers.json").is_file() or (out_dir / "speakers.csv").is_file()
-    return speakers and bool(rows) and all(isinstance(row, dict) and "blob" in row for row in rows)
+    return speakers and bool(rows) and all(
+        isinstance(row, dict) and (row.keys() == set(_ROW_KEYS) if current else "blob" in row)
+        for row in rows
+    )
 
 
 @contextmanager
@@ -503,7 +513,10 @@ def build_index(manifest_path, out_dir) -> Path:
     """Parse every session and write the index directory.
 
     Every session's speaker must have a line in the speakers file
-    (:class:`ParseError` naming the manifest otherwise).  ``out_dir`` must
+    (:class:`ParseError` naming the manifest otherwise), and every word of
+    its transcript must carry that speaker (:class:`ParseError` naming the
+    transcript otherwise).  Audio paths are stored relative to the resolved
+    ``out_dir``, so a corpus and its index move together.  ``out_dir`` must
     be new, an empty directory, or an earlier index (of any format
     version), which is replaced; anything else raises
     :class:`ValidationError` and is left untouched (see :func:`replacing`).
@@ -515,37 +528,42 @@ def build_index(manifest_path, out_dir) -> Path:
     unlisted = sorted({entry.speaker_id for entry in manifest.sessions} - profiles.keys())
     if unlisted:
         raise ParseError(manifest_path, 0, f"speakers not in {manifest.speakers_path}: {unlisted}")
-    sessions = [
-        (entry, load_transcript(entry.transcript, session_id=entry.session_id), load_gaze(entry.gaze))
-        for entry in manifest.sessions
-    ]
+    sessions = []
+    for entry in manifest.sessions:
+        words = load_transcript(entry.transcript, session_id=entry.session_id)
+        if words.speaker_id != entry.speaker_id:
+            raise ParseError(
+                entry.transcript, 0,
+                f"every word's speaker_id must be the manifest's {entry.speaker_id!r}",
+            )
+        audio = os.path.relpath(entry.audio.resolve(), out_dir.resolve())
+        sessions.append((entry, audio, words, load_gaze(entry.gaze)))
     with replacing(out_dir, _is_index, "an index") as root:
         _write_index(root, sessions)
         shutil.copyfile(manifest.speakers_path, root / "speakers.csv")
     return out_dir
 
 
+def _session_files(root: Path, session_id: str) -> tuple[Path, Path, Path]:
+    """The blob, word table and gaze table of a session in the index at ``root``."""
+    sessions = root / "sessions"
+    return tuple(sessions / (session_id + ext) for ext in (".json", ".words.npy", ".gaze.npy"))
+
+
 def _write_index(root: Path, sessions) -> None:
-    """Write the session files and manifest of an index of ``(entry, words, trace)`` sessions."""
+    """Write the files and manifest of an index of ``(entry, audio, words, trace)`` sessions."""
     (root / "sessions").mkdir(parents=True)
     session_rows = []
-    for entry, words, trace in sessions:
-        row = {
-            "session_id": entry.session_id,
-            "speaker_id": entry.speaker_id,
-            "audio": str(entry.audio.resolve()),
-            "blob": f"sessions/{entry.session_id}.json",
-            "words": f"sessions/{entry.session_id}.words.npy",
-            "gaze": f"sessions/{entry.session_id}.gaze.npy",
-        }
-        blob = {"id": list(words.ids), "word": list(words.payloads)}
-        (root / row["blob"]).write_bytes(_json_bytes(blob, compact=True))
-        _write_table(root / row["words"], _WORDS_DTYPE, start=words.starts, end=words.ends)
+    for entry, audio, words, trace in sessions:
+        blob, words_path, gaze_path = _session_files(root, entry.session_id)
+        doc = {"id": list(words.ids), "word": list(words.payloads)}
+        blob.write_bytes(_json_bytes(doc, compact=True))
+        _write_table(words_path, _WORDS_DTYPE, start=words.starts, end=words.ends)
         _write_table(
-            root / row["gaze"], _GAZE_DTYPE,
+            gaze_path, _GAZE_DTYPE,
             t=trace.t, yaw=trace.yaw, pitch=trace.pitch, frontal=trace.frontal,
         )
-        session_rows.append(row)
+        session_rows.append(dict(zip(_ROW_KEYS, (entry.session_id, entry.speaker_id, audio))))
     (root / "manifest.json").write_bytes(
         _json_bytes(
             {
@@ -577,12 +595,12 @@ def _table_header(dtype: np.dtype, rows: int) -> bytes:
 _SHAPE = re.compile(rb"'shape': \((\d{1,18}),\)")
 
 
-def _read_table(path: Path, dtype: np.dtype, rows: int | None = None) -> dict[str, np.ndarray]:
+def _read_table(path: Path, dtype: np.dtype) -> dict[str, np.ndarray]:
     """The columns of a table :func:`_write_table` saved, each as its own array.
 
     The file's header must be byte for byte the one :func:`numpy.save`
-    writes for a flat array of ``dtype`` (with ``rows`` rows when given),
-    its data exactly that many rows, its floats finite and its flags 0 or 1.
+    writes for a flat array of ``dtype``, its data exactly as many rows as
+    the header gives, its floats finite and its flags 0 or 1.
     Checking the header whole takes the place of :func:`numpy.load`, whose
     lenient header parser can print a warning or raise a tokenizer error on
     a damaged file, and it never unpickles.  A missing file is
@@ -601,8 +619,6 @@ def _read_table(path: Path, dtype: np.dtype, rows: int | None = None) -> dict[st
         raise ParseError(
             path, 0, f"holds {len(data) - end} data bytes, its header promises {count} rows"
         )
-    if rows is not None and count != rows:
-        raise ParseError(path, 0, f"table has {count} rows, the blob lists {rows}")
     table = np.frombuffer(data, dtype=dtype, count=count, offset=end)
     columns = {name: np.array(table[name]) for name in dtype.names}
     for name, values in columns.items():
@@ -613,12 +629,12 @@ def _read_table(path: Path, dtype: np.dtype, rows: int | None = None) -> dict[st
     return columns
 
 
-def _strings(path: Path, table: dict, name: str) -> list[str]:
-    """The JSON list ``table[name]`` of a blob, which must hold only strings."""
-    values = table[name]
-    if not isinstance(values, list) or set(map(type, values)) - {str}:
-        raise ParseError(path, 0, f"column {name!r} is not a list of strings")
-    return values
+def _blob_lists(doc) -> tuple[list, list]:
+    """A blob's ``id`` and ``word`` lists, unchecked but for being lists."""
+    ids, tokens = doc["id"], doc["word"]
+    if not (isinstance(ids, list) and isinstance(tokens, list)):
+        raise TypeError("'id' and 'word' must be lists")
+    return ids, tokens
 
 
 @dataclass(frozen=True)
@@ -648,8 +664,10 @@ class CorpusIndex:
                 f"this build reads {INDEX_FORMAT_VERSION}; rebuild it with `modalign ingest`"
             )
         path, rows = self.root / "manifest.json", doc["sessions"]
-        if any({type(row[key]) for key in _ROW_KEYS} != {str} for row in rows):
-            raise ParseError(path, 0, f"row fields {_ROW_KEYS} must be strings")
+        for row in rows:
+            if row.keys() != set(_ROW_KEYS) or {type(value) for value in row.values()} != {str}:
+                raise ParseError(path, 0, f"a row must hold the fields {_ROW_KEYS}, all strings")
+            _check_session_id(path, row["session_id"])
         by_id = {row["session_id"]: row for row in rows}
         if len(by_id) != len(rows):
             raise ParseError(path, 0, "a session_id is repeated")
@@ -675,14 +693,9 @@ class CorpusIndex:
         if session_id not in self._rows:
             raise ValidationError(f"index has no session {session_id!r}")
         row = self._rows[session_id]
-        blob = self.root / row["blob"]
-        ids, tokens = _read_json_file(
-            blob, lambda doc: (_strings(blob, doc, "id"), _strings(blob, doc, "word"))
-        )
-        if len(tokens) != len(ids):
-            raise ParseError(blob, 0, f"{len(ids)} word ids for {len(tokens)} words")
-        words_path, gaze_path = self.root / row["words"], self.root / row["gaze"]
-        w = _read_table(words_path, _WORDS_DTYPE, rows=len(ids))
+        blob, words_path, gaze_path = _session_files(self.root, session_id)
+        ids, tokens = _read_json_file(blob, _blob_lists)
+        w = _read_table(words_path, _WORDS_DTYPE)
         g = _read_table(gaze_path, _GAZE_DTYPE)
         if (g["t"][:1] < 0).any() or (g["t"][1:] <= g["t"][:-1]).any():
             raise ParseError(gaze_path, 0, "column 't' must rise strictly from a time >= 0")
@@ -691,9 +704,11 @@ class CorpusIndex:
                 Modality.TEXT, session_id, ids, w["start"], w["end"], tokens,
                 speaker_id=row["speaker_id"],
             )
-        except (NegativeInterval, OverlappingWords) as e:
-            raise ParseError(words_path, 0, f"words of session {session_id!r}: {e}") from None
+        except EngineError as e:
+            raise ParseError(
+                words_path, 0, f"words of session {session_id!r}: {e} (ids and words from {blob})"
+            ) from None
         gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"] == 1)
-        data = SessionData(session_id, row["speaker_id"], words, gaze, Path(row["audio"]))
+        data = SessionData(session_id, row["speaker_id"], words, gaze, self.root / row["audio"])
         self._cache[session_id] = data
         return data

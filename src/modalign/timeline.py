@@ -112,7 +112,7 @@ def stream_from_columns(
     """Validate, sort, and freeze a stream given as parallel columns.
 
     Elements are sorted by ``(start, end, id)``.  Raises
-    :class:`ValidationError` unless every payload is a string,
+    :class:`ValidationError` unless every id and payload is a string,
     :class:`EmptyStream`, :class:`DuplicateIds` on duplicate element ids,
     :class:`NegativeInterval` unless ``0 <= start <= end``, and
     :class:`OverlappingWords` when a text stream's word intervals overlap.
@@ -124,8 +124,8 @@ def stream_from_columns(
         raise ValidationError("stream columns differ in length")
     if not ids:
         raise EmptyStream(f"stream for session {session_id!r} has no elements")
-    if set(map(type, payloads)) != {str}:
-        raise ValidationError(f"payloads of the stream for session {session_id!r} must be strings")
+    if set(map(type, ids)) | set(map(type, payloads)) != {str}:
+        raise ValidationError(f"ids and payloads in session {session_id!r} must be strings")
     if len(set(ids)) != len(ids):
         raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
     bad = np.flatnonzero((starts < 0) | (ends < starts))

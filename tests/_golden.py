@@ -17,8 +17,8 @@ Comparison rules (:func:`differences`):
   between changes to the tracker's arithmetic.
 * Everything else — stdout, stderr, exit codes, every other output file —
   byte for byte.
-* Of the index, ``idx/manifest.json`` stores absolute audio paths and is
-  left out; its session files and ``speakers.csv`` are kept whole.  The
+* The index is kept whole; its ``manifest.json`` stores audio paths
+  relative to the index, so it does not name the directory either.  The
   large synthesized session files are kept as digests: a SHA-256 for
   transcripts and gaze CSVs, and for each WAV its frame count, sample rate,
   and the mean and RMS of its samples.
@@ -48,8 +48,7 @@ _IDX = ("--index", "idx")
 BATTERY: list[tuple[str, list[str], list[str]]] = [
     ("synth", ["synth", "--out", "raw", "--seed", "7", "--speakers", "4", "--words", "120",
                "--effect", "0.15"], ["raw"]),
-    ("ingest", ["ingest", "--manifest", "raw/manifest.json", "--out", "idx"],
-     ["idx/sessions", "idx/speakers.csv"]),
+    ("ingest", ["ingest", "--manifest", "raw/manifest.json", "--out", "idx"], ["idx"]),
     ("pitch", ["pitch", *_IDX, "--out", "pitch.csv"], ["pitch.csv"]),
     ("pitch-1024-256", ["pitch", *_IDX, "--frame-length", "1024", "--hop", "256",
                         "--out", "pitch_1024_256.csv"], ["pitch_1024_256.csv"]),

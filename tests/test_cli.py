@@ -88,6 +88,23 @@ def test_pitch_command(planted_corpus, tmp_path, capsys):
         assert int(row["voiced_frames"]) > 0
 
 
+def test_index_moves_with_its_corpus(planted_corpus, tmp_path, capsys):
+    # audio paths are stored relative to the index, so the pair moves as one
+    assert run("pitch", "--index", planted_corpus.index, "--out", tmp_path / "here.csv") == 0
+    moved = tmp_path / "moved"
+    shutil.copytree(planted_corpus.root / "raw", moved / "raw")
+    shutil.copytree(planted_corpus.index, moved / "idx")
+    assert run("pitch", "--index", moved / "idx", "--out", tmp_path / "there.csv") == 0
+    assert (tmp_path / "there.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+    capsys.readouterr()
+    # the index alone loses its audio
+    alone = shutil.copytree(planted_corpus.index, tmp_path / "alone" / "idx")
+    assert run("pitch", "--index", alone, "--out", tmp_path / "alone.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"MissingFile: {alone / '..' / 'raw' / 'sessions'}")
+    assert len(err.splitlines()) == 1
+
+
 def test_segments_command_matches_truth(planted_corpus, tmp_path, capsys):
     out = tmp_path / "segs.csv"
     assert run("segments", "--index", planted_corpus.index, "--out", out) == 0
@@ -443,7 +460,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({_BLOB: "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
         ({_BLOB: '{"id": ["w0"]}'}, ["segments", "--index", "IDX"], "ParseError"),
         ({_BLOB: '{"id": ["w0", "w0"], "word": ["ja", "ja"]}', **_words_npy(rows=[(0, 1), (0, 1)])},
-         ["segments", "--index", "IDX"], "DuplicateIds"),
+         ["segments", "--index", "IDX"], "ParseError"),
         (_gaze_npy(t="<U5", rows=[("x", 50, 0, 1), ("0.125", 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
         (_GAZE_OBJECT, ["segments", "--index", "IDX"], "ParseError"),
@@ -537,6 +554,13 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "NonFiniteStatistic"),
         ({"p.csv": "y,group,x\n1e308,a,0\n-1e308,a,1\n1e308,b,0\n-1e308,b,1\n1e308,c,0\n"},
          ["regress", "--panel", "TMP/p.csv"], "NonFiniteStatistic"),
+        ({_BLOB: '{"id": [], "word": []}', **_words_npy(rows=[])},
+         ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"id": "abc", "word": ["a", "b", "c"]}'}, ["segments", "--index", "IDX"],
+         "ParseError"),
+        (_corpus(transcript=_WORD.replace(b"spk000", b"spk001")), _MANIFEST, "ParseError"),
+        (_corpus(transcript=_WORD + b'{"word": "nein", "start": 1, "end": 2, "speaker_id": "x"}\n'),
+         _MANIFEST, "ParseError"),
         ({}, ["pitch"], "ValidationError"),
         ({}, ["nosuch"], "ValidationError"),
     ],
@@ -559,7 +583,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "gaze-negative-t", "gaze-csv-repeated-t", "gaze-repeated-t", "words-negative-start",
          "hop-not-int", "hop-0", "hop-over-frame", "config-threshold-on-segments",
          "config-inverted-band-on-fw", "fw-prior-underflows", "fw-counts-overflow",
-         "panel-overflow", "index-missing", "unknown-command"],
+         "panel-overflow", "empty-session", "blob-id-string", "transcript-other-speaker",
+         "transcript-mixed-speakers", "index-missing", "unknown-command"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
@@ -581,6 +606,8 @@ def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, 
     damaged = [Path(name).name for name in files if name.startswith("idx/")]
     if error == "ParseError" and len(damaged) == 1:
         assert damaged[0] in err
+    if error == "ParseError" and any(name.startswith("idx/sessions/") for name in files):
+        assert "sess000" in err
     kept = [name for name in files if name.split("/")[0] == "out"]
     if kept:  # an unwritable --out is named in the error and left as it was
         assert f"cannot write {tmp_path / 'out'}" in err
@@ -604,7 +631,8 @@ def test_unknown_target_party_names_the_parties_on_record(planted_corpus, tmp_pa
 def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
     doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
-    for version in (1, 2, 3):  # rows of objects; numbers as JSON columns; speakers.json
+    # rows of objects; numbers as JSON columns; speakers.json; file names in rows
+    for version in (1, 2, 3, 4):
         doc["format_version"] = version
         (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3
@@ -617,8 +645,12 @@ def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value, error, names",
     [("session_id", 3, "ParseError", "manifest.json"),
-     ("blob", "sessions/sess001.js\n", "MissingFile", "sess001.js")],
-    ids=["session-id-number", "blob-with-line-break"],
+     ("blob", "sessions/sess001.js\n", "ParseError", "manifest.json"),
+     ("session_id", "../sess000", "ParseError", "manifest.json"),
+     ("session_id", "/etc/hostname", "ParseError", "manifest.json"),
+     ("session_id", "", "ParseError", "manifest.json")],
+    ids=["session-id-number", "blob-with-line-break", "session-id-escapes", "session-id-absolute",
+         "session-id-empty"],
 )
 def test_damaged_index_row_exits_with_one_line(planted_corpus, tmp_path, capsys, command,
                                                key, value, error, names):

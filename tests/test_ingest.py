@@ -1,6 +1,7 @@
 """File loaders, the corpus index, and the synthetic-corpus generator."""
 
 import json
+import shutil
 import tracemalloc
 import wave
 from pathlib import Path
@@ -316,13 +317,8 @@ def test_build_index_layout_and_round_trip(tmp_path):
         f"{sid}.{kind}" for sid in ("sessA", "sessB") for kind in ("json", "words.npy", "gaze.npy")
     }
     doc = json.loads((out / "manifest.json").read_text())
-    assert doc["format_version"] == 4
-    assert doc["sessions"][0] == {
-        "session_id": "sessA", "speaker_id": "s1",
-        "audio": str((tmp_path / "raw" / "sessA.wav").resolve()),
-        "blob": "sessions/sessA.json", "words": "sessions/sessA.words.npy",
-        "gaze": "sessions/sessA.gaze.npy",
-    }
+    assert doc["format_version"] == 5
+    assert doc["sessions"][0] == {"session_id": "sessA", "speaker_id": "s1", "audio": "../raw/sessA.wav"}
     blob = json.loads((out / "sessions" / "sessA.json").read_text())
     assert blob == {"id": ["w000000", "w000001"], "word": ["hallo", "welt"]}
     assert (out / "speakers.csv").read_bytes() == (tmp_path / "raw" / "speakers.csv").read_bytes()
@@ -364,8 +360,16 @@ def test_ingest_replaces_only_an_index_or_an_empty_directory(tmp_path, capsys):
     (user / "notes.txt").write_text("keep me\n")
     (user / "sub" / "data.bin").write_bytes(b"\x00\x01")
     (tmp_path / "file.txt").write_text("keep me too\n")
+    # a corpus whose rows hold only the keys of an index row
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    doc = json.loads(manifest.read_text())
+    doc["sessions"] = [{k: row[k] for k in ("session_id", "speaker_id", "audio")}
+                       for row in doc["sessions"]]
+    (bare / "manifest.json").write_text(json.dumps(doc))
+    shutil.copyfile(tmp_path / "raw" / "speakers.csv", bare / "speakers.csv")
     before = tree_bytes(tmp_path)
-    for out in (user, tmp_path / "file.txt", tmp_path / "raw", user / "notes.txt" / "idx"):
+    for out in (user, tmp_path / "file.txt", tmp_path / "raw", bare, user / "notes.txt" / "idx"):
         rc, err = ingest(out)
         assert rc == 2, out
         assert len(err.splitlines()) == 1 and err.startswith("ValidationError: ")
@@ -377,12 +381,16 @@ def test_ingest_replaces_only_an_index_or_an_empty_directory(tmp_path, capsys):
     assert ingest(empty) == (0, "")
     fresh = tree_bytes(empty)
     doc = json.loads((empty / "manifest.json").read_text())
-    # older layouts keep a speakers.json; rows of 1 and 2 name only a blob, rows of 3 also tables
-    for version, keys in ((1, ("blob",)), (2, ("blob",)), (3, ("blob", "words", "gaze"))):
-        rows = [{k: row[k] for k in ("session_id", "speaker_id", *keys)} for row in doc["sessions"]]
+    # older layouts keep a speakers.json (1-3) and name each session's files in its row: rows
+    # of 1 and 2 name only a blob, rows of 3 and 4 also tables
+    old = {"blob": ".json", "words": ".words.npy", "gaze": ".gaze.npy"}
+    for version, keys in ((1, ["blob"]), (2, ["blob"]), (3, old), (4, old)):
+        rows = [row | {k: f"sessions/{row['session_id']}{old[k]}" for k in keys}
+                for row in doc["sessions"]]
         (empty / "manifest.json").write_text(json.dumps({"format_version": version, "sessions": rows}))
-        (empty / "speakers.csv").unlink()
-        (empty / "speakers.json").write_text('{"s1": {"party": "AfD", "floor": 75, "ceiling": 300}}')
+        if version < 4:
+            (empty / "speakers.csv").unlink()
+            (empty / "speakers.json").write_text('{"s1": {"party": "AfD", "floor": 75, "ceiling": 300}}')
         if version < 3:
             for table in (empty / "sessions").glob("*.npy"):
                 table.unlink()
@@ -450,12 +458,28 @@ def test_manifest_ids_are_checked_before_anything_is_written(tmp_path, field, va
     assert tree_bytes(tmp_path) == before and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("speakers", [("s2", "s2"), ("s1", "s2")], ids=["other", "mixed"])
+def test_transcript_speakers_must_be_the_rows(tmp_path, speakers):
+    manifest = tiny_corpus(tmp_path / "raw")
+    transcript = tmp_path / "raw" / "sessB.jsonl"
+    write_lines(transcript, [word_line("hallo", 0.0, 0.5, speakers[0]),
+                             word_line("welt", 0.5, 1.0, speakers[1])])
+    with pytest.raises(ParseError, match="speaker_id must be the manifest's 's1'") as info:
+        build_index(manifest, tmp_path / "idx")
+    assert info.value.path == str(transcript) and not (tmp_path / "idx").exists()
+
+
 def test_index_rows_and_speakers_are_checked(tmp_path):
     out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
     doc = json.loads((out / "manifest.json").read_text())
-    keys = ("session_id", "speaker_id", "audio", "blob", "words", "gaze")
-    for key, value, message in [*((k, 3, "must be strings") for k in keys),
-                                ("session_id", "sessA", "repeated")]:
+    keys = ("session_id", "speaker_id", "audio")
+    cases = (
+        [(k, 3, "all strings") for k in keys]
+        + [("blob", "sessions/sessA.json", "all strings"), ("session_id", "sessA", "repeated")]
+        + [("session_id", sid, "not a plain file name")
+           for sid in ("..", "../sessA", "/etc/hostname", "", "a\\b")]
+    )
+    for key, value, message in cases:
         bad = json.loads(json.dumps(doc))
         bad["sessions"][1][key] = value
         (out / "manifest.json").write_text(json.dumps(bad))
@@ -492,12 +516,39 @@ def test_damaged_session_tables_name_table_and_session(tmp_path):
     assert len(CorpusIndex(out).load_session("sessA").words) == 2
 
 
+@pytest.mark.parametrize(
+    "blob, rows, message",
+    [
+        ({"id": ["w0", "w0"], "word": ["hallo", "welt"]}, [(0.0, 0.5), (0.5, 1.0)], "ids repeat"),
+        ({"id": [], "word": []}, [], "has no elements"),
+        ({"id": ["w0", "w1"], "word": ["hallo", "welt"]}, [(0.0, 0.5), (0.5, 1.0), (1.0, 1.5)],
+         "differ in length"),
+        ({"id": ["w0", "w1"], "word": ["hallo"]}, [(0.0, 0.5), (0.5, 1.0)], "differ in length"),
+        ({"id": ["w0", 1], "word": ["hallo", "welt"]}, [(0.0, 0.5), (0.5, 1.0)], "must be strings"),
+        ({"id": ["w0", "w1"], "word": ["hallo", None]}, [(0.0, 0.5), (0.5, 1.0)],
+         "must be strings"),
+    ],
+    ids=["repeated-id", "empty-session", "table-row-extra", "word-missing", "id-number",
+         "word-null"],
+)
+def test_damaged_word_columns_name_session_and_files(tmp_path, blob, rows, message):
+    out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
+    sessions = out / "sessions"
+    (sessions / "sessA.json").write_text(json.dumps(blob))
+    np.save(sessions / "sessA.words.npy", np.array(rows, dtype=[("start", "<f8"), ("end", "<f8")]))
+    with pytest.raises(ParseError, match=f"words of session 'sessA': .*{message}") as info:
+        CorpusIndex(out).load_session("sessA")
+    assert info.value.path == str(sessions / "sessA.words.npy")
+    assert str(sessions / "sessA.json") in str(info.value)
+
+
 def test_index_version_gate(tmp_path):
     manifest = tiny_corpus(tmp_path / "raw")
     out = build_index(manifest, tmp_path / "idx")
     doc = json.loads((out / "manifest.json").read_text())
-    # 1: rows of objects, 2: JSON columns, 3: speakers.json; all must be rebuilt
-    for version in (1, 2, 3, 5):
+    # 1: rows of objects, 2: JSON columns, 3: speakers.json, 4: file names in rows; all must
+    # be rebuilt, and so must an index of a later version
+    for version in (1, 2, 3, 4, 6):
         doc["format_version"] = version
         (out / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch, match="rebuild it with `modalign ingest`"):

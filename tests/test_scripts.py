@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/`` at a small scale."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -30,10 +31,17 @@ def test_demo_prints_its_headlines(tmp_path):
 
 
 def test_recovery_study_reports_coverage(tmp_path):
-    proc = run_script("recovery_study.py", "--runs", 2, cwd=tmp_path)
+    proc = run_script("recovery_study.py", "--runs", 2, "--csv", tmp_path / "study.csv",
+                      cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "runs            2"
     assert lines[1] == "planted effect  +0.150"
     assert any(line.startswith("95% CI coverage ") and line.endswith("/2") for line in lines)
     assert proc.stderr.count("seed ") == 2
+    with open(tmp_path / "study.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["seed", "estimate", "std_error", "ci_low", "ci_high", "covered"]
+    assert len(rows) == 2 and {len(row) for row in rows} == {6}
+    assert [row[0] for row in rows] == ["0", "1"] and {row[5] for row in rows} <= {"0", "1"}
+    assert all(float(row[3]) <= float(row[1]) <= float(row[4]) for row in rows)
