@@ -295,6 +295,10 @@ def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
         party = party_of[wp.speaker_id]
         regs = {interaction_name(p): a if party == p else 0.0 for p in others}
         rows.append(stats.PanelRow(wp.z, wp.speaker_id, {"addressing": a, **regs}))
+    if rows and not any(row.regressors["addressing"] for row in rows):
+        rule = cfg.address
+        raise DataError(f"no word was addressed: no segment labelled {rule.label!r} with yaw in "
+                        f"[{rule.yaw_min}, {rule.yaw_max}] covers {rule.min_words} or more words")
     return rows, parties, skipped
 
 

@@ -8,9 +8,10 @@ adjacent local minimum), and the lag is refined by parabolic interpolation.
 ``f0 = sample_rate / lag``.  Frames with no qualifying lag are unvoiced.
 
 ``d(tau)`` sums over a frame's first half, which overlapping frames share:
-it is computed once per block of samples on the hop grid (one FFT
+it is computed once per block of samples on the hop grid (an FFT
 cross-correlation plus energies per block), and each frame adds up the
-blocks that tile its half.
+blocks that tile its half.  Each block is transformed once, at twice its
+length, and its spectrum also serves the block before it.
 
 The normalization makes the track invariant to loudness: scaling the
 waveform scales numerator and denominator alike.
@@ -139,15 +140,6 @@ class SpeakerProfile:
     gender_range: PitchRange
 
 
-def _fft_size(n: int) -> int:
-    """Smallest ``c * 2^a >= n`` with ``c`` in {1, 3, 5}.
-
-    pocketfft is fastest on lengths like these: for a batch of rows, 384
-    points beat the 5-smooth 375 and 640 beat 625 (table in CHANGES.md).
-    """
-    return min(c << (-(-n // c) - 1).bit_length() for c in (1, 3, 5))
-
-
 def _block_size(window: int, hop: int, last_lag: int) -> int:
     """Length of the blocks that tile each frame's integration window.
 
@@ -174,34 +166,41 @@ def _difference_chunk(
     That sum splits over blocks of ``blk`` samples (:func:`_block_size`)
     that start on the hop grid and tile the head, so ``d`` is computed once
     per block and each frame adds the ``q = W // blk`` blocks of its head.
-    A block's ``d`` is its energies plus one FFT cross-correlation:
-    ``d = E_head + E_shift(tau) - 2 * corr(tau)``, with the energies taken
-    from a cumulative sum that restarts at each block.  No lag up to
-    ``last_lag`` reads past sample ``blk + last_lag - 1`` of a block, so only
-    that span is transformed; the correlation is circular with period
-    ``nfft >= blk + last_lag`` and never wraps.  With ``blk = W`` every frame
-    is one block.
+    A block's ``d`` reads its head ``h`` of ``blk`` samples and the tail
+    ``t`` of ``last_lag`` samples after it: ``d = E_head + E_shift(tau) - 2
+    * corr(tau)``, with ``E_shift(tau) = E_head + sum_{j<tau} (t[j]^2 -
+    h[j]^2)``, so the energies restart at each block.  The correlation is
+    taken with transforms of length ``2 * blk``: it never wraps, and a tail
+    that starts ``blk`` samples in has spectrum ``(-1)^k * T``, exactly.
+    When ``blk`` is a multiple of the hop, a block's tail starts the head of
+    the block ``step = blk // hop`` further on, so each block is transformed
+    once and its spectrum serves the block ``step`` before it as well;
+    otherwise (``blk = W``, one block per frame) the tails are transformed
+    on their own.
     """
     blk = _block_size(window, hop, last_lag)
     step, q = blk // hop, window // blk
-    span = blk + last_lag
-    nfft = _fft_size(span)
     n_blocks = count + (q - 1) * step
-    blocks = np.array(
-        np.lib.stride_tricks.sliding_window_view(x[first * hop :], span)[: n_blocks * hop : hop]
-    )
+    rows = np.lib.stride_tricks.sliding_window_view(x[first * hop :], blk)
+    heads = rows[: n_blocks * hop : hop]
+    tails = rows[blk : blk + n_blocks * hop : hop, :last_lag]
+    if blk % hop == 0:
+        spec = np.fft.rfft(rows[: (n_blocks + step) * hop : hop], 2 * blk, axis=1)
+        spec, tail_spec = spec[:n_blocks], spec[step:]
+    else:
+        spec, tail_spec = np.fft.rfft(heads, 2 * blk, axis=1), np.fft.rfft(tails, 2 * blk, axis=1)
 
-    sq = np.empty((n_blocks, span + 1))
-    sq[:, 0] = 0.0
-    np.square(blocks, out=sq[:, 1:])
-    np.cumsum(sq[:, 1:], axis=1, out=sq[:, 1:])
-    energy = sq[:, blk:] - sq[:, : last_lag + 1]  # E_shift: energy of x[tau : tau+blk]
-    energy += sq[:, blk : blk + 1]                 # + E_head: energy of x[0 : blk]
+    energy = np.empty((n_blocks, last_lag + 1))
+    energy[:, 0] = 0.0
+    np.square(tails, out=energy[:, 1:])
+    energy[:, 1:] -= np.square(heads[:, :last_lag])
+    np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
+    energy += 2.0 * np.einsum("ij,ij->i", heads, heads)[:, None]
 
-    spec = np.fft.rfft(blocks, nfft, axis=1)
-    head = np.fft.rfft(blocks[:, :blk], nfft, axis=1)
-    spec *= np.conjugate(head, out=head)
-    diff = np.fft.irfft(spec, nfft, axis=1)[:, : last_lag + 1]
+    cross = tail_spec * np.resize([1.0, -1.0], blk + 1)  # spectrum of head then tail
+    cross += spec
+    cross *= np.conjugate(spec, out=spec)  # in place: ``tail_spec``, which may share rows, is read
+    diff = np.fft.irfft(cross, 2 * blk, axis=1)[:, : last_lag + 1]
     diff *= -2.0
     diff += energy
 
@@ -249,9 +248,10 @@ def estimate_pitch_track(
     at a lag depends only on the lags before it, so lags beyond
     ``min(tau_hi + 1, frame_length // 2)`` are neither computed nor
     normalized.  Overlapping frames share work: the difference function is
-    computed once per hop-aligned block of the waveform, copied out of it
-    once per batch of :data:`CHUNK_FRAMES` frames, and each frame sums the
-    blocks that tile its window (see :func:`_difference_chunk`).
+    computed once per hop-aligned block of the waveform, one batch of
+    :data:`CHUNK_FRAMES` frames at a time, and each frame sums the blocks
+    that tile its window.  Each block takes one forward FFT, at twice its
+    length, shared with the block before it (see :func:`_difference_chunk`).
 
     Raises :class:`AudioTooShort` when the signal is shorter than one
     frame, and :class:`InvalidRange` when the band is empty, framing cannot

@@ -194,6 +194,18 @@ def test_regress_command_covers_planted_effect(planted_corpus, tmp_path, capsys)
     assert math.isclose(cells[("AfD", "1")], coef["addressing"]["estimate"], rel_tol=1e-12)
 
 
+def test_regress_without_addressed_words_names_the_rule(planted_corpus, tmp_path, capsys):
+    # no head turns as far as 170 degrees, so the addressing column would be all zeros
+    out = tmp_path / "reg"
+    assert run("regress", "--index", planted_corpus.index, "--out", out,
+               "--yaw-min", 170, "--yaw-max", 171, "--min-words", 3) == 3
+    assert capsys.readouterr().err == (
+        "DataError: no word was addressed: no segment labelled 'AfD' with yaw in "
+        "[170.0, 171.0] covers 3 or more words\n"
+    )
+    assert not out.exists()
+
+
 def test_regress_panel_mode(tmp_path, capsys):
     panel = tmp_path / "panel.csv"
     lines = ["y,group,x0,x1"]

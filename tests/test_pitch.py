@@ -22,7 +22,6 @@ from modalign.pitch import (
     WordPitch,
     _block_size,
     _difference_chunk,
-    _fft_size,
     estimate_pitch_track,
     missing_count,
     standardize_by_speaker,
@@ -149,6 +148,43 @@ def test_difference_function_matches_direct_sum(frame_length):
         assert 4 in tilings
 
 
+@st.composite
+def framings(draw):
+    """``(frame_length, hop, last_lag)``: any hop, or one whose multiples tile the head."""
+    if draw(st.booleans()):
+        hop, step, q = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        window = hop * step * q
+        last_lag = draw(st.integers(1, hop * step))
+    else:
+        window = draw(st.integers(1, 300))
+        last_lag = draw(st.integers(1, window))
+        hop = draw(st.integers(1, 2 * window))
+    return 2 * window + draw(st.integers(0, 1)), hop, last_lag
+
+
+@settings(max_examples=200, deadline=None)
+@given(framings(), st.integers(1, 6), st.data())
+def test_difference_chunk_matches_direct_sum_for_any_framing(framing, n_frames, data):
+    # blocks of one or several hops, and the one-block fallback when no
+    # multiple of the hop tiles the head, across a random chunk boundary
+    frame_length, hop, last_lag = framing
+    window = frame_length // 2
+    cut = data.draw(st.integers(1, n_frames))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(frame_length + hop * (n_frames - 1))
+    got = np.vstack(
+        [
+            _difference_chunk(x, first, count, hop, window, last_lag)
+            for first, count in ((0, cut), (cut, n_frames - cut))
+            if count
+        ]
+    )
+    assert got.shape == (n_frames, last_lag + 1)
+    for i, row in enumerate(got):
+        ref = direct_difference(x[i * hop : i * hop + frame_length], window, last_lag)
+        np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-9 * ref.max())
+
+
 @pytest.mark.parametrize(
     "window, hop, last_lag, blk",
     [
@@ -165,13 +201,6 @@ def test_difference_function_matches_direct_sum(frame_length):
 )
 def test_block_size(window, hop, last_lag, blk):
     assert _block_size(window, hop, last_lag) == blk
-
-
-def test_fft_size_is_smallest_one_three_or_five_times_a_power_of_two():
-    allowed = sorted(c << a for c in (1, 3, 5) for a in range(16))
-    for n in range(1, 5000):
-        assert _fft_size(n) == next(m for m in allowed if m >= n)
-    assert [_fft_size(n) for n in (363, 619, 726, 1238)] == [384, 640, 768, 1280]
 
 
 def test_quiet_and_silent_stretches_after_a_loud_tone():
@@ -191,6 +220,26 @@ def test_quiet_and_silent_stretches_after_a_loud_tone():
     np.testing.assert_allclose(inside, alone.f0, rtol=1e-9, atol=0)
     silent = track.frame_times - 512 / SR >= 2 * n / SR  # frames starting inside the silence
     assert silent.sum() > 50
+    assert not track.voiced[silent].any()
+
+
+def test_quiet_and_silent_stretches_after_a_loud_tone_at_two_hops_per_block():
+    # as above at hop 128, where a block spans two hops and its tail is the
+    # head of the block two hops on: the energies still restart per block
+    n = 64 * 256
+    t = np.arange(n) / SR
+    loud = 1e3 * np.sin(2 * np.pi * 180.0 * t)
+    quiet = 1e-6 * np.sin(2 * np.pi * 240.0 * t)
+    audio = AudioBuffer(np.concatenate([loud, quiet, np.zeros(n)]), SR)
+    framing = PitchSettings(frame_length=1024, hop=128)
+    assert _block_size(512, 128, 214) == 256
+    track = estimate_pitch_track(audio, WIDE, framing)
+    alone = estimate_pitch_track(AudioBuffer(quiet, SR), WIDE, framing)
+    inside = track.f0[128 : 128 + len(alone)]
+    assert alone.voiced.all()
+    np.testing.assert_allclose(inside, alone.f0, rtol=1e-9, atol=0)
+    silent = track.frame_times - 512 / SR >= 2 * n / SR  # frames starting inside the silence
+    assert silent.sum() > 100
     assert not track.voiced[silent].any()
 
 
