@@ -21,7 +21,6 @@ command on unchanged inputs writes byte-identical files.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections import Counter
@@ -54,13 +53,11 @@ class RunConfig:
 
 
 def _read_json(path, what: str):
-    """The document in a ``--config`` or ``--spec`` JSON file."""
+    """The document in a ``--config`` or ``--spec`` JSON file; a file that is not one is exit 2."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ValidationError(f"cannot read {what} {path}: {e.strerror}") from None
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-        raise ValidationError(f"{what} {path}: bad JSON: {e}") from None
+        return ingest._read_json_file(Path(path), lambda doc: doc)
+    except DataError as e:  # MissingFile or ParseError: a bad setting, not bad data
+        raise ValidationError(f"cannot read {what}: {type(e).__name__}: {e}") from None
 
 
 def _fits(hint, value) -> bool:

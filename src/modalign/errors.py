@@ -127,7 +127,7 @@ class AngleOutOfRange(ParseError):
 
 
 class MissingFile(DataError):
-    """A referenced file does not exist; the message names the path."""
+    """A referenced file does not exist or cannot be read; the message names the path and why."""
 
 
 class VersionMismatch(DataError):

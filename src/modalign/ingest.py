@@ -25,7 +25,7 @@ inputs is byte-identical.  What it replaces must be an earlier index or an
 empty directory.
 
 Loaders reject rather than repair: every parse failure carries the file
-path and 1-based line number.
+path and 1-based line number.  Every input file is read through :func:`_opened`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,18 +73,22 @@ def word_element_id(position: int) -> str:
     return f"w{position:06d}"
 
 
-def _text_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, split at ``\n``.
-
-    A missing file is :class:`MissingFile`; bytes that are not UTF-8 raise
-    a :class:`ParseError` naming the file and line.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    data = path.read_bytes()
+@contextmanager
+def _opened(path) -> Iterator[BinaryIO]:
+    """``path`` open to read bytes; an :class:`OSError` is a :class:`MissingFile` saying why."""
     try:
-        return data.decode("utf-8").split("\n")
+        with open(path, "rb") as fh:
+            yield fh
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+        raise MissingFile(f"{path}: {getattr(e, 'strerror', None) or e}") from None
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; any other byte is a :class:`ParseError` naming its line."""
+    with _opened(path) as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         line_no = data.count(b"\n", 0, e.start) + 1
         raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from None
@@ -97,7 +101,7 @@ def _csv_lines(path, header: str | None) -> Iterator[tuple[int, list[str]]]:
     is accepted and comes first, as line 1.  Every line must have as many
     fields as the header (:class:`ParseError` otherwise).
     """
-    lines = _text_lines(path)
+    lines = _read_text(path).split("\n")
     first = lines[0].strip()
     if header is None:
         yield 1, first.split(",")
@@ -156,11 +160,9 @@ def _read_json_file(path: Path, parse: Callable):
     A file that is not UTF-8 JSON, or lacks a key or has a value of the
     wrong shape, raises :class:`ParseError` naming it.
     """
-    if not path.is_file():
-        raise MissingFile(str(path))
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        doc = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, or nesting too deep
         raise ParseError(path, getattr(e, "lineno", 0), f"bad JSON: {e}") from e
     try:
         return parse(doc)
@@ -180,7 +182,7 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
     path = Path(path)
     rows = []
     speakers = set()
-    for line_no, line in enumerate(_text_lines(path), start=1):
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -303,15 +305,21 @@ def load_panel(
     """Parse a panel CSV into regression rows.
 
     ``regressors`` defaults to every column other than the outcome and the
-    group.  Naming a column the header lacks is a :class:`ValidationError`;
-    outcome and regressor values must be finite numbers.
+    group.  A repeated header name is a :class:`ParseError`; a column the
+    header lacks, or named twice among outcome, group and regressors, is a
+    :class:`ValidationError`.  Outcome and regressor values must be finite.
     """
     lines = _csv_lines(path, None)
     _, header = next(lines)
+    if len(set(header)) < len(header):
+        raise ParseError(path, 1, f"a column name repeats in the header {header}")
     regs = list(regressors) if regressors else [c for c in header if c not in (y_col, group_col)]
-    for col in [y_col, group_col, *regs]:
+    named = [y_col, group_col, *regs]
+    for col in named:
         if col not in header:
             raise ValidationError(f"panel {path} has no column {col!r}")
+    if len(set(named)) < len(named):
+        raise ValidationError(f"outcome, group and regressor columns must differ, got {named}")
     if not regs:
         raise ValidationError("no regressor columns")
     y_at, group_at = header.index(y_col), header.index(group_col)
@@ -341,18 +349,17 @@ def load_counts(path) -> dict[str, float]:
 
 def read_wav(path) -> AudioBuffer:
     """Read 16-bit PCM WAV; stereo is averaged to mono; values scaled by 1/32768."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    try:
-        with wave.open(str(path), "rb") as wf:
-            if wf.getsampwidth() != 2:
-                raise ParseError(path, 0, f"need 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
-            channels = wf.getnchannels()
-            sr = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
-    except wave.Error as e:
-        raise ParseError(path, 0, f"not a readable WAV file: {e}") from e
+    with _opened(path) as fh:
+        try:
+            with wave.open(fh) as wf:
+                width, channels, sr = wf.getsampwidth(), wf.getnchannels(), wf.getframerate()
+                frames = wf.getnframes()
+                raw = wf.readframes(frames)
+        except (wave.Error, EOFError) as e:  # EOFError: a header cut short
+            raise ParseError(path, 0, f"not a readable WAV file: {str(e) or 'cut short'}") from e
+    if width != 2 or len(raw) != frames * channels * 2:  # not 16-bit, or cut short
+        raise ParseError(path, 0, f"need {frames} frames of 16-bit PCM, got {len(raw)} bytes of "
+                                  f"{8 * width}-bit")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
@@ -392,7 +399,7 @@ class CorpusManifest:
 
 
 def load_manifest(path) -> CorpusManifest:
-    """Parse and validate a corpus manifest; all referenced files must exist."""
+    """Parse and validate a corpus manifest; of the files it names, only the audio must exist."""
     path = Path(path)
     return _read_json_file(path, lambda doc: _parse_manifest(path, doc))
 
@@ -404,8 +411,6 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
         )
     base = path.parent
     speakers = base / doc["speakers"]
-    if not speakers.is_file():
-        raise MissingFile(str(speakers))
     entries = []
     seen = set()
     for i, sess in enumerate(doc.get("sessions", [])):
@@ -420,9 +425,8 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
             raise ParseError(path, 0, f"duplicate session_id {sid!r}")
         seen.add(sid)
         paths = {key: base / sess[key] for key in ("transcript", "audio", "gaze")}
-        for p in paths.values():
-            if not p.is_file():
-                raise MissingFile(str(p))
+        if not os.path.isfile(paths["audio"]):  # the one file build_index does not open
+            raise MissingFile(f"{paths['audio']}: not a file")
         entries.append(SessionEntry(sid, speaker, **paths))
     if not entries:
         raise ParseError(path, 0, "manifest lists no sessions")
@@ -490,7 +494,7 @@ def replacing(out_dir: Path, ours: Callable[[Path], bool], what: str) -> Iterato
     behind.  An :class:`OSError` is re-raised as in :func:`writing`.
     """
     try:
-        replaceable = not out_dir.exists() or (
+        replaceable = not os.path.lexists(out_dir) or (
             out_dir.is_dir() and (not any(out_dir.iterdir()) or ours(out_dir))
         )
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
@@ -515,8 +519,8 @@ def build_index(manifest_path, out_dir) -> Path:
     Every session's speaker must have a line in the speakers file
     (:class:`ParseError` naming the manifest otherwise), and every word of
     its transcript must carry that speaker (:class:`ParseError` naming the
-    transcript otherwise).  Audio paths are stored relative to the resolved
-    ``out_dir``, so a corpus and its index move together.  ``out_dir`` must
+    transcript otherwise).  Audio paths are stored relative to the real path
+    of ``out_dir``, so a corpus and its index move together.  ``out_dir`` must
     be new, an empty directory, or an earlier index (of any format
     version), which is replaced; anything else raises
     :class:`ValidationError` and is left untouched (see :func:`replacing`).
@@ -536,7 +540,7 @@ def build_index(manifest_path, out_dir) -> Path:
                 entry.transcript, 0,
                 f"every word's speaker_id must be the manifest's {entry.speaker_id!r}",
             )
-        audio = os.path.relpath(entry.audio.resolve(), out_dir.resolve())
+        audio = os.path.relpath(os.path.realpath(entry.audio), os.path.realpath(out_dir))
         sessions.append((entry, audio, words, load_gaze(entry.gaze)))
     with replacing(out_dir, _is_index, "an index") as root:
         _write_index(root, sessions)
@@ -603,13 +607,12 @@ def _read_table(path: Path, dtype: np.dtype) -> dict[str, np.ndarray]:
     the header gives, its floats finite and its flags 0 or 1.
     Checking the header whole takes the place of :func:`numpy.load`, whose
     lenient header parser can print a warning or raise a tokenizer error on
-    a damaged file, and it never unpickles.  A missing file is
+    a damaged file, and it never unpickles.  A file that cannot be read is
     :class:`MissingFile`; anything else wrong is a :class:`ParseError`
     naming it.
     """
-    if not path.is_file():
-        raise MissingFile(str(path))
-    data = path.read_bytes()
+    with _opened(path) as fh:
+        data = fh.read()
     end = data.find(b"\n") + 1
     shape = _SHAPE.search(data, 0, end)
     count = int(shape[1]) if shape else -1

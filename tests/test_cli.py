@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import tempfile
 import wave
@@ -444,19 +445,19 @@ def _corpus(session_id='"a"', speaker_id='"spk000"', transcript=_WORD, gaze="") 
             **_SPEAKERS, "t.jsonl": transcript, "a.wav": "", "g.csv": _GAZE_HEADER + gaze}
 
 
-def _sess000_with_wav(rate: int, frames: int) -> dict:
-    """An index of sess000 alone whose audio is a silent WAV of ``frames`` frames at ``rate`` Hz."""
+def _sess000_with_wav(rate: int, frames: int, drop: int = 0) -> dict:
+    """An index of sess000 alone whose audio is a silent WAV of ``frames`` frames at ``rate`` Hz,
+    less its last ``drop`` bytes."""
     buf = io.BytesIO()
     with wave.open(buf, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(rate)
         wf.writeframes(b"\0\0" * frames)
-    row = {"session_id": "sess000", "speaker_id": "spk000", "audio": "TMP/idx/a.wav",
-           "blob": "sessions/sess000.json", "words": "sessions/sess000.words.npy",
-           "gaze": "sessions/sess000.gaze.npy"}
+    row = {"session_id": "sess000", "speaker_id": "spk000", "audio": "TMP/idx/a.wav"}
     doc = {"format_version": INDEX_FORMAT_VERSION, "sessions": [row]}
-    return {"idx/manifest.json": json.dumps(doc), "idx/a.wav": buf.getvalue()}
+    wav = buf.getvalue()
+    return {"idx/manifest.json": json.dumps(doc), "idx/a.wav": wav[: len(wav) - drop]}
 
 
 _MANIFEST = ["ingest", "--manifest", "TMP/m.json"]
@@ -575,6 +576,19 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          _MANIFEST, "ParseError"),
         ({}, ["pitch"], "ValidationError"),
         ({}, ["nosuch"], "ValidationError"),
+        (_sess000_with_wav(16000, 100, drop=1), ["pitch", "--index", "IDX"], "ParseError"),
+        (_sess000_with_wav(16000, 100, drop=214), ["pitch", "--index", "IDX"], "ParseError"),
+        ({"p.csv": "y,group,x,x\n1,a,0,0\n2,a,1,1\n3,b,0,0\n4,b,1,1\n"},
+         ["regress", "--panel", "TMP/p.csv"], "ParseError"),
+        ({"p.csv": _PANEL.format(y=4, x=1)}, ["regress", "--panel", "TMP/p.csv", "--x", "y"],
+         "ValidationError"),
+        ({"p.csv": _PANEL.format(y=4, x=1)}, ["regress", "--panel", "TMP/p.csv", "--x", "x,x"],
+         "ValidationError"),
+        ({"p.csv": _PANEL.format(y=4, x=1)}, ["regress", "--panel", "TMP/p.csv", "--group", "y"],
+         "ValidationError"),
+        ({"idx/manifest.json": "[" * 100_000}, ["segments", "--index", "IDX"], "ParseError"),
+        ({"c.json": "[" * 100_000}, ["--config", "TMP/c.json", "segments", "--index", "IDX"],
+         "ValidationError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
@@ -596,7 +610,9 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "hop-not-int", "hop-0", "hop-over-frame", "config-threshold-on-segments",
          "config-inverted-band-on-fw", "fw-prior-underflows", "fw-counts-overflow",
          "panel-overflow", "empty-session", "blob-id-string", "transcript-other-speaker",
-         "transcript-mixed-speakers", "index-missing", "unknown-command"],
+         "transcript-mixed-speakers", "index-missing", "unknown-command", "wav-odd-data-bytes",
+         "wav-header-cut", "panel-header-repeats", "panel-x-is-y", "panel-x-twice",
+         "panel-group-is-y", "index-manifest-too-deep", "config-too-deep"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
@@ -624,6 +640,102 @@ def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, 
     if kept:  # an unwritable --out is named in the error and left as it was
         assert f"cannot write {tmp_path / 'out'}" in err
         assert all((tmp_path / name).read_text() == "keep\n" for name in kept)
+
+
+_LONG_NAME = "x" * 300  # longer than a file name may be
+
+
+def _index_row(idx: Path, **fields) -> None:
+    """Set ``fields`` in the first session row of the index at ``idx``."""
+    doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
+    doc["sessions"][0].update(fields)
+    (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _corpus_row(raw: Path, key: str, bad: Path) -> None:
+    """Set ``key`` of the first session, or of the manifest for ``speakers``, to ``bad``."""
+    doc = json.loads((raw / "manifest.json").read_text(encoding="utf-8"))
+    (doc["sessions"][0] if key != "speakers" else doc)[key] = str(bad)
+    (raw / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _table_unreadable(idx: Path, bad: Path) -> Path:
+    """Make sess000's first table unreadable in the index at ``idx``; the path that fails."""
+    if bad.name == _LONG_NAME:  # a session id too long to name its files
+        _index_row(idx, session_id=_LONG_NAME)
+        return idx / "sessions" / (_LONG_NAME + ".json")
+    table = idx / "sessions" / "sess000.words.npy"
+    table.unlink()
+    table.mkdir()
+    return table
+
+
+_UNREADABLE = ["manifest", "index", "panel", "counts-a", "counts-b", "config", "spec",
+               "transcript", "gaze", "speakers", "audio", "table"]
+
+
+@pytest.mark.parametrize(
+    "case, kind",
+    [(case, kind) for case in _UNREADABLE for kind in ("long-name", "directory")]
+    # a path from a JSON string may hold a NUL byte, which no file name can
+    + [(case, "nul-byte") for case in ("transcript", "gaze", "speakers", "audio")],
+    ids=lambda value: value,
+)
+def test_unreadable_input_exits_with_one_line(planted_corpus, tmp_path, capsys, case, kind):
+    """An input that cannot be opened exits with one line naming it: 3 for data, 2 for settings."""
+    bad = tmp_path / {"long-name": _LONG_NAME, "directory": "a_dir", "nul-byte": "a\0b"}[kind]
+    if kind == "directory":
+        bad.mkdir()
+    counts = tmp_path / "c.csv"
+    counts.write_text("word,count\nja,1\nnein,2\n", encoding="utf-8")
+    idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
+    raw = tmp_path / "raw"
+    named = bad
+    if case in ("transcript", "gaze", "speakers"):
+        shutil.copytree(planted_corpus.root / "raw", raw)
+        _corpus_row(raw, case, bad)
+    elif case == "audio":
+        _index_row(idx, audio=str(bad))
+    elif case == "index":
+        named = bad / "manifest.json"
+    elif case == "table":
+        named = _table_unreadable(idx, bad)
+    argv = {
+        "manifest": ["ingest", "--manifest", bad],
+        "index": ["segments", "--index", bad],
+        "panel": ["regress", "--panel", bad],
+        "counts-a": ["fw", "--counts-a", bad, "--counts-b", counts],
+        "counts-b": ["fw", "--counts-a", counts, "--counts-b", bad],
+        "config": ["--config", bad, "segments", "--index", idx],
+        "spec": ["synth", "--spec", bad],
+        "audio": ["pitch", "--index", idx],
+        "table": ["segments", "--index", idx],
+    }.get(case, ["ingest", "--manifest", raw / "manifest.json"])
+    out = tmp_path / "out"
+    exit_code = 2 if case in ("config", "spec") else 3
+    assert run(*argv, "--out", out) == exit_code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(named) in err and "Traceback" not in err
+    assert err.startswith("MissingFile: " if exit_code == 3 else "ValidationError: cannot read ")
+    assert not out.exists()
+
+
+def test_ingest_onto_a_symlink_loop_exits_2_and_leaves_it(planted_corpus, tmp_path, capsys):
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    assert run("ingest", "--manifest", planted_corpus.manifest, "--out", loop) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"ValidationError: cannot write {loop}")
+    assert loop.is_symlink() and os.readlink(loop) == str(loop)
+    assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
+
+def test_bad_byte_in_a_word_blob_names_its_line(planted_corpus, tmp_path, capsys):
+    idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
+    blob = idx / "sessions" / "sess000.json"
+    blob.write_bytes(b'{"id": ["w000000"],\n"word": ["ja\xff"]}')
+    assert run("segments", "--index", idx, "--out", tmp_path / "out") == 3
+    assert capsys.readouterr().err == f"ParseError: {blob}:2: not UTF-8 text: invalid start byte\n"
 
 
 @pytest.mark.parametrize("command", ["fw", "regress"])
