@@ -24,7 +24,6 @@ import argparse
 import math
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
@@ -45,7 +44,7 @@ class RunConfig:
     address: gaze_mod.AddressRule = gaze_mod.AddressRule()
     target_party: str = "AfD"     # party whose addressing defines the interaction baseline
     prior_scale: float = 1.0      # total Dirichlet prior mass for the lexical comparison
-    threads: int = 1
+    threads: int = 1              # pitch tracker workers, as in estimate_pitch_track
 
     def __post_init__(self):
         if self.threads < 1:
@@ -104,14 +103,6 @@ def _settings(cls, doc, args: argparse.Namespace, where: str):
 
 # --- shared pipeline pieces ------------------------------------------------
 
-def _pitch_one_session(index: ingest.CorpusIndex, cfg: RunConfig, session_id: str):
-    data = index.load_session(session_id)
-    profile = index.speakers()[data.speaker_id]
-    audio = ingest.read_wav(data.audio_path)
-    track = pitch.estimate_pitch_track(audio, profile.gender_range, cfg.pitch, session_id=session_id)
-    return data, pitch.word_pitch(track, data.words)
-
-
 def corpus_word_pitches(index: ingest.CorpusIndex, cfg: RunConfig):
     """Word pitches for every session, standardized per speaker across the corpus.
 
@@ -119,14 +110,13 @@ def corpus_word_pitches(index: ingest.CorpusIndex, cfg: RunConfig):
     to its :class:`~modalign.ingest.SessionData` and ``word_pitches`` is a
     flat, standardized list in (session, time) order.
     """
-    ids = index.session_ids()
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda sid: _pitch_one_session(index, cfg, sid), ids))
-    else:
-        results = [_pitch_one_session(index, cfg, sid) for sid in ids]
-    sessions = {data.session_id: data for data, _ in results}
-    flat = [wp for _, wps in results for wp in wps]
+    sessions, flat = {}, []
+    for sid in index.session_ids():
+        data = sessions[sid] = index.load_session(sid)
+        band = index.speakers()[data.speaker_id].gender_range
+        track = pitch.estimate_pitch_track(ingest.read_wav(data.audio_path), band, cfg.pitch,
+                                           session_id=sid, threads=cfg.threads)
+        flat += pitch.word_pitch(track, data.words)
     return sessions, pitch.standardize_by_speaker(flat, per_session=cfg.pitch.per_session)
 
 
@@ -428,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Align words, pitch, and gaze on a shared timeline and analyze the result.",
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file (flags win over it)")
-    parser.add_argument("--threads", type=int, metavar="N", help="worker threads for per-session stages")
+    parser.add_argument("--threads", type=int, metavar="N",
+                        help="worker threads for the pitch tracker (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse a corpus into an on-disk index")

@@ -487,14 +487,17 @@ def replacing(out_dir: Path, ours: Callable[[Path], bool], what: str) -> Iterato
     """A new directory for the block to fill, renamed into place as ``out_dir`` after it.
 
     ``out_dir`` must be absent, an empty directory, or a directory that
-    ``ours`` recognizes as ``what`` an earlier run wrote; anything else
-    raises :class:`ValidationError` before the block runs and is left
-    untouched.  The block writes into a temporary sibling, which then
-    replaces ``out_dir`` whole, so nothing the old directory held stays
-    behind.  An :class:`OSError` is re-raised as in :func:`writing`.
+    ``ours`` recognizes as ``what`` an earlier run wrote; anything else,
+    a symbolic link included, raises :class:`ValidationError` before the
+    block runs and is left untouched.  The block writes into a temporary
+    sibling, which then replaces ``out_dir`` whole, so nothing the old
+    directory held stays behind.  An :class:`OSError` is re-raised as in
+    :func:`writing`.
     """
+    if os.path.islink(out_dir):
+        raise ValidationError(f"cannot write {out_dir}: it is a symbolic link")
     try:
-        replaceable = not os.path.lexists(out_dir) or (
+        replaceable = not out_dir.exists() or (
             out_dir.is_dir() and (not any(out_dir.iterdir()) or ours(out_dir))
         )
     except (OSError, ValueError, LookupError, TypeError, AttributeError):

@@ -13,6 +13,13 @@ cross-correlation plus energies per block), and each frame adds up the
 blocks that tile its half.  Each block is transformed once, at twice its
 length, and its spectrum also serves the block before it.
 
+A session's frames are tracked in chunks of :data:`CHUNK_FRAMES`, small
+enough for their arrays to take a few MB.  Chunks are independent
+and each writes its own slice of the track, so a thread pool can share
+them out; the workers run only numpy arithmetic, which releases the GIL,
+and the track is the same whatever the thread count.  The pool pays on
+long sessions (tens of chunks) and costs more than it saves on a few.
+
 The normalization makes the track invariant to loudness: scaling the
 waveform scales numerator and denominator alike.
 
@@ -24,6 +31,7 @@ baseline voices on a common scale.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -79,8 +87,12 @@ class PitchSettings:
             PitchRange(self.floor, self.ceiling)
 
 
-#: Frames :func:`estimate_pitch_track` processes per batch; bounds memory, not results.
-CHUNK_FRAMES = 2048
+#: Frames :func:`estimate_pitch_track` tracks as one unit of work; it bounds
+#: memory and sets the grain of the thread pool, not results.  At 256 a
+#: chunk's arrays peak at a few MB (about 4 MB at 1024/256 and 8 kHz); 2048
+#: took tens of MB, which the allocator mapped and page-faulted afresh on
+#: every call, and ran slower.
+CHUNK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -140,6 +152,11 @@ class SpeakerProfile:
     gender_range: PitchRange
 
 
+def _fft_size(n: int) -> int:
+    """Smallest ``c * 2^a >= n`` with ``c`` in {1, 3, 5}, lengths pocketfft transforms fastest."""
+    return min(c << (-(-n // c) - 1).bit_length() for c in (1, 3, 5))
+
+
 def _block_size(window: int, hop: int, last_lag: int) -> int:
     """Length of the blocks that tile each frame's integration window.
 
@@ -169,14 +186,15 @@ def _difference_chunk(
     A block's ``d`` reads its head ``h`` of ``blk`` samples and the tail
     ``t`` of ``last_lag`` samples after it: ``d = E_head + E_shift(tau) - 2
     * corr(tau)``, with ``E_shift(tau) = E_head + sum_{j<tau} (t[j]^2 -
-    h[j]^2)``, so the energies restart at each block.  The correlation is
-    taken with transforms of length ``2 * blk``: it never wraps, and a tail
-    that starts ``blk`` samples in has spectrum ``(-1)^k * T``, exactly.
-    When ``blk`` is a multiple of the hop, a block's tail starts the head of
-    the block ``step = blk // hop`` further on, so each block is transformed
-    once and its spectrum serves the block ``step`` before it as well;
-    otherwise (``blk = W``, one block per frame) the tails are transformed
-    on their own.
+    h[j]^2)``, so the energies restart at each block.  When ``blk`` is a
+    multiple of the hop, the correlation is taken with transforms of length
+    ``2 * blk``: it never wraps, a tail that starts ``blk`` samples in has
+    spectrum ``(-1)^k * T``, exactly, and that tail starts the head of the
+    block ``step = blk // hop`` further on, so each block is transformed
+    once and its spectrum serves the block ``step`` before it as well.
+    Otherwise (``blk = W``, one block per frame) each block's span of ``blk
+    + last_lag`` samples and its head are transformed at
+    :func:`_fft_size` of that span, which also never wraps.
     """
     blk = _block_size(window, hop, last_lag)
     step, q = blk // hop, window // blk
@@ -185,10 +203,16 @@ def _difference_chunk(
     heads = rows[: n_blocks * hop : hop]
     tails = rows[blk : blk + n_blocks * hop : hop, :last_lag]
     if blk % hop == 0:
-        spec = np.fft.rfft(rows[: (n_blocks + step) * hop : hop], 2 * blk, axis=1)
+        nfft = 2 * blk
+        spec = np.fft.rfft(rows[: (n_blocks + step) * hop : hop], nfft, axis=1)
         spec, tail_spec = spec[:n_blocks], spec[step:]
+        cross = tail_spec * np.resize([1.0, -1.0], blk + 1)  # spectrum of head then tail
+        cross += spec
     else:
-        spec, tail_spec = np.fft.rfft(heads, 2 * blk, axis=1), np.fft.rfft(tails, 2 * blk, axis=1)
+        nfft = _fft_size(blk + last_lag)
+        spans = np.lib.stride_tricks.sliding_window_view(x[first * hop :], blk + last_lag)
+        cross = np.fft.rfft(spans[: n_blocks * hop : hop], nfft, axis=1)
+        spec = np.fft.rfft(heads, nfft, axis=1)
 
     energy = np.empty((n_blocks, last_lag + 1))
     energy[:, 0] = 0.0
@@ -197,10 +221,8 @@ def _difference_chunk(
     np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
     energy += 2.0 * np.einsum("ij,ij->i", heads, heads)[:, None]
 
-    cross = tail_spec * np.resize([1.0, -1.0], blk + 1)  # spectrum of head then tail
-    cross += spec
-    cross *= np.conjugate(spec, out=spec)  # in place: ``tail_spec``, which may share rows, is read
-    diff = np.fft.irfft(cross, 2 * blk, axis=1)[:, : last_lag + 1]
+    cross *= np.conjugate(spec, out=spec)  # in place: ``tail_spec``, which may share its rows, was read
+    diff = np.fft.irfft(cross, nfft, axis=1)[:, : last_lag + 1]
     diff *= -2.0
     diff += energy
 
@@ -227,6 +249,7 @@ def estimate_pitch_track(
     settings: PitchSettings = PitchSettings(),
     *,
     session_id: str | None = None,
+    threads: int = 1,
 ) -> PitchTrack:
     """Estimate f0 per frame.
 
@@ -242,13 +265,20 @@ def estimate_pitch_track(
         Framing in samples and the absolute voicing threshold on the
         normalized difference.  ``frame_length`` must be at least twice the
         longest admissible period (``2 * sample_rate / floor``).
+    threads:
+        Worker threads that share the chunks of :data:`CHUNK_FRAMES`
+        frames, at most one per chunk; with one chunk or one thread the
+        caller tracks every chunk itself and starts none.  The result does
+        not depend on it; memory grows by one chunk's arrays per worker.
+        Workers pay on long sessions (tens of chunks) and can cost more
+        than they save on a few chunks, hence the default of one.
 
     The dip search and the parabolic refinement read no lag past
     ``tau_hi + 1`` (``tau_hi = sample_rate/floor``), and the cumulative mean
     at a lag depends only on the lags before it, so lags beyond
     ``min(tau_hi + 1, frame_length // 2)`` are neither computed nor
     normalized.  Overlapping frames share work: the difference function is
-    computed once per hop-aligned block of the waveform, one batch of
+    computed once per hop-aligned block of the waveform, one chunk of
     :data:`CHUNK_FRAMES` frames at a time, and each frame sums the blocks
     that tile its window.  Each block takes one forward FFT, at twice its
     length, shared with the block before it (see :func:`_difference_chunk`).
@@ -281,7 +311,8 @@ def estimate_pitch_track(
     f0 = np.full(starts.size, np.nan)
     voiced = np.zeros(starts.size, dtype=bool)
 
-    for lo in range(0, starts.size, CHUNK_FRAMES):
+    def track_chunk(lo: int) -> None:
+        """Fill the chunk of frames starting at ``lo``; chunks write disjoint slices."""
         count = min(CHUNK_FRAMES, starts.size - lo)
         cmnd = _normalize(_difference_chunk(x, lo, count, hop, max_lag, last_lag))
 
@@ -314,6 +345,15 @@ def estimate_pitch_track(
         est = np.clip(est, band.floor, band.ceiling)
         f0[lo : lo + count] = np.where(has, est, np.nan)
         voiced[lo : lo + count] = has
+
+    chunks = range(0, starts.size, CHUNK_FRAMES)
+    workers = min(threads, len(chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(track_chunk, chunks))  # consumed, so a worker's exception is raised here
+    else:
+        for lo in chunks:
+            track_chunk(lo)
 
     return PitchTrack(times, f0, voiced, session_id)
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -359,12 +360,23 @@ def test_config_validation(planted_corpus, tmp_path, capsys):
 
 
 def test_threads_do_not_change_output(planted_corpus, tmp_path, capsys):
-    one = tmp_path / "one.csv"
-    two = tmp_path / "two.csv"
-    assert run("pitch", "--index", planted_corpus.index, "--out", one) == 0
-    assert run("--threads", 3, "pitch", "--index", planted_corpus.index, "--out", two) == 0
+    # the default tracks in the calling thread; --threads 2 and 3 start pools of that size
+    runs = {"default": [], "two": ["--threads", 2], "three": ["--threads", 3]}
+    for name, flags in runs.items():
+        assert run(*flags, "pitch", "--index", planted_corpus.index,
+                   "--out", tmp_path / f"{name}.csv") == 0
+        assert run(*flags, "regress", "--index", planted_corpus.index,
+                   "--out", tmp_path / f"{name}_reg") == 0
     capsys.readouterr()
-    assert one.read_bytes() == two.read_bytes()
+    for name in ("two", "three"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+        assert ((tmp_path / f"{name}_reg" / "regression.json").read_bytes()
+                == (tmp_path / "default_reg" / "regression.json").read_bytes())
+
+
+def test_cli_and_library_share_one_thread_default():
+    tracker = inspect.signature(cli.pitch.estimate_pitch_track).parameters["threads"].default
+    assert cli.RunConfig().threads == tracker == 1
 
 
 def test_reruns_are_byte_identical(planted_corpus, tmp_path, capsys):
@@ -728,6 +740,24 @@ def test_ingest_onto_a_symlink_loop_exits_2_and_leaves_it(planted_corpus, tmp_pa
     assert len(err.splitlines()) == 1 and err.startswith(f"ValidationError: cannot write {loop}")
     assert loop.is_symlink() and os.readlink(loop) == str(loop)
     assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
+
+def test_ingest_onto_a_symlink_to_an_index_exits_2_before_writing(planted_corpus, tmp_path,
+                                                                   capsys, monkeypatch):
+    idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
+    before = {p: p.read_bytes() for p in idx.rglob("*") if p.is_file()}
+    link = tmp_path / "idxlink"
+    link.symlink_to(idx)
+
+    def no_writes(*args):
+        raise AssertionError("the index was written before --out was refused")
+
+    monkeypatch.setattr(cli.ingest, "_write_index", no_writes)
+    assert run("ingest", "--manifest", planted_corpus.manifest, "--out", link) == 2
+    assert capsys.readouterr().err == f"ValidationError: cannot write {link}: it is a symbolic link\n"
+    assert link.is_symlink() and os.readlink(link) == str(idx)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["idx", "idxlink"]
+    assert {p: p.read_bytes() for p in idx.rglob("*") if p.is_file()} == before
 
 
 def test_bad_byte_in_a_word_blob_names_its_line(planted_corpus, tmp_path, capsys):

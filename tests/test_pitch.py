@@ -1,5 +1,7 @@
 """f0 estimation on known signals, word aggregation, speaker z-scores."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,50 @@ def test_chunking_does_not_change_results(monkeypatch):
     chunked = estimate_pitch_track(audio, WIDE)
     assert (whole.voiced == chunked.voiced).all()
     assert np.allclose(whole.f0, chunked.f0, rtol=1e-9, atol=0, equal_nan=True)
+
+
+@pytest.mark.parametrize("chunk_frames", [7, pitch.CHUNK_FRAMES])
+def test_threads_do_not_change_the_track(monkeypatch, chunk_frames):
+    # chunks write disjoint slices of the track, so no bit may move with the thread count
+    monkeypatch.setattr(pitch, "CHUNK_FRAMES", chunk_frames)
+    rng = np.random.default_rng(3)
+    t = np.arange(5 * SR) / SR
+    glide = 0.3 * np.sin(2 * np.pi * (150.0 + 40.0 * t) * t) * (t % 1.0 < 0.6)  # gaps of noise
+    audio = AudioBuffer(glide + 0.05 * rng.standard_normal(t.size), SR)
+    framing = PitchSettings(frame_length=1024, hop=64)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter often, so a race would show
+    try:
+        tracks = [estimate_pitch_track(audio, WIDE, framing, threads=n) for n in (1, 2, 4, 8)]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(tracks[0]) > 4 * chunk_frames  # every thread count gets several chunks
+    assert 0 < tracks[0].voiced_count < len(tracks[0])
+    for track in tracks[1:]:
+        assert np.array_equal(track.f0, tracks[0].f0, equal_nan=True)
+        assert np.array_equal(track.voiced, tracks[0].voiced)
+
+
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
+    made = []
+
+    class Pool(pitch.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pitch, "ThreadPoolExecutor", Pool)
+    audio = sine(205.0, seconds=0.5)  # 12 frames at 2048/512
+    for chunk_frames, threads in ((7, 4), (12, 4), (1, 3), (1, 1)):
+        monkeypatch.setattr(pitch, "CHUNK_FRAMES", chunk_frames)
+        estimate_pitch_track(audio, WIDE, threads=threads)
+    assert made == [2, 3]  # two chunks; one chunk needs no pool; three threads; one thread
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (7, 8), (9, 10), (11, 12), (13, 16),
+                                     (1280, 1280), (1281, 1536), (2155, 2560)])
+def test_fft_size_is_the_smallest_1_3_or_5_times_a_power_of_two(n, size):
+    assert pitch._fft_size(n) == size
 
 
 @pytest.mark.parametrize("frame_length", [1024, 2048, 1500])
