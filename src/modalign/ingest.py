@@ -40,6 +40,7 @@ import tempfile
 import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
@@ -136,12 +137,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column_cells(column: tuple) -> Iterator[str]:
+    """The :func:`_fmt` cells of one column; one call per cell only where types mix."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return map(float.__repr__, column)
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    return map(_fmt, column)
+
+
 def write_csv(path, header: str, rows) -> None:
-    """``header``, then a line per row of :func:`_fmt` cells; see :func:`writing` for errors."""
-    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
+    """``header``, then a line per row of :func:`_fmt` cells; see :func:`writing` for errors.
+
+    Cells are formatted a column at a time.  Rows of unequal length raise
+    :class:`ValueError`.
+    """
+    columns = [_column_cells(column) for column in zip(*rows, strict=True)]
+    text = "\n".join([header, *map(",".join, zip(*columns)), ""])
     with writing(path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _finite(path, line_no: int, text: str) -> float:
@@ -222,15 +238,22 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
 
 
 def write_transcript(stream: ElementStream, path) -> None:
-    sid = stream.speaker_id or ""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, start, end in zip(stream.payloads, stream.starts.tolist(), stream.ends.tolist()):
-            fh.write(
-                json.dumps(
-                    {"word": word, "start": start, "end": end, "speaker_id": sid}, sort_keys=True
-                )
-                + "\n"
-            )
+    """One JSON object per word, with the bytes of ``json.dumps(..., sort_keys=True)``."""
+    # json writes a finite float as float.__repr__ does, and nan and inf as NaN and Infinity
+    finite = np.isfinite(stream.starts).all() and np.isfinite(stream.ends).all()
+    number = float.__repr__ if finite else json.dumps
+    sid = encode_basestring_ascii(stream.speaker_id or "")
+    lines = zip(
+        map(number, stream.ends.tolist()),
+        map(number, stream.starts.tolist()),
+        map(encode_basestring_ascii, stream.payloads),
+        strict=True,
+    )
+    Path(path).write_text(
+        "".join(f'{{"end": {end}, "speaker_id": {sid}, "start": {start}, "word": {word}}}\n'
+                for end, start, word in lines),
+        encoding="utf-8",
+    )
 
 
 # --- gaze traces -----------------------------------------------------------
@@ -369,16 +392,67 @@ def read_wav(path) -> AudioBuffer:
         raise ParseError(path, 0, str(e)) from None
 
 
-def write_wav(samples: np.ndarray, sample_rate: int, path) -> None:
-    """Write mono float samples (clipped to [-1, 1]) as 16-bit PCM."""
-    pcm = np.multiply(samples, 32768.0)
-    np.rint(pcm, out=pcm)
-    np.clip(pcm, -32768, 32767, out=pcm)
+# Audio is quantized and written in blocks of this many samples, so no float or
+# PCM array the size of a session is made: 64k float64 samples are 512 KB.
+AUDIO_BLOCK_SAMPLES = 1 << 16
+
+
+def quantize_pcm16(block: np.ndarray, out: np.ndarray) -> None:
+    """16-bit PCM of float samples into ``out``, an int16 array of ``block``'s shape.
+
+    ``block`` (float64) is scaled by 32768 in place, rounded half to even,
+    and clipped to [-32768, 32767] before the cast, so ±inf is full scale.
+    """
+    np.multiply(block, 32768.0, out=block)
+    np.rint(block, out=block)
+    np.clip(block, -32768, 32767, out=block)
+    out[...] = block
+
+
+@contextmanager
+def pcm16_wav(path, sample_rate: int, frames: int) -> Iterator[Callable[[np.ndarray], None]]:
+    """A mono 16-bit WAV of ``frames`` frames open at ``path``; yields its block writer.
+
+    Call the writer with C-contiguous int16 blocks, in order, that add up to
+    ``frames`` samples; the header is written once, for ``frames``.  A rate
+    the header cannot hold is a :class:`ValidationError` before the file opens.
+    """
+    if not 1 <= sample_rate < 2**31:  # the header's byte rate, 2 * rate, is 32 bits
+        raise ValidationError(f"sample rate must be in [1, 2**31) Hz, got {sample_rate}")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(sample_rate)
-        wf.writeframes(pcm.astype("<i2").tobytes())
+        wf.setnframes(frames)
+        yield wf.writeframesraw  # writeframes would patch the header after every block
+
+
+def write_wav(samples: np.ndarray, sample_rate: int, path) -> None:
+    """Write mono float samples as 16-bit PCM, one block of samples at a time.
+
+    A sample maps to ``rint(value * 32768)`` clipped to [-32768, 32767], so
+    values beyond [-1, 1], ±inf included, are written at full scale.  A NaN
+    sample is a :class:`ValidationError` naming its index, and the file is
+    removed.  A rate outside [1, 2**31) Hz is a :class:`ValidationError`
+    before the file is opened.
+    """
+    samples = np.asarray(samples).reshape(-1)
+    n = samples.size
+    buf = np.empty(min(n, AUDIO_BLOCK_SAMPLES))
+    pcm = np.empty(buf.size, np.int16)
+    nan_at = None
+    with pcm16_wav(path, sample_rate, n) as write:
+        for lo in range(0, n, AUDIO_BLOCK_SAMPLES):
+            block = buf[: min(n - lo, AUDIO_BLOCK_SAMPLES)]
+            block[...] = samples[lo : lo + block.size]
+            if np.isnan(block.min()):  # min is NaN iff a sample is
+                nan_at = lo + int(np.flatnonzero(np.isnan(block))[0])
+                break
+            quantize_pcm16(block, pcm[: block.size])
+            write(pcm[: block.size])
+    if nan_at is not None:
+        Path(path).unlink()
+        raise ValidationError(f"cannot write {path}: sample {nan_at} is NaN")
 
 
 # --- corpus manifest and index ---------------------------------------------

@@ -30,13 +30,15 @@ import numpy as np
 from .errors import InvalidSpec
 from .gaze import GazeTrace
 from .ingest import MANIFEST_FORMAT_VERSION, _json_bytes, replacing, word_element_id
-from .ingest import write_gaze, write_speakers, write_transcript, write_wav
+from .ingest import AUDIO_BLOCK_SAMPLES, pcm16_wav, quantize_pcm16
+from .ingest import write_gaze, write_speakers, write_transcript
 from .timeline import Modality, stream_from_columns
 
 WORD_SLOT = 0.375        # seconds per word; 3/8, exact in binary
 GAZE_PERIOD = 0.125      # seconds between gaze samples; 1/8, exact in binary
 SAMPLES_PER_WORD = 3     # gaze samples per word slot
 TONE_FRACTION = 0.6      # leading fraction of the slot that carries the tone
+MAX_SAMPLE_RATE = 192000  # Hz; the highest rate audio hardware commonly records
 
 #: small vocabularies so the lexical comparison has something to find
 _COMMON_VOCAB = [f"wort{i:03d}" for i in range(50)]
@@ -46,7 +48,12 @@ _NEUTRAL_VOCAB = ["bericht", "haushalt", "antrag", "ausschuss", "verfahren"]
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Corpus-generation settings; everything is deterministic under ``seed``."""
+    """Corpus-generation settings; everything is deterministic under ``seed``.
+
+    Out-of-range settings raise :class:`~modalign.errors.InvalidSpec` at
+    construction; ``sample_rate`` must lie in [8000, 192000] Hz and be
+    divisible by 8, so a word slot is a whole number of samples.
+    """
 
     seed: int = 0
     speakers: int = 4
@@ -71,8 +78,11 @@ class SynthSpec:
             )
         if not 0 < self.jitter_hz < math.inf:
             raise InvalidSpec(f"jitter_hz must be finite and > 0, got {self.jitter_hz}")
-        if self.sample_rate < 8000 or self.sample_rate % 8 != 0:
-            raise InvalidSpec("sample_rate must be >= 8000 and divisible by 8")
+        if not 8000 <= self.sample_rate <= MAX_SAMPLE_RATE or self.sample_rate % 8 != 0:
+            raise InvalidSpec(
+                f"sample_rate must be in [8000, {MAX_SAMPLE_RATE}] and divisible by 8, "
+                f"got {self.sample_rate}"
+            )
         if self.target_party == self.other_party:
             raise InvalidSpec("target and other party must differ")
         for party in (self.target_party, self.other_party):
@@ -97,20 +107,31 @@ def _plant_segments(n_words: int, density: float, rng: np.random.Generator) -> l
     return segments
 
 
-def _render_tones(freqs: np.ndarray, sr: int, slot_samples: int) -> np.ndarray:
-    """Word slots of ``freqs``: each a tapered tone, then silence to the slot boundary."""
+def _write_tones(freqs: np.ndarray, sr: int, slot_samples: int, path: Path) -> None:
+    """A WAV of word slots of ``freqs``: each a tapered tone, then silence to the slot boundary.
+
+    Slots are rendered and written a block at a time, about
+    ``AUDIO_BLOCK_SAMPLES`` samples, through one float buffer and one PCM
+    block whose silent tails stay zero.
+    """
     tone_samples = int(slot_samples * TONE_FRACTION)
     t = np.arange(tone_samples) / sr
     ramp = min(80, tone_samples // 4)
     window = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
-    out = np.zeros((len(freqs), slot_samples))
-    tone = out[:, :tone_samples]
-    np.multiply(2.0 * np.pi * freqs[:, None], t, out=tone)
-    np.sin(tone, out=tone)
-    tone *= 0.4
-    tone[:, :ramp] *= window
-    tone[:, tone_samples - ramp:] *= window[::-1]
-    return out.ravel()
+    per_block = min(len(freqs), max(1, AUDIO_BLOCK_SAMPLES // slot_samples))
+    tones = np.empty((per_block, tone_samples))
+    pcm = np.zeros((per_block, slot_samples), np.int16)
+    with pcm16_wav(path, sr, len(freqs) * slot_samples) as write:
+        for lo in range(0, len(freqs), per_block):
+            block = freqs[lo : lo + per_block]
+            tone = tones[: len(block)]
+            np.multiply(2.0 * np.pi * block[:, None], t, out=tone)
+            np.sin(tone, out=tone)
+            tone *= 0.4
+            tone[:, :ramp] *= window
+            tone[:, tone_samples - ramp:] *= window[::-1]
+            quantize_pcm16(tone, pcm[: len(block), :tone_samples])
+            write(pcm[: len(block)])
 
 
 def synth_corpus(spec: SynthSpec, out_dir) -> Path:
@@ -187,7 +208,7 @@ def _write_corpus(spec: SynthSpec, out_dir: Path) -> None:
             speaker_id=speaker_id,
         )
         write_transcript(words, out_dir / files["transcript"])
-        write_wav(_render_tones(freqs, sr, slot_samples), sr, out_dir / files["audio"])
+        _write_tones(freqs, sr, slot_samples, out_dir / files["audio"])
 
         # (yaw, pitch) per sample, uniform in its word's band; ``low + (high - low) * u``
         # is how Generator.uniform draws

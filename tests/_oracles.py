@@ -13,9 +13,12 @@ same arithmetic, the package must match them exactly.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from modalign.gaze import GazeTrace
+from modalign.ingest import _fmt
 
 
 # --- interval joins --------------------------------------------------------
@@ -257,6 +260,30 @@ def word_tones(freqs, sr, slot_samples, tone_fraction):
         slot[:tone_samples] = tone
         slots.append(slot)
     return np.concatenate(slots)
+
+
+# --- file writers ----------------------------------------------------------
+# The whole-array and one-call-per-item writers that the block and
+# column-at-a-time writers replaced; the package must write their bytes.
+
+def pcm16(samples):
+    """16-bit PCM of a whole float array at once: scale, round half to even, clip, cast."""
+    return np.clip(np.rint(np.asarray(samples, float) * 32768.0), -32768, 32767).astype("<i2")
+
+
+def transcript_text(stream):
+    """A transcript file's text: one ``json.dumps`` per word."""
+    sid = stream.speaker_id or ""
+    return "".join(
+        json.dumps({"word": word, "start": start, "end": end, "speaker_id": sid}, sort_keys=True)
+        + "\n"
+        for word, start, end in zip(stream.payloads, stream.starts.tolist(), stream.ends.tolist())
+    )
+
+
+def csv_text(header, rows):
+    """A CSV file's text: one ``_fmt`` call per cell."""
+    return "".join(line + "\n" for line in [header] + [",".join(map(_fmt, row)) for row in rows])
 
 
 # --- canonical correlation -------------------------------------------------

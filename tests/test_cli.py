@@ -72,6 +72,12 @@ def test_synth_spec_file_with_flag_override(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seeds": 5}))
     assert run("synth", "--out", tmp_path / "c", "--spec", bad) == 2
+    capsys.readouterr()
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"sample_rate": 2**31}))  # refused before any audio is made
+    assert run("synth", "--out", tmp_path / "d", "--spec", huge) == 2
+    assert capsys.readouterr().err.startswith("InvalidSpec: sample_rate must be in [8000, 192000]")
+    assert not (tmp_path / "d").exists()
 
 
 # --- per-stage commands ----------------------------------------------------

@@ -1,5 +1,6 @@
 """File loaders, the corpus index, and the synthetic-corpus generator."""
 
+import itertools
 import json
 import shutil
 import tracemalloc
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalign.cli import RunConfig, main, session_segments
 from modalign.errors import (
@@ -21,6 +24,7 @@ from modalign.errors import (
 )
 from modalign.gaze import AddressRule, detect_address_segments, enforce_min_words
 from modalign.ingest import (
+    AUDIO_BLOCK_SAMPLES,
     CorpusIndex,
     build_index,
     load_gaze,
@@ -29,17 +33,18 @@ from modalign.ingest import (
     load_transcript,
     read_wav,
     word_element_id,
+    write_csv,
     write_gaze,
     write_speakers,
     write_transcript,
     write_wav,
 )
 from modalign.pitch import PITCH_RANGE_BY_GENDER
-from modalign.synth import TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
+from modalign.synth import MAX_SAMPLE_RATE, TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
 from modalign.timeline import Modality, stream_from_columns
 
 from _e2e import interaction_name, planted_run
-from _oracles import gaze_trace, word_tones
+from _oracles import csv_text, gaze_trace, pcm16, transcript_text, word_tones
 
 
 # --- transcripts -----------------------------------------------------------
@@ -129,6 +134,39 @@ def test_transcript_round_trip(tmp_path):
     again = load_transcript(p, session_id="rt")
     assert list(again) == list(stream)
     assert again.speaker_id == "s9"
+
+
+# every kind of character json escapes, and some it writes as they are
+_HARD_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\ud800", "\udfff",
+               "\u00e4", "\U0001f600", ",", "\n", "\r", "\t", "/"]
+_words = st.lists(st.one_of(st.characters(), st.sampled_from(_HARD_CHARS)), min_size=1).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.lists(_words, min_size=1, max_size=8),
+    gaps=st.lists(st.floats(0.0, 1e6), min_size=16, max_size=16),
+    speaker=st.one_of(st.none(), _words),
+)
+def test_transcript_bytes_equal_one_json_dumps_per_word(tmp_path_factory, words, gaps, speaker):
+    edges = np.cumsum(gaps[: 2 * len(words)]).tolist()  # 5e-324 and 17-digit sums included
+    stream = stream_from_columns(
+        Modality.TEXT, "s", [word_element_id(k) for k in range(len(words))],
+        edges[0::2], edges[1::2], words, speaker_id=speaker,
+    )
+    p = tmp_path_factory.mktemp("tx") / "t.jsonl"
+    write_transcript(stream, p)
+    assert p.read_bytes() == transcript_text(stream).encode("utf-8")
+
+
+def test_transcript_writes_times_json_writes(tmp_path):
+    # a stream holds whatever floats it is given; json spells these NaN and Infinity
+    for starts, ends in (([0.0, 5e-324], [5e-324, float("inf")]), ([float("nan")], [1.0])):
+        ids = [word_element_id(k) for k in range(len(starts))]
+        stream = stream_from_columns(Modality.TEXT, "s", ids, starts, ends, ["ja"] * len(ids),
+                                     speaker_id="s1")
+        write_transcript(stream, tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").read_bytes() == transcript_text(stream).encode("utf-8")
 
 
 # --- gaze traces -----------------------------------------------------------
@@ -221,6 +259,35 @@ def test_speakers_errors(tmp_path):
         load_speakers(tmp_path / "absent.csv")
 
 
+# --- CSV output ------------------------------------------------------------
+
+_ODD_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 0.1 + 0.2, 1e308]
+_floats = st.one_of(st.floats(), st.sampled_from(_ODD_FLOATS))
+_quoted = st.sampled_from(["a,b", 'say "ja"', "line\nbreak", "cr\r", "", "plain", "\u00e4"])
+_any_cell = st.one_of(
+    _floats, st.integers(), st.booleans(), st.none(), _floats.map(np.float64), _quoted, st.text(),
+)
+_column = st.sampled_from([_floats, st.integers(), _any_cell])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(1, 4), n=st.integers(0, 12))
+def test_csv_bytes_equal_one_fmt_call_per_cell(tmp_path_factory, data, width, n):
+    kinds = [data.draw(_column) for _ in range(width)]
+    columns = [data.draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+    rows = list(zip(*columns))
+    p = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(p, "h", iter(rows))
+    assert p.read_bytes() == csv_text("h", rows).encode("utf-8")
+
+
+def test_csv_rows_of_unequal_length_are_refused(tmp_path):
+    for rows in ([(1, 2), (3,)], [(1,), (2, 3)]):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "ragged.csv", "a,b", rows)
+    assert not (tmp_path / "ragged.csv").exists()
+
+
 # --- audio -----------------------------------------------------------------
 
 def test_wav_round_trip(tmp_path):
@@ -240,6 +307,68 @@ def test_wav_clips_out_of_range(tmp_path):
     buf = read_wav(p)
     assert buf.samples[0] == 32767 / 32768
     assert buf.samples[1] == -1.0
+
+
+def wav_frames(path):
+    with wave.open(str(path)) as wf:
+        return np.frombuffer(wf.readframes(wf.getnframes()), dtype="<i2")
+
+
+# ±1 and ±1.5 full scale, ties at ±0.5, ±1.5 and 2.5 LSB, the ties just past
+# the int16 range, ±0, and values far out of range
+_PCM_EDGES = np.array([1.0, -1.0, 1.5, -1.5, 0.5, -0.5, 1.5, -1.5, 2.5, 32767.5, -32768.5,
+                       0.0, -0.0, 1e9, -1e9, np.inf, -np.inf])
+_PCM_EDGES[4:11] /= 32768.0
+
+
+@pytest.mark.parametrize("n", [0, 1, AUDIO_BLOCK_SAMPLES - 1, AUDIO_BLOCK_SAMPLES,
+                               AUDIO_BLOCK_SAMPLES + 1, 2 * AUDIO_BLOCK_SAMPLES + 1])
+def test_wav_blocks_quantize_as_one_array(tmp_path, n):
+    rng = np.random.default_rng(n)
+    samples = rng.uniform(-1.2, 1.2, n)
+    for at in (0, AUDIO_BLOCK_SAMPLES - 8, 2 * AUDIO_BLOCK_SAMPLES - 8, n - len(_PCM_EDGES)):
+        if 0 <= at and at + len(_PCM_EDGES) <= n:  # at both ends, and across each block seam
+            samples[at : at + len(_PCM_EDGES)] = _PCM_EDGES
+    p = tmp_path / "q.wav"
+    write_wav(samples, 16000, p)
+    np.testing.assert_array_equal(wav_frames(p), pcm16(samples))
+    with wave.open(str(p)) as wf:
+        assert wf.getnframes() == n
+
+
+def test_wav_edge_values_and_inputs(tmp_path):
+    p = tmp_path / "e.wav"
+    write_wav(_PCM_EDGES, 16000, p)
+    want = [32767, -32768, 32767, -32768, 0, 0, 2, -2, 2, 32767, -32768,
+            0, 0, 32767, -32768, 32767, -32768]
+    assert wav_frames(p).tolist() == want == pcm16(_PCM_EDGES).tolist()
+    for same in (_PCM_EDGES.tolist(), _PCM_EDGES.astype(np.float32), _PCM_EDGES.reshape(1, -1)):
+        write_wav(same, 16000, p)
+        assert wav_frames(p).tolist() == want
+
+
+def test_wav_refuses_nan_and_removes_the_file(tmp_path):
+    p = tmp_path / "nan.wav"
+    with pytest.raises(ValidationError, match="sample 1 is NaN"):
+        write_wav([0.5, np.nan, np.inf, -np.inf], 8000, p)
+    assert not p.exists()
+    samples = np.zeros(AUDIO_BLOCK_SAMPLES + 10)
+    samples[[AUDIO_BLOCK_SAMPLES + 3, AUDIO_BLOCK_SAMPLES + 7]] = np.nan
+    with pytest.raises(ValidationError, match=f"sample {AUDIO_BLOCK_SAMPLES + 3} is NaN"):
+        write_wav(samples, 8000, p)
+    assert not p.exists()
+
+
+def test_wav_refuses_rates_its_header_cannot_hold(tmp_path):
+    p = tmp_path / "r.wav"
+    for rate in (0, -8000, 2**31, 2**32, float("nan")):
+        with pytest.raises(ValidationError, match="sample rate"):
+            write_wav(np.zeros(4), rate, p)
+        assert not p.exists()
+    for rate in (1, 4000, 2**31 - 1):  # rates below 8000 Hz stay writable; read_wav refuses them
+        write_wav(np.zeros(4), rate, p)
+        with wave.open(str(p)) as wf:
+            assert wf.getframerate() == rate
 
 
 def test_wav_stereo_averaged(tmp_path):
@@ -617,6 +746,10 @@ def test_synth_spec_validation():
         SynthSpec(segment_density=-0.1)
     with pytest.raises(InvalidSpec):
         SynthSpec(sample_rate=4000)
+    for rate in (MAX_SAMPLE_RATE + 8, 10**9, 2**31, 2**32):  # refused before any audio is made
+        with pytest.raises(InvalidSpec, match="sample_rate"):
+            SynthSpec(sample_rate=rate)
+    assert SynthSpec(sample_rate=MAX_SAMPLE_RATE).sample_rate == 192000
     # speakers.csv is read unquoted, so no party name may need CSV quoting
     for name in ("A,B", 'A"B', "A\nB", "A\rB"):
         with pytest.raises(InvalidSpec, match="party"):
@@ -676,10 +809,11 @@ def test_synth_passes_every_loader(planted_corpus):
 
 
 def test_synth_audio_is_one_tapered_tone_per_word(tmp_path):
-    for sr in (8000, 16000):
-        spec = SynthSpec(seed=12, speakers=2, words_per_speech=30, sample_rate=sr)
-        manifest = synth_corpus(spec, tmp_path / str(sr))
-        truth = json.loads((tmp_path / str(sr) / "ground_truth.json").read_text())
+    # 30 words fit in one block of audio; 100 and 250 span several, the last one part full
+    for sr, words in itertools.product((8000, 16000), (30, 100, 250)):
+        spec = SynthSpec(seed=12, speakers=2, words_per_speech=words, sample_rate=sr)
+        manifest = synth_corpus(spec, tmp_path / f"{sr}_{words}")
+        truth = json.loads((tmp_path / f"{sr}_{words}" / "ground_truth.json").read_text())
         for entry in load_manifest(manifest).sessions:
             freqs = truth["sessions"][entry.session_id]["word_freqs"]
             expected = word_tones(freqs, sr, int(round(WORD_SLOT * sr)), TONE_FRACTION)
@@ -687,6 +821,20 @@ def test_synth_audio_is_one_tapered_tone_per_word(tmp_path):
             buf = read_wav(entry.audio)
             assert buf.sample_rate == sr
             np.testing.assert_array_equal(buf.samples, quantized)
+
+
+def test_synth_memory_is_one_block_of_audio(tmp_path):
+    # One 4000-word session at 8 kHz is 12M samples.  Rendered and written a
+    # block at a time, the peak is 5.5 MB; a float array of the whole session,
+    # then its scaled copy, peaked at 241 MB.
+    spec = SynthSpec(seed=1, speakers=1, words_per_speech=4000, sample_rate=8000)
+    tracemalloc.start()
+    try:
+        synth_corpus(spec, tmp_path / "raw")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_detected_segments_equal_planted_truth(planted_corpus):
