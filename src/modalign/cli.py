@@ -44,11 +44,6 @@ class RunConfig:
     address: gaze_mod.AddressRule = gaze_mod.AddressRule()
     target_party: str = "AfD"     # party whose addressing defines the interaction baseline
     prior_scale: float = 1.0      # total Dirichlet prior mass for the lexical comparison
-    threads: int = 1              # pitch tracker workers, as in estimate_pitch_track
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")
 
 
 def _read_json(path, what: str):
@@ -115,7 +110,7 @@ def corpus_word_pitches(index: ingest.CorpusIndex, cfg: RunConfig):
         data = sessions[sid] = index.load_session(sid)
         band = index.speakers()[data.speaker_id].gender_range
         track = pitch.estimate_pitch_track(ingest.read_wav(data.audio_path), band, cfg.pitch,
-                                           session_id=sid, threads=cfg.threads)
+                                           session_id=sid)
         flat += pitch.word_pitch(track, data.words)
     return sessions, pitch.standardize_by_speaker(flat, per_session=cfg.pitch.per_session)
 

@@ -64,7 +64,7 @@ class DegenerateSpeaker(DataError):
 # --- gaze ------------------------------------------------------------------
 
 class UnsortedSamples(DataError):
-    """Gaze samples must be strictly increasing in time."""
+    """Gaze sample times must be finite, >= 0 and strictly increasing."""
 
 
 # --- latent ----------------------------------------------------------------

@@ -21,12 +21,25 @@ from .timeline import ElementStream, Modality, overlap_pairs, stream_from_column
 
 @dataclass(frozen=True, eq=False)
 class GazeTrace:
-    """A gaze trace as four parallel arrays: float64 ``t``/``yaw``/``pitch``, bool ``frontal``."""
+    """A gaze trace as four parallel arrays: float64 ``t``/``yaw``/``pitch``, bool ``frontal``.
+
+    Checked when built: times must be finite, >= 0 and strictly rising
+    (:class:`UnsortedSamples` naming the first sample that is not).
+    """
 
     t: np.ndarray
     yaw: np.ndarray
     pitch: np.ndarray
     frontal: np.ndarray
+
+    def __post_init__(self):
+        t = self.t
+        # each t above the one before and below inf (NaN is neither); -5e-324 is the double below 0
+        before = np.concatenate(([-5e-324], t[:-1]))
+        bad = np.flatnonzero(~((before < t) & (t < np.inf)))
+        if bad.size:
+            k = int(bad[0])
+            raise UnsortedSamples(f"sample {k} at t={t[k]} is not finite, >= 0 and rising")
 
     def __len__(self) -> int:
         return self.t.size
@@ -52,10 +65,8 @@ class AddressRule:
     max_notes_seconds: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.yaw_min) and math.isfinite(self.yaw_max)):
-            raise ValidationError(f"yaw band [{self.yaw_min}, {self.yaw_max}] must be finite")
-        if self.yaw_min > self.yaw_max:
-            raise ValidationError(f"yaw band [{self.yaw_min}, {self.yaw_max}] is empty")
+        if not -math.inf < self.yaw_min <= self.yaw_max < math.inf:
+            raise ValidationError(f"yaw band [{self.yaw_min}, {self.yaw_max}] is empty or not finite")
         if math.isnan(self.notes_pitch_threshold):
             raise ValidationError("notes_pitch_threshold must be a number, got nan")
         if self.max_notes_seconds is not None and not self.max_notes_seconds >= 0:
@@ -110,15 +121,8 @@ def detect_address_segments(trace: GazeTrace, rule: AddressRule) -> AddressSegme
     So a notes-look keeps a segment open but cannot open one, and any other
     sample, every non-frontal one included, closes it.  The segments come
     in time order with zero word counts.
-
-    Samples must be strictly increasing in time (:class:`UnsortedSamples`).
     """
     t = trace.t
-    back = np.flatnonzero(t[1:] <= t[:-1])
-    if back.size:
-        k = int(back[0])
-        raise UnsortedSamples(f"sample at t={t[k + 1]} does not follow t={t[k]}")
-
     in_band = trace.frontal & (rule.yaw_min <= trace.yaw) & (trace.yaw <= rule.yaw_max)
     bridge = trace.frontal & ~in_band & (trace.pitch < rule.notes_pitch_threshold)
     if rule.max_notes_seconds is not None:

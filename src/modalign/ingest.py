@@ -51,6 +51,7 @@ from .errors import (
     EngineError,
     MissingFile,
     ParseError,
+    UnsortedSamples,
     ValidationError,
     VersionMismatch,
 )
@@ -123,15 +124,15 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _fmt(value) -> str:
-    """A CSV cell: empty for None, ``repr`` of a float, ``str`` of anything else.
+    """A CSV cell: empty for None, ``float.__repr__`` of a float, ``str`` of anything else.
 
     A string holding a comma, a quote or a line break goes in quotes, its
     quotes doubled; every other cell is written bare.
     """
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy's float64 too, whose own repr names its type
+        return float.__repr__(value)
     if isinstance(value, str) and _NEEDS_QUOTES.search(value):
         return '"' + value.replace('"', '""') + '"'
     return str(value)
@@ -216,9 +217,7 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
             raise ParseError(path, line_no, "word must be a non-empty string")
         if type(start) not in (int, float) or type(end) not in (int, float):
             raise ParseError(path, line_no, "start/end must be numbers")
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise ParseError(path, line_no, f"start/end must be finite, got [{start}, {end})")
-        if start < 0 or end < start:
+        if not 0 <= start <= end < math.inf:  # the stream rule, checked here to name the line
             raise ParseError(path, line_no, f"bad word interval [{start}, {end})")
         rows.append((float(start), float(end), word))
         speakers.add(str(obj["speaker_id"]))
@@ -239,13 +238,11 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
 
 def write_transcript(stream: ElementStream, path) -> None:
     """One JSON object per word, with the bytes of ``json.dumps(..., sort_keys=True)``."""
-    # json writes a finite float as float.__repr__ does, and nan and inf as NaN and Infinity
-    finite = np.isfinite(stream.starts).all() and np.isfinite(stream.ends).all()
-    number = float.__repr__ if finite else json.dumps
+    # a stream's times are finite, and json writes those as float.__repr__ does
     sid = encode_basestring_ascii(stream.speaker_id or "")
     lines = zip(
-        map(number, stream.ends.tolist()),
-        map(number, stream.starts.tolist()),
+        map(float.__repr__, stream.ends.tolist()),
+        map(float.__repr__, stream.starts.tolist()),
         map(encode_basestring_ascii, stream.payloads),
         strict=True,
     )
@@ -286,11 +283,12 @@ def load_gaze(path) -> GazeTrace:
         rows.append((t, yaw, pitch, frontal, line_no))
     rows.sort(key=lambda row: row[0])
     t, yaw, pitch, frontal, line = np.array(rows, dtype=np.float64).reshape(-1, 5).T
-    repeat = np.flatnonzero(t[1:] == t[:-1])
-    if repeat.size:
-        k = int(repeat[0])
-        raise ParseError(path, int(line[k + 1]), f"t={t[k]} repeats line {int(line[k])}'s time")
-    return GazeTrace(t, yaw, pitch, frontal != 0)
+    try:
+        return GazeTrace(t, yaw, pitch, frontal != 0)
+    except UnsortedSamples:  # the times are sorted, finite and >= 0, so one repeats
+        k = int(np.flatnonzero(t[1:] == t[:-1])[0])
+        message = f"t={t[k]} repeats line {int(line[k])}'s time"
+        raise ParseError(path, int(line[k + 1]), message) from None
 
 
 def write_gaze(trace: GazeTrace, path) -> None:
@@ -777,8 +775,10 @@ class CorpusIndex:
         ids, tokens = _read_json_file(blob, _blob_lists)
         w = _read_table(words_path, _WORDS_DTYPE)
         g = _read_table(gaze_path, _GAZE_DTYPE)
-        if (g["t"][:1] < 0).any() or (g["t"][1:] <= g["t"][:-1]).any():
-            raise ParseError(gaze_path, 0, "column 't' must rise strictly from a time >= 0")
+        try:
+            gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"] == 1)
+        except UnsortedSamples as e:
+            raise ParseError(gaze_path, 0, f"gaze of session {session_id!r}: {e}") from None
         try:
             words = stream_from_columns(
                 Modality.TEXT, session_id, ids, w["start"], w["end"], tokens,
@@ -788,7 +788,6 @@ class CorpusIndex:
             raise ParseError(
                 words_path, 0, f"words of session {session_id!r}: {e} (ids and words from {blob})"
             ) from None
-        gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"] == 1)
         data = SessionData(session_id, row["speaker_id"], words, gaze, self.root / row["audio"])
         self._cache[session_id] = data
         return data

@@ -173,7 +173,8 @@ def cca_align(x, y, k: int, *, ridge: float = 1e-8) -> CcaResult:
 
     Columns are centered; each covariance block gets a ridge of
     ``ridge * trace / dim`` (dimensionless, so the default ``1e-8`` works
-    across scales).  With ``ridge=0`` a singular block raises
+    across scales).  A NaN or infinity in ``x`` or ``y`` raises
+    :class:`ValidationError`; with ``ridge=0`` a singular block raises
     :class:`RankDeficient`.  Correlations come back clamped to [0, 1] and
     non-increasing; weight columns are rescaled so every projected
     component has unit sample variance.
@@ -182,6 +183,8 @@ def cca_align(x, y, k: int, *, ridge: float = 1e-8) -> CcaResult:
     Y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2:
         raise ValidationError("x and y must be 2-d arrays")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValidationError("x and y must hold only finite numbers")
     if X.shape[0] != Y.shape[0]:
         raise DimensionMismatch(f"row counts differ: {X.shape[0]} != {Y.shape[0]}")
     n = X.shape[0]

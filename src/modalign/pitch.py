@@ -66,7 +66,7 @@ PITCH_RANGE_BY_GENDER = {
 
 @dataclass(frozen=True)
 class PitchSettings:
-    """Framing, voicing threshold, band override and z-score grouping; checked when built."""
+    """Framing, voicing threshold, band override, z-score grouping, threads; checked when built."""
 
     frame_length: int = 2048      # samples per analysis frame
     hop: int = 512                # samples between frames
@@ -74,6 +74,7 @@ class PitchSettings:
     floor: float | None = None    # Hz; overrides per-gender band when set
     ceiling: float | None = None  # Hz; overrides per-gender band when set
     per_session: bool = False     # standardize within session instead of corpus-wide
+    threads: int = 1              # tracker workers; the track does not depend on it
 
     def __post_init__(self):
         if not (self.threshold > 0 and math.isfinite(self.threshold)):
@@ -85,6 +86,8 @@ class PitchSettings:
                 raise InvalidRange(f"need {name} > 0, got {hz}")
         if self.floor is not None and self.ceiling is not None:
             PitchRange(self.floor, self.ceiling)
+        if self.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {self.threads}")
 
 
 #: Frames :func:`estimate_pitch_track` tracks as one unit of work; it bounds
@@ -249,7 +252,6 @@ def estimate_pitch_track(
     settings: PitchSettings = PitchSettings(),
     *,
     session_id: str | None = None,
-    threads: int = 1,
 ) -> PitchTrack:
     """Estimate f0 per frame.
 
@@ -262,16 +264,12 @@ def estimate_pitch_track(
         the one ``settings`` sets; lags searched are
         ``[sample_rate/ceiling, sample_rate/floor]``.
     settings:
-        Framing in samples and the absolute voicing threshold on the
-        normalized difference.  ``frame_length`` must be at least twice the
-        longest admissible period (``2 * sample_rate / floor``).
-    threads:
-        Worker threads that share the chunks of :data:`CHUNK_FRAMES`
-        frames, at most one per chunk; with one chunk or one thread the
-        caller tracks every chunk itself and starts none.  The result does
-        not depend on it; memory grows by one chunk's arrays per worker.
-        Workers pay on long sessions (tens of chunks) and can cost more
-        than they save on a few chunks, hence the default of one.
+        Framing in samples, the absolute voicing threshold on the
+        normalized difference and the worker threads, which share the
+        chunks of :data:`CHUNK_FRAMES` frames, at most one per chunk (with
+        one chunk or one thread the caller tracks them all and starts
+        none).  ``frame_length`` must be at least twice the longest
+        admissible period (``2 * sample_rate / floor``).
 
     The dip search and the parabolic refinement read no lag past
     ``tau_hi + 1`` (``tau_hi = sample_rate/floor``), and the cumulative mean
@@ -347,7 +345,7 @@ def estimate_pitch_track(
         voiced[lo : lo + count] = has
 
     chunks = range(0, starts.size, CHUNK_FRAMES)
-    workers = min(threads, len(chunks))
+    workers = min(settings.threads, len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(track_chunk, chunks))  # consumed, so a worker's exception is raised here

@@ -14,7 +14,7 @@ Conventions
 * Payloads are strings: a word's token, a segment's label.
 * Bounds are checked in one place, :func:`stream_from_columns`, which
   raises :class:`~modalign.errors.NegativeInterval` unless
-  ``0 <= start <= end``.
+  ``0 <= start <= end < inf``, so every bound is finite.
 * Streams are immutable once built; operations return new objects.
 """
 
@@ -114,8 +114,8 @@ def stream_from_columns(
     Elements are sorted by ``(start, end, id)``.  Raises
     :class:`ValidationError` unless every id and payload is a string,
     :class:`EmptyStream`, :class:`DuplicateIds` on duplicate element ids,
-    :class:`NegativeInterval` unless ``0 <= start <= end``, and
-    :class:`OverlappingWords` when a text stream's word intervals overlap.
+    :class:`NegativeInterval` unless ``0 <= start <= end < inf`` (NaN
+    fails), and :class:`OverlappingWords` when a text stream's words overlap.
     """
     starts = np.array(starts, dtype=np.float64)
     ends = np.array(ends, dtype=np.float64)
@@ -128,7 +128,7 @@ def stream_from_columns(
         raise ValidationError(f"ids and payloads in session {session_id!r} must be strings")
     if len(set(ids)) != len(ids):
         raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
-    bad = np.flatnonzero((starts < 0) | (ends < starts))
+    bad = np.flatnonzero(~((0 <= starts) & (starts <= ends) & (ends < np.inf)))
     if bad.size:
         raise NegativeInterval(f"bad interval [{starts[bad[0]]}, {ends[bad[0]]})")
 

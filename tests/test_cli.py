@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -366,23 +367,29 @@ def test_config_validation(planted_corpus, tmp_path, capsys):
 
 
 def test_threads_do_not_change_output(planted_corpus, tmp_path, capsys):
-    # the default tracks in the calling thread; --threads 2 and 3 start pools of that size
-    runs = {"default": [], "two": ["--threads", 2], "three": ["--threads", 3]}
+    # the default tracks in the calling thread; --threads 2 and 3, and the config key
+    # pitch.threads, start pools of that size
+    config = tmp_path / "threads.json"
+    config.write_text(json.dumps({"pitch": {"threads": 3}}))
+    runs = {"default": [], "two": ["--threads", 2], "three": ["--threads", 3],
+            "config": ["--config", config]}
     for name, flags in runs.items():
         assert run(*flags, "pitch", "--index", planted_corpus.index,
                    "--out", tmp_path / f"{name}.csv") == 0
         assert run(*flags, "regress", "--index", planted_corpus.index,
                    "--out", tmp_path / f"{name}_reg") == 0
     capsys.readouterr()
-    for name in ("two", "three"):
+    for name in ("two", "three", "config"):
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
         assert ((tmp_path / f"{name}_reg" / "regression.json").read_bytes()
                 == (tmp_path / "default_reg" / "regression.json").read_bytes())
 
 
 def test_cli_and_library_share_one_thread_default():
-    tracker = inspect.signature(cli.pitch.estimate_pitch_track).parameters["threads"].default
-    assert cli.RunConfig().threads == tracker == 1
+    # the thread count is a pitch setting: the tracker takes no keyword for it beside them
+    assert "threads" not in inspect.signature(cli.pitch.estimate_pitch_track).parameters
+    assert "threads" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert cli.RunConfig().pitch.threads == cli.PitchSettings().threads == 1
 
 
 def test_reruns_are_byte_identical(planted_corpus, tmp_path, capsys):
@@ -515,7 +522,9 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "EmptyVocabulary"),
         ({"c.json": '{"pitch": {"hop": "x"}}'},
          ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
-        ({"c.json": '{"threads": "two"}'},
+        ({"c.json": '{"pitch": {"threads": "two"}}'},
+         ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
+        ({"c.json": '{"threads": 2}'},
          ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
         ({"c.json": '{"address": {"yaw_min": 80}}'},
          ["--config", "TMP/c.json", "pitch", "--index", "IDX"], "ValidationError"),
@@ -613,6 +622,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "gaze-nan", "gaze-ragged", "gaze-frontal-2", "words-start-string", "words-ragged",
          "words-id-number", "panel-nan", "panel-inf", "counts-nan", "counts-negative",
          "fw-counts-one-word", "config-hop-string", "config-threads-string",
+         "config-threads-top-level",
          "config-empty-yaw-band", "manifest-list", "manifest-session-number",
          "manifest-transcript-number",
          "manifest-speakers-number", "query-select-audio", "query-select-visual", "prior-nan",

@@ -11,6 +11,7 @@ from modalign.errors import UnsortedSamples, ValidationError
 from modalign.gaze import (
     AddressRule,
     AddressSegments,
+    GazeTrace,
     detect_address_segments,
     enforce_min_words,
     segments_to_stream,
@@ -133,10 +134,16 @@ def test_empty_and_single_sample_traces():
 
 
 def test_unsorted_samples_rejected():
-    with pytest.raises(UnsortedSamples):
-        detect([in_band(1.0), in_band(0.5)])
-    with pytest.raises(UnsortedSamples):
-        detect([in_band(1.0), in_band(1.0)])
+    # the trace checks its times when built, so detection never sees a NaN, negative or
+    # repeated one (a NaN time once came back as a segment ending at nan)
+    nan, inf = math.nan, math.inf
+    for times in ([1.0, 0.5], [1.0, 1.0], [0.0, nan], [nan, 1.0], [-0.5, 1.0], [-5e-324],
+                  [0.0, inf], [-inf, 0.0]):
+        with pytest.raises(UnsortedSamples):
+            detect([in_band(t) for t in times])
+    with pytest.raises(UnsortedSamples, match="sample 2 at t=0.25 is not"):
+        gaze_trace([in_band(0.0), in_band(0.25), in_band(0.25)])
+    assert spans(detect([in_band(-0.0), in_band(5e-324)])) == [(0.0, 1e-323)]
 
 
 def test_rule_validation():
@@ -193,12 +200,10 @@ def test_time_translation_equivariance(shift_eighths):
 # one sample: the gap since the previous one (regular or not), yaw (in band,
 # on a band edge, just outside one, far out), pitch (notes-look, just under
 # and on the threshold, level) and frontal (mostly)
-_SAMPLE = st.tuples(
-    st.sampled_from([0.125, 0.25]) | st.floats(0.001, 2.0),
-    st.sampled_from([10.0, 44.999, 45.0, 55.0, 70.0, 70.001]),
-    st.sampled_from([-30.0, -20.001, -20.0, 0.0]),
-    st.sampled_from([True, True, True, False]),
-)
+_YAW = st.sampled_from([10.0, 44.999, 45.0, 55.0, 70.0, 70.001])
+_PITCH = st.sampled_from([-30.0, -20.001, -20.0, 0.0])
+_FRONTAL = st.sampled_from([True, True, True, False])
+_SAMPLE = st.tuples(st.sampled_from([0.125, 0.25]) | st.floats(0.001, 2.0), _YAW, _PITCH, _FRONTAL)
 
 
 @settings(max_examples=400, deadline=None)
@@ -210,6 +215,53 @@ def test_matches_loop_oracle(rows, max_notes):
         t += gap
         samples.append((t, yaw, pitch, frontal))
     trace = gaze_trace(samples)
+    assert spans(detect_address_segments(trace, rule)) == detect_loop(trace, rule)
+
+
+def _rule_holds(times):
+    """Are ``times`` finite, >= 0 and strictly rising?  Written out one pair at a time."""
+    return all(0.0 <= t < math.inf for t in times[:1]) and all(
+        a < b < math.inf for a, b in zip(times, times[1:])
+    )
+
+
+_TIMES = st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -0.0, 0.0, -5e-324, 1.0]),
+                  max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TIMES, _TIMES.map(sorted)))
+def test_trace_accepted_exactly_when_times_are_finite_nonnegative_and_rising(times):
+    n = len(times)
+    try:
+        GazeTrace(np.array(times, dtype=np.float64), np.full(n, 55.0), np.zeros(n), np.ones(n, bool))
+    except UnsortedSamples:
+        assert not _rule_holds(times)
+    else:
+        assert _rule_holds(times)
+
+
+# gaps that break the trace rule, now and then: zero, negative, NaN or infinite
+_ANY_GAP = st.sampled_from([0.125] * 6 + [0.25] * 3 + [0.0, -0.125, math.nan, math.inf])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([0.0, 3.5, -0.0, 5e-324, -5e-324, -1.0, math.nan, math.inf]),
+    st.lists(st.tuples(_ANY_GAP | st.floats(0.001, 2.0), _YAW, _PITCH, _FRONTAL), max_size=40),
+    st.sampled_from([None, 0.0, 0.3]),
+)
+def test_detection_matches_loop_oracle_on_every_accepted_trace(first, rows, max_notes):
+    samples, t = [], first
+    for gap, yaw, pitch, frontal in rows:
+        samples.append((t, yaw, pitch, frontal))
+        t += gap
+    if not _rule_holds([row[0] for row in samples]):
+        with pytest.raises(UnsortedSamples):
+            gaze_trace(samples)
+        return
+    trace = gaze_trace(samples)
+    rule = AddressRule(max_notes_seconds=max_notes)
     assert spans(detect_address_segments(trace, rule)) == detect_loop(trace, rule)
 
 

@@ -17,6 +17,7 @@ from modalign.errors import (
     AngleOutOfRange,
     InvalidSpec,
     MissingFile,
+    NegativeInterval,
     OverlappingWords,
     ParseError,
     ValidationError,
@@ -160,13 +161,22 @@ def test_transcript_bytes_equal_one_json_dumps_per_word(tmp_path_factory, words,
 
 
 def test_transcript_writes_times_json_writes(tmp_path):
-    # a stream holds whatever floats it is given; json spells these NaN and Infinity
-    for starts, ends in (([0.0, 5e-324], [5e-324, float("inf")]), ([float("nan")], [1.0])):
-        ids = [word_element_id(k) for k in range(len(starts))]
-        stream = stream_from_columns(Modality.TEXT, "s", ids, starts, ends, ["ja"] * len(ids),
-                                     speaker_id="s1")
-        write_transcript(stream, tmp_path / "t.jsonl")
-        assert (tmp_path / "t.jsonl").read_bytes() == transcript_text(stream).encode("utf-8")
+    # a stream holds only finite times, which json writes as float.__repr__ does
+    nan, inf = float("nan"), float("inf")
+    for starts, ends in (([0.0, 5e-324], [5e-324, inf]), ([nan], [1.0]), ([0.0], [nan])):
+        with pytest.raises(NegativeInterval):
+            stream_from_columns(Modality.TEXT, "s", ["a", "b"][: len(starts)], starts, ends,
+                                ["ja"] * len(starts))
+    ids = [word_element_id(k) for k in range(3)]
+    stream = stream_from_columns(Modality.TEXT, "s", ids, [-0.0, 5e-324, 1e308],
+                                 [5e-324, 5e-324, 1e308], ["ja"] * 3, speaker_id="s1")
+    write_transcript(stream, tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_bytes() == transcript_text(stream).encode("utf-8")
+    assert (tmp_path / "t.jsonl").read_bytes().splitlines() == [
+        b'{"end": 5e-324, "speaker_id": "s1", "start": -0.0, "word": "ja"}',
+        b'{"end": 5e-324, "speaker_id": "s1", "start": 5e-324, "word": "ja"}',
+        b'{"end": 1e+308, "speaker_id": "s1", "start": 1e+308, "word": "ja"}',
+    ]
 
 
 # --- gaze traces -----------------------------------------------------------
@@ -279,6 +289,12 @@ def test_csv_bytes_equal_one_fmt_call_per_cell(tmp_path_factory, data, width, n)
     p = tmp_path_factory.mktemp("csv") / "out.csv"
     write_csv(p, "h", iter(rows))
     assert p.read_bytes() == csv_text("h", rows).encode("utf-8")
+
+
+def test_csv_writes_numpy_floats_as_python_floats(tmp_path):
+    # numpy 2 spells np.float64(0.1) with its type; the oracle above shares _fmt, so check bytes
+    write_csv(tmp_path / "np.csv", "a,b", [(np.float64(0.1), 1.0), (1.0, np.float64(-0.0))])
+    assert (tmp_path / "np.csv").read_bytes() == b"a,b\n0.1,1.0\n1.0,-0.0\n"
 
 
 def test_csv_rows_of_unequal_length_are_refused(tmp_path):
@@ -638,7 +654,7 @@ def test_damaged_session_tables_name_table_and_session(tmp_path):
     repeated = np.concatenate([repeated, repeated])
     for path, table, message in [(words, negative, "words of session 'sessA': bad interval"),
                                  (words, overlapping, "words of session 'sessA': words"),
-                                 (gaze, repeated, "must rise strictly")]:
+                                 (gaze, repeated, "gaze of session 'sessA': sample")]:
         good = path.read_bytes()
         np.save(path, table)
         with pytest.raises(ParseError, match=message) as info:

@@ -304,6 +304,21 @@ def test_cca_validation():
         cca_align(x, y[:-1], k=1)
 
 
+def test_cca_refuses_non_finite_input():
+    # numpy's SVD would fail on these with LinAlgError; the aligner says why at entry, as
+    # dtw_align does for a warp whose cost is not finite
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_x, bad_y = x.copy(), y.copy()
+        bad_x[4, 1] = bad_y[4, 2] = bad
+        for a, b in ((bad_x, y), (x, bad_y)):
+            with pytest.raises(ValidationError, match="finite"):
+                cca_align(a, b, k=2)
+    with pytest.raises(ValidationError, match="finite"):
+        cca_align(np.full((5, 2), np.nan), np.full((5, 2), np.nan), k=1)
+
+
 # --- strategy advisor ------------------------------------------------------
 
 def names(strategies):

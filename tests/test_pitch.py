@@ -120,11 +120,11 @@ def test_threads_do_not_change_the_track(monkeypatch, chunk_frames):
     t = np.arange(5 * SR) / SR
     glide = 0.3 * np.sin(2 * np.pi * (150.0 + 40.0 * t) * t) * (t % 1.0 < 0.6)  # gaps of noise
     audio = AudioBuffer(glide + 0.05 * rng.standard_normal(t.size), SR)
-    framing = PitchSettings(frame_length=1024, hop=64)
+    framings = [PitchSettings(frame_length=1024, hop=64, threads=n) for n in (1, 2, 4, 8)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter often, so a race would show
     try:
-        tracks = [estimate_pitch_track(audio, WIDE, framing, threads=n) for n in (1, 2, 4, 8)]
+        tracks = [estimate_pitch_track(audio, WIDE, framing) for framing in framings]
     finally:
         sys.setswitchinterval(switch)
     assert len(tracks[0]) > 4 * chunk_frames  # every thread count gets several chunks
@@ -146,7 +146,7 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
     audio = sine(205.0, seconds=0.5)  # 12 frames at 2048/512
     for chunk_frames, threads in ((7, 4), (12, 4), (1, 3), (1, 1)):
         monkeypatch.setattr(pitch, "CHUNK_FRAMES", chunk_frames)
-        estimate_pitch_track(audio, WIDE, threads=threads)
+        estimate_pitch_track(audio, WIDE, PitchSettings(threads=threads))
     assert made == [2, 3]  # two chunks; one chunk needs no pool; three threads; one thread
 
 
@@ -304,7 +304,7 @@ def test_frame_must_cover_two_periods_at_floor():
 
 
 def test_settings_checked_when_built():
-    assert PitchSettings() == PitchSettings(2048, 512, 0.15, None, None, False)
+    assert PitchSettings() == PitchSettings(2048, 512, 0.15, None, None, False, 1)
     PitchSettings(frame_length=256, hop=256, floor=100.0)
     PitchSettings(ceiling=400.0)
     for bad in (dict(threshold=0.0), dict(threshold=-1.0), dict(threshold=float("nan")),
@@ -318,6 +318,9 @@ def test_settings_checked_when_built():
                 dict(floor=300.0, ceiling=100.0), dict(floor=200.0, ceiling=200.0)):
         with pytest.raises(InvalidRange):
             PitchSettings(**bad)
+    for threads in (0, -3):
+        with pytest.raises(ValidationError, match="threads must be >= 1"):
+            PitchSettings(threads=threads)
 
 
 def test_settings_band_replaces_the_given_ends():

@@ -55,8 +55,30 @@ def test_interval_rejects_negative():
     for starts, ends in [([0.0, -1.0], [1.0, 0.0]), ([0.0, 2.0], [1.0, 1.5])]:
         with pytest.raises(NegativeInterval):
             stream_from_columns(Modality.DERIVED, "s", ["a", "b"], starts, ends, ["x", "y"])
+    # a bound that is not finite is refused in the same test
+    nan, inf = float("nan"), float("inf")
+    for span in [(nan, 1.0), (0.0, nan), (nan, nan), (0.0, inf), (inf, inf), (-inf, 0.0)]:
+        with pytest.raises(NegativeInterval):
+            derived([(0.0, 1.0), span])
     # a point sample, start == end, is a valid interval
     assert len(derived([(3.0, 3.0), (0.0, 0.0)])) == 2
+
+
+_BOUNDS = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                                         5e-324, -5e-324, 1e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_BOUNDS, _BOUNDS), min_size=1, max_size=6))
+def test_stream_refuses_any_bound_not_finite_nonnegative_and_ordered(spans):
+    ok = all(0 <= start <= end < float("inf") for start, end in spans)
+    try:
+        stream = derived(spans)
+    except NegativeInterval:
+        assert not ok
+    else:
+        assert ok
+        assert sorted(zip(stream.starts.tolist(), stream.ends.tolist())) == sorted(spans)
 
 
 def test_stream_elements_equal_checked_ones():
