@@ -55,12 +55,14 @@ def _read_json(path, what: str):
 
 
 def _fits(hint, value) -> bool:
-    """Does a JSON value have a field's annotated type?  A float field takes an int too."""
+    """Does a JSON value have a field's annotated type?  A float field takes an int a float holds."""
     options = get_args(hint) or (hint,)
     if value is None:
         return type(None) in options
     want = next(t for t in options if t is not type(None))
     if want is float:
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            return False
         want = (int, float)
     return isinstance(value, want) and isinstance(value, bool) == (want is bool)
 
@@ -109,8 +111,8 @@ def corpus_word_pitches(index: ingest.CorpusIndex, cfg: RunConfig):
     for sid in index.session_ids():
         data = sessions[sid] = index.load_session(sid)
         band = index.speakers()[data.speaker_id].gender_range
-        track = pitch.estimate_pitch_track(ingest.read_wav(data.audio_path), band, cfg.pitch,
-                                           session_id=sid)
+        with ingest.read_wav(data.audio_path) as audio:
+            track = pitch.estimate_pitch_track(audio, band, cfg.pitch, session_id=sid)
         flat += pitch.word_pitch(track, data.words)
     return sessions, pitch.standardize_by_speaker(flat, per_session=cfg.pitch.per_session)
 
@@ -414,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file (flags win over it)")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads for the pitch tracker (default: 1)")
+                        help="threads the pitch tracker runs on (default: the usable CPUs)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse a corpus into an on-disk index")

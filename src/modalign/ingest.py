@@ -38,6 +38,7 @@ import re
 import shutil
 import tempfile
 import wave
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -56,7 +57,7 @@ from .errors import (
     VersionMismatch,
 )
 from .gaze import GazeTrace
-from .pitch import PITCH_RANGE_BY_GENDER, AudioBuffer, SpeakerProfile
+from .pitch import MIN_SAMPLE_RATE, PITCH_RANGE_BY_GENDER, SpeakerProfile
 from .stats import PanelRow
 from .timeline import ElementStream, Modality, stream_from_columns
 
@@ -205,8 +206,8 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(path, line_no, f"bad JSON: {e.msg}") from e
+        except ValueError as e:  # JSONDecodeError, or an integer of more digits than Python reads
+            raise ParseError(path, line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(obj, dict):
             raise ParseError(path, line_no, "expected a JSON object")
         missing = {"word", "start", "end", "speaker_id"} - obj.keys()
@@ -219,7 +220,10 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
             raise ParseError(path, line_no, "start/end must be numbers")
         if not 0 <= start <= end < math.inf:  # the stream rule, checked here to name the line
             raise ParseError(path, line_no, f"bad word interval [{start}, {end})")
-        rows.append((float(start), float(end), word))
+        try:
+            rows.append((float(start), float(end), word))
+        except OverflowError:  # an integer no float holds
+            raise ParseError(path, line_no, "start/end too large for a float") from None
         speakers.add(str(obj["speaker_id"]))
     if not rows:
         raise ParseError(path, 0, "transcript has no words")
@@ -368,26 +372,80 @@ def load_counts(path) -> dict[str, float]:
 
 # --- audio -----------------------------------------------------------------
 
-def read_wav(path) -> AudioBuffer:
-    """Read 16-bit PCM WAV; stereo is averaged to mono; values scaled by 1/32768."""
+class WavSource:
+    """The mono samples of a checked 16-bit PCM WAV file, read a span at a time.
+
+    Made by :func:`read_wav`.  It holds the file open until :meth:`close`,
+    the end of a ``with`` block or its collection.  :meth:`span` reads with
+    ``os.pread``, so threads reading spans at once share no file position.
+    """
+
+    def __init__(self, path, fd: int, offset: int, frames: int, channels: int, sample_rate: int):
+        self.path = path
+        self.sample_rate = sample_rate
+        self._fd, self._offset, self._frames, self._channels = fd, offset, frames, channels
+        self.close = weakref.finalize(self, os.close, fd)  # closes once, whichever comes first
+
+    def __len__(self) -> int:
+        return self._frames
+
+    def __enter__(self) -> "WavSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def span(self, lo: int, hi: int) -> np.ndarray:
+        """Samples ``[lo, hi)`` of ``len(self)``, as float64 ``value / 32768`` averaged over channels.
+
+        A file cut short since :func:`read_wav` checked it is a :class:`ParseError`.
+        """
+        if not 0 <= lo <= hi <= self._frames:
+            raise ValueError(f"span [{lo}, {hi}) is not inside [0, {self._frames})")
+        if not self.close.alive:  # its descriptor's number may name another file by now
+            raise ValueError(f"{self.path} is closed")
+        width = 2 * self._channels
+        want = (hi - lo) * width
+        try:
+            raw = os.pread(self._fd, want, self._offset + lo * width)
+        except OSError as e:
+            raise MissingFile(f"{self.path}: {e.strerror or e}") from None
+        if len(raw) != want:
+            raise ParseError(self.path, 0, f"cut short: frames [{lo}, {hi}) need {want} bytes, "
+                                           f"read {len(raw)}")
+        data = np.frombuffer(raw, dtype="<i2") / 32768.0
+        if self._channels > 1:
+            data = data.reshape(-1, self._channels).mean(axis=1)
+        return data
+
+
+def read_wav(path) -> WavSource:
+    """Open a 16-bit PCM WAV file whose samples are then read a span at a time.
+
+    The header is checked here: 16-bit samples, a rate of at least
+    :data:`~modalign.pitch.MIN_SAMPLE_RATE` and at least one frame, and a
+    file long enough for the frames the header declares.  Any of these
+    failing is a :class:`ParseError`.  Stereo is averaged to mono and values
+    are scaled by 1/32768 (see :meth:`WavSource.span`).
+    """
     with _opened(path) as fh:
         try:
             with wave.open(fh) as wf:
                 width, channels, sr = wf.getsampwidth(), wf.getnchannels(), wf.getframerate()
                 frames = wf.getnframes()
-                raw = wf.readframes(frames)
+                offset = fh.tell()  # ``wave`` stops reading at the start of the samples
         except (wave.Error, EOFError) as e:  # EOFError: a header cut short
             raise ParseError(path, 0, f"not a readable WAV file: {str(e) or 'cut short'}") from e
-    if width != 2 or len(raw) != frames * channels * 2:  # not 16-bit, or cut short
-        raise ParseError(path, 0, f"need {frames} frames of 16-bit PCM, got {len(raw)} bytes of "
-                                  f"{8 * width}-bit")
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    if channels > 1:
-        data = data.reshape(-1, channels).mean(axis=1)
-    try:
-        return AudioBuffer(data, sr)
-    except ValidationError as e:  # no frames, or a rate below 8000 Hz
-        raise ParseError(path, 0, str(e)) from None
+        need = frames * channels * 2
+        present = min(max(os.fstat(fh.fileno()).st_size - offset, 0), need)  # bytes of samples held
+        if width != 2 or present != need:  # not 16-bit, or cut short
+            raise ParseError(path, 0, f"need {frames} frames of 16-bit PCM, got {present} bytes of "
+                                      f"{8 * width}-bit")
+        if frames == 0:
+            raise ParseError(path, 0, "no audio frames")
+        if sr < MIN_SAMPLE_RATE:
+            raise ParseError(path, 0, f"sample_rate must be >= {MIN_SAMPLE_RATE}, got {sr}")
+        return WavSource(path, os.dup(fh.fileno()), offset, frames, channels, sr)
 
 
 # Audio is quantized and written in blocks of this many samples, so no float or

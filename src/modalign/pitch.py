@@ -14,11 +14,13 @@ blocks that tile its half.  Each block is transformed once, at twice its
 length, and its spectrum also serves the block before it.
 
 A session's frames are tracked in chunks of :data:`CHUNK_FRAMES`, small
-enough for their arrays to take a few MB.  Chunks are independent
-and each writes its own slice of the track, so a thread pool can share
-them out; the workers run only numpy arithmetic, which releases the GIL,
-and the track is the same whatever the thread count.  The pool pays on
-long sessions (tens of chunks) and costs more than it saves on a few.
+enough for their arrays to take a few MB.  A chunk reads only its own span
+of samples, so a session is never held in memory whole.  Chunks are
+independent and each writes its own slice of the track, so several lanes
+can share them out: the calling thread and the threads of one pool the
+process keeps.  The lanes run only numpy arithmetic, which releases the
+GIL, each refills work arrays of its own instead of allocating them per
+chunk, and the track is the same whatever the thread count.
 
 The normalization makes the track invariant to loudness: scaling the
 waveform scales numerator and denominator alike.
@@ -30,10 +32,13 @@ baseline voices on a common scale.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -64,6 +69,14 @@ PITCH_RANGE_BY_GENDER = {
     "f": PitchRange(100.0, 500.0),
 }
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this OS
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class PitchSettings:
     """Framing, voicing threshold, band override, z-score grouping, threads; checked when built."""
@@ -74,7 +87,7 @@ class PitchSettings:
     floor: float | None = None    # Hz; overrides per-gender band when set
     ceiling: float | None = None  # Hz; overrides per-gender band when set
     per_session: bool = False     # standardize within session instead of corpus-wide
-    threads: int = 1              # tracker workers; the track does not depend on it
+    threads: int = field(default_factory=usable_cpus)  # tracker lanes; the track does not depend on it
 
     def __post_init__(self):
         if not (self.threshold > 0 and math.isfinite(self.threshold)):
@@ -91,11 +104,28 @@ class PitchSettings:
 
 
 #: Frames :func:`estimate_pitch_track` tracks as one unit of work; it bounds
-#: memory and sets the grain of the thread pool, not results.  At 256 a
-#: chunk's arrays peak at a few MB (about 4 MB at 1024/256 and 8 kHz); 2048
-#: took tens of MB, which the allocator mapped and page-faulted afresh on
-#: every call, and ran slower.
+#: memory and sets the grain the lanes share, not results.  At 256 a chunk's
+#: arrays peak at a few MB (about 4 MB at 1024/256 and 8 kHz); 2048 took tens
+#: of MB, which the allocator mapped and page-faulted afresh on every call,
+#: and ran slower.
 CHUNK_FRAMES = 256
+
+#: Lowest sample rate the tracker takes, in Hz.
+MIN_SAMPLE_RATE = 8000
+
+
+class AudioSource(Protocol):
+    """Mono float64 samples read a span at a time: what :func:`estimate_pitch_track` reads.
+
+    :class:`AudioBuffer` holds them in memory; :class:`modalign.ingest.WavSource`
+    reads them from a WAV file.
+    """
+
+    sample_rate: int
+
+    def __len__(self) -> int: ...
+
+    def span(self, lo: int, hi: int) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -109,8 +139,15 @@ class AudioBuffer:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValidationError("audio must be a non-empty 1-d array")
-        if self.sample_rate < 8000:
-            raise ValidationError(f"sample_rate must be >= 8000, got {self.sample_rate}")
+        if self.sample_rate < MIN_SAMPLE_RATE:
+            raise ValidationError(f"sample_rate must be >= {MIN_SAMPLE_RATE}, got {self.sample_rate}")
+
+    def __len__(self) -> int:
+        return self.samples.size
+
+    def span(self, lo: int, hi: int) -> np.ndarray:
+        """Samples ``[lo, hi)``: a view, not a copy."""
+        return self.samples[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -174,6 +211,25 @@ def _block_size(window: int, hop: int, last_lag: int) -> int:
     return window
 
 
+_lane = threading.local()  # each thread's work arrays, refilled chunk after chunk
+
+
+def _work(name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+    """The calling thread's work array ``name``, viewed as ``shape``.
+
+    It is kept from call to call and replaced by a larger one only when
+    ``shape`` needs more, so a thread tracking chunk after chunk allocates
+    nothing after its largest chunk.  Its contents are whatever the last
+    call left there: callers overwrite every element they read.
+    """
+    size = shape[0] * shape[1]
+    buf = getattr(_lane, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_lane, name, buf)
+    return buf[:size].reshape(shape)
+
+
 def _difference_chunk(
     x: np.ndarray, first: int, count: int, hop: int, window: int, last_lag: int
 ) -> np.ndarray:
@@ -198,6 +254,10 @@ def _difference_chunk(
     Otherwise (``blk = W``, one block per frame) each block's span of ``blk
     + last_lag`` samples and its head are transformed at
     :func:`_fft_size` of that span, which also never wraps.
+
+    The spectra, the energies and the inverse transform are written into
+    the calling thread's work arrays (:func:`_work`); the result is a fresh
+    array.
     """
     blk = _block_size(window, hop, last_lag)
     step, q = blk // hop, window // blk
@@ -207,17 +267,21 @@ def _difference_chunk(
     tails = rows[blk : blk + n_blocks * hop : hop, :last_lag]
     if blk % hop == 0:
         nfft = 2 * blk
-        spec = np.fft.rfft(rows[: (n_blocks + step) * hop : hop], nfft, axis=1)
+        spec = np.fft.rfft(rows[: (n_blocks + step) * hop : hop], nfft, axis=1,
+                           out=_work("spec", (n_blocks + step, blk + 1), np.complex128))
         spec, tail_spec = spec[:n_blocks], spec[step:]
-        cross = tail_spec * np.resize([1.0, -1.0], blk + 1)  # spectrum of head then tail
+        cross = np.multiply(tail_spec, np.resize([1.0, -1.0], blk + 1),  # spectrum of head then tail
+                            out=_work("cross", (n_blocks, blk + 1), np.complex128))
         cross += spec
     else:
         nfft = _fft_size(blk + last_lag)
         spans = np.lib.stride_tricks.sliding_window_view(x[first * hop :], blk + last_lag)
-        cross = np.fft.rfft(spans[: n_blocks * hop : hop], nfft, axis=1)
-        spec = np.fft.rfft(heads, nfft, axis=1)
+        bins = (n_blocks, nfft // 2 + 1)
+        cross = np.fft.rfft(spans[: n_blocks * hop : hop], nfft, axis=1,
+                            out=_work("cross", bins, np.complex128))
+        spec = np.fft.rfft(heads, nfft, axis=1, out=_work("spec", bins, np.complex128))
 
-    energy = np.empty((n_blocks, last_lag + 1))
+    energy = _work("energy", (n_blocks, last_lag + 1), np.float64)
     energy[:, 0] = 0.0
     np.square(tails, out=energy[:, 1:])
     energy[:, 1:] -= np.square(heads[:, :last_lag])
@@ -225,29 +289,63 @@ def _difference_chunk(
     energy += 2.0 * np.einsum("ij,ij->i", heads, heads)[:, None]
 
     cross *= np.conjugate(spec, out=spec)  # in place: ``tail_spec``, which may share its rows, was read
-    diff = np.fft.irfft(cross, nfft, axis=1)[:, : last_lag + 1]
+    diff = np.fft.irfft(cross, nfft, axis=1, out=_work("corr", (n_blocks, nfft), np.float64))
+    diff = diff[:, : last_lag + 1]
     diff *= -2.0
     diff += energy
 
-    # a fresh sum: adding into ``diff`` in place would read rows already overwritten
-    out = diff[:count]
+    # a fresh array, never a view of the work arrays the next chunk refills; and a
+    # fresh sum: adding into ``diff`` in place would read rows already overwritten
+    out = diff[:count].copy()
     for r in range(1, q):
-        out = out + diff[r * step : r * step + count]
+        out += diff[r * step : r * step + count]
     return out
 
 
 def _normalize(diff: np.ndarray) -> np.ndarray:
-    """Cumulative-mean normalization; lag 0 is defined as 1."""
+    """Cumulative-mean normalization of ``diff``, in place; lag 0 is defined as 1."""
     tail = diff[:, 1:]
-    denom = np.cumsum(tail, axis=1)
-    taus = np.arange(1, diff.shape[1])
-    out = np.ones_like(diff)
-    np.divide(tail * taus, denom, out=out[:, 1:], where=denom > 0)
-    return out
+    denom = np.cumsum(tail, axis=1, out=_work("denom", tail.shape, np.float64))
+    tail *= np.arange(1, diff.shape[1])
+    np.divide(tail, denom, out=tail, where=denom > 0)
+    tail[denom <= 0] = 1.0
+    diff[:, 0] = 1.0
+    return diff
+
+
+class _Lanes:
+    """The process's one thread pool for the tracker's lanes beside the calling thread.
+
+    It is made on first use and replaced only when a call asks for more
+    lanes than it holds, so its threads, and their work arrays, serve every
+    call.  A forked child starts with none (see the ``register_at_fork``
+    below): the parent's threads do not exist there.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+        self._size = 0
+
+    def start(self, lane: Callable[[], None], n: int) -> list[Future]:
+        """``lane`` submitted ``n`` times to the pool, which then holds at least ``n`` threads."""
+        if n == 0:
+            return []
+        with self._lock:  # submitted under the lock, so a pool being replaced takes none
+            if n > self._size:
+                if self._pool is not None:
+                    self._pool.shutdown(wait=False)  # its lanes finish; its idle threads exit
+                self._pool = ThreadPoolExecutor(n, thread_name_prefix="modalign-pitch")
+                self._size = n
+            return [self._pool.submit(lane) for _ in range(n)]
+
+
+_LANES = _Lanes()
+os.register_at_fork(after_in_child=_LANES.__init__)
 
 
 def estimate_pitch_track(
-    audio: AudioBuffer,
+    audio: AudioSource,
     band: PitchRange,
     settings: PitchSettings = PitchSettings(),
     *,
@@ -258,18 +356,21 @@ def estimate_pitch_track(
     Parameters
     ----------
     audio:
-        Mono waveform.
+        Mono waveform: an :class:`AudioBuffer`, or a
+        :class:`modalign.ingest.WavSource` read a chunk's span at a time.
     band:
         Band of admissible f0 in Hz, with its floor or ceiling replaced by
         the one ``settings`` sets; lags searched are
         ``[sample_rate/ceiling, sample_rate/floor]``.
     settings:
         Framing in samples, the absolute voicing threshold on the
-        normalized difference and the worker threads, which share the
-        chunks of :data:`CHUNK_FRAMES` frames, at most one per chunk (with
-        one chunk or one thread the caller tracks them all and starts
-        none).  ``frame_length`` must be at least twice the longest
-        admissible period (``2 * sample_rate / floor``).
+        normalized difference and the thread count.  ``min(threads,
+        chunks)`` lanes share the chunks of :data:`CHUNK_FRAMES` frames,
+        each taking the next chunk until none is left: the calling thread
+        and the others from the process's one pool (with one chunk or one
+        thread the caller tracks them all and starts none).
+        ``frame_length`` must be at least twice the longest admissible
+        period (``2 * sample_rate / floor``).
 
     The dip search and the parabolic refinement read no lag past
     ``tau_hi + 1`` (``tau_hi = sample_rate/floor``), and the cumulative mean
@@ -293,9 +394,9 @@ def estimate_pitch_track(
             f"frame_length {frame_length} cannot hold two periods at floor "
             f"{band.floor} Hz (need >= {2 * sr / band.floor:.0f})"
         )
-    x = audio.samples
-    if x.size < frame_length:
-        raise AudioTooShort(f"session {session_id!r}: {x.size} samples < one frame of {frame_length}")
+    n_samples = len(audio)
+    if n_samples < frame_length:
+        raise AudioTooShort(f"session {session_id!r}: {n_samples} samples < one frame of {frame_length}")
 
     max_lag = frame_length // 2
     tau_lo = max(2, math.ceil(sr / band.ceiling))
@@ -304,7 +405,7 @@ def estimate_pitch_track(
         raise InvalidRange(f"{band} holds no whole-sample lag >= 2 at {sr} Hz")
     last_lag = min(tau_hi + 1, max_lag)
 
-    starts = np.arange(0, x.size - frame_length + 1, hop)
+    starts = np.arange(0, n_samples - frame_length + 1, hop)
     times = (starts + frame_length / 2) / sr
     f0 = np.full(starts.size, np.nan)
     voiced = np.zeros(starts.size, dtype=bool)
@@ -312,7 +413,8 @@ def estimate_pitch_track(
     def track_chunk(lo: int) -> None:
         """Fill the chunk of frames starting at ``lo``; chunks write disjoint slices."""
         count = min(CHUNK_FRAMES, starts.size - lo)
-        cmnd = _normalize(_difference_chunk(x, lo, count, hop, max_lag, last_lag))
+        x = audio.span(lo * hop, (lo + count - 1) * hop + frame_length)  # the chunk's frames
+        cmnd = _normalize(_difference_chunk(x, 0, count, hop, max_lag, last_lag))
 
         searched = cmnd[:, tau_lo : tau_hi + 1]
         # Value at tau+1, with +inf past the band edge so a dip that is
@@ -345,13 +447,28 @@ def estimate_pitch_track(
         voiced[lo : lo + count] = has
 
     chunks = range(0, starts.size, CHUNK_FRAMES)
-    workers = min(settings.threads, len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(track_chunk, chunks))  # consumed, so a worker's exception is raised here
-    else:
-        for lo in chunks:
-            track_chunk(lo)
+    taken, taking, failed = itertools.count(), threading.Lock(), threading.Event()
+
+    def lane() -> None:
+        """Track the next chunk no lane has taken, until none is left or a lane has failed."""
+        try:
+            while not failed.is_set():
+                with taking:
+                    k = next(taken)
+                if k >= len(chunks):
+                    return
+                track_chunk(chunks[k])
+        except BaseException:
+            failed.set()  # the other lanes stop at their next chunk
+            raise
+
+    others = _LANES.start(lane, min(settings.threads, len(chunks)) - 1)
+    try:
+        lane()
+    finally:
+        wait(others)  # they read ``audio`` and write the track: none outlives the call
+    for done in others:
+        done.result()  # a lane's exception is raised here
 
     return PitchTrack(times, f0, voiced, session_id)
 

@@ -97,8 +97,8 @@ def _snapshot_file(path: Path, name: str) -> dict[str, bytes]:
     """``{golden name: bytes}`` standing for one output file."""
     if name.startswith("raw/sessions/"):
         if name.endswith(".wav"):
-            audio = read_wav(path)
-            x = audio.samples
+            with read_wav(path) as audio:
+                x = audio.span(0, len(audio))
             summary = {
                 "frames": int(x.size),
                 "sample_rate": audio.sample_rate,

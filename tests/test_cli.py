@@ -367,19 +367,19 @@ def test_config_validation(planted_corpus, tmp_path, capsys):
 
 
 def test_threads_do_not_change_output(planted_corpus, tmp_path, capsys):
-    # the default tracks in the calling thread; --threads 2 and 3, and the config key
-    # pitch.threads, start pools of that size
+    # the default runs a lane per usable CPU; --threads 1 tracks in the calling thread alone;
+    # --threads 2 and 3, and the config key pitch.threads, add pool threads beside it
     config = tmp_path / "threads.json"
     config.write_text(json.dumps({"pitch": {"threads": 3}}))
-    runs = {"default": [], "two": ["--threads", 2], "three": ["--threads", 3],
-            "config": ["--config", config]}
+    runs = {"default": [], "one": ["--threads", 1], "two": ["--threads", 2],
+            "three": ["--threads", 3], "config": ["--config", config]}
     for name, flags in runs.items():
         assert run(*flags, "pitch", "--index", planted_corpus.index,
                    "--out", tmp_path / f"{name}.csv") == 0
         assert run(*flags, "regress", "--index", planted_corpus.index,
                    "--out", tmp_path / f"{name}_reg") == 0
     capsys.readouterr()
-    for name in ("two", "three", "config"):
+    for name in ("one", "two", "three", "config"):
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
         assert ((tmp_path / f"{name}_reg" / "regression.json").read_bytes()
                 == (tmp_path / "default_reg" / "regression.json").read_bytes())
@@ -389,7 +389,7 @@ def test_cli_and_library_share_one_thread_default():
     # the thread count is a pitch setting: the tracker takes no keyword for it beside them
     assert "threads" not in inspect.signature(cli.pitch.estimate_pitch_track).parameters
     assert "threads" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
-    assert cli.RunConfig().pitch.threads == cli.PitchSettings().threads == 1
+    assert cli.RunConfig().pitch.threads == cli.PitchSettings().threads == len(os.sched_getaffinity(0))
 
 
 def test_reruns_are_byte_identical(planted_corpus, tmp_path, capsys):
@@ -616,6 +616,14 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"idx/manifest.json": "[" * 100_000}, ["segments", "--index", "IDX"], "ParseError"),
         ({"c.json": "[" * 100_000}, ["--config", "TMP/c.json", "segments", "--index", "IDX"],
          "ValidationError"),
+        (_corpus(transcript=_WORD.replace(b'"end": 1', b'"end": 1' + b"0" * 400)), _MANIFEST,
+         "ParseError"),
+        (_corpus(transcript=_WORD.replace(b'"end": 1', b'"end": 1' + b"0" * 5000)), _MANIFEST,
+         "ParseError"),
+        ({"c.json": '{"pitch": {"threshold": 1' + "0" * 400 + "}}"},
+         ["--config", "TMP/c.json", "segments", "--index", "IDX"], "ValidationError"),
+        ({"s.json": '{"jitter_hz": 1' + "0" * 400 + "}"}, ["synth", "--spec", "TMP/s.json"],
+         "ValidationError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
@@ -640,7 +648,9 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "panel-overflow", "empty-session", "blob-id-string", "transcript-other-speaker",
          "transcript-mixed-speakers", "index-missing", "unknown-command", "wav-odd-data-bytes",
          "wav-header-cut", "panel-header-repeats", "panel-x-is-y", "panel-x-twice",
-         "panel-group-is-y", "index-manifest-too-deep", "config-too-deep"],
+         "panel-group-is-y", "index-manifest-too-deep", "config-too-deep",
+         "transcript-time-401-digits", "transcript-time-5001-digits",
+         "config-threshold-401-digits", "synth-spec-401-digits"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import os
 import shutil
+import struct
 import tracemalloc
 import wave
 from pathlib import Path
@@ -40,7 +42,8 @@ from modalign.ingest import (
     write_transcript,
     write_wav,
 )
-from modalign.pitch import PITCH_RANGE_BY_GENDER
+from modalign import pitch
+from modalign.pitch import PITCH_RANGE_BY_GENDER, PitchSettings, estimate_pitch_track
 from modalign.synth import MAX_SAMPLE_RATE, TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
 from modalign.timeline import Modality, stream_from_columns
 
@@ -313,16 +316,15 @@ def test_wav_round_trip(tmp_path):
     write_wav(samples, 16000, p)
     buf = read_wav(p)
     assert buf.sample_rate == 16000
-    assert len(buf.samples) == 4000
-    assert np.max(np.abs(buf.samples - samples)) <= 0.5 / 32768 + 1e-12
+    assert len(buf) == 4000
+    assert np.max(np.abs(buf.span(0, 4000) - samples)) <= 0.5 / 32768 + 1e-12
 
 
 def test_wav_clips_out_of_range(tmp_path):
     p = tmp_path / "a.wav"
     write_wav(np.array([1.5, -1.5]), 16000, p)
     buf = read_wav(p)
-    assert buf.samples[0] == 32767 / 32768
-    assert buf.samples[1] == -1.0
+    assert buf.span(0, 2).tolist() == [32767 / 32768, -1.0]
 
 
 def wav_frames(path):
@@ -399,7 +401,55 @@ def test_wav_stereo_averaged(tmp_path):
         wf.setframerate(16000)
         wf.writeframes(inter.tobytes())
     buf = read_wav(p)
-    assert np.allclose(buf.samples, [0.125, 0.125, 0.0])
+    assert np.allclose(buf.span(0, 3), [0.125, 0.125, 0.0])
+
+
+def _riff(channels: int, rate: int, pcm: bytes, before_data: bytes = b"") -> bytes:
+    """A 16-bit PCM WAV file's bytes, with any chunks given between its format and its samples."""
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, 2 * channels * rate, 2 * channels, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + before_data
+    body += b"data" + struct.pack("<I", len(pcm)) + pcm
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_wav_spans_match_the_whole_file_decode(tmp_path, channels):
+    # any span, read on its own, holds the bits the whole file decoded at once gives;
+    # an odd-sized chunk before the samples moves where they start
+    rng = np.random.default_rng(channels)
+    pcm = rng.integers(-32768, 32768, size=(5000, channels)).astype("<i2")
+    pcm[:3] = [[-32768], [32767], [-1]]
+    p = tmp_path / "s.wav"
+    p.write_bytes(_riff(channels, 16000, pcm.tobytes(), b"LIST" + struct.pack("<I", 5) + b"notes\0"))
+    whole = np.frombuffer(pcm.tobytes(), dtype="<i2").astype(np.float64) / 32768.0
+    whole = whole.reshape(-1, channels).mean(axis=1)  # the whole-file decode read_wav used to do
+    with read_wav(p) as src:
+        assert (len(src), src.sample_rate) == (5000, 16000)
+        for lo, hi in ((0, 5000), (0, 1), (4999, 5000), (1234, 3210), (7, 7)):
+            assert src.span(lo, hi).tobytes() == whole[lo:hi].tobytes()
+        with pytest.raises(ValueError):
+            src.span(4000, 5001)  # past the samples: the bytes after them are not audio
+    with pytest.raises(ValueError, match="closed"):
+        src.span(0, 1)
+
+
+def test_wav_cut_after_opening_is_a_parse_error(tmp_path, monkeypatch):
+    # read_wav checks the length once; a span the file no longer holds is a ParseError,
+    # for a caller reading spans and for the tracker's lanes alike
+    monkeypatch.setattr(pitch, "CHUNK_FRAMES", 4)  # seven chunks of a second at 2048/512
+    p = tmp_path / "cut.wav"
+    t = np.arange(16000) / 16000
+    write_wav(0.3 * np.sin(2 * np.pi * 180.0 * t), 16000, p)
+    for threads in (1, 2):
+        with read_wav(p) as src:
+            src.span(15000, 16000)
+            os.truncate(p, p.stat().st_size - 2001)  # cuts frame 14999 in half
+            assert len(src.span(0, 14999)) == 14999  # the frames before the cut still read
+            with pytest.raises(ParseError, match="cut short"):
+                src.span(14990, 15000)
+            with pytest.raises(ParseError, match="cut short"):
+                estimate_pitch_track(src, PITCH_RANGE_BY_GENDER["m"], PitchSettings(threads=threads))
+        write_wav(0.3 * np.sin(2 * np.pi * 180.0 * t), 16000, p)
 
 
 def test_wav_rejects_other_encodings(tmp_path):
@@ -836,7 +886,7 @@ def test_synth_audio_is_one_tapered_tone_per_word(tmp_path):
             quantized = np.clip(np.round(expected * 32768.0), -32768, 32767) / 32768.0
             buf = read_wav(entry.audio)
             assert buf.sample_rate == sr
-            np.testing.assert_array_equal(buf.samples, quantized)
+            np.testing.assert_array_equal(buf.span(0, len(buf)), quantized)
 
 
 def test_synth_memory_is_one_block_of_audio(tmp_path):

@@ -1,6 +1,9 @@
 """f0 estimation on known signals, word aggregation, speaker z-scores."""
 
 import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +32,10 @@ from modalign.pitch import (
     standardize_by_speaker,
     word_pitch,
 )
+from modalign.ingest import pcm16_wav, read_wav
 from modalign.timeline import Modality, stream_from_columns
 
-from _oracles import direct_difference
+from _oracles import direct_difference, pcm16
 
 SR = 16000
 WIDE = PitchRange(75.0, 500.0)
@@ -134,20 +138,110 @@ def test_threads_do_not_change_the_track(monkeypatch, chunk_frames):
         assert np.array_equal(track.voiced, tracks[0].voiced)
 
 
-def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
+def test_lanes_share_one_pool_and_never_outnumber_the_chunks(monkeypatch):
+    # one pool per process, replaced only by a larger one; at most min(threads, chunks)
+    # chunks in flight; one thread or one chunk is tracked by the caller alone
     made = []
 
     class Pool(pitch.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             made.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(pitch, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(pitch, "_LANES", pitch._Lanes())
+    lock, now, calls = threading.Lock(), [0], []  # chunks in flight; (in flight, thread) per chunk
+    real = pitch._difference_chunk
+
+    def counted(*args):
+        with lock:
+            now[0] += 1
+            calls.append((now[0], threading.get_ident()))
+        try:
+            time.sleep(0.002)  # long enough for lanes to overlap
+            return real(*args)
+        finally:
+            with lock:
+                now[0] -= 1
+
+    monkeypatch.setattr(pitch, "_difference_chunk", counted)
     audio = sine(205.0, seconds=0.5)  # 12 frames at 2048/512
-    for chunk_frames, threads in ((7, 4), (12, 4), (1, 3), (1, 1)):
+    running = threading.active_count()
+    plan = [  # CHUNK_FRAMES, threads, pools made so far
+        (1, 1, []), (12, 4, []),  # one thread; one chunk
+        (7, 4, [1]),              # two chunks: the caller and one pool thread
+        (1, 3, [1, 2]),           # a larger pool replaces it
+        (1, 2, [1, 2]), (3, 3, [1, 2]), (1, 3, [1, 2]), (1, 1, [1, 2]),
+    ]
+    for chunk_frames, threads, pools in plan:
         monkeypatch.setattr(pitch, "CHUNK_FRAMES", chunk_frames)
+        calls.clear()
         estimate_pitch_track(audio, WIDE, PitchSettings(threads=threads))
-    assert made == [2, 3]  # two chunks; one chunk needs no pool; three threads; one thread
+        chunks = -(-12 // chunk_frames)
+        assert len(calls) == chunks
+        assert max(n for n, _ in calls) <= min(threads, chunks)
+        assert made == pools
+        if min(threads, chunks) == 1:
+            assert {who for _, who in calls} == {threading.get_ident()}
+        if not made:
+            assert threading.active_count() == running
+
+
+def test_lane_work_arrays_leave_no_trace_across_framings(monkeypatch):
+    # lanes keep their work arrays from call to call, grown to the largest chunk so far;
+    # framings and rates in turn, each at 1, 2 and 4 threads, must track bit for bit as a
+    # thread that never tracked before, and as that framing's first call
+    monkeypatch.setattr(pitch, "CHUNK_FRAMES", 7)  # chunks of 7 frames and a shorter last one
+
+    def fresh_thread(audio, settings):
+        out = []
+        worker = threading.Thread(target=lambda: out.append(estimate_pitch_track(audio, WIDE, settings)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return out[0]
+
+    rng = np.random.default_rng(8)
+    for sr in (8000, 16000):
+        t = np.arange(2 * sr) / sr
+        glide = 0.3 * np.sin(2 * np.pi * (150.0 + 40.0 * t) * t) * (t % 1.0 < 0.6)
+        audio = AudioBuffer(glide + 0.05 * rng.standard_normal(t.size), sr)
+        # 2048/160 is the one-block fallback: no multiple of 160 divides 1024
+        for frame_length, hop in ((1024, 256), (2048, 512), (1024, 64), (2048, 160)):
+            tracks = [estimate_pitch_track(audio, WIDE, PitchSettings(frame_length, hop, threads=n))
+                      for n in (1, 2, 4)]
+            tracks.append(fresh_thread(audio, PitchSettings(frame_length, hop, threads=1)))
+            assert 0 < tracks[0].voiced_count < len(tracks[0])
+            for track in tracks[1:]:
+                assert track.f0.tobytes() == tracks[0].f0.tobytes()
+                assert np.array_equal(track.voiced, tracks[0].voiced)
+
+
+def test_tracking_memory_does_not_grow_with_session_length(tmp_path):
+    # audio is read one chunk's span at a time, so a 4-minute session peaks where a
+    # 1-minute one does, give or take its track of a few bytes per frame; the whole
+    # session as float64 took 8 bytes per sample, 23 MB more at 4 minutes and 16 kHz
+    sr, settings = 16000, PitchSettings(threads=1)
+    for minutes in (1, 4):
+        with pcm16_wav(tmp_path / f"{minutes}.wav", sr, minutes * 60 * sr) as write:
+            for second in range(minutes * 60):
+                t = second + np.arange(sr) / sr
+                write(pcm16(0.3 * np.sin(2 * np.pi * 180.0 * t) * (t % 1.0 < 0.6)))
+
+    def peak(minutes):
+        tracemalloc.start()
+        try:
+            with read_wav(tmp_path / f"{minutes}.wav") as audio:
+                track = estimate_pitch_track(audio, WIDE, settings)
+            return tracemalloc.get_traced_memory()[1], track
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the calling thread's work arrays now exist, for both sessions alike
+    (short, short_track), (long, long_track) = peak(1), peak(4)
+    assert len(long_track) > 3.9 * len(short_track) and long_track.voiced_count > 0
+    chunk_samples = (pitch.CHUNK_FRAMES - 1) * settings.hop + settings.frame_length
+    assert abs(long - short) < 8 * chunk_samples, (short, long)  # one chunk's float64 samples
 
 
 @pytest.mark.parametrize("n, size", [(1, 1), (7, 8), (9, 10), (11, 12), (13, 16),
@@ -304,7 +398,7 @@ def test_frame_must_cover_two_periods_at_floor():
 
 
 def test_settings_checked_when_built():
-    assert PitchSettings() == PitchSettings(2048, 512, 0.15, None, None, False, 1)
+    assert PitchSettings() == PitchSettings(2048, 512, 0.15, None, None, False, pitch.usable_cpus())
     PitchSettings(frame_length=256, hop=256, floor=100.0)
     PitchSettings(ceiling=400.0)
     for bad in (dict(threshold=0.0), dict(threshold=-1.0), dict(threshold=float("nan")),
