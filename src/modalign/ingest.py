@@ -60,20 +60,16 @@ from .gaze import GazeTrace
 from .pitch import MIN_SAMPLE_RATE, PITCH_RANGE_BY_GENDER, SpeakerProfile
 from .stats import PanelRow
 from .timeline import ElementStream, Modality, stream_from_columns
+from .timeline import word_element_id  # noqa: F401  re-exported for callers of ingest
 
 MANIFEST_FORMAT_VERSION = 1  # corpus manifests, the input of ``ingest``
-INDEX_FORMAT_VERSION = 5     # index directories: version 5 names a session's files by its id
+INDEX_FORMAT_VERSION = 6     # index directories: version 6 stores no word ids
 
 # The numeric tables of an index session, one structured .npy file each; a flag is a 0/1 byte.
 _WORDS_DTYPE = np.dtype([("start", "<f8"), ("end", "<f8")])
 _GAZE_DTYPE = np.dtype([("t", "<f8"), ("yaw", "<f8"), ("pitch", "<f8"), ("frontal", "u1")])
 # The string fields of an index manifest's session row, and no others.
 _ROW_KEYS = ("session_id", "speaker_id", "audio")
-
-
-def word_element_id(position: int) -> str:
-    """Stable id for the word at a 0-based position in time order."""
-    return f"w{position:06d}"
 
 
 @contextmanager
@@ -193,12 +189,13 @@ def _read_json_file(path: Path, parse: Callable):
 def load_transcript(path, session_id: str | None = None) -> ElementStream:
     """Parse a JSONL transcript into a text stream.
 
-    Element ids are assigned by time order (``w000000`` ...), so a
-    write/load round trip is the identity.  The stream's speaker is the
-    file's unique ``speaker_id`` (None when files mix speakers).
+    Words are sorted by ``(start, end)``, ties keeping their line order, and
+    a word's id is its position (``w000000`` ...), so a write/load round
+    trip is the identity.  The stream's speaker is the file's unique
+    ``speaker_id`` (None when files mix speakers).
     """
     path = Path(path)
-    rows = []
+    starts, ends, words = [], [], []
     speakers = set()
     for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -221,18 +218,18 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
         if not 0 <= start <= end < math.inf:  # the stream rule, checked here to name the line
             raise ParseError(path, line_no, f"bad word interval [{start}, {end})")
         try:
-            rows.append((float(start), float(end), word))
+            starts.append(float(start))
+            ends.append(float(end))
         except OverflowError:  # an integer no float holds
             raise ParseError(path, line_no, "start/end too large for a float") from None
+        words.append(word)
         speakers.add(str(obj["speaker_id"]))
-    if not rows:
+    if not words:
         raise ParseError(path, 0, "transcript has no words")
-    rows.sort()
-    starts, ends, words = zip(*rows)
     return stream_from_columns(
         Modality.TEXT,
         session_id if session_id is not None else path.stem,
-        [word_element_id(i) for i in range(len(rows))],
+        None,
         starts,
         ends,
         words,
@@ -599,12 +596,12 @@ def _is_index(out_dir: Path) -> bool:
     """Does ``out_dir`` look like an index :func:`build_index` wrote?
 
     Every index format version has a ``speakers.json`` (versions 1-3) or a
-    ``speakers.csv`` (4-5) beside a ``manifest.json`` whose session rows
-    each hold exactly :data:`_ROW_KEYS` (5) or name a ``blob`` (1-4); a
+    ``speakers.csv`` (4-6) beside a ``manifest.json`` whose session rows
+    each hold exactly :data:`_ROW_KEYS` (5-6) or name a ``blob`` (1-4); a
     corpus manifest's rows, at its version 1, name no blob.
     """
     doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    rows, current = doc["sessions"], doc["format_version"] == INDEX_FORMAT_VERSION
+    rows, current = doc["sessions"], doc["format_version"] in (5, INDEX_FORMAT_VERSION)
     speakers = (out_dir / "speakers.json").is_file() or (out_dir / "speakers.csv").is_file()
     return speakers and bool(rows) and all(
         isinstance(row, dict) and (row.keys() == set(_ROW_KEYS) if current else "blob" in row)
@@ -693,8 +690,7 @@ def _write_index(root: Path, sessions) -> None:
     session_rows = []
     for entry, audio, words, trace in sessions:
         blob, words_path, gaze_path = _session_files(root, entry.session_id)
-        doc = {"id": list(words.ids), "word": list(words.payloads)}
-        blob.write_bytes(_json_bytes(doc, compact=True))
+        blob.write_bytes(_json_bytes({"word": list(words.payloads)}, compact=True))
         _write_table(words_path, _WORDS_DTYPE, start=words.starts, end=words.ends)
         _write_table(
             gaze_path, _GAZE_DTYPE,
@@ -765,12 +761,13 @@ def _read_table(path: Path, dtype: np.dtype) -> dict[str, np.ndarray]:
     return columns
 
 
-def _blob_lists(doc) -> tuple[list, list]:
-    """A blob's ``id`` and ``word`` lists, unchecked but for being lists."""
-    ids, tokens = doc["id"], doc["word"]
-    if not (isinstance(ids, list) and isinstance(tokens, list)):
-        raise TypeError("'id' and 'word' must be lists")
-    return ids, tokens
+def _blob_words(doc) -> list:
+    """A blob's ``word`` list, unchecked but for being a list and the blob's one key."""
+    if doc.keys() != {"word"}:
+        raise TypeError(f"a blob holds the one key 'word', got {sorted(doc)}")
+    if not isinstance(doc["word"], list):
+        raise TypeError("'word' must be a list")
+    return doc["word"]
 
 
 @dataclass(frozen=True)
@@ -830,7 +827,7 @@ class CorpusIndex:
             raise ValidationError(f"index has no session {session_id!r}")
         row = self._rows[session_id]
         blob, words_path, gaze_path = _session_files(self.root, session_id)
-        ids, tokens = _read_json_file(blob, _blob_lists)
+        tokens = _read_json_file(blob, _blob_words)
         w = _read_table(words_path, _WORDS_DTYPE)
         g = _read_table(gaze_path, _GAZE_DTYPE)
         try:
@@ -839,12 +836,12 @@ class CorpusIndex:
             raise ParseError(gaze_path, 0, f"gaze of session {session_id!r}: {e}") from None
         try:
             words = stream_from_columns(
-                Modality.TEXT, session_id, ids, w["start"], w["end"], tokens,
+                Modality.TEXT, session_id, None, w["start"], w["end"], tokens,
                 speaker_id=row["speaker_id"],
             )
         except EngineError as e:
             raise ParseError(
-                words_path, 0, f"words of session {session_id!r}: {e} (ids and words from {blob})"
+                words_path, 0, f"words of session {session_id!r}: {e} (words from {blob})"
             ) from None
         data = SessionData(session_id, row["speaker_id"], words, gaze, self.root / row["audio"])
         self._cache[session_id] = data

@@ -29,10 +29,10 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .gaze import GazeTrace
-from .ingest import MANIFEST_FORMAT_VERSION, _json_bytes, replacing, word_element_id
+from .ingest import MANIFEST_FORMAT_VERSION, _json_bytes, replacing
 from .ingest import AUDIO_BLOCK_SAMPLES, pcm16_wav, quantize_pcm16
 from .ingest import write_gaze, write_speakers, write_transcript
-from .timeline import Modality, stream_from_columns
+from .timeline import Modality, stream_from_columns, word_element_id
 
 WORD_SLOT = 0.375        # seconds per word; 3/8, exact in binary
 GAZE_PERIOD = 0.125      # seconds between gaze samples; 1/8, exact in binary
@@ -201,7 +201,7 @@ def _write_corpus(spec: SynthSpec, out_dir: Path) -> None:
         words = stream_from_columns(
             Modality.TEXT,
             session_id,
-            [word_element_id(w) for w in range(n)],
+            None,
             [w * WORD_SLOT for w in range(n)],
             [(w + 1) * WORD_SLOT for w in range(n)],
             tokens,

@@ -12,6 +12,7 @@ Conventions
 * Point samples are represented as ``start == end`` and never align with
   anything: a zero-length interval has zero overlap with everything.
 * Payloads are strings: a word's token, a segment's label.
+* A word's id is its position in time order, :func:`word_element_id`.
 * Bounds are checked in one place, :func:`stream_from_columns`, which
   raises :class:`~modalign.errors.NegativeInterval` unless
   ``0 <= start <= end < inf``, so every bound is finite.
@@ -86,9 +87,9 @@ class ElementStream(_ElementColumns):
     """Sorted, immutable sequence of elements from one modality and session.
 
     Held as columns: ``starts``/``ends`` are read-only float64 arrays and
-    ``ids``/``payloads`` are tuples, all in ``(start, end, id)`` order.  An
-    :class:`Element` is built only when one is asked for, by iteration or
-    ``stream[i]``.
+    ``ids``/``payloads`` are tuples, all in the order :func:`stream_from_columns`
+    gives.  An :class:`Element` is built only when one is asked for, by
+    iteration or ``stream[i]``.
     """
 
     modality: Modality
@@ -100,10 +101,42 @@ class ElementStream(_ElementColumns):
     payloads: tuple[str, ...]
 
 
+def word_element_id(position: int) -> str:
+    """Stable id for the word at a 0-based position in time order."""
+    return f"w{position:06d}"
+
+
+_WORD_IDS: tuple[str, ...] = ()  # word_element_id(k) for k < len(_WORD_IDS), made once
+
+
+def word_ids(n: int) -> tuple[str, ...]:
+    """``word_element_id(k)`` for ``k`` in ``range(n)``, sliced from one table.
+
+    The table is shared by the whole process and grows by doubling, so the
+    ids of every stream are made once and later calls only slice them.
+    """
+    global _WORD_IDS
+    table = _WORD_IDS
+    if len(table) < n:
+        table += tuple(map(word_element_id, range(len(table), max(n, 2 * len(table)))))
+        _WORD_IDS = table
+    return table[:n]
+
+
+def _rank(keys: Sequence[str]) -> np.ndarray:
+    """Each key's rank among the distinct ``keys`` in Python's string order.
+
+    A sort key for :func:`numpy.lexsort`: numpy's ``U`` strings drop
+    trailing NULs, so ``np.array(keys)`` would tie ``"a"`` with ``"a\\x00"``.
+    """
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys], dtype=np.intp)
+
+
 def stream_from_columns(
     modality: Modality,
     session_id: str,
-    ids: Sequence[str],
+    ids: Sequence[str] | None,
     starts,
     ends,
     payloads: Sequence[str],
@@ -111,32 +144,45 @@ def stream_from_columns(
 ) -> ElementStream:
     """Validate, sort, and freeze a stream given as parallel columns.
 
-    Elements are sorted by ``(start, end, id)``.  Raises
+    Elements are sorted by ``(start, end, id)``.  With ``ids=None`` an
+    element's id is its position: elements are sorted by ``(start, end)``,
+    ties keeping their input order, and the ``k``-th gets
+    :func:`word_element_id` ``(k)`` from :func:`word_ids`.  Raises
     :class:`ValidationError` unless every id and payload is a string,
     :class:`EmptyStream`, :class:`DuplicateIds` on duplicate element ids,
     :class:`NegativeInterval` unless ``0 <= start <= end < inf`` (NaN
     fails), and :class:`OverlappingWords` when a text stream's words overlap.
+    Positional ids are strings and distinct by construction, so they are
+    not checked.
     """
     starts = np.array(starts, dtype=np.float64)
     ends = np.array(ends, dtype=np.float64)
-    ids, payloads = tuple(ids), tuple(payloads)
-    if not len(ids) == len(payloads) == starts.size == ends.size:
+    payloads = tuple(payloads)
+    ids = None if ids is None else tuple(ids)
+    n = len(payloads)
+    if not starts.size == ends.size == n == (n if ids is None else len(ids)):
         raise ValidationError("stream columns differ in length")
-    if not ids:
+    if not n:
         raise EmptyStream(f"stream for session {session_id!r} has no elements")
-    if set(map(type, ids)) | set(map(type, payloads)) != {str}:
-        raise ValidationError(f"ids and payloads in session {session_id!r} must be strings")
-    if len(set(ids)) != len(ids):
-        raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
+    if set(map(type, payloads)) != {str}:
+        raise ValidationError(f"payloads in session {session_id!r} must be strings")
+    if ids is not None:
+        if set(map(type, ids)) != {str}:
+            raise ValidationError(f"ids in session {session_id!r} must be strings")
+        if len(set(ids)) != len(ids):
+            raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
     bad = np.flatnonzero(~((0 <= starts) & (starts <= ends) & (ends < np.inf)))
     if bad.size:
         raise NegativeInterval(f"bad interval [{starts[bad[0]]}, {ends[bad[0]]})")
 
-    if not (starts[1:] > starts[:-1]).all():  # ties or disorder: sort by (start, end, id)
-        order = np.lexsort((np.array(ids), ends, starts))
+    if not (starts[1:] > starts[:-1]).all():  # ties or disorder: sort by (start, end[, id])
+        order = np.lexsort((ends, starts) if ids is None else (_rank(ids), ends, starts)).tolist()
         starts, ends = starts[order], ends[order]
-        ids = tuple(ids[k] for k in order.tolist())
-        payloads = tuple(payloads[k] for k in order.tolist())
+        payloads = tuple(payloads[k] for k in order)
+        if ids is not None:
+            ids = tuple(ids[k] for k in order)
+    if ids is None:
+        ids = word_ids(n)
 
     if modality is Modality.TEXT:
         clash = np.flatnonzero(starts[1:] < ends[:-1])
@@ -332,7 +378,7 @@ def query_crossmodal(
     if len({sid for sid, _, _ in parts}) < len(parts):
         # Some session has several select streams; the sort is stable, so
         # elements with equal keys keep their streams' corpus order.
-        order = np.lexsort((np.array(ids), ends, starts, np.array(session_ids))).tolist()
+        order = np.lexsort((_rank(ids), ends, starts, _rank(session_ids))).tolist()
         session_ids, ids, payloads = (
             [column[k] for k in order] for column in (session_ids, ids, payloads)
         )

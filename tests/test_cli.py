@@ -496,9 +496,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"idx/manifest.json": "{not json"}, ["segments", "--index", "IDX"], "ParseError"),
         ({"idx/speakers.csv": "[1, 2"}, ["fw", "--index", "IDX"], "ParseError"),
         ({_BLOB: "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"id": ["w0"]}'}, ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"id": ["w0", "w0"], "word": ["ja", "ja"]}', **_words_npy(rows=[(0, 1), (0, 1)])},
-         ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: "{}"}, ["segments", "--index", "IDX"], "ParseError"),
         (_gaze_npy(t="<U5", rows=[("x", 50, 0, 1), ("0.125", 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
         (_GAZE_OBJECT, ["segments", "--index", "IDX"], "ParseError"),
@@ -511,7 +509,6 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["segments", "--index", "IDX"], "ParseError"),
         (_words_npy(start="<U3"), ["segments", "--index", "IDX"], "ParseError"),
         (_words_npy(rows=[(0, 1), (1, 2)]), ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"id": [0], "word": ["ja"]}'}, ["segments", "--index", "IDX"], "ParseError"),
         ({"p.csv": _PANEL.format(y="nan", x=1)}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"p.csv": _PANEL.format(y=4, x="inf")}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"a.csv": "word,count\nja,nan\n", "b.csv": "word,count\nja,3\n"},
@@ -577,7 +574,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         (_corpus(gaze="0.125,50,0,1\n0.0,50,0,1\n0.125,50,0,1\n"), _MANIFEST, "ParseError"),
         (_gaze_npy(rows=[(0.0, 50, 0, 1), (0.0, 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"id": ["w0"], "word": ["ja"]}', **_words_npy(rows=[(-5.0, 0.375)])},
+        ({_BLOB: '{"word": ["ja"]}', **_words_npy(rows=[(-5.0, 0.375)])},
          ["segments", "--index", "IDX"], "ParseError"),
         ({}, ["pitch", "--index", "IDX", "--hop", "abc"], "ValidationError"),
         ({}, ["pitch", "--index", "IDX", "--hop", "0"], "ValidationError"),
@@ -594,9 +591,15 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "NonFiniteStatistic"),
         ({"p.csv": "y,group,x\n1e308,a,0\n-1e308,a,1\n1e308,b,0\n-1e308,b,1\n1e308,c,0\n"},
          ["regress", "--panel", "TMP/p.csv"], "NonFiniteStatistic"),
-        ({_BLOB: '{"id": [], "word": []}', **_words_npy(rows=[])},
+        ({_BLOB: '{"word": []}', **_words_npy(rows=[])},
          ["segments", "--index", "IDX"], "ParseError"),
         ({_BLOB: '{"id": "abc", "word": ["a", "b", "c"]}'}, ["segments", "--index", "IDX"],
+         "ParseError"),
+        ({_BLOB: '{"id": ["w000000"], "word": ["ja"]}'}, ["segments", "--index", "IDX"],
+         "ParseError"),
+        ({_BLOB: '{"word": "ja"}'}, ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"word": [1]}', **_words_npy()}, ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"word": ["ja", "nein"]}', **_words_npy()}, ["segments", "--index", "IDX"],
          "ParseError"),
         (_corpus(transcript=_WORD.replace(b"spk000", b"spk001")), _MANIFEST, "ParseError"),
         (_corpus(transcript=_WORD + b'{"word": "nein", "start": 1, "end": 2, "speaker_id": "x"}\n'),
@@ -626,9 +629,9 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "ValidationError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
-         "session-missing-key", "duplicate-word-ids", "gaze-string", "gaze-null", "gaze-bool",
+         "session-missing-key", "gaze-string", "gaze-null", "gaze-bool",
          "gaze-nan", "gaze-ragged", "gaze-frontal-2", "words-start-string", "words-ragged",
-         "words-id-number", "panel-nan", "panel-inf", "counts-nan", "counts-negative",
+         "panel-nan", "panel-inf", "counts-nan", "counts-negative",
          "fw-counts-one-word", "config-hop-string", "config-threads-string",
          "config-threads-top-level",
          "config-empty-yaw-band", "manifest-list", "manifest-session-number",
@@ -645,7 +648,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "gaze-negative-t", "gaze-csv-repeated-t", "gaze-repeated-t", "words-negative-start",
          "hop-not-int", "hop-0", "hop-over-frame", "config-threshold-on-segments",
          "config-inverted-band-on-fw", "fw-prior-underflows", "fw-counts-overflow",
-         "panel-overflow", "empty-session", "blob-id-string", "transcript-other-speaker",
+         "panel-overflow", "empty-session", "blob-id-string", "blob-leftover-id",
+         "blob-word-string", "blob-word-number", "blob-word-count", "transcript-other-speaker",
          "transcript-mixed-speakers", "index-missing", "unknown-command", "wav-odd-data-bytes",
          "wav-header-cut", "panel-header-repeats", "panel-x-is-y", "panel-x-twice",
          "panel-group-is-y", "index-manifest-too-deep", "config-too-deep",
@@ -789,7 +793,7 @@ def test_ingest_onto_a_symlink_to_an_index_exits_2_before_writing(planted_corpus
 def test_bad_byte_in_a_word_blob_names_its_line(planted_corpus, tmp_path, capsys):
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
     blob = idx / "sessions" / "sess000.json"
-    blob.write_bytes(b'{"id": ["w000000"],\n"word": ["ja\xff"]}')
+    blob.write_bytes(b'{\n"word": ["ja\xff"]}')
     assert run("segments", "--index", idx, "--out", tmp_path / "out") == 3
     assert capsys.readouterr().err == f"ParseError: {blob}:2: not UTF-8 text: invalid start byte\n"
 
@@ -811,8 +815,8 @@ def test_unknown_target_party_names_the_parties_on_record(planted_corpus, tmp_pa
 def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
     doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
-    # rows of objects; numbers as JSON columns; speakers.json; file names in rows
-    for version in (1, 2, 3, 4):
+    # rows of objects; numbers as JSON columns; speakers.json; file names in rows; word ids
+    for version in (1, 2, 3, 4, 5):
         doc["format_version"] = version
         (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3

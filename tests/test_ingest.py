@@ -515,10 +515,10 @@ def test_build_index_layout_and_round_trip(tmp_path):
         f"{sid}.{kind}" for sid in ("sessA", "sessB") for kind in ("json", "words.npy", "gaze.npy")
     }
     doc = json.loads((out / "manifest.json").read_text())
-    assert doc["format_version"] == 5
+    assert doc["format_version"] == 6
     assert doc["sessions"][0] == {"session_id": "sessA", "speaker_id": "s1", "audio": "../raw/sessA.wav"}
     blob = json.loads((out / "sessions" / "sessA.json").read_text())
-    assert blob == {"id": ["w000000", "w000001"], "word": ["hallo", "welt"]}
+    assert blob == {"word": ["hallo", "welt"]}  # a word's id is its position
     assert (out / "speakers.csv").read_bytes() == (tmp_path / "raw" / "speakers.csv").read_bytes()
     words = np.load(out / "sessions" / "sessA.words.npy", allow_pickle=False)
     assert words.dtype.names == ("start", "end") and words.tolist() == [(0.0, 0.5), (0.5, 1.0)]
@@ -580,12 +580,16 @@ def test_ingest_replaces_only_an_index_or_an_empty_directory(tmp_path, capsys):
     fresh = tree_bytes(empty)
     doc = json.loads((empty / "manifest.json").read_text())
     # older layouts keep a speakers.json (1-3) and name each session's files in its row: rows
-    # of 1 and 2 name only a blob, rows of 3 and 4 also tables
+    # of 1 and 2 name only a blob, rows of 3 and 4 also tables; 5 stores word ids in its blobs
     old = {"blob": ".json", "words": ".words.npy", "gaze": ".gaze.npy"}
-    for version, keys in ((1, ["blob"]), (2, ["blob"]), (3, old), (4, old)):
+    for version, keys in ((1, ["blob"]), (2, ["blob"]), (3, old), (4, old), (5, [])):
         rows = [row | {k: f"sessions/{row['session_id']}{old[k]}" for k in keys}
                 for row in doc["sessions"]]
         (empty / "manifest.json").write_text(json.dumps({"format_version": version, "sessions": rows}))
+        for blob in (empty / "sessions").glob("*.json"):
+            words = json.loads(blob.read_text())["word"]
+            blob.write_text(json.dumps({"id": [word_element_id(k) for k in range(len(words))],
+                                        "word": words}))
         if version < 4:
             (empty / "speakers.csv").unlink()
             (empty / "speakers.json").write_text('{"s1": {"party": "AfD", "floor": 75, "ceiling": 300}}')
@@ -714,20 +718,19 @@ def test_damaged_session_tables_name_table_and_session(tmp_path):
     assert len(CorpusIndex(out).load_session("sessA").words) == 2
 
 
+_TWO_ROWS = [(0.0, 0.5), (0.5, 1.0)]
+
+
 @pytest.mark.parametrize(
     "blob, rows, message",
     [
-        ({"id": ["w0", "w0"], "word": ["hallo", "welt"]}, [(0.0, 0.5), (0.5, 1.0)], "ids repeat"),
-        ({"id": [], "word": []}, [], "has no elements"),
-        ({"id": ["w0", "w1"], "word": ["hallo", "welt"]}, [(0.0, 0.5), (0.5, 1.0), (1.0, 1.5)],
-         "differ in length"),
-        ({"id": ["w0", "w1"], "word": ["hallo"]}, [(0.0, 0.5), (0.5, 1.0)], "differ in length"),
-        ({"id": ["w0", 1], "word": ["hallo", "welt"]}, [(0.0, 0.5), (0.5, 1.0)], "must be strings"),
-        ({"id": ["w0", "w1"], "word": ["hallo", None]}, [(0.0, 0.5), (0.5, 1.0)],
-         "must be strings"),
+        ({"word": []}, [], "has no elements"),
+        ({"word": ["hallo", "welt"]}, [(0.0, 0.5), (0.5, 1.0), (1.0, 1.5)], "differ in length"),
+        ({"word": ["hallo"]}, _TWO_ROWS, "differ in length"),
+        ({"word": ["hallo", None]}, _TWO_ROWS, "must be strings"),
+        ({"word": ["hallo", 7]}, _TWO_ROWS, "must be strings"),
     ],
-    ids=["repeated-id", "empty-session", "table-row-extra", "word-missing", "id-number",
-         "word-null"],
+    ids=["empty-session", "table-row-extra", "word-missing", "word-null", "word-number"],
 )
 def test_damaged_word_columns_name_session_and_files(tmp_path, blob, rows, message):
     out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
@@ -740,13 +743,34 @@ def test_damaged_word_columns_name_session_and_files(tmp_path, blob, rows, messa
     assert str(sessions / "sessA.json") in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"id": ["w000000", "w000001"], "word": ["hallo", "welt"]},  # format 5's blob
+        {"id": "ab", "word": ["hallo", "welt"]},
+        {"words": ["hallo", "welt"]},
+        {"word": "hallo welt"},
+        {"word": {"0": "hallo", "1": "welt"}},
+        ["hallo", "welt"],
+    ],
+    ids=["leftover-id", "leftover-id-string", "other-key", "word-string", "word-object",
+         "blob-list"],
+)
+def test_blob_other_than_one_word_list_names_the_blob(tmp_path, blob):
+    out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
+    (out / "sessions" / "sessA.json").write_text(json.dumps(blob))
+    with pytest.raises(ParseError, match="unexpected document shape") as info:
+        CorpusIndex(out).load_session("sessA")
+    assert info.value.path == str(out / "sessions" / "sessA.json")
+
+
 def test_index_version_gate(tmp_path):
     manifest = tiny_corpus(tmp_path / "raw")
     out = build_index(manifest, tmp_path / "idx")
     doc = json.loads((out / "manifest.json").read_text())
-    # 1: rows of objects, 2: JSON columns, 3: speakers.json, 4: file names in rows; all must
-    # be rebuilt, and so must an index of a later version
-    for version in (1, 2, 3, 4, 6):
+    # 1: rows of objects, 2: JSON columns, 3: speakers.json, 4: file names in rows, 5: word
+    # ids in blobs; all must be rebuilt, and so must an index of a later version
+    for version in (1, 2, 3, 4, 5, 7):
         doc["format_version"] = version
         (out / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch, match="rebuild it with `modalign ingest`"):
@@ -771,6 +795,37 @@ def test_session_load_memory_is_columnar(tmp_path):
         tracemalloc.stop()
     assert segments["sess000"]
     assert peak < 1_600_000, f"peak {peak / 1e6:.2f} MB"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.lists(st.tuples(_words, st.integers(0, 2), st.integers(0, 1)), min_size=1,
+                   max_size=10),
+    data=st.data(),
+)
+def test_index_words_equal_the_transcript_with_positional_ids(tmp_path_factory, words, data):
+    # Each word lasts 0 to 2 quarter-seconds after an optional gap, so zero-length words tie
+    # with each other and with the start of the next word.
+    starts, ends, cursor = [], [], 0.0
+    for _, quarters, gap in words:
+        starts.append(cursor + 0.25 * gap)
+        cursor = starts[-1] + 0.25 * quarters
+        ends.append(cursor)
+    root = tmp_path_factory.mktemp("rt") / "raw"
+    tiny_corpus(root, sessions=("sessA",))
+    transcript = root / "sessA.jsonl"
+    write_transcript(stream_from_columns(Modality.TEXT, "sessA", None, starts, ends,
+                                         [w for w, _, _ in words], speaker_id="s1"), transcript)
+    lines = transcript.read_text(encoding="utf-8").split("\n")[:-1]
+    write_lines(transcript, data.draw(st.permutations(lines)))
+
+    fresh = load_transcript(transcript, session_id="sessA")
+    index = CorpusIndex(build_index(root / "manifest.json", root.parent / "idx"))
+    loaded = index.load_session("sessA").words
+    assert list(loaded) == list(fresh)  # element for element, ids included
+    assert loaded.ids == tuple(word_element_id(k) for k in range(len(words)))
+    spans = list(zip(loaded.starts.tolist(), loaded.ends.tolist()))
+    assert spans == sorted(spans)
 
 
 def test_index_numbers_round_trip_bit_for_bit(tmp_path):

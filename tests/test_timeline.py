@@ -28,6 +28,8 @@ from modalign.timeline import (
     overlap_pairs,
     query_crossmodal,
     stream_from_columns,
+    word_element_id,
+    word_ids,
 )
 
 
@@ -144,6 +146,19 @@ def test_overlap_symmetric_and_bounded(vals):
 def test_stream_from_columns_sorts_elements():
     s = stream_from_columns(Modality.DERIVED, "s", ["b", "a", "c"], [5, 1, 3], [6, 2, 4], list("xyz"))
     assert [e.id for e in s] == ["a", "c", "b"]
+    # ties go by id in Python's string order, in which "a" < "a\x00"; numpy's strings drop the NUL
+    s = stream_from_columns(Modality.DERIVED, "s", ["a\x00", "a", "b"], [1, 1, 0], [2, 2, 1], "xyz")
+    assert s.ids == ("b", "a", "a\x00") and s.payloads == ("z", "y", "x")
+
+
+def test_positional_ids_are_given_after_the_time_sort():
+    # zero-length words tie on (start, end) and keep their input order
+    s = stream_from_columns(Modality.TEXT, "s", None, [2, 1, 1, 0], [3, 1, 1, 1], ["c", "b", "B", "a"])
+    assert s.payloads == ("a", "b", "B", "c")
+    assert s.ids == word_ids(4) == tuple(map(word_element_id, range(4)))
+    assert word_ids(4000)[3999] == "w003999" and word_ids(2) == ("w000000", "w000001")
+    with pytest.raises(OverlappingWords, match="'w000000' and 'w000001'"):
+        stream_from_columns(Modality.TEXT, "s", None, [0.5, 0.0], [1.0, 0.6], ["b", "a"])
 
 
 def test_stream_from_columns_rejects_empty():
@@ -324,6 +339,10 @@ def test_query_merges_streams_of_one_session_in_time_order():
     segs = derived([(0.0, 5.0)], prefix="g", labels=["AfD"])
     hits = query_crossmodal([words, more, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
     assert [e.id for e in hits] == ["w000", "v0", "w001", "v1"]
+    # tied hits go by id in Python's string order, whatever order their streams come in
+    tied = [stream_from_columns(Modality.TEXT, "s", [i], [1], [2], ["z"]) for i in ("a\x00", "a")]
+    hits = query_crossmodal([*tied, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
+    assert hits.ids == ("a", "a\x00")
 
 
 def test_query_requires_both_modalities():
