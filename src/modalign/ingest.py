@@ -19,10 +19,10 @@ of strings per session: the ids and the audio path, relative to the
 index.  The session's files are named by its id: a JSON blob holds its
 words, and its numbers (word times, gaze samples) sit beside it in
 structured ``.npy`` tables, which load as float64 arrays.  The
-speakers CSV is kept as ingested.  The index directory is written to a
-temporary sibling and renamed into place, and rebuilding from unchanged
-inputs is byte-identical.  What it replaces must be an earlier index or an
-empty directory.
+speakers CSV is kept as ingested, less a byte-order mark.  The index
+directory is written to a temporary sibling and renamed into place, and
+rebuilding from unchanged inputs is byte-identical.  What it replaces must
+be an earlier index or an empty directory.
 
 Loaders reject rather than repair: every parse failure carries the file
 path and 1-based line number.  Every input file is read through :func:`_opened`.
@@ -31,8 +31,10 @@ path and 1-based line number.  Every input file is read through :func:`_opened`.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import shutil
@@ -83,38 +85,89 @@ def _opened(path) -> Iterator[BinaryIO]:
 
 
 def _read_text(path) -> str:
-    """The text of a UTF-8 file; any other byte is a :class:`ParseError` naming its line."""
+    """The text of a UTF-8 file, less one leading byte-order mark.
+
+    A byte that is not UTF-8 is a :class:`ParseError` naming its line.
+    """
     with _opened(path) as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         line_no = data.count(b"\n", 0, e.start) + 1
         raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from None
 
 
-def _csv_lines(path, header: str | None) -> Iterator[tuple[int, list[str]]]:
-    """``(line_no, fields)`` for every non-blank line of a CSV file after its header.
+class _Rows:
+    """The non-blank lines of a text file, checked a column at a time.
 
-    The first line must equal ``header``; with ``header=None`` any header
-    is accepted and comes first, as line 1.  Every line must have as many
-    fields as the header (:class:`ParseError` otherwise).
+    A loader runs its checks in the order it states them for one line.
+    Each check looks only at the rows before :attr:`limit`, the earliest
+    row failed so far, and a failure moves the limit up to its row.  The
+    error that stands is the one a line-by-line parse raises first: the
+    earliest line's, and within that line the first check's.
+    """
+
+    def __init__(self, path, lines: list[str], first_line: int):
+        self.path = path
+        self._stripped = list(map(str.strip, lines))
+        self._first_line = first_line
+        self.text = list(filter(None, self._stripped))  # one row per non-blank line
+        self.limit = len(self.text)
+        self._error: tuple[type, str] | None = None
+
+    def line_no(self, row: int) -> int:
+        """The 1-based line number of ``row``."""
+        return list(itertools.compress(itertools.count(self._first_line), self._stripped))[row]
+
+    def fail(self, row: int, message: str, kind: type = ParseError) -> None:
+        """Record the failure of ``row``, which lies before the limit, as the error that stands."""
+        self.limit, self._error = row, (kind, message)
+
+    def check(self, ok, message: Callable[[int], str], kind: type = ParseError) -> None:
+        """Fail the first row before the limit whose flag in ``ok`` is false."""
+        ok = np.asarray(ok[: self.limit], dtype=bool)
+        if not ok.all():
+            row = int(np.argmin(ok))
+            self.fail(row, message(row), kind)
+
+    def apply(self, fn: Callable, values, message: Callable, errors=ValueError) -> list:
+        """``fn`` of each value before the limit; the first it refuses fails its row.
+
+        ``message(row, error)`` words the failure.
+        """
+        out: list = []
+        try:
+            out.extend(map(fn, values[: self.limit]))  # what was appended before a raise stays
+        except errors as e:
+            self.fail(len(out), message(len(out), e))
+        return out
+
+    def raise_first(self) -> None:
+        """Raise the error that stands, naming the file and its line, if any does."""
+        if self._error is not None:
+            kind, message = self._error
+            raise kind(self.path, self.line_no(self.limit), message)
+
+
+def _csv_rows(path, header: str | None) -> tuple[_Rows, list[str], list[list[str]]]:
+    """The rows of a CSV file after its header, its header fields, and its columns of cells.
+
+    The first line must equal ``header`` (a :class:`ParseError` otherwise);
+    ``header=None`` takes any.  A line with more or fewer fields than the
+    header fails its row, and the columns hold only the rows before it.
     """
     lines = _read_text(path).split("\n")
     first = lines[0].strip()
-    if header is None:
-        yield 1, first.split(",")
-    elif first != header:
+    if header is not None and first != header:
         raise ParseError(path, 1, f"expected header {header!r}, got {first!r}")
-    width = first.count(",") + 1
-    for line_no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ParseError(path, line_no, f"expected {width} fields, got {len(parts)}")
-        yield line_no, parts
+    fields = first.split(",")
+    width = len(fields)
+    rows = _Rows(path, lines[1:], first_line=2)
+    commas = np.fromiter(map(str.count, rows.text, itertools.repeat(",")), np.intp, rows.limit)
+    rows.check(commas == width - 1, lambda k: f"expected {width} fields, got {commas[k] + 1}")
+    cells = ",".join(rows.text[: rows.limit]).split(",") if rows.limit else []
+    return rows, fields, [cells[k::width] for k in range(width)]
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -158,14 +211,11 @@ def write_csv(path, header: str, rows) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _finite(path, line_no: int, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as e:
-        raise ParseError(path, line_no, f"bad number: {e}") from e
-    if not math.isfinite(value):
-        raise ParseError(path, line_no, f"number must be finite, got {text!r}")
-    return value
+def _finite_column(rows: _Rows, cells) -> list[float]:
+    """The floats of a column of cells; a cell that is no finite number fails its row."""
+    values = rows.apply(float, cells, lambda k, e: f"bad number: {e}")
+    rows.check(np.isfinite(values), lambda k: f"number must be finite, got {cells[k]!r}")
+    return values
 
 
 def _read_json_file(path: Path, parse: Callable):
@@ -186,54 +236,81 @@ def _read_json_file(path: Path, parse: Callable):
 
 # --- transcripts -----------------------------------------------------------
 
+_WORD_KEYS = ("word", "start", "end", "speaker_id")
+_word_fields = operator.itemgetter(*_WORD_KEYS)
+# It stops after one JSON value and does no BOM check, so a line is good JSON
+# iff it decodes the line whole: a stripped line has no JSON whitespace at its ends.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _in_order(start, end) -> bool:
+    return 0 <= start <= end < math.inf
+
+
+def _json_error(line: str) -> str:
+    """The message of the error :func:`json.loads` raises on a line :data:`_raw_decode` refused."""
+    try:
+        json.loads(line)
+    except ValueError as e:  # JSONDecodeError, or an integer of more digits than Python reads
+        return f"bad JSON: {getattr(e, 'msg', e)}"
+    raise AssertionError(f"json.loads took a line raw_decode refused: {line!r}")
+
+
 def load_transcript(path, session_id: str | None = None) -> ElementStream:
     """Parse a JSONL transcript into a text stream.
 
     Words are sorted by ``(start, end)``, ties keeping their line order, and
     a word's id is its position (``w000000`` ...), so a write/load round
     trip is the identity.  The stream's speaker is the file's unique
-    ``speaker_id`` (None when files mix speakers).
+    ``speaker_id`` (None when files mix speakers).  Each non-blank line is
+    decoded alone, and its fields are checked a column at a time (see
+    :class:`_Rows`).
     """
     path = Path(path)
-    starts, ends, words = [], [], []
-    speakers = set()
-    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as e:  # JSONDecodeError, or an integer of more digits than Python reads
-            raise ParseError(path, line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
-        if not isinstance(obj, dict):
-            raise ParseError(path, line_no, "expected a JSON object")
-        missing = {"word", "start", "end", "speaker_id"} - obj.keys()
-        if missing:
-            raise ParseError(path, line_no, f"missing keys {sorted(missing)}")
-        word, start, end = obj["word"], obj["start"], obj["end"]
-        if not isinstance(word, str) or not word:
-            raise ParseError(path, line_no, "word must be a non-empty string")
-        if type(start) not in (int, float) or type(end) not in (int, float):
-            raise ParseError(path, line_no, "start/end must be numbers")
-        if not 0 <= start <= end < math.inf:  # the stream rule, checked here to name the line
-            raise ParseError(path, line_no, f"bad word interval [{start}, {end})")
-        try:
-            starts.append(float(start))
-            ends.append(float(end))
-        except OverflowError:  # an integer no float holds
-            raise ParseError(path, line_no, "start/end too large for a float") from None
-        words.append(word)
-        speakers.add(str(obj["speaker_id"]))
+    rows = _Rows(path, _read_text(path).split("\n"), first_line=1)
+    decoded: list = []
+    try:
+        decoded.extend(map(_raw_decode, rows.text))  # what was appended before a raise stays
+    except (ValueError, RecursionError):
+        pass
+    whole = list(map(operator.eq, map(operator.itemgetter(1), decoded), map(len, rows.text)))
+    rows.check(whole + [False], lambda k: _json_error(rows.text[k]))
+    objs = list(map(operator.itemgetter(0), decoded))
+    rows.check(list(map(isinstance, objs, itertools.repeat(dict))),
+               lambda k: "expected a JSON object")
+    fields = rows.apply(
+        _word_fields, objs,
+        lambda k, e: f"missing keys {sorted(set(_WORD_KEYS) - objs[k].keys())}", KeyError,
+    )
+    words, starts, ends, speakers = zip(*fields) if fields else ((),) * 4
+    rows.check(
+        list(map(operator.and_, map(isinstance, words, itertools.repeat(str)), map(bool, words))),
+        lambda k: "word must be a non-empty string",
+    )
+    number = {int, float}.__contains__  # of a type: bool is not a number here
+    typed = map(operator.and_, map(number, map(type, starts)), map(number, map(type, ends)))
+    rows.check(list(typed), lambda k: "start/end must be numbers")
+    # the stream rule, checked here to name the line; an int compares exactly, as no float would
+    numbers = starts[: rows.limit], ends[: rows.limit]
+    rows.check(
+        list(map(_in_order, *numbers)), lambda k: f"bad word interval [{starts[k]}, {ends[k]})"
+    )
+    start_s, end_s = (
+        rows.apply(float, column, lambda k, e: "start/end too large for a float", OverflowError)
+        for column in numbers
+    )
+    rows.raise_first()
     if not words:
         raise ParseError(path, 0, "transcript has no words")
+    speaker_ids = set(map(str, speakers))
     return stream_from_columns(
         Modality.TEXT,
         session_id if session_id is not None else path.stem,
         None,
-        starts,
-        ends,
+        start_s,
+        end_s,
         words,
-        speaker_id=speakers.pop() if len(speakers) == 1 else None,
+        speaker_id=speaker_ids.pop() if len(speaker_ids) == 1 else None,
     )
 
 
@@ -259,37 +336,40 @@ def write_transcript(stream: ElementStream, path) -> None:
 _GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal"
 
 
+def _bad_field(row: int, error: ValueError) -> str:
+    return f"bad field: {error}"
+
+
 def load_gaze(path) -> GazeTrace:
     """Parse a gaze CSV; samples come back sorted by time.
 
     Times must be finite, >= 0 and distinct, in any row order; yaw must lie
     in [-180, 180] and pitch in [-90, 90] degrees (:class:`AngleOutOfRange`
-    otherwise); ``frontal`` is 0 or 1.
+    otherwise); ``frontal`` is 0 or 1.  Cells are checked a column at a time
+    (see :class:`_Rows`).
     """
-    rows = []
-    for line_no, parts in _csv_lines(path, _GAZE_HEADER):
-        try:
-            t, yaw, pitch = (float(v) for v in parts[:3])
-            frontal = int(parts[3])
-        except ValueError as e:
-            raise ParseError(path, line_no, f"bad field: {e}") from e
-        if not 0.0 <= t < math.inf:  # also false for nan
-            raise ParseError(path, line_no, f"t must be finite and >= 0, got {parts[0]!r}")
-        if not -180.0 <= yaw <= 180.0:
-            raise AngleOutOfRange(path, line_no, f"yaw {yaw} outside [-180, 180]")
-        if not -90.0 <= pitch <= 90.0:
-            raise AngleOutOfRange(path, line_no, f"pitch {pitch} outside [-90, 90]")
-        if frontal not in (0, 1):
-            raise ParseError(path, line_no, f"frontal must be 0 or 1, got {parts[3]}")
-        rows.append((t, yaw, pitch, frontal, line_no))
-    rows.sort(key=lambda row: row[0])
-    t, yaw, pitch, frontal, line = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    rows, _, (t_cells, yaw_cells, pitch_cells, frontal_cells) = _csv_rows(path, _GAZE_HEADER)
+    t, yaw, pitch = [rows.apply(float, cells, _bad_field)
+                     for cells in (t_cells, yaw_cells, pitch_cells)]
+    frontal = rows.apply(int, frontal_cells, _bad_field)
+    t, yaw, pitch = (np.array(column[: rows.limit], dtype=np.float64) for column in (t, yaw, pitch))
+    rows.check((0.0 <= t) & (t < np.inf),
+               lambda k: f"t must be finite and >= 0, got {t_cells[k]!r}")
+    rows.check((-180.0 <= yaw) & (yaw <= 180.0),
+               lambda k: f"yaw {float(yaw[k])} outside [-180, 180]", AngleOutOfRange)
+    rows.check((-90.0 <= pitch) & (pitch <= 90.0),
+               lambda k: f"pitch {float(pitch[k])} outside [-90, 90]", AngleOutOfRange)
+    rows.check(list(map({0, 1}.__contains__, frontal)),
+               lambda k: f"frontal must be 0 or 1, got {frontal_cells[k]}")
+    rows.raise_first()
+    order = np.argsort(t, kind="stable")
+    t = t[order]
     try:
-        return GazeTrace(t, yaw, pitch, frontal != 0)
+        return GazeTrace(t, yaw[order], pitch[order], np.array(frontal, dtype=bool)[order])
     except UnsortedSamples:  # the times are sorted, finite and >= 0, so one repeats
         k = int(np.flatnonzero(t[1:] == t[:-1])[0])
-        message = f"t={t[k]} repeats line {int(line[k])}'s time"
-        raise ParseError(path, int(line[k + 1]), message) from None
+        message = f"t={t[k]} repeats line {rows.line_no(int(order[k]))}'s time"
+        raise ParseError(path, rows.line_no(int(order[k + 1])), message) from None
 
 
 def write_gaze(trace: GazeTrace, path) -> None:
@@ -302,17 +382,19 @@ def write_gaze(trace: GazeTrace, path) -> None:
 
 def load_speakers(path) -> dict[str, SpeakerProfile]:
     """Parse ``speaker_id,party,gender`` CSV into profiles with gender pitch bands."""
-    profiles: dict[str, SpeakerProfile] = {}
-    for line_no, (sid, party, gender) in _csv_lines(path, "speaker_id,party,gender"):
-        if gender not in PITCH_RANGE_BY_GENDER:
-            raise ParseError(
-                path, line_no,
-                f"gender must be one of {sorted(PITCH_RANGE_BY_GENDER)}, got {gender!r}",
-            )
-        if sid in profiles:
-            raise ParseError(path, line_no, f"duplicate speaker_id {sid!r}")
-        profiles[sid] = SpeakerProfile(sid, party, PITCH_RANGE_BY_GENDER[gender])
-    return profiles
+    rows, _, (sids, parties, genders) = _csv_rows(path, "speaker_id,party,gender")
+    rows.check(
+        list(map(PITCH_RANGE_BY_GENDER.__contains__, genders)),
+        lambda k: f"gender must be one of {sorted(PITCH_RANGE_BY_GENDER)}, got {genders[k]!r}",
+    )
+    first_row = dict(zip(reversed(sids), reversed(range(len(sids)))))  # the earliest row wins
+    rows.check(
+        np.fromiter(map(first_row.get, sids), np.intp, len(sids)) == np.arange(len(sids)),
+        lambda k: f"duplicate speaker_id {sids[k]!r}",
+    )
+    rows.raise_first()
+    bands = map(PITCH_RANGE_BY_GENDER.__getitem__, genders)
+    return dict(zip(sids, map(SpeakerProfile, sids, parties, bands)))
 
 
 def write_speakers(rows: Sequence[tuple[str, str, str]], path) -> None:
@@ -331,8 +413,7 @@ def load_panel(
     header lacks, or named twice among outcome, group and regressors, is a
     :class:`ValidationError`.  Outcome and regressor values must be finite.
     """
-    lines = _csv_lines(path, None)
-    _, header = next(lines)
+    rows, header, columns = _csv_rows(path, None)
     if len(set(header)) < len(header):
         raise ParseError(path, 1, f"a column name repeats in the header {header}")
     regs = list(regressors) if regressors else [c for c in header if c not in (y_col, group_col)]
@@ -344,27 +425,22 @@ def load_panel(
         raise ValidationError(f"outcome, group and regressor columns must differ, got {named}")
     if not regs:
         raise ValidationError("no regressor columns")
-    y_at, group_at = header.index(y_col), header.index(group_col)
-    reg_at = {c: header.index(c) for c in regs}
-    return [
-        PanelRow(
-            _finite(path, line_no, parts[y_at]),
-            parts[group_at],
-            {c: _finite(path, line_no, parts[i]) for c, i in reg_at.items()},
-        )
-        for line_no, parts in lines
-    ]
+    y, *xs = (_finite_column(rows, columns[header.index(c)]) for c in (y_col, *regs))
+    rows.raise_first()
+    groups = columns[header.index(group_col)]
+    return [PanelRow(y_, group, dict(zip(regs, x))) for y_, group, *x in zip(y, groups, *xs)]
 
 
 def load_counts(path) -> dict[str, float]:
     """Parse a ``word,count`` CSV; counts must be finite and >= 0, repeated words add up."""
-    counts: dict[str, float] = {}
-    for line_no, (word, text) in _csv_lines(path, "word,count"):
-        count = _finite(path, line_no, text)
-        if count < 0:
-            raise ParseError(path, line_no, f"count must be >= 0, got {text!r}")
-        counts[word] = counts.get(word, 0) + count
-    return counts
+    rows, _, (words, cells) = _csv_rows(path, "word,count")
+    counts = _finite_column(rows, cells)
+    rows.check(np.greater_equal(counts, 0), lambda k: f"count must be >= 0, got {cells[k]!r}")
+    rows.raise_first()
+    slots = dict(zip(dict.fromkeys(words), itertools.count()))  # in the order words first appear
+    totals = np.zeros(len(slots))
+    np.add.at(totals, np.fromiter(map(slots.get, words), np.intp, len(words)), counts)  # row order
+    return dict(zip(slots, totals.tolist()))
 
 
 # --- audio -----------------------------------------------------------------
@@ -674,7 +750,8 @@ def build_index(manifest_path, out_dir) -> Path:
         sessions.append((entry, audio, words, load_gaze(entry.gaze)))
     with replacing(out_dir, _is_index, "an index") as root:
         _write_index(root, sessions)
-        shutil.copyfile(manifest.speakers_path, root / "speakers.csv")
+        # as ingested, less a byte-order mark
+        (root / "speakers.csv").write_bytes(_read_text(manifest.speakers_path).encode("utf-8"))
     return out_dir
 
 
@@ -709,11 +786,15 @@ def _write_index(root: Path, sessions) -> None:
 
 
 def _write_table(path: Path, dtype: np.dtype, **columns) -> None:
-    """Save equal-length ``columns`` as one flat ``.npy`` table of ``dtype``."""
+    """Save equal-length ``columns`` as one flat ``.npy`` table of ``dtype``.
+
+    The bytes are those :func:`numpy.save` writes; the header is the one
+    :func:`_read_table` checks.
+    """
     table = np.empty(len(columns[dtype.names[0]]), dtype=dtype)
     for name in dtype.names:
         table[name] = columns[name]
-    np.save(path, table, allow_pickle=False)
+    path.write_bytes(_table_header(dtype, table.size) + table.tobytes())
 
 
 def _table_header(dtype: np.dtype, rows: int) -> bytes:
@@ -731,8 +812,8 @@ _SHAPE = re.compile(rb"'shape': \((\d{1,18}),\)")
 def _read_table(path: Path, dtype: np.dtype) -> dict[str, np.ndarray]:
     """The columns of a table :func:`_write_table` saved, each as its own array.
 
-    The file's header must be byte for byte the one :func:`numpy.save`
-    writes for a flat array of ``dtype``, its data exactly as many rows as
+    The file's header must be byte for byte :func:`_table_header`'s for a
+    flat array of ``dtype``, its data exactly as many rows as
     the header gives, its floats finite and its flags 0 or 1.
     Checking the header whole takes the place of :func:`numpy.load`, whose
     lenient header parser can print a warning or raise a tokenizer error on

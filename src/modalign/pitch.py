@@ -37,7 +37,7 @@ import math
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -485,21 +485,20 @@ def word_pitch(track: PitchTrack, words: ElementStream) -> list[WordPitch]:
         raise SessionMismatch(
             f"track session {track.session_id!r} != words session {words.session_id!r}"
         )
-    los = np.searchsorted(track.frame_times, words.starts, side="left").tolist()
-    his = np.searchsorted(track.frame_times, words.ends, side="left").tolist()
-    out = []
-    for word_id, lo, hi in zip(words.ids, los, his):
-        vals = track.f0[lo:hi][track.voiced[lo:hi]]
-        out.append(
-            WordPitch(
-                word_id=word_id,
-                session_id=words.session_id,
-                speaker_id=words.speaker_id,
-                mean_f0=float(vals.mean()) if vals.size else None,
-                voiced_frame_count=int(vals.size),
-            )
-        )
-    return out
+    # the voiced frames whose centres fall in a word are one run of all voiced frames
+    voiced_at = np.flatnonzero(track.voiced)
+    voiced_times, voiced_f0 = track.frame_times[voiced_at], track.f0[voiced_at]
+    los = np.searchsorted(voiced_times, words.starts, side="left")
+    his = np.searchsorted(voiced_times, words.ends, side="left")
+    counts = his - los
+    # each run's np.add.reduce over its count is the bytes of its .mean(); np.add.reduceat
+    # would add in another order
+    runs = map(voiced_f0.__getitem__, map(slice, los.tolist(), his.tolist()))
+    sums = np.fromiter(map(np.add.reduce, runs), np.float64, counts.size)
+    means = np.divide(sums, counts, out=sums, where=counts > 0).astype(object)
+    means[counts == 0] = None
+    session, speaker = itertools.repeat(words.session_id), itertools.repeat(words.speaker_id)
+    return list(map(WordPitch, words.ids, session, speaker, means.tolist(), counts.tolist()))
 
 
 def missing_count(word_pitches: Iterable[WordPitch]) -> int:
@@ -534,6 +533,8 @@ def standardize_by_speaker(
         mean, sd = float(arr.mean()), float(arr.std(ddof=1))
         if sd == 0.0:
             raise DegenerateSpeaker(f"speaker {key!r} has zero pitch variance")
-        for i in rows:
-            out[i] = replace(out[i], z=(out[i].mean_f0 - mean) / sd)
+        for i, z in zip(rows, ((arr - mean) / sd).tolist()):
+            wp = out[i]
+            out[i] = WordPitch(wp.word_id, wp.session_id, wp.speaker_id, wp.mean_f0,
+                               wp.voiced_frame_count, z)
     return out

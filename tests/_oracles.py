@@ -6,7 +6,9 @@ dynamic programming, generalized eigenproblems instead of whitened SVDs,
 dummy variables instead of demeaning, arbitrary precision instead of
 float64.  Slow is fine here; being obviously correct is the point.
 
-The loop oracles (``sweep_loop``, ``detect_loop``, ``dtw_loop``) are the
+The loop oracles (``sweep_loop``, ``detect_loop``, ``dtw_loop``, the
+loaders ``transcript_loop`` to ``panel_loop``, ``word_pitch_loop`` and
+``standardize_loop``) are the
 one-step-per-item versions that vectorised package code replaced; with the
 same arithmetic, the package must match them exactly.
 """
@@ -14,11 +16,18 @@ same arithmetic, the package must match them exactly.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+from modalign.errors import AngleOutOfRange, DegenerateSpeaker, ParseError, UnsortedSamples
 from modalign.gaze import GazeTrace
-from modalign.ingest import _fmt
+from modalign.ingest import _fmt, _read_text
+from modalign.pitch import PITCH_RANGE_BY_GENDER, SpeakerProfile, WordPitch
+from modalign.stats import PanelRow
+from modalign.timeline import Modality, stream_from_columns
 
 
 # --- interval joins --------------------------------------------------------
@@ -284,6 +293,192 @@ def transcript_text(stream):
 def csv_text(header, rows):
     """A CSV file's text: one ``_fmt`` call per cell."""
     return "".join(line + "\n" for line in [header] + [",".join(map(_fmt, row)) for row in rows])
+
+
+# --- file loaders ----------------------------------------------------------
+# The line-by-line loaders that the column-at-a-time ones replaced.  They read
+# text with the package's ``_read_text``; the package must return their
+# values, or raise the same error at the same line with the same message.
+
+def csv_lines(path, header):
+    """``(line_no, fields)`` for every non-blank line of a CSV file after its header."""
+    lines = _read_text(path).split("\n")
+    first = lines[0].strip()
+    if header is None:
+        yield 1, first.split(",")
+    elif first != header:
+        raise ParseError(path, 1, f"expected header {header!r}, got {first!r}")
+    width = first.count(",") + 1
+    for line_no, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ParseError(path, line_no, f"expected {width} fields, got {len(parts)}")
+        yield line_no, parts
+
+
+def finite_cell(path, line_no, text):
+    try:
+        value = float(text)
+    except ValueError as e:
+        raise ParseError(path, line_no, f"bad number: {e}") from e
+    if not math.isfinite(value):
+        raise ParseError(path, line_no, f"number must be finite, got {text!r}")
+    return value
+
+
+def transcript_loop(path, session_id=None):
+    """``ingest.load_transcript``, one ``json.loads`` and one set of checks per line."""
+    path = Path(path)
+    starts, ends, words = [], [], []
+    speakers = set()
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as e:
+            raise ParseError(path, line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
+        if not isinstance(obj, dict):
+            raise ParseError(path, line_no, "expected a JSON object")
+        missing = {"word", "start", "end", "speaker_id"} - obj.keys()
+        if missing:
+            raise ParseError(path, line_no, f"missing keys {sorted(missing)}")
+        word, start, end = obj["word"], obj["start"], obj["end"]
+        if not isinstance(word, str) or not word:
+            raise ParseError(path, line_no, "word must be a non-empty string")
+        if type(start) not in (int, float) or type(end) not in (int, float):
+            raise ParseError(path, line_no, "start/end must be numbers")
+        if not 0 <= start <= end < math.inf:
+            raise ParseError(path, line_no, f"bad word interval [{start}, {end})")
+        try:
+            starts.append(float(start))
+            ends.append(float(end))
+        except OverflowError:
+            raise ParseError(path, line_no, "start/end too large for a float") from None
+        words.append(word)
+        speakers.add(str(obj["speaker_id"]))
+    if not words:
+        raise ParseError(path, 0, "transcript has no words")
+    return stream_from_columns(
+        Modality.TEXT, session_id if session_id is not None else path.stem, None,
+        starts, ends, words, speaker_id=speakers.pop() if len(speakers) == 1 else None,
+    )
+
+
+def gaze_loop(path):
+    """``ingest.load_gaze``, one set of checks per line, then one sort of the rows by time."""
+    rows = []
+    for line_no, parts in csv_lines(path, "t,yaw_deg,pitch_deg,frontal"):
+        try:
+            t, yaw, pitch = (float(v) for v in parts[:3])
+            frontal = int(parts[3])
+        except ValueError as e:
+            raise ParseError(path, line_no, f"bad field: {e}") from e
+        if not 0.0 <= t < math.inf:
+            raise ParseError(path, line_no, f"t must be finite and >= 0, got {parts[0]!r}")
+        if not -180.0 <= yaw <= 180.0:
+            raise AngleOutOfRange(path, line_no, f"yaw {yaw} outside [-180, 180]")
+        if not -90.0 <= pitch <= 90.0:
+            raise AngleOutOfRange(path, line_no, f"pitch {pitch} outside [-90, 90]")
+        if frontal not in (0, 1):
+            raise ParseError(path, line_no, f"frontal must be 0 or 1, got {parts[3]}")
+        rows.append((t, yaw, pitch, frontal, line_no))
+    rows.sort(key=lambda row: row[0])
+    t, yaw, pitch, frontal, line = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    try:
+        return GazeTrace(t, yaw, pitch, frontal != 0)
+    except UnsortedSamples:
+        k = int(np.flatnonzero(t[1:] == t[:-1])[0])
+        message = f"t={t[k]} repeats line {int(line[k])}'s time"
+        raise ParseError(path, int(line[k + 1]), message) from None
+
+
+def speakers_loop(path):
+    """``ingest.load_speakers``, one profile per line."""
+    profiles = {}
+    for line_no, (sid, party, gender) in csv_lines(path, "speaker_id,party,gender"):
+        if gender not in PITCH_RANGE_BY_GENDER:
+            raise ParseError(
+                path, line_no,
+                f"gender must be one of {sorted(PITCH_RANGE_BY_GENDER)}, got {gender!r}",
+            )
+        if sid in profiles:
+            raise ParseError(path, line_no, f"duplicate speaker_id {sid!r}")
+        profiles[sid] = SpeakerProfile(sid, party, PITCH_RANGE_BY_GENDER[gender])
+    return profiles
+
+
+def counts_loop(path):
+    """``ingest.load_counts``, adding each line's count to its word's total."""
+    counts = {}
+    for line_no, (word, text) in csv_lines(path, "word,count"):
+        count = finite_cell(path, line_no, text)
+        if count < 0:
+            raise ParseError(path, line_no, f"count must be >= 0, got {text!r}")
+        counts[word] = counts.get(word, 0) + count
+    return counts
+
+
+def panel_loop(path, y_col, group_col, regressors=None):
+    """``ingest.load_panel`` less its header checks, one :class:`PanelRow` per line."""
+    lines = csv_lines(path, None)
+    _, header = next(lines)
+    regs = list(regressors) if regressors else [c for c in header if c not in (y_col, group_col)]
+    y_at, group_at = header.index(y_col), header.index(group_col)
+    reg_at = {c: header.index(c) for c in regs}
+    return [
+        PanelRow(
+            finite_cell(path, line_no, parts[y_at]),
+            parts[group_at],
+            {c: finite_cell(path, line_no, parts[i]) for c, i in reg_at.items()},
+        )
+        for line_no, parts in lines
+    ]
+
+
+# --- word pitch ------------------------------------------------------------
+
+def word_pitch_loop(track, words):
+    """``pitch.word_pitch`` as one ``vals.mean()`` per word over its frames by index."""
+    los = np.searchsorted(track.frame_times, words.starts, side="left").tolist()
+    his = np.searchsorted(track.frame_times, words.ends, side="left").tolist()
+    out = []
+    for word_id, lo, hi in zip(words.ids, los, his):
+        vals = track.f0[lo:hi][track.voiced[lo:hi]]
+        out.append(
+            WordPitch(
+                word_id=word_id,
+                session_id=words.session_id,
+                speaker_id=words.speaker_id,
+                mean_f0=float(vals.mean()) if vals.size else None,
+                voiced_frame_count=int(vals.size),
+            )
+        )
+    return out
+
+
+def standardize_loop(word_pitches, *, per_session=False):
+    """``pitch.standardize_by_speaker``, one ``dataclasses.replace`` per observed word."""
+    groups = {}
+    for i, wp in enumerate(word_pitches):
+        if wp.mean_f0 is not None:
+            key = (wp.speaker_id, wp.session_id) if per_session else wp.speaker_id
+            groups.setdefault(key, []).append(i)
+    out = list(word_pitches)
+    for key, rows in groups.items():
+        if len(rows) < 2:
+            raise DegenerateSpeaker(f"speaker {key!r} has {len(rows)} pitch observation(s)")
+        arr = np.asarray([out[i].mean_f0 for i in rows])
+        mean, sd = float(arr.mean()), float(arr.std(ddof=1))
+        if sd == 0.0:
+            raise DegenerateSpeaker(f"speaker {key!r} has zero pitch variance")
+        for i in rows:
+            out[i] = replace(out[i], z=(out[i].mean_f0 - mean) / sd)
+    return out
 
 
 # --- canonical correlation -------------------------------------------------

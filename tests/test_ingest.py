@@ -30,8 +30,10 @@ from modalign.ingest import (
     AUDIO_BLOCK_SAMPLES,
     CorpusIndex,
     build_index,
+    load_counts,
     load_gaze,
     load_manifest,
+    load_panel,
     load_speakers,
     load_transcript,
     read_wav,
@@ -48,7 +50,18 @@ from modalign.synth import MAX_SAMPLE_RATE, TONE_FRACTION, WORD_SLOT, SynthSpec,
 from modalign.timeline import Modality, stream_from_columns
 
 from _e2e import interaction_name, planted_run
-from _oracles import csv_text, gaze_trace, pcm16, transcript_text, word_tones
+from _oracles import (
+    counts_loop,
+    csv_text,
+    gaze_loop,
+    gaze_trace,
+    panel_loop,
+    pcm16,
+    speakers_loop,
+    transcript_loop,
+    transcript_text,
+    word_tones,
+)
 
 
 # --- transcripts -----------------------------------------------------------
@@ -270,6 +283,214 @@ def test_speakers_errors(tmp_path):
         load_speakers(p)
     with pytest.raises(MissingFile):
         load_speakers(tmp_path / "absent.csv")
+
+
+# --- loaders against their line-by-line oracles ----------------------------
+# Valid files, mutated; each loader must return what its oracle returns, or
+# raise the same error type at the same line with the same message.
+
+_CELLS = ["nan", "inf", "-inf", "1_0", "True", "", "1" * 401, " 7 ", "-0.0", "0", "1", "2", "-1",
+          "999", "-91", "1e400", "x", "f", "m", "spk0", "0.04"]
+_JSON_VALUES = ["NaN", "Infinity", "-Infinity", "true", "false", "null", '""', '"ja"', "1" * 401,
+                "-1", "0", "1e400", "0.04", "[]", "{}", '"s1"', "1" * 5000,
+                str(2**53 + 1), "9007199254740992.0"]
+_NOT_OBJECTS = ["[1, 2]", "3", '"w"', "null", "\ufeff{}", "{", '{"word": "a"} x']
+_MERGE = ['{"a": [{}', "{}]}", '{"x": 1}, {"y": 2}']
+_mutations = st.lists(
+    st.tuples(
+        st.sampled_from(["cell"] * 4 + ["copy"] * 2 + ["comma+", "comma-", "blank", "crlf",
+                         "swap", "drop", "not_object", "two_objects", "merge", "cut"]),
+        st.integers(0, 999), st.integers(0, 999), st.integers(0, 999),
+    ),
+    max_size=5,
+)
+
+
+def _mutate(lines, mutations, *, json_lines):
+    """``lines`` with each ``(op, i, j, k)`` applied; a line is a list of cells or a string.
+
+    A CSV line's cells join with commas; a transcript line is a list of
+    ``[key, raw JSON value]`` pairs.
+    """
+    lines = [list(map(list, line)) if json_lines else list(line) for line in lines]
+    for op, i, j, k in mutations:
+        if not lines:
+            lines.append("")
+        i %= len(lines)
+        line, other = lines[i], lines[j % len(lines)]
+        if op == "blank":
+            lines.insert(i, ["", "  ", "\t", "\r"][k % 4])
+        elif op == "swap":
+            lines[i], lines[j % len(lines)] = other, line
+        elif op == "merge" and json_lines:
+            lines[i:i] = _MERGE
+        elif op == "not_object" and json_lines:
+            lines[i] = _NOT_OBJECTS[k % len(_NOT_OBJECTS)]
+        elif isinstance(line, str) or not line:
+            continue
+        elif op == "cell":
+            if json_lines:
+                line[j % len(line)][1] = _JSON_VALUES[k % len(_JSON_VALUES)]
+            else:
+                line[j % len(line)] = _CELLS[k % len(_CELLS)]
+        elif op == "copy" and other and not isinstance(other, str):  # a repeated time or speaker
+            cell = other[j % len(other)]
+            line[j % len(line)] = list(cell) if json_lines else cell
+        elif op == "drop" and json_lines:
+            del line[j % len(line)]
+        elif op == "two_objects" and json_lines:
+            lines[i] = _render(line, True) + [" ", ", ", ""][k % 3] + _render(line, True)
+        else:
+            text = _render(line, json_lines)
+            if op == "comma+":
+                text = text[: k % (len(text) + 1)] + "," + text[k % (len(text) + 1):]
+            elif op == "comma-":
+                text = text.replace(",", "", 1)
+            elif op == "crlf":
+                text += "\r"
+            elif op == "cut":
+                text = text[: k % (len(text) + 1)]
+            lines[i] = text
+    return "".join(_render(line, json_lines) + "\n" for line in lines)
+
+
+def _render(line, json_lines):
+    if isinstance(line, str):
+        return line
+    if json_lines:
+        return "{" + ", ".join(f'"{key}": {value}' for key, value in line) + "}"
+    return ",".join(line)
+
+
+def _outcome(load, *args):
+    """What ``load`` returned, in comparable form, or the type, line and text of its error."""
+    try:
+        out = load(*args)
+    except Exception as e:  # whatever it is, both sides must raise the same
+        return type(e), getattr(e, "line_no", None), str(e)
+    if hasattr(out, "frontal"):
+        return [(c.dtype.str, c.tobytes()) for c in (out.t, out.yaw, out.pitch, out.frontal)]
+    if hasattr(out, "payloads"):
+        return (out.session_id, out.speaker_id, out.starts.tobytes(), out.ends.tobytes(),
+                out.payloads, list(out.ids))
+    return repr(out)  # dicts in order, and floats by their repr, -0.0 included
+
+
+def _valid_lines(kind, n, rng):
+    if kind == "transcript":
+        edges = np.cumsum(rng.uniform(0.0, 0.5, 2 * n)).tolist()
+        return [[["word", json.dumps(f"w{k}")], ["start", repr(edges[2 * k])],
+                 ["end", repr(edges[2 * k + 1])], ["speaker_id", '"s1"']] for k in range(n)]
+    if kind == "gaze":
+        return [[repr(0.04 * k), repr(float(rng.uniform(-180, 180))),
+                 repr(float(rng.uniform(-90, 90))), str(k % 2)] for k in range(n)]
+    if kind == "speakers":
+        return [[f"spk{k}", ["AfD", "SPD"][k % 2], ["m", "f"][k % 2]] for k in range(n)]
+    if kind == "counts":
+        return [[f"w{k % 3}", repr(float(rng.uniform(0, 5)))] for k in range(n)]
+    return [[repr(float(rng.normal())), f"g{k % 2}", repr(float(rng.normal())), str(k)]
+            for k in range(n)]
+
+
+_LOADERS = {
+    "transcript": (None, load_transcript, transcript_loop, ()),
+    "gaze": ("t,yaw_deg,pitch_deg,frontal", load_gaze, gaze_loop, ()),
+    "speakers": ("speaker_id,party,gender", load_speakers, speakers_loop, ()),
+    "counts": ("word,count", load_counts, counts_loop, ()),
+    "panel": ("y,g,x1,x2", load_panel, panel_loop, ("y", "g")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), mutations=_mutations)
+def test_loaders_match_their_line_by_line_oracles(tmp_path_factory, kind, n, seed, mutations):
+    header, load, oracle, args = _LOADERS[kind]
+    json_lines = header is None
+    text = _mutate(_valid_lines(kind, n, np.random.default_rng(seed)), mutations,
+                   json_lines=json_lines)
+    p = tmp_path_factory.mktemp(kind) / "in.txt"
+    p.write_text(text if json_lines else header + "\n" + text, encoding="utf-8")
+    assert _outcome(load, p, *args) == _outcome(oracle, p, *args)
+
+
+_W = '{"word": %s, "start": %s, "end": %s, "speaker_id": "s1"}'
+
+
+@pytest.mark.parametrize("kind, body, message", [
+    # two failures in one line: the first check in line order stands
+    ("gaze", ["0.1,0,0,1", "0.2,999,999,1"], "yaw 999.0"),
+    ("gaze", ["-1,999,0,1"], "t must be finite"),
+    ("gaze", ["-1,999,x,1"], "bad field"),
+    ("gaze", ["x,999,0,7"], "bad field"),
+    # the earliest line stands, whichever column fails in the later ones
+    ("gaze", ["0.0,0,0,1", "0.1,0,95,1", "0.2,0", "x,0,0,1"], "pitch 95.0"),
+    ("gaze", ["0.1,0,0,7", "0.2,0,0"], "frontal must be 0 or 1"),
+    ("gaze", ["0.2,0,0,1", "0.1,0,0,1", "0.2,0,0,0", "0.1,0,0,0"], "t=0.1 repeats line 3's time"),
+    ("gaze", [f"{(7 * k) % 5}.0,0,0,1" for k in range(1000)], "t=0.0 repeats line 2's time"),
+    ("transcript", [_W % ('""', '"a"', "1")], "word must be"),
+    ("transcript", [_W % ('"a"', "1e999", "true")], "start/end must be numbers"),
+    ("transcript", [_W % ('"a"', "1" * 400, "1")], "bad word interval"),
+    ("transcript", [_W % ('"a"', 2**53 + 1, "9007199254740992.0")], "bad word interval"),
+    ("transcript", [_W % ('"a"', "0", 2**53 + 1)], None),
+    ("transcript", [_W % ('"a"', "0", "1" * 400)], "too large"),
+    ("transcript", ['{"word": "a"}', "[1]"], "missing keys ['end', 'speaker_id', 'start']"),
+    # joined into one JSON array these lines decode as three objects; line 2 alone is not JSON
+    ("transcript", [_W % ('"ok"', "0", "0.4"), *_MERGE], "bad JSON"),
+    ("counts", ["a,1", "b,-1", "c,nan"], "count must be >= 0"),
+    ("speakers", ["s1,AfD,m", "s2,AfD,x", "s1,AfD,m"], "gender must be"),
+    ("speakers", ["s1,AfD,m", "s1,AfD,x"], "gender must be"),
+    ("panel", ["1,a,1,1", "2,a,inf,x"], "must be finite"),
+])
+def test_loaders_keep_the_line_by_line_error_order(tmp_path, kind, body, message):
+    header, load, oracle, args = _LOADERS[kind]
+    p = tmp_path / "in.txt"
+    write_lines(p, body if header is None else [header, *body])
+    got = _outcome(load, p, *args)
+    assert got == _outcome(oracle, p, *args)
+    assert message is None or message in got[2]
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    bom = "\ufeff"
+    p = tmp_path / "s.csv"
+    p.write_text(bom + "speaker_id,party,gender\ns1,AfD,m\n", encoding="utf-8")
+    assert load_speakers(p)["s1"].party == "AfD"
+    p.write_text(bom + word_line("ja", 0.0, 0.4) + "\n", encoding="utf-8")
+    assert load_transcript(p).payloads == ("ja",)
+    # only one, and only at the start of the file
+    p.write_text(bom + bom + "speaker_id,party,gender\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="expected header"):
+        load_speakers(p)
+    p.write_text(word_line("ja", 0.0, 0.4) + "\n" + bom + word_line("nein", 0.4, 0.8) + "\n",
+                 encoding="utf-8")
+    with pytest.raises(ParseError, match="BOM") as exc:
+        load_transcript(p)
+    assert exc.value.line_no == 2
+
+
+def test_an_index_of_files_with_byte_order_marks_equals_the_plain_one(tmp_path):
+    manifest_path = synth_corpus(SynthSpec(seed=3, speakers=2, words_per_speech=20,
+                                           sample_rate=8000), tmp_path / "raw")
+    raw = manifest_path.parent
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+
+    def with_bom(name):  # a copy of the corpus file ``name`` that starts with a BOM
+        (raw / ("bom_" + name)).parent.mkdir(parents=True, exist_ok=True)
+        (raw / ("bom_" + name)).write_bytes(b"\xef\xbb\xbf" + (raw / name).read_bytes())
+        return "bom_" + name
+
+    manifest["speakers"] = with_bom(manifest["speakers"])
+    for session in manifest["sessions"]:
+        for key in ("gaze", "transcript"):
+            session[key] = with_bom(session[key])
+    (raw / "bom_manifest.json").write_bytes(b"\xef\xbb\xbf" + json.dumps(manifest).encode())
+    plain = build_index(manifest_path, tmp_path / "plain.idx")
+    marked = build_index(raw / "bom_manifest.json", tmp_path / "marked.idx")
+    files = sorted(f.relative_to(plain) for f in plain.rglob("*") if f.is_file())
+    assert files == sorted(f.relative_to(marked) for f in marked.rglob("*") if f.is_file())
+    for name in files:
+        assert (marked / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 # --- CSV output ------------------------------------------------------------

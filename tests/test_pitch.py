@@ -1,5 +1,6 @@
 """f0 estimation on known signals, word aggregation, speaker z-scores."""
 
+import re
 import sys
 import threading
 import time
@@ -35,7 +36,7 @@ from modalign.pitch import (
 from modalign.ingest import pcm16_wav, read_wav
 from modalign.timeline import Modality, stream_from_columns
 
-from _oracles import direct_difference, pcm16
+from _oracles import direct_difference, pcm16, standardize_loop, word_pitch_loop
 
 SR = 16000
 WIDE = PitchRange(75.0, 500.0)
@@ -500,6 +501,47 @@ def test_word_membership_matches_brute_force():
             assert wp.voiced_frame_count == len(inside)
         else:
             assert wp.mean_f0 is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+    voiced_frac=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    n_words=st.integers(1, 12),
+)
+def test_word_pitch_is_the_per_word_mean_bit_for_bit(frames, seed, voiced_frac, n_words):
+    rng = np.random.default_rng(seed)
+    times = (np.arange(frames) + 0.5) * 0.01
+    # runs of voiced and unvoiced frames, f0 with as many digits as a tracker gives
+    voiced = np.repeat(rng.uniform(size=frames) < voiced_frac, rng.integers(1, 4, frames))[:frames]
+    f0 = np.where(voiced, rng.uniform(75.0, 500.0, frames), np.nan)
+    track = PitchTrack(times, f0, voiced, session_id="s")
+    # edges past the last frame centre, shared edges (zero-length and touching words) included
+    edges = np.sort(rng.choice(np.round(rng.uniform(0, 0.01 * frames + 0.1, 3 * n_words), 3),
+                               2 * n_words))
+    words = text_stream(list(zip(edges[0::2].tolist(), edges[1::2].tolist())), speaker="spk")
+    got, want = word_pitch(track, words), word_pitch_loop(track, words)
+    assert got == want
+    assert [type(w.mean_f0) for w in got] == [type(w.mean_f0) for w in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), per_session=st.booleans())
+def test_standardize_is_the_per_word_loop_bit_for_bit(seed, n, per_session):
+    rng = np.random.default_rng(seed)
+    corpus = [
+        WordPitch(f"w{k:03d}", f"s{rng.integers(2)}", f"spk{rng.integers(3)}",
+                  None if rng.uniform() < 0.2 else float(rng.uniform(75.0, 500.0)), 1)
+        for k in range(n)
+    ]
+    try:
+        want = standardize_loop(corpus, per_session=per_session)
+    except DegenerateSpeaker as e:
+        with pytest.raises(DegenerateSpeaker, match=re.escape(str(e))):
+            standardize_by_speaker(corpus, per_session=per_session)
+    else:
+        assert standardize_by_speaker(corpus, per_session=per_session) == want
 
 
 def test_word_pitch_requires_text_stream():
