@@ -279,10 +279,17 @@ def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
         party = party_of[wp.speaker_id]
         regs = {interaction_name(p): a if party == p else 0.0 for p in others}
         rows.append(stats.PanelRow(wp.z, wp.speaker_id, {"addressing": a, **regs}))
-    if rows and not any(row.regressors["addressing"] for row in rows):
+    addressed_rows = Counter(party_of[row.group] for row in rows if row.regressors["addressing"])
+    unaddressed = [p for p in parties if not addressed_rows[p]]
+    if rows and unaddressed:  # addressing and its interactions would not be identified
         rule = cfg.address
-        raise DataError(f"no word was addressed: no segment labelled {rule.label!r} with yaw in "
-                        f"[{rule.yaw_min}, {rule.yaw_max}] covers {rule.min_words} or more words")
+        why = (f"no segment labelled {rule.label!r} with yaw in [{rule.yaw_min}, {rule.yaw_max}] "
+               f"covers {rule.min_words} or more")
+        if len(unaddressed) == len(parties):
+            raise DataError(f"no word was addressed: {why} words")
+        counts = ", ".join(f"{p} {addressed_rows[p]}" for p in parties)
+        raise DataError(f"no word of {' or '.join(unaddressed)} was addressed: {why} of those "
+                        f"words; addressed words per party: {counts}")
     return rows, parties, skipped
 
 

@@ -35,10 +35,6 @@ class NegativeInterval(DataError):
     """Interval with end < start, or a negative start time."""
 
 
-class DuplicateIds(DataError, ValueError):
-    """Two elements of one stream share an id."""
-
-
 class SessionMismatch(ValidationError):
     """An operation combined data from different sessions."""
 

@@ -165,11 +165,10 @@ def segments_to_stream(
     *,
     speaker_id: str | None = None,
 ) -> ElementStream:
-    """Wrap segments as a derived stream so they can be joined and queried."""
+    """Wrap segments as a derived stream (ids ``seg0000`` ... in time order) to join and query."""
     return stream_from_columns(
         Modality.DERIVED,
         session_id,
-        [f"seg{i:04d}" for i in range(len(segments))],
         segments.starts,
         segments.ends,
         [segments.label] * len(segments),

@@ -251,7 +251,7 @@ def _json_error(line: str) -> str:
     """The message of the error :func:`json.loads` raises on a line :data:`_raw_decode` refused."""
     try:
         json.loads(line)
-    except ValueError as e:  # JSONDecodeError, or an integer of more digits than Python reads
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits or too deep
         return f"bad JSON: {getattr(e, 'msg', e)}"
     raise AssertionError(f"json.loads took a line raw_decode refused: {line!r}")
 
@@ -306,7 +306,6 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
     return stream_from_columns(
         Modality.TEXT,
         session_id if session_id is not None else path.stem,
-        None,
         start_s,
         end_s,
         words,
@@ -917,7 +916,7 @@ class CorpusIndex:
             raise ParseError(gaze_path, 0, f"gaze of session {session_id!r}: {e}") from None
         try:
             words = stream_from_columns(
-                Modality.TEXT, session_id, None, w["start"], w["end"], tokens,
+                Modality.TEXT, session_id, w["start"], w["end"], tokens,
                 speaker_id=row["speaker_id"],
             )
         except EngineError as e:

@@ -230,10 +230,8 @@ def _work(name: str, shape: tuple[int, int], dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _difference_chunk(
-    x: np.ndarray, first: int, count: int, hop: int, window: int, last_lag: int
-) -> np.ndarray:
-    """Squared difference function of frames ``first .. first+count-1``, lags 0..last_lag.
+def _difference_chunk(x: np.ndarray, count: int, hop: int, window: int, last_lag: int) -> np.ndarray:
+    """Squared difference function of frames ``0 .. count-1`` of ``x``, lags 0..last_lag.
 
     Frame ``i`` starts at sample ``i * hop``, and ``d(tau) = sum_{j<W}
     (x[j] - x[j+tau])^2`` over its ``W = window`` head samples (callers
@@ -262,7 +260,7 @@ def _difference_chunk(
     blk = _block_size(window, hop, last_lag)
     step, q = blk // hop, window // blk
     n_blocks = count + (q - 1) * step
-    rows = np.lib.stride_tricks.sliding_window_view(x[first * hop :], blk)
+    rows = np.lib.stride_tricks.sliding_window_view(x, blk)
     heads = rows[: n_blocks * hop : hop]
     tails = rows[blk : blk + n_blocks * hop : hop, :last_lag]
     if blk % hop == 0:
@@ -275,7 +273,7 @@ def _difference_chunk(
         cross += spec
     else:
         nfft = _fft_size(blk + last_lag)
-        spans = np.lib.stride_tricks.sliding_window_view(x[first * hop :], blk + last_lag)
+        spans = np.lib.stride_tricks.sliding_window_view(x, blk + last_lag)
         bins = (n_blocks, nfft // 2 + 1)
         cross = np.fft.rfft(spans[: n_blocks * hop : hop], nfft, axis=1,
                             out=_work("cross", bins, np.complex128))
@@ -414,7 +412,7 @@ def estimate_pitch_track(
         """Fill the chunk of frames starting at ``lo``; chunks write disjoint slices."""
         count = min(CHUNK_FRAMES, starts.size - lo)
         x = audio.span(lo * hop, (lo + count - 1) * hop + frame_length)  # the chunk's frames
-        cmnd = _normalize(_difference_chunk(x, 0, count, hop, max_lag, last_lag))
+        cmnd = _normalize(_difference_chunk(x, count, hop, max_lag, last_lag))
 
         searched = cmnd[:, tau_lo : tau_hi + 1]
         # Value at tau+1, with +inf past the band edge so a dip that is

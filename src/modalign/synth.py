@@ -32,7 +32,7 @@ from .gaze import GazeTrace
 from .ingest import MANIFEST_FORMAT_VERSION, _json_bytes, replacing
 from .ingest import AUDIO_BLOCK_SAMPLES, pcm16_wav, quantize_pcm16
 from .ingest import write_gaze, write_speakers, write_transcript
-from .timeline import Modality, stream_from_columns, word_element_id
+from .timeline import Modality, stream_from_columns
 
 WORD_SLOT = 0.375        # seconds per word; 3/8, exact in binary
 GAZE_PERIOD = 0.125      # seconds between gaze samples; 1/8, exact in binary
@@ -201,7 +201,6 @@ def _write_corpus(spec: SynthSpec, out_dir: Path) -> None:
         words = stream_from_columns(
             Modality.TEXT,
             session_id,
-            None,
             [w * WORD_SLOT for w in range(n)],
             [(w + 1) * WORD_SLOT for w in range(n)],
             tokens,
@@ -226,7 +225,7 @@ def _write_corpus(spec: SynthSpec, out_dir: Path) -> None:
             "party": party,
             "segments_words": [[a, b] for a, b in segments],
             "segments_time": [[a * WORD_SLOT, b * WORD_SLOT] for a, b in segments],
-            "in_segment_word_ids": [word_element_id(w) for w in range(n) if in_segment[w]],
+            "in_segment_word_ids": [i for i, inside in zip(words.ids, in_segment) if inside],
             "word_freqs": [float(f) for f in freqs],
         }
 

@@ -12,7 +12,9 @@ Conventions
 * Point samples are represented as ``start == end`` and never align with
   anything: a zero-length interval has zero overlap with everything.
 * Payloads are strings: a word's token, a segment's label.
-* A word's id is its position in time order, :func:`word_element_id`.
+* An element's id is its position in time order, spelled by its stream's
+  modality (:func:`element_ids`): ``w000000`` ... for words, ``seg0000`` ...
+  for segments.
 * Bounds are checked in one place, :func:`stream_from_columns`, which
   raises :class:`~modalign.errors.NegativeInterval` unless
   ``0 <= start <= end < inf``, so every bound is finite.
@@ -30,7 +32,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import (
-    DuplicateIds,
     EmptyStream,
     ModalityAbsent,
     NegativeInterval,
@@ -101,25 +102,22 @@ class ElementStream(_ElementColumns):
     payloads: tuple[str, ...]
 
 
-def word_element_id(position: int) -> str:
-    """Stable id for the word at a 0-based position in time order."""
-    return f"w{position:06d}"
+_ID_FORMATS = {Modality.TEXT: "w{:06d}", Modality.DERIVED: "seg{:04d}"}
+_IDS: dict[Modality, tuple[str, ...]] = {}  # element ids by modality, made once
+word_element_id = _ID_FORMATS[Modality.TEXT].format  # the id of the word at a 0-based position
 
 
-_WORD_IDS: tuple[str, ...] = ()  # word_element_id(k) for k < len(_WORD_IDS), made once
+def element_ids(modality: Modality, n: int) -> tuple[str, ...]:
+    """The ids of positions ``0 .. n-1`` of a ``modality`` stream, sliced from one table.
 
-
-def word_ids(n: int) -> tuple[str, ...]:
-    """``word_element_id(k)`` for ``k`` in ``range(n)``, sliced from one table.
-
-    The table is shared by the whole process and grows by doubling, so the
-    ids of every stream are made once and later calls only slice them.
+    Each modality's table is shared by the whole process and grows by
+    doubling, so every id is made once.
     """
-    global _WORD_IDS
-    table = _WORD_IDS
+    table = _IDS.get(modality, ())
     if len(table) < n:
-        table += tuple(map(word_element_id, range(len(table), max(n, 2 * len(table)))))
-        _WORD_IDS = table
+        spell = _ID_FORMATS[modality].format
+        table += tuple(map(spell, range(len(table), max(n, 2 * len(table)))))
+        _IDS[modality] = table
     return table[:n]
 
 
@@ -136,7 +134,6 @@ def _rank(keys: Sequence[str]) -> np.ndarray:
 def stream_from_columns(
     modality: Modality,
     session_id: str,
-    ids: Sequence[str] | None,
     starts,
     ends,
     payloads: Sequence[str],
@@ -144,45 +141,32 @@ def stream_from_columns(
 ) -> ElementStream:
     """Validate, sort, and freeze a stream given as parallel columns.
 
-    Elements are sorted by ``(start, end, id)``.  With ``ids=None`` an
-    element's id is its position: elements are sorted by ``(start, end)``,
-    ties keeping their input order, and the ``k``-th gets
-    :func:`word_element_id` ``(k)`` from :func:`word_ids`.  Raises
-    :class:`ValidationError` unless every id and payload is a string,
-    :class:`EmptyStream`, :class:`DuplicateIds` on duplicate element ids,
-    :class:`NegativeInterval` unless ``0 <= start <= end < inf`` (NaN
-    fails), and :class:`OverlappingWords` when a text stream's words overlap.
-    Positional ids are strings and distinct by construction, so they are
-    not checked.
+    Elements are sorted by ``(start, end)``, ties keeping their input
+    order, and the ``k``-th gets id ``element_ids(modality, n)[k]``.
+    Raises :class:`ValidationError` unless every payload is a string,
+    :class:`EmptyStream`, :class:`NegativeInterval` unless ``0 <= start <=
+    end < inf`` (NaN fails), and :class:`OverlappingWords` when a text
+    stream's words overlap.
     """
     starts = np.array(starts, dtype=np.float64)
     ends = np.array(ends, dtype=np.float64)
     payloads = tuple(payloads)
-    ids = None if ids is None else tuple(ids)
     n = len(payloads)
-    if not starts.size == ends.size == n == (n if ids is None else len(ids)):
+    if not starts.size == ends.size == n:
         raise ValidationError("stream columns differ in length")
     if not n:
         raise EmptyStream(f"stream for session {session_id!r} has no elements")
     if set(map(type, payloads)) != {str}:
         raise ValidationError(f"payloads in session {session_id!r} must be strings")
-    if ids is not None:
-        if set(map(type, ids)) != {str}:
-            raise ValidationError(f"ids in session {session_id!r} must be strings")
-        if len(set(ids)) != len(ids):
-            raise DuplicateIds(f"element ids repeat in the stream for session {session_id!r}")
     bad = np.flatnonzero(~((0 <= starts) & (starts <= ends) & (ends < np.inf)))
     if bad.size:
         raise NegativeInterval(f"bad interval [{starts[bad[0]]}, {ends[bad[0]]})")
 
-    if not (starts[1:] > starts[:-1]).all():  # ties or disorder: sort by (start, end[, id])
-        order = np.lexsort((ends, starts) if ids is None else (_rank(ids), ends, starts)).tolist()
+    if not (starts[1:] > starts[:-1]).all():  # ties or disorder: a stable sort by (start, end)
+        order = np.lexsort((ends, starts)).tolist()
         starts, ends = starts[order], ends[order]
         payloads = tuple(payloads[k] for k in order)
-        if ids is not None:
-            ids = tuple(ids[k] for k in order)
-    if ids is None:
-        ids = word_ids(n)
+    ids = element_ids(modality, n)
 
     if modality is Modality.TEXT:
         clash = np.flatnonzero(starts[1:] < ends[:-1])
@@ -319,7 +303,7 @@ def join_streams(
 class QueryHits(_ElementColumns):
     """Read-only sequence of the :class:`Element` hits of :func:`query_crossmodal`.
 
-    Held as flat columns in (session, start, end, id) order: ``session_ids``,
+    Held as flat columns in (session, start, end) order: ``session_ids``,
     ``ids`` and ``payloads`` are tuples and ``starts``/``ends`` read-only
     float64 arrays.  ``hits[k]`` and iteration build the elements on demand;
     an element does not carry its session, ``session_ids[k]`` does.
@@ -343,7 +327,8 @@ def query_crossmodal(
     ``where`` is evaluated on every element of the ``where_modality``
     streams; a ``select`` element qualifies when it overlaps (strictly
     positive overlap) at least one matching element in the same session.
-    Results are deduplicated and ordered by (session, start, end, id).
+    Results are deduplicated and ordered by (session, start, end); hits
+    that tie keep their streams' corpus order, then their stream order.
     Raises :class:`ModalityAbsent` when the corpus has no stream of either
     modality, naming the ``where`` modality first.
     """
@@ -367,7 +352,7 @@ def query_crossmodal(
             continue
         starts, ends = np.array(matched).T
         at = np.flatnonzero(covered(starts, ends, stream.starts, stream.ends))
-        parts.append((stream.session_id, stream, at))  # in (start, end, id) order
+        parts.append((stream.session_id, stream, at))  # in (start, end) order
     parts.sort(key=lambda part: part[0])  # stable: a session's streams keep their corpus order
 
     session_ids = [sid for sid, _, at in parts for _ in range(at.size)]
@@ -378,7 +363,7 @@ def query_crossmodal(
     if len({sid for sid, _, _ in parts}) < len(parts):
         # Some session has several select streams; the sort is stable, so
         # elements with equal keys keep their streams' corpus order.
-        order = np.lexsort((_rank(ids), ends, starts, _rank(session_ids))).tolist()
+        order = np.lexsort((ends, starts, _rank(session_ids))).tolist()
         session_ids, ids, payloads = (
             [column[k] for k in order] for column in (session_ids, ids, payloads)
         )

@@ -340,7 +340,7 @@ def transcript_loop(path, session_id=None):
             continue
         try:
             obj = json.loads(line)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise ParseError(path, line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(obj, dict):
             raise ParseError(path, line_no, "expected a JSON object")
@@ -364,7 +364,7 @@ def transcript_loop(path, session_id=None):
     if not words:
         raise ParseError(path, 0, "transcript has no words")
     return stream_from_columns(
-        Modality.TEXT, session_id if session_id is not None else path.stem, None,
+        Modality.TEXT, session_id if session_id is not None else path.stem,
         starts, ends, words, speaker_id=speakers.pop() if len(speakers) == 1 else None,
     )
 

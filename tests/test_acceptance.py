@@ -105,9 +105,8 @@ def _random_stream(rng, session, n):
     starts = np.round(rng.uniform(0, 300, size=n), 3)
     durations = np.round(rng.uniform(0, 2, size=n), 3)
     durations[rng.uniform(size=n) < 0.15] = 0.0  # sprinkle point elements
-    ids = [f"e{i:04d}" for i in range(n)]
     payloads = [str(i) for i in range(n)]
-    return stream_from_columns(Modality.DERIVED, session, ids, starts, starts + durations, payloads)
+    return stream_from_columns(Modality.DERIVED, session, starts, starts + durations, payloads)
 
 
 def test_03_interval_join_matches_brute_force():
@@ -132,12 +131,8 @@ def test_03_interval_join_matches_brute_force():
             assert got == expected, f"trial {trial}"
         # alternating half-open tiles share only endpoints and never align
         tiles = np.arange(50) * 2.0
-        left = stream_from_columns(
-            Modality.TEXT, "s", [f"w{i}" for i in range(50)], tiles, tiles + 1, ["x"] * 50
-        )
-        right = stream_from_columns(
-            Modality.DERIVED, "s", [f"d{i}" for i in range(50)], tiles + 1, tiles + 2, ["0.0"] * 50
-        )
+        left = stream_from_columns(Modality.TEXT, "s", tiles, tiles + 1, ["x"] * 50)
+        right = stream_from_columns(Modality.DERIVED, "s", tiles + 1, tiles + 2, ["0.0"] * 50)
         assert len(join_streams(left, right)) == 0
 
 
@@ -170,9 +165,7 @@ def test_04_gaze_segmentation_hand_traces():
 
         # ten-word minimum: 10 covered words keep a segment, 9 drop it
         slots = np.arange(40) * 0.375
-        words = stream_from_columns(
-            Modality.TEXT, "s", [f"w{i:02d}" for i in range(40)], slots, slots + 0.375, ["tok"] * 40
-        )
+        words = stream_from_columns(Modality.TEXT, "s", slots, slots + 0.375, ["tok"] * 40)
         segs = detect([look(k * 0.125) for k in range(31)])
         assert spans(segs) == [(0.0, 31 * 0.125)]  # covers 10 words and a sliver of the 11th
         kept = enforce_min_words(segs, words, rule)

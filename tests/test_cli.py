@@ -215,6 +215,33 @@ def test_regress_without_addressed_words_names_the_rule(planted_corpus, tmp_path
     assert not out.exists()
 
 
+def test_regress_with_a_party_never_addressed_names_it(planted_corpus, tmp_path, capsys):
+    # every AfD speaker looks straight ahead, out of the yaw band, so addressing_x_SPD would
+    # equal addressing: the error names the party and the addressed words per party
+    raw = shutil.copytree(planted_corpus.root / "raw", tmp_path / "raw")
+    sessions = truth(planted_corpus)["sessions"]
+    spd_addressed = sum(len(s["in_segment_word_ids"]) for s in sessions.values()
+                        if s["party"] == "SPD")
+    assert spd_addressed > 0
+    for sid, sess in sessions.items():
+        if sess["party"] == "AfD":
+            gaze = raw / "sessions" / f"{sid}.csv"
+            header, *rows = gaze.read_text(encoding="utf-8").splitlines()
+            rows = [row.split(",") for row in rows]
+            gaze.write_text("\n".join([header] + [f"{t},0.0,{p},{f}" for t, _, p, f in rows]) + "\n",
+                            encoding="utf-8")
+    assert run("ingest", "--manifest", raw / "manifest.json", "--out", tmp_path / "idx") == 0
+    capsys.readouterr()
+    out = tmp_path / "reg"
+    assert run("regress", "--index", tmp_path / "idx", "--out", out) == 3
+    assert capsys.readouterr().err == (
+        "DataError: no word of AfD was addressed: no segment labelled 'AfD' with yaw in "
+        "[45.0, 70.0] covers 10 or more of those words; addressed words per party: "
+        f"AfD 0, SPD {spd_addressed}\n"
+    )
+    assert not out.exists()
+
+
 def test_regress_panel_mode(tmp_path, capsys):
     panel = tmp_path / "panel.csv"
     lines = ["y,group,x0,x1"]
@@ -627,6 +654,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["--config", "TMP/c.json", "segments", "--index", "IDX"], "ValidationError"),
         ({"s.json": '{"jitter_hz": 1' + "0" * 400 + "}"}, ["synth", "--spec", "TMP/s.json"],
          "ValidationError"),
+        (_corpus(transcript=b"[" * 100_000 + b"]" * 100_000 + b"\n"), _MANIFEST, "ParseError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "gaze-string", "gaze-null", "gaze-bool",
@@ -654,7 +682,7 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "wav-header-cut", "panel-header-repeats", "panel-x-is-y", "panel-x-twice",
          "panel-group-is-y", "index-manifest-too-deep", "config-too-deep",
          "transcript-time-401-digits", "transcript-time-5001-digits",
-         "config-threshold-401-digits", "synth-spec-401-digits"],
+         "config-threshold-401-digits", "synth-spec-401-digits", "transcript-too-deep"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

@@ -268,10 +268,9 @@ def test_detection_matches_loop_oracle_on_every_accepted_trace(first, rows, max_
 # --- word filter -----------------------------------------------------------
 
 def words_at(count, start=0.0, width=0.375):
-    ids = [f"w{i:03d}" for i in range(count)]
     starts = [start + i * width for i in range(count)]
     ends = [start + (i + 1) * width for i in range(count)]
-    return stream_from_columns(Modality.TEXT, "s", ids, starts, ends, ["tok"] * count)
+    return stream_from_columns(Modality.TEXT, "s", starts, ends, ["tok"] * count)
 
 
 def segs(*spans, label="AfD"):
@@ -299,7 +298,7 @@ def test_partial_word_overlap_counts():
 
 def test_touching_word_does_not_count():
     words = words_at(30)
-    touching = (0.375, 11 * 0.375)  # word w000 ends exactly at 0.375
+    touching = (0.375, 11 * 0.375)  # word w000000 ends exactly at 0.375
     assert enforce_min_words(segs(touching), words, RULE).word_counts.tolist() == [10]
 
 
@@ -325,8 +324,7 @@ def test_word_filter_matches_brute_force_count():
             starts.append(t)
             ends.append(t + width)
             t += width + float(rng.integers(0, 2)) * 0.25
-        ids = [f"w{i:03d}" for i in range(len(starts))]
-        words = stream_from_columns(Modality.TEXT, "s", ids, starts, ends, ["tok"] * len(ids))
+        words = stream_from_columns(Modality.TEXT, "s", starts, ends, ["tok"] * len(starts))
         # segments in any order, overlapping one another, some of zero length
         pieces = []
         for _ in range(int(rng.integers(0, 8))):
@@ -345,15 +343,16 @@ def test_word_filter_matches_brute_force_count():
 
 
 def test_word_filter_requires_text():
-    stream = stream_from_columns(Modality.DERIVED, "s", ["d0"], [0], [1], ["AfD"])
+    stream = stream_from_columns(Modality.DERIVED, "s", [0], [1], ["AfD"])
     with pytest.raises(ValidationError):
         enforce_min_words(segs((0, 5)), stream, RULE)
 
 
 def test_segments_to_stream():
+    # segments out of time order get their ids by position in time order
     stream = segments_to_stream(segs((2, 3), (0, 1), label="CDU"), "sess01", speaker_id="spk")
     assert stream.modality is Modality.DERIVED
-    assert [(e.id, e.start, e.end) for e in stream] == [("seg0001", 0.0, 1.0),
-                                                       ("seg0000", 2.0, 3.0)]
+    assert [(e.id, e.start, e.end) for e in stream] == [("seg0000", 0.0, 1.0),
+                                                       ("seg0001", 2.0, 3.0)]
     assert [e.payload for e in stream] == ["CDU", "CDU"]
     assert stream.speaker_id == "spk"

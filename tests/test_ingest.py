@@ -141,9 +141,8 @@ def test_transcript_mixed_speakers_have_no_stream_speaker(tmp_path):
 
 
 def test_transcript_round_trip(tmp_path):
-    ids = [word_element_id(i) for i in range(3)]
     stream = stream_from_columns(
-        Modality.TEXT, "rt", ids, [0.0, 0.5, 1.0], [0.5, 1.0, 1.5], ["ich", "rede", "jetzt"],
+        Modality.TEXT, "rt", [0.0, 0.5, 1.0], [0.5, 1.0, 1.5], ["ich", "rede", "jetzt"],
         speaker_id="s9",
     )
     p = tmp_path / "rt.jsonl"
@@ -168,8 +167,7 @@ _words = st.lists(st.one_of(st.characters(), st.sampled_from(_HARD_CHARS)), min_
 def test_transcript_bytes_equal_one_json_dumps_per_word(tmp_path_factory, words, gaps, speaker):
     edges = np.cumsum(gaps[: 2 * len(words)]).tolist()  # 5e-324 and 17-digit sums included
     stream = stream_from_columns(
-        Modality.TEXT, "s", [word_element_id(k) for k in range(len(words))],
-        edges[0::2], edges[1::2], words, speaker_id=speaker,
+        Modality.TEXT, "s", edges[0::2], edges[1::2], words, speaker_id=speaker
     )
     p = tmp_path_factory.mktemp("tx") / "t.jsonl"
     write_transcript(stream, p)
@@ -181,10 +179,8 @@ def test_transcript_writes_times_json_writes(tmp_path):
     nan, inf = float("nan"), float("inf")
     for starts, ends in (([0.0, 5e-324], [5e-324, inf]), ([nan], [1.0]), ([0.0], [nan])):
         with pytest.raises(NegativeInterval):
-            stream_from_columns(Modality.TEXT, "s", ["a", "b"][: len(starts)], starts, ends,
-                                ["ja"] * len(starts))
-    ids = [word_element_id(k) for k in range(3)]
-    stream = stream_from_columns(Modality.TEXT, "s", ids, [-0.0, 5e-324, 1e308],
+            stream_from_columns(Modality.TEXT, "s", starts, ends, ["ja"] * len(starts))
+    stream = stream_from_columns(Modality.TEXT, "s", [-0.0, 5e-324, 1e308],
                                  [5e-324, 5e-324, 1e308], ["ja"] * 3, speaker_id="s1")
     write_transcript(stream, tmp_path / "t.jsonl")
     assert (tmp_path / "t.jsonl").read_bytes() == transcript_text(stream).encode("utf-8")
@@ -441,6 +437,8 @@ _W = '{"word": %s, "start": %s, "end": %s, "speaker_id": "s1"}'
     ("speakers", ["s1,AfD,m", "s2,AfD,x", "s1,AfD,m"], "gender must be"),
     ("speakers", ["s1,AfD,m", "s1,AfD,x"], "gender must be"),
     ("panel", ["1,a,1,1", "2,a,inf,x"], "must be finite"),
+    # nested deeper than the recursion limit: json.loads raises RecursionError, not ValueError
+    ("transcript", [_W % ('"ok"', "0", "0.4"), "[" * 100_000 + "]" * 100_000], "bad JSON"),
 ])
 def test_loaders_keep_the_line_by_line_error_order(tmp_path, kind, body, message):
     header, load, oracle, args = _LOADERS[kind]
@@ -1035,7 +1033,7 @@ def test_index_words_equal_the_transcript_with_positional_ids(tmp_path_factory, 
     root = tmp_path_factory.mktemp("rt") / "raw"
     tiny_corpus(root, sessions=("sessA",))
     transcript = root / "sessA.jsonl"
-    write_transcript(stream_from_columns(Modality.TEXT, "sessA", None, starts, ends,
+    write_transcript(stream_from_columns(Modality.TEXT, "sessA", starts, ends,
                                          [w for w, _, _ in words], speaker_id="s1"), transcript)
     lines = transcript.read_text(encoding="utf-8").split("\n")[:-1]
     write_lines(transcript, data.draw(st.permutations(lines)))

@@ -281,12 +281,9 @@ def test_two_word_example_by_hand():
 # --- four-situation split --------------------------------------------------
 
 def make_stream(session, speaker, words):
-    """A TEXT stream of ``(start, end, token)`` words with ids ``w000``... in that order."""
+    """A TEXT stream of ``(start, end, token)`` words."""
     starts, ends, tokens = zip(*words)
-    ids = [f"w{i:03d}" for i in range(len(tokens))]
-    return stream_from_columns(
-        Modality.TEXT, session, ids, starts, ends, tokens, speaker_id=speaker
-    )
+    return stream_from_columns(Modality.TEXT, session, starts, ends, tokens, speaker_id=speaker)
 
 
 def segs(*spans, label="AfD"):
@@ -331,7 +328,7 @@ def test_missing_party_metadata():
 
 
 def test_rejects_non_text_streams():
-    gaze = stream_from_columns(Modality.DERIVED, "a", ["d0"], [0], [1], ["AfD"])
+    gaze = stream_from_columns(Modality.DERIVED, "a", [0], [1], ["AfD"])
     with pytest.raises(ValidationError):
         four_situation_split([gaze], {}, PARTIES)
 

@@ -24,21 +24,20 @@ from modalign.timeline import (
     Element,
     Modality,
     covered,
+    element_ids,
     join_streams,
     overlap_pairs,
     query_crossmodal,
     stream_from_columns,
     word_element_id,
-    word_ids,
 )
 
 
-def derived(spans, session="s", prefix="e", labels=None):
-    """A DERIVED stream of ``spans`` with ids ``{prefix}000``...; each label defaults to "x"."""
-    ids = [f"{prefix}{i:03d}" for i in range(len(spans))]
+def derived(spans, session="s", labels=None):
+    """A DERIVED stream of ``spans``; each label defaults to "x"."""
     starts, ends = [a for a, _ in spans], [b for _, b in spans]
-    labels = labels or ["x"] * len(ids)
-    return stream_from_columns(Modality.DERIVED, session, ids, starts, ends, labels)
+    labels = labels or ["x"] * len(spans)
+    return stream_from_columns(Modality.DERIVED, session, starts, ends, labels)
 
 
 def random_spans(rng, n):
@@ -56,7 +55,7 @@ def test_interval_rejects_negative():
             derived(spans)
     for starts, ends in [([0.0, -1.0], [1.0, 0.0]), ([0.0, 2.0], [1.0, 1.5])]:
         with pytest.raises(NegativeInterval):
-            stream_from_columns(Modality.DERIVED, "s", ["a", "b"], starts, ends, ["x", "y"])
+            stream_from_columns(Modality.DERIVED, "s", starts, ends, ["x", "y"])
     # a bound that is not finite is refused in the same test
     nan, inf = float("nan"), float("inf")
     for span in [(nan, 1.0), (0.0, nan), (nan, nan), (0.0, inf), (inf, inf), (-inf, 0.0)]:
@@ -97,14 +96,14 @@ def test_stream_elements_equal_checked_ones():
 def test_negative_positions_give_python_floats():
     # CSV cells are repr()s of the bounds, so an element read from either end
     # of a stream or of the query hits must hold plain floats.
-    words = stream_from_columns(Modality.TEXT, "s", ["w0", "w1"], [0, 0.1], [0.1, 0.3], ["ja", "nein"])
-    segs = derived([(0.0, 1.0)], prefix="g", labels=["AfD"])
+    words = stream_from_columns(Modality.TEXT, "s", [0, 0.1], [0.1, 0.3], ["ja", "nein"])
+    segs = derived([(0.0, 1.0)], labels=["AfD"])
     hits = query_crossmodal([words, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
     for last in (words[-1], hits[-1]):
-        assert last == Element("w1", 0.1, 0.3, "nein")
+        assert last == Element("w000001", 0.1, 0.3, "nein")
         assert type(last.start) is float and type(last.end) is float
         assert (repr(last.start), repr(last.end)) == ("0.1", "0.3")
-    assert words[-2] == hits[-2] == Element("w0", 0.0, 0.1, "ja")
+    assert words[-2] == hits[-2] == Element("w000000", 0.0, 0.1, "ja")
     with pytest.raises(IndexError):
         words[-3]
 
@@ -144,45 +143,66 @@ def test_overlap_symmetric_and_bounded(vals):
 # --- stream construction ---------------------------------------------------
 
 def test_stream_from_columns_sorts_elements():
-    s = stream_from_columns(Modality.DERIVED, "s", ["b", "a", "c"], [5, 1, 3], [6, 2, 4], list("xyz"))
-    assert [e.id for e in s] == ["a", "c", "b"]
-    # ties go by id in Python's string order, in which "a" < "a\x00"; numpy's strings drop the NUL
-    s = stream_from_columns(Modality.DERIVED, "s", ["a\x00", "a", "b"], [1, 1, 0], [2, 2, 1], "xyz")
-    assert s.ids == ("b", "a", "a\x00") and s.payloads == ("z", "y", "x")
+    s = stream_from_columns(Modality.DERIVED, "s", [5, 1, 3], [6, 2, 4], list("xyz"))
+    assert s.payloads == ("y", "z", "x") and s.ids == ("seg0000", "seg0001", "seg0002")
+    # ties on (start, end) keep their input order
+    s = stream_from_columns(Modality.DERIVED, "s", [1, 1, 0], [2, 2, 1], "xyz")
+    assert s.payloads == ("z", "x", "y")
 
 
 def test_positional_ids_are_given_after_the_time_sort():
     # zero-length words tie on (start, end) and keep their input order
-    s = stream_from_columns(Modality.TEXT, "s", None, [2, 1, 1, 0], [3, 1, 1, 1], ["c", "b", "B", "a"])
+    s = stream_from_columns(Modality.TEXT, "s", [2, 1, 1, 0], [3, 1, 1, 1], ["c", "b", "B", "a"])
     assert s.payloads == ("a", "b", "B", "c")
-    assert s.ids == word_ids(4) == tuple(map(word_element_id, range(4)))
-    assert word_ids(4000)[3999] == "w003999" and word_ids(2) == ("w000000", "w000001")
+    assert s.ids == element_ids(Modality.TEXT, 4) == tuple(map(word_element_id, range(4)))
+    assert element_ids(Modality.TEXT, 4000)[3999] == "w003999"
+    assert element_ids(Modality.TEXT, 2) == ("w000000", "w000001")
+    assert element_ids(Modality.DERIVED, 10001)[10000] == "seg10000"
     with pytest.raises(OverlappingWords, match="'w000000' and 'w000001'"):
-        stream_from_columns(Modality.TEXT, "s", None, [0.5, 0.0], [1.0, 0.6], ["b", "a"])
+        stream_from_columns(Modality.TEXT, "s", [0.5, 0.0], [1.0, 0.6], ["b", "a"])
+
+
+_SPELLING = {Modality.TEXT: "w{:06d}", Modality.DERIVED: "seg{:04d}"}
+_QUARTERS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(Modality), _QUARTERS, st.data())
+def test_ids_are_positions_in_time_order_and_ties_keep_input_order(modality, quarters, data):
+    # On a quarter-second grid spans tie often, and some are zero-length.  Words may not
+    # overlap, so a text stream lays its words end to end, each after a gap; zero-length
+    # words with no gap tie.  Other streams take each pair as a start and a length.
+    if modality is Modality.TEXT:
+        ends = np.cumsum([gap + length for gap, length in quarters]) * 0.25
+        spans = [(end - 0.25 * length, end) for end, (_, length) in zip(ends.tolist(), quarters)]
+    else:
+        spans = [(0.25 * start, 0.25 * (start + length)) for start, length in quarters]
+    order = data.draw(st.permutations(range(len(spans))))
+    shuffled = [(*spans[k], f"p{k}") for k in order]
+    stream = stream_from_columns(modality, "s", *zip(*shuffled))
+    expected = sorted(shuffled, key=lambda row: row[:2])  # stable: ties keep the input order
+    assert stream.payloads == tuple(payload for _, _, payload in expected)
+    assert list(zip(stream.starts.tolist(), stream.ends.tolist())) == [row[:2] for row in expected]
+    assert [e.id for e in stream] == [_SPELLING[modality].format(k) for k in range(len(spans))]
 
 
 def test_stream_from_columns_rejects_empty():
     with pytest.raises(EmptyStream):
-        stream_from_columns(Modality.TEXT, "s", [], [], [], [])
+        stream_from_columns(Modality.TEXT, "s", [], [], [])
 
 
 def test_stream_from_columns_rejects_non_string_payloads():
     with pytest.raises(ValidationError):
-        stream_from_columns(Modality.DERIVED, "s", ["a", "b"], [0, 2], [1, 3], ["word", 1.5])
+        stream_from_columns(Modality.DERIVED, "s", [0, 2], [1, 3], ["word", 1.5])
     with pytest.raises(ValidationError):
-        stream_from_columns(Modality.DERIVED, "s", ["a"], [0], [1], [[1, 2]])
-
-
-def test_stream_from_columns_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
-        stream_from_columns(Modality.DERIVED, "s", ["a", "a"], [0, 2], [1, 3], ["x", "x"])
+        stream_from_columns(Modality.DERIVED, "s", [0], [1], [[1, 2]])
 
 
 def test_text_words_may_touch_but_not_overlap():
-    ok = stream_from_columns(Modality.TEXT, "s", ["w0", "w1"], [0.0, 0.5], [0.5, 1.0], ["ja", "nein"])
+    ok = stream_from_columns(Modality.TEXT, "s", [0.0, 0.5], [0.5, 1.0], ["ja", "nein"])
     assert len(ok) == 2
     with pytest.raises(OverlappingWords):
-        stream_from_columns(Modality.TEXT, "s", ["w0", "w1"], [0.0, 0.5], [0.6, 1.0], ["ja", "nein"])
+        stream_from_columns(Modality.TEXT, "s", [0.0, 0.5], [0.6, 1.0], ["ja", "nein"])
 
 
 def test_non_text_streams_may_overlap():
@@ -193,9 +213,9 @@ def test_non_text_streams_may_overlap():
 @given(st.permutations(list(range(6))))
 def test_stream_from_columns_order_invariant(perm):
     spans = [(0.0, 1.0), (0.5, 2.0), (2.0, 2.0), (3.0, 4.5), (4.0, 4.1), (6.0, 7.0)]
-    ids, labels = [f"e{i}" for i in range(6)], [f"p{i}" for i in range(6)]
-    reference = stream_from_columns(Modality.DERIVED, "s", ids, *zip(*spans), labels)
-    columns = [[column[i] for i in perm] for column in (ids, *zip(*spans), labels)]
+    labels = [f"p{i}" for i in range(6)]
+    reference = stream_from_columns(Modality.DERIVED, "s", *zip(*spans), labels)
+    columns = [[column[i] for i in perm] for column in (*zip(*spans), labels)]
     shuffled = stream_from_columns(Modality.DERIVED, "s", *columns)
     assert list(shuffled) == list(reference)
 
@@ -238,37 +258,37 @@ def test_join_matches_brute_force_randomized():
     rng = np.random.default_rng(42)
     for trial in range(60):
         na, nb = rng.integers(1, 250, size=2)
-        a = derived(random_spans(rng, int(na)), prefix="a")
-        b = derived(random_spans(rng, int(nb)), prefix="b")
+        a = derived(random_spans(rng, int(na)))
+        b = derived(random_spans(rng, int(nb)))
         min_ov = float(rng.choice([0.0, 0.0, 0.25]))
         got = {(p.source_id, p.target_id): p.overlap for p in join_streams(a, b, min_ov).pairs}
         assert got == brute_force_join(a, b, min_ov)
 
 
 def test_join_pairs_ordered_by_position():
-    a = derived([(0, 4), (1, 5), (2, 6)], prefix="a")
-    b = derived([(0, 3), (2, 7)], prefix="b")
+    a = derived([(0, 4), (1, 5), (2, 6)])
+    b = derived([(0, 3), (2, 7)])
     pairs = join_streams(a, b).pairs
     keys = [(p.source_id, p.target_id) for p in pairs]
     assert keys == sorted(keys)
 
 
 def test_touching_intervals_never_align():
-    a = derived([(0.0, 1.0)], prefix="a")
-    b = derived([(1.0, 2.0)], prefix="b")
+    a = derived([(0.0, 1.0)])
+    b = derived([(1.0, 2.0)])
     assert join_streams(a, b).pairs == ()
 
 
 def test_point_elements_never_align():
-    words = derived([(0.0, 10.0)], prefix="w")
-    points = derived([(5.0, 5.0)], prefix="p")
+    words = derived([(0.0, 10.0)])
+    points = derived([(5.0, 5.0)])
     assert join_streams(words, points).pairs == ()
     assert join_streams(points, words).pairs == ()
 
 
 def test_min_overlap_is_strict():
-    a = derived([(0.0, 1.0)], prefix="a")
-    b = derived([(0.5, 2.0)], prefix="b")  # overlap exactly 0.5
+    a = derived([(0.0, 1.0)])
+    b = derived([(0.5, 2.0)])  # overlap exactly 0.5
     assert len(join_streams(a, b, min_overlap=0.25)) == 1
     assert len(join_streams(a, b, min_overlap=0.5)) == 0
 
@@ -283,17 +303,17 @@ def test_join_rejects_cross_session():
 # --- cardinality -----------------------------------------------------------
 
 def test_cardinality_classification():
-    one = derived([(0, 1), (2, 3)], prefix="a")
-    assert join_streams(one, derived([(0.5, 2.5)], prefix="b")).cardinality is Cardinality.MANY_TO_ONE
-    assert join_streams(derived([(0.5, 2.5)], prefix="b"), one).cardinality is Cardinality.ONE_TO_MANY
-    assert join_streams(one, derived([(0, 1), (2, 3)], prefix="b")).cardinality is Cardinality.ONE_TO_ONE
-    many = derived([(0, 3), (1, 4)], prefix="a")
-    assert join_streams(many, derived([(0, 3), (1, 4)], prefix="b")).cardinality is Cardinality.MANY_TO_MANY
+    one = derived([(0, 1), (2, 3)])
+    assert join_streams(one, derived([(0.5, 2.5)])).cardinality is Cardinality.MANY_TO_ONE
+    assert join_streams(derived([(0.5, 2.5)]), one).cardinality is Cardinality.ONE_TO_MANY
+    assert join_streams(one, derived([(0, 1), (2, 3)])).cardinality is Cardinality.ONE_TO_ONE
+    many = derived([(0, 3), (1, 4)])
+    assert join_streams(many, derived([(0, 3), (1, 4)])).cardinality is Cardinality.MANY_TO_MANY
 
 
 def test_empty_alignment_is_degenerate_many_to_many():
-    a = derived([(0, 1)], prefix="a")
-    b = derived([(5, 6)], prefix="b")
+    a = derived([(0, 1)])
+    b = derived([(5, 6)])
     amap = join_streams(a, b)
     assert amap.pairs == ()
     assert amap.cardinality is Cardinality.MANY_TO_MANY
@@ -303,46 +323,47 @@ def test_empty_alignment_is_degenerate_many_to_many():
 
 def words_stream(session, toks_spans):
     tokens, starts, ends = zip(*toks_spans)
-    ids = [f"w{i:03d}" for i in range(len(tokens))]
-    return stream_from_columns(Modality.TEXT, session, ids, starts, ends, tokens)
+    return stream_from_columns(Modality.TEXT, session, starts, ends, tokens)
 
 
 def test_query_selects_overlapping_elements():
     words = words_stream("s", [("ja", 0, 1), ("nein", 1, 2), ("doch", 4, 5)])
-    segs = derived([(0.5, 1.5)], prefix="g", labels=["AfD"])
+    segs = derived([(0.5, 1.5)], labels=["AfD"])
     hits = query_crossmodal([words, segs], Modality.TEXT, lambda e: e.payload == "AfD", Modality.DERIVED)
-    assert [e.id for e in hits] == ["w000", "w001"]
+    assert [e.id for e in hits] == ["w000000", "w000001"]
 
 
 def test_query_deduplicates_and_orders():
     words = words_stream("s", [("a", 0, 3), ("b", 3, 4)])
-    segs = derived([(0.0, 1.5), (1.0, 3.5)], prefix="g", labels=["AfD", "AfD"])
+    segs = derived([(0.0, 1.5), (1.0, 3.5)], labels=["AfD", "AfD"])
     hits = query_crossmodal([words, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
-    # w000 overlaps both segments but appears once, in timeline order
-    assert [e.id for e in hits] == ["w000", "w001"]
+    # w000000 overlaps both segments but appears once, in timeline order
+    assert [e.id for e in hits] == ["w000000", "w000001"]
 
 
 def test_query_respects_sessions():
     words_a = words_stream("sa", [("x", 0, 1)])
     words_b = words_stream("sb", [("y", 0, 1)])
-    segs_a = derived([(0.0, 1.0)], session="sa", prefix="g", labels=["AfD"])
+    segs_a = derived([(0.0, 1.0)], session="sa", labels=["AfD"])
     hits = query_crossmodal(
         [words_a, words_b, segs_a], Modality.TEXT, lambda e: True, Modality.DERIVED
     )
-    assert [e.id for e in hits] == ["w000"]
+    assert [e.id for e in hits] == ["w000000"]
     assert hits[0].payload == "x"
 
 
 def test_query_merges_streams_of_one_session_in_time_order():
     words = words_stream("s", [("x", 0, 1), ("y", 2, 3)])
-    more = stream_from_columns(Modality.TEXT, "s", ["v0", "v1"], [1, 3], [2, 4], ["z", "q"])
-    segs = derived([(0.0, 5.0)], prefix="g", labels=["AfD"])
+    more = stream_from_columns(Modality.TEXT, "s", [1, 3], [2, 4], ["z", "q"])
+    segs = derived([(0.0, 5.0)], labels=["AfD"])
     hits = query_crossmodal([words, more, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
-    assert [e.id for e in hits] == ["w000", "v0", "w001", "v1"]
-    # tied hits go by id in Python's string order, whatever order their streams come in
-    tied = [stream_from_columns(Modality.TEXT, "s", [i], [1], [2], ["z"]) for i in ("a\x00", "a")]
-    hits = query_crossmodal([*tied, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
-    assert hits.ids == ("a", "a\x00")
+    assert hits.payloads == ("x", "z", "y", "q")
+    assert hits.ids == ("w000000", "w000000", "w000001", "w000001")
+    # tied hits keep their streams' corpus order, whichever order that is
+    tied = [stream_from_columns(Modality.TEXT, "s", [1], [2], [token]) for token in ("a", "b")]
+    for streams in (tied, tied[::-1]):
+        hits = query_crossmodal([*streams, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
+        assert hits.payloads == tuple(stream.payloads[0] for stream in streams)
 
 
 def test_query_requires_both_modalities():
@@ -361,11 +382,10 @@ def test_query_matches_brute_force_randomized():
         # words laid end to end over the segments' span, some of zero length
         lengths = rng.exponential(1.0, size=40) * (rng.uniform(size=40) >= 0.2)
         ends = np.cumsum(lengths + rng.exponential(0.3, size=40))
-        ids = [f"w{i:03d}" for i in range(40)]
-        words = stream_from_columns(Modality.TEXT, "s", ids, ends - lengths, ends, ["x"] * 40)
+        words = stream_from_columns(Modality.TEXT, "s", ends - lengths, ends, ["x"] * 40)
         marks = rng.uniform(size=30) < 0.4
         segs = derived(
-            random_spans(rng, 30), prefix="g", labels=["hit" if m else "miss" for m in marks]
+            random_spans(rng, 30), labels=["hit" if m else "miss" for m in marks]
         )
         got = query_crossmodal([words, segs], Modality.TEXT, lambda e: e.payload == "hit", Modality.DERIVED)
         matched = [e for e in segs if e.payload == "hit"]
@@ -384,13 +404,12 @@ def test_query_matches_brute_force_randomized():
 
 # --- columnar results ------------------------------------------------------
 
-def _text_stream(session, prefix, gaps_lengths):
+def _text_stream(session, gaps_lengths):
     """A TEXT stream of words laid end to end: each gap, then a word of that length."""
     ends = np.cumsum([g + d for g, d in gaps_lengths])
     starts = ends - [d for _, d in gaps_lengths]
-    ids = [f"{prefix}{k}" for k in range(len(starts))]
-    tokens = [f"t{k % 3}" for k in range(len(ids))]
-    return stream_from_columns(Modality.TEXT, session, ids, starts, ends, tokens)
+    tokens = [f"t{k % 3}" for k in range(len(starts))]
+    return stream_from_columns(Modality.TEXT, session, starts, ends, tokens)
 
 
 # quarter-second grid steps, so words of the two streams often share bounds
@@ -400,7 +419,6 @@ _SESSION = st.tuples(
     _WORDS,
     st.none() | _WORDS,  # a second TEXT stream overlapping the first
     st.lists(st.tuples(_STEP, _STEP, st.booleans()), min_size=1, max_size=6),
-    st.sampled_from(["w", "v"]),  # the second stream's id prefix; "w" repeats the first's ids
 )
 
 
@@ -408,20 +426,20 @@ _SESSION = st.tuples(
 @given(st.lists(_SESSION, min_size=1, max_size=3))
 def test_query_result_is_a_sequence_equal_to_brute_force(sessions):
     corpus, expected, expected_sessions = [], [], []
-    for n, (words, more, segs, prefix) in enumerate(sessions):
+    for n, (words, more, segs) in enumerate(sessions):
         sid = f"s{n}"
-        texts = [_text_stream(sid, "w", words)]
+        texts = [_text_stream(sid, words)]
         if more is not None:
-            texts.append(_text_stream(sid, prefix, more))
-        marks = derived([(a, a + d) for a, d, _ in segs], session=sid, prefix="g",
+            texts.append(_text_stream(sid, more))
+        marks = derived([(a, a + d) for a, d, _ in segs], session=sid,
                         labels=["hit" if hit else "miss" for _, _, hit in segs])
         corpus += [*texts, marks]
         matched = [g for g in marks if g.payload == "hit"]
-        # sorted is stable: equal (start, end, id) keys keep the streams' corpus order
+        # sorted is stable: equal (start, end) keys keep the streams' corpus order
         found = sorted(
             (w for text in texts for w in text
              if any(overlap((w.start, w.end), (g.start, g.end)) > 0 for g in matched)),
-            key=lambda w: (w.start, w.end, w.id),
+            key=lambda w: (w.start, w.end),
         )
         expected += found
         expected_sessions += [sid] * len(found)
