@@ -250,7 +250,11 @@ def interaction_name(party: str) -> str:
 
 
 def speaker_parties(index: ingest.CorpusIndex, cfg: RunConfig) -> dict[str, str]:
-    """Party per speaker id; :class:`ValidationError` unless ``cfg.target_party`` is one of them."""
+    """Party per speaker of the index's sessions.
+
+    Raises :class:`ValidationError` unless ``cfg.target_party`` is one of
+    those parties; a party with no session in the index is none of them.
+    """
     party_of = {spk: p.party for spk, p in index.speakers().items()}
     if cfg.target_party not in party_of.values():
         raise ValidationError(

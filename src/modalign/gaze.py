@@ -171,6 +171,7 @@ def segments_to_stream(
         session_id,
         segments.starts,
         segments.ends,
-        [segments.label] * len(segments),
+        np.zeros(len(segments), dtype=np.intp),
         speaker_id=speaker_id,
+        vocab=(segments.label,),
     )

@@ -17,8 +17,9 @@ files; :func:`build_index` parses everything once into a versioned
 directory that later commands load lazily.  Its manifest holds one row
 of strings per session: the ids and the audio path, relative to the
 index.  The session's files are named by its id: a JSON blob holds its
-words, and its numbers (word times, gaze samples) sit beside it in
-structured ``.npy`` tables, which load as float64 arrays.  The
+vocabulary, each distinct word once, and its numbers (word times and
+codes into that vocabulary, gaze samples) sit beside it in structured
+``.npy`` tables.  The
 speakers CSV is kept as ingested, less a byte-order mark.  The index
 directory is written to a temporary sibling and renamed into place, and
 rebuilding from unchanged inputs is byte-identical.  What it replaces must
@@ -30,6 +31,7 @@ path and 1-based line number.  Every input file is read through :func:`_opened`.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
@@ -65,10 +67,10 @@ from .timeline import ElementStream, Modality, stream_from_columns
 from .timeline import word_element_id  # noqa: F401  re-exported for callers of ingest
 
 MANIFEST_FORMAT_VERSION = 1  # corpus manifests, the input of ``ingest``
-INDEX_FORMAT_VERSION = 6     # index directories: version 6 stores no word ids
+INDEX_FORMAT_VERSION = 7     # index directories: version 7 stores words as a vocab and codes
 
 # The numeric tables of an index session, one structured .npy file each; a flag is a 0/1 byte.
-_WORDS_DTYPE = np.dtype([("start", "<f8"), ("end", "<f8")])
+_WORDS_DTYPE = np.dtype([("start", "<f8"), ("end", "<f8"), ("code", "<u4")])
 _GAZE_DTYPE = np.dtype([("t", "<f8"), ("yaw", "<f8"), ("pitch", "<f8"), ("frontal", "u1")])
 # The string fields of an index manifest's session row, and no others.
 _ROW_KEYS = ("session_id", "speaker_id", "audio")
@@ -317,10 +319,11 @@ def write_transcript(stream: ElementStream, path) -> None:
     """One JSON object per word, with the bytes of ``json.dumps(..., sort_keys=True)``."""
     # a stream's times are finite, and json writes those as float.__repr__ does
     sid = encode_basestring_ascii(stream.speaker_id or "")
+    words = list(map(encode_basestring_ascii, stream.vocab))  # each distinct word once
     lines = zip(
         map(float.__repr__, stream.ends.tolist()),
         map(float.__repr__, stream.starts.tolist()),
-        map(encode_basestring_ascii, stream.payloads),
+        map(words.__getitem__, stream.codes.tolist()),
         strict=True,
     )
     Path(path).write_text(
@@ -671,12 +674,12 @@ def _is_index(out_dir: Path) -> bool:
     """Does ``out_dir`` look like an index :func:`build_index` wrote?
 
     Every index format version has a ``speakers.json`` (versions 1-3) or a
-    ``speakers.csv`` (4-6) beside a ``manifest.json`` whose session rows
-    each hold exactly :data:`_ROW_KEYS` (5-6) or name a ``blob`` (1-4); a
+    ``speakers.csv`` (4-7) beside a ``manifest.json`` whose session rows
+    each hold exactly :data:`_ROW_KEYS` (5-7) or name a ``blob`` (1-4); a
     corpus manifest's rows, at its version 1, name no blob.
     """
     doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    rows, current = doc["sessions"], doc["format_version"] in (5, INDEX_FORMAT_VERSION)
+    rows, current = doc["sessions"], doc["format_version"] in (5, 6, INDEX_FORMAT_VERSION)
     speakers = (out_dir / "speakers.json").is_file() or (out_dir / "speakers.csv").is_file()
     return speakers and bool(rows) and all(
         isinstance(row, dict) and (row.keys() == set(_ROW_KEYS) if current else "blob" in row)
@@ -766,8 +769,8 @@ def _write_index(root: Path, sessions) -> None:
     session_rows = []
     for entry, audio, words, trace in sessions:
         blob, words_path, gaze_path = _session_files(root, entry.session_id)
-        blob.write_bytes(_json_bytes({"word": list(words.payloads)}, compact=True))
-        _write_table(words_path, _WORDS_DTYPE, start=words.starts, end=words.ends)
+        blob.write_bytes(_json_bytes({"vocab": list(words.vocab)}, compact=True))
+        _write_table(words_path, _WORDS_DTYPE, start=words.starts, end=words.ends, code=words.codes)
         _write_table(
             gaze_path, _GAZE_DTYPE,
             t=trace.t, yaw=trace.yaw, pitch=trace.pitch, frontal=trace.frontal,
@@ -797,12 +800,24 @@ def _write_table(path: Path, dtype: np.dtype, **columns) -> None:
 
 
 def _table_header(dtype: np.dtype, rows: int) -> bytes:
-    """The ``.npy`` header :func:`numpy.save` writes before a flat table of ``rows`` rows."""
+    """The ``.npy`` header :func:`numpy.save` writes before a flat table of ``rows`` rows.
+
+    numpy pads the row count with spaces to a fixed width, so the headers
+    of one dtype differ only in the digits and the padding after them.
+    """
+    head, size = _header_head(dtype)
+    return (head + b"%d,), }" % rows).ljust(size - 1) + b"\n"
+
+
+@functools.cache
+def _header_head(dtype: np.dtype) -> tuple[bytes, int]:
+    """``dtype``'s ``.npy`` header up to the row count, and the header's length."""
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(
-        buf, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (rows,)}
+        buf, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (0,)}
     )
-    return buf.getvalue()
+    header = buf.getvalue()
+    return header[: header.rindex(b"'shape': (") + len(b"'shape': (")], len(header)
 
 
 _SHAPE = re.compile(rb"'shape': \((\d{1,18}),\)")
@@ -813,7 +828,7 @@ def _read_table(path: Path, dtype: np.dtype) -> dict[str, np.ndarray]:
 
     The file's header must be byte for byte :func:`_table_header`'s for a
     flat array of ``dtype``, its data exactly as many rows as
-    the header gives, its floats finite and its flags 0 or 1.
+    the header gives, its floats finite and its flags (``u1``) 0 or 1.
     Checking the header whole takes the place of :func:`numpy.load`, whose
     lenient header parser can print a warning or raise a tokenizer error on
     a damaged file, and it never unpickles.  A file that cannot be read is
@@ -836,18 +851,18 @@ def _read_table(path: Path, dtype: np.dtype) -> dict[str, np.ndarray]:
     for name, values in columns.items():
         if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise ParseError(path, 0, f"column {name!r} holds non-finite numbers")
-        if values.dtype.kind == "u" and (values > 1).any():
+        if values.dtype == np.uint8 and (values > 1).any():
             raise ParseError(path, 0, f"column {name!r} must hold only 0 and 1")
     return columns
 
 
-def _blob_words(doc) -> list:
-    """A blob's ``word`` list, unchecked but for being a list and the blob's one key."""
-    if doc.keys() != {"word"}:
-        raise TypeError(f"a blob holds the one key 'word', got {sorted(doc)}")
-    if not isinstance(doc["word"], list):
-        raise TypeError("'word' must be a list")
-    return doc["word"]
+def _blob_vocab(doc) -> list:
+    """A blob's ``vocab`` list, unchecked but for being a list and the blob's one key."""
+    if doc.keys() != {"vocab"}:
+        raise TypeError(f"a blob holds the one key 'vocab', got {sorted(doc)}")
+    if not isinstance(doc["vocab"], list):
+        raise TypeError("'vocab' must be a list")
+    return doc["vocab"]
 
 
 @dataclass(frozen=True)
@@ -890,14 +905,19 @@ class CorpusIndex:
         return sorted(self._rows)
 
     def speakers(self) -> dict[str, SpeakerProfile]:
-        """Profiles from ``speakers.csv``, which must list every session's speaker."""
+        """Profiles of the sessions' speakers, in ``speakers.csv`` order.
+
+        ``speakers.csv`` must list every session's speaker; its lines for
+        other speakers are checked and left out.
+        """
         if self._profiles is None:
             path = self.root / "speakers.csv"
             profiles = load_speakers(path)
-            unlisted = sorted({row["speaker_id"] for row in self._rows.values()} - profiles.keys())
+            speaking = {row["speaker_id"] for row in self._rows.values()}
+            unlisted = sorted(speaking - profiles.keys())
             if unlisted:
                 raise ParseError(path, 0, f"no line for the sessions' speakers {unlisted}")
-            self._profiles = profiles
+            self._profiles = {spk: p for spk, p in profiles.items() if spk in speaking}
         return self._profiles
 
     def load_session(self, session_id: str) -> SessionData:
@@ -907,7 +927,7 @@ class CorpusIndex:
             raise ValidationError(f"index has no session {session_id!r}")
         row = self._rows[session_id]
         blob, words_path, gaze_path = _session_files(self.root, session_id)
-        tokens = _read_json_file(blob, _blob_words)
+        vocab = _read_json_file(blob, _blob_vocab)
         w = _read_table(words_path, _WORDS_DTYPE)
         g = _read_table(gaze_path, _GAZE_DTYPE)
         try:
@@ -916,8 +936,8 @@ class CorpusIndex:
             raise ParseError(gaze_path, 0, f"gaze of session {session_id!r}: {e}") from None
         try:
             words = stream_from_columns(
-                Modality.TEXT, session_id, w["start"], w["end"], tokens,
-                speaker_id=row["speaker_id"],
+                Modality.TEXT, session_id, w["start"], w["end"], w["code"],
+                speaker_id=row["speaker_id"], vocab=vocab,
             )
         except EngineError as e:
             raise ParseError(

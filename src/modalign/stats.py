@@ -17,7 +17,6 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -277,7 +276,8 @@ def four_situation_split(
     overlaps (strictly) any address segment of its session, in whatever
     order the segments come; a session with no entry in
     ``segments_by_session`` addresses nobody.  The speaker side is decided
-    by party membership.  Tokens are lowercased.  Raises
+    by party membership.  Tokens are lowercased, and each cell is counted
+    over the stream's codes, so each distinct word is lowercased once.  Raises
     :class:`MissingPartyMetadata` when a stream's speaker has no party entry.
     """
     split = FourWaySplit(Counter(), Counter(), Counter(), Counter())
@@ -296,7 +296,10 @@ def four_situation_split(
         segs = segments_by_session.get(stream.session_id)
         bounds = (segs.starts, segs.ends) if segs is not None else (np.empty(0), np.empty(0))
         addressed = covered(*bounds, stream.starts, stream.ends)
+        lowered = [word.lower() for word in stream.vocab]
         for cell, mask in ((to_target, addressed), (to_others, ~addressed)):
-            for payload, count in Counter(compress(stream.payloads, mask.tolist())).items():
-                cell[payload.lower()] += count
+            counts = np.bincount(stream.codes[mask], minlength=len(lowered))
+            present = np.flatnonzero(counts)
+            for code, count in zip(present.tolist(), counts[present].tolist()):
+                cell[lowered[code]] += count
     return split

@@ -11,7 +11,10 @@ Conventions
   intervals that merely touch (``a.end == b.start``) do not overlap.
 * Point samples are represented as ``start == end`` and never align with
   anything: a zero-length interval has zero overlap with everything.
-* Payloads are strings: a word's token, a segment's label.
+* Payloads are strings: a word's token, a segment's label.  A stream holds
+  them as a vocabulary and codes: ``vocab`` is its distinct strings, in the
+  order they first appear in time order, and element ``k``'s payload is
+  ``vocab[codes[k]]``.
 * An element's id is its position in time order, spelled by its stream's
   modality (:func:`element_ids`): ``w000000`` ... for words, ``seg0000`` ...
   for segments.
@@ -24,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,9 +91,11 @@ class _ElementColumns(Sequence):
 class ElementStream(_ElementColumns):
     """Sorted, immutable sequence of elements from one modality and session.
 
-    Held as columns: ``starts``/``ends`` are read-only float64 arrays and
-    ``ids``/``payloads`` are tuples, all in the order :func:`stream_from_columns`
-    gives.  An :class:`Element` is built only when one is asked for, by
+    Held as columns: ``starts``/``ends`` are read-only float64 arrays,
+    ``codes`` a read-only int array and ``ids`` a tuple, all in the order
+    :func:`stream_from_columns` gives; ``vocab`` is the tuple of distinct
+    payloads the codes index.  The :attr:`payloads` tuple is built when it
+    is first read, and an :class:`Element` only when one is asked for, by
     iteration or ``stream[i]``.
     """
 
@@ -99,7 +105,13 @@ class ElementStream(_ElementColumns):
     ids: tuple[str, ...]
     starts: np.ndarray
     ends: np.ndarray
-    payloads: tuple[str, ...]
+    vocab: tuple[str, ...]
+    codes: np.ndarray
+
+    @cached_property
+    def payloads(self) -> tuple[str, ...]:
+        """Each element's payload, ``vocab[codes[k]]``."""
+        return tuple(map(self.vocab.__getitem__, self.codes.tolist()))
 
 
 _ID_FORMATS = {Modality.TEXT: "w{:06d}", Modality.DERIVED: "seg{:04d}"}
@@ -136,36 +148,85 @@ def stream_from_columns(
     session_id: str,
     starts,
     ends,
-    payloads: Sequence[str],
+    payloads: Sequence,
     speaker_id: str | None = None,
+    *,
+    vocab: Sequence[str] | None = None,
 ) -> ElementStream:
     """Validate, sort, and freeze a stream given as parallel columns.
 
-    Elements are sorted by ``(start, end)``, ties keeping their input
-    order, and the ``k``-th gets id ``element_ids(modality, n)[k]``.
-    Raises :class:`ValidationError` unless every payload is a string,
-    :class:`EmptyStream`, :class:`NegativeInterval` unless ``0 <= start <=
-    end < inf`` (NaN fails), and :class:`OverlappingWords` when a text
-    stream's words overlap.
+    ``payloads`` are strings, or, with ``vocab`` given, integer codes into
+    it.  Elements are sorted by ``(start, end)``, ties keeping their input
+    order, and the ``k``-th gets id ``element_ids(modality, n)[k]``.  A
+    stream's vocab holds each distinct payload once, in the order the
+    payloads first appear in time order: a stream built from strings takes
+    it from them, and one built from codes must be given it so.  Raises
+    :class:`ValidationError` unless every payload (every vocab entry) is a
+    string, the vocab holds no string twice, every code indexes it and
+    every entry is used in that order, :class:`EmptyStream`,
+    :class:`NegativeInterval` unless ``0 <= start <= end < inf`` (NaN
+    fails), and :class:`OverlappingWords` when a text stream's words
+    overlap.
     """
     starts = np.array(starts, dtype=np.float64)
     ends = np.array(ends, dtype=np.float64)
-    payloads = tuple(payloads)
     n = len(payloads)
     if not starts.size == ends.size == n:
         raise ValidationError("stream columns differ in length")
     if not n:
         raise EmptyStream(f"stream for session {session_id!r} has no elements")
-    if set(map(type, payloads)) != {str}:
+    # ties or disorder: a stable sort by (start, end)
+    order = None if (starts[1:] > starts[:-1]).all() else np.lexsort((ends, starts))
+    strings = vocab is None
+    if strings:  # one hash pass over the payloads in time order
+        in_time = payloads if order is None else map(payloads.__getitem__, order.tolist())
+        first = {}  # each distinct payload -> the position where it first appears
+        try:
+            at = np.fromiter(map(first.setdefault, in_time, range(n)), np.intp, n)
+        except TypeError:  # an unhashable payload, which is no string
+            first = {None: 0}
+        vocab = first
+    vocab = tuple(vocab)
+    if set(map(type, vocab)) - {str}:
         raise ValidationError(f"payloads in session {session_id!r} must be strings")
+    if strings:
+        code_at = np.empty(n, np.intp)  # at a payload's first position, its code
+        code_at[np.fromiter(first.values(), np.intp, len(vocab))] = np.arange(len(vocab))
+        codes = code_at[at]
+    else:
+        codes = np.asarray(payloads)
+        if len(set(vocab)) < len(vocab):
+            twice = next(word for word, count in Counter(vocab).items() if count > 1)
+            raise ValidationError(f"vocab of session {session_id!r} holds {twice!r} twice")
+        if codes.dtype.kind not in "iu" or codes.ndim != 1:
+            raise ValidationError(f"codes in session {session_id!r} must be integers")
+        codes = codes.astype(np.intp)  # the stream's own copy
+        unsigned = codes.view(np.uintp)  # a negative code, or one past intp, reads as huge
+        if unsigned.max() >= len(vocab):
+            k = int(np.argmax(unsigned >= len(vocab)))
+            raise ValidationError(
+                f"code {payloads[k]} in session {session_id!r} is outside its vocab of {len(vocab)}"
+            )
+        if order is not None:
+            codes = codes[order]
+        # In first-appearance order the newest code so far grows by one at each new word.
+        newest = np.maximum.accumulate(codes)
+        if codes[0] or newest[-1] + 1 < len(vocab) or (codes[1:] > newest[:-1] + 1).any():
+            k = int(np.argmax(np.diff(newest, prepend=-1, append=len(vocab)) > 1))
+            due = (int(newest[k - 1]) if k else -1) + 1  # the code that should have come next
+            if not (codes == due).any():
+                raise ValidationError(
+                    f"vocab entry {vocab[due]!r} of session {session_id!r} is unused"
+                )
+            raise ValidationError(
+                f"vocab of session {session_id!r} lists {vocab[due]!r} before "
+                f"{vocab[codes[k]]!r}, which appears first"
+            )
     bad = np.flatnonzero(~((0 <= starts) & (starts <= ends) & (ends < np.inf)))
     if bad.size:
         raise NegativeInterval(f"bad interval [{starts[bad[0]]}, {ends[bad[0]]})")
-
-    if not (starts[1:] > starts[:-1]).all():  # ties or disorder: a stable sort by (start, end)
-        order = np.lexsort((ends, starts)).tolist()
+    if order is not None:
         starts, ends = starts[order], ends[order]
-        payloads = tuple(payloads[k] for k in order)
     ids = element_ids(modality, n)
 
     if modality is Modality.TEXT:
@@ -176,9 +237,9 @@ def stream_from_columns(
                 f"words {ids[k]!r} and {ids[k + 1]!r} overlap in session {session_id!r}"
             )
 
-    starts.setflags(write=False)
-    ends.setflags(write=False)
-    return ElementStream(modality, session_id, speaker_id, ids, starts, ends, payloads)
+    for column in (starts, ends, codes):
+        column.setflags(write=False)
+    return ElementStream(modality, session_id, speaker_id, ids, starts, ends, vocab, codes)
 
 
 @dataclass(frozen=True)
@@ -357,7 +418,7 @@ def query_crossmodal(
 
     session_ids = [sid for sid, _, at in parts for _ in range(at.size)]
     ids = [s.ids[k] for _, s, at in parts for k in at.tolist()]
-    payloads = [s.payloads[k] for _, s, at in parts for k in at.tolist()]
+    payloads = [s.vocab[code] for _, s, at in parts for code in s.codes[at].tolist()]
     starts = np.concatenate([np.empty(0)] + [s.starts[at] for _, s, at in parts])
     ends = np.concatenate([np.empty(0)] + [s.ends[at] for _, s, at in parts])
     if len({sid for sid, _, _ in parts}) < len(parts):

@@ -7,8 +7,8 @@ dummy variables instead of demeaning, arbitrary precision instead of
 float64.  Slow is fine here; being obviously correct is the point.
 
 The loop oracles (``sweep_loop``, ``detect_loop``, ``dtw_loop``, the
-loaders ``transcript_loop`` to ``panel_loop``, ``word_pitch_loop`` and
-``standardize_loop``) are the
+loaders ``transcript_loop`` to ``panel_loop``, ``word_pitch_loop``,
+``standardize_loop`` and ``split_loop``) are the
 one-step-per-item versions that vectorised package code replaced; with the
 same arithmetic, the package must match them exactly.
 """
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,8 @@ from modalign.errors import AngleOutOfRange, DegenerateSpeaker, ParseError, Unso
 from modalign.gaze import GazeTrace
 from modalign.ingest import _fmt, _read_text
 from modalign.pitch import PITCH_RANGE_BY_GENDER, SpeakerProfile, WordPitch
-from modalign.stats import PanelRow
-from modalign.timeline import Modality, stream_from_columns
+from modalign.stats import FourWaySplit, PanelRow
+from modalign.timeline import Modality, covered, stream_from_columns
 
 
 # --- interval joins --------------------------------------------------------
@@ -568,3 +570,23 @@ def fightin_words_mp(counts_a, counts_b, prior_scale=1.0):
             variance = 1 / (ya + aw) + 1 / (yb + aw)
             out[w] = float(delta / mpmath.sqrt(variance))
         return out
+
+
+def split_loop(text_streams, segments_by_session, party_by_speaker, *, target_party="AfD"):
+    """The cells of ``four_situation_split`` counted a token at a time from each stream's payloads.
+
+    Takes well-formed input: every stream is a text stream whose speaker has a party.
+    """
+    split = FourWaySplit(Counter(), Counter(), Counter(), Counter())
+    for stream in text_streams:
+        if party_by_speaker[stream.speaker_id] == target_party:
+            to_target, to_others = split.target_to_target, split.target_to_others
+        else:
+            to_target, to_others = split.others_to_target, split.others_to_others
+        segs = segments_by_session.get(stream.session_id)
+        bounds = (segs.starts, segs.ends) if segs is not None else (np.empty(0), np.empty(0))
+        addressed = covered(*bounds, stream.starts, stream.ends)
+        for cell, mask in ((to_target, addressed), (to_others, ~addressed)):
+            for payload, count in Counter(compress(stream.payloads, mask.tolist())).items():
+                cell[payload.lower()] += count
+    return split

@@ -466,9 +466,13 @@ def _npy(fields, rows, allow_pickle=False) -> bytes:
     return buf.getvalue()
 
 
-def _words_npy(start=_F8, rows=((0.0, 1.0),)) -> dict:
-    """sess000's word table, with ``start`` stored as this dtype."""
-    return {"idx/sessions/sess000.words.npy": _npy([("start", start), ("end", _F8)], list(rows))}
+_WORDS_FILE = "idx/sessions/sess000.words.npy"
+
+
+def _words_npy(start=_F8, rows=((0.0, 1.0, 0),)) -> dict:
+    """sess000's word table, with ``start`` stored as this dtype; a row of two has no code."""
+    fields = [("start", start), ("end", _F8), ("code", "<u4")][: len(rows[0]) if rows else 3]
+    return {_WORDS_FILE: _npy(fields, list(rows))}
 
 
 def _gaze_npy(t=_F8, rows=((0.0, 50.0, 0.0, 1), (0.125, 50.0, 0.0, 1))) -> dict:
@@ -535,7 +539,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         (_gaze_npy(rows=[(0.0, 50, 0, 1), (0.125, 50, 0, 2)]),
          ["segments", "--index", "IDX"], "ParseError"),
         (_words_npy(start="<U3"), ["segments", "--index", "IDX"], "ParseError"),
-        (_words_npy(rows=[(0, 1), (1, 2)]), ["segments", "--index", "IDX"], "ParseError"),
+        ({_WORDS_FILE: _words_npy()[_WORDS_FILE][:-6]}, ["segments", "--index", "IDX"],
+         "ParseError"),
         ({"p.csv": _PANEL.format(y="nan", x=1)}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"p.csv": _PANEL.format(y=4, x="inf")}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"a.csv": "word,count\nja,nan\n", "b.csv": "word,count\nja,3\n"},
@@ -594,14 +599,15 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"idx/speakers.csv": "speaker_id,party,gender\nspk000,AfD,m\n"},
          ["pitch", "--index", "IDX"], "ParseError"),
         (_sess000_with_wav(16000, 0), ["pitch", "--index", "IDX"], "ParseError"),
-        (_sess000_with_wav(4000, 8000), ["regress", "--index", "IDX"], "ParseError"),
+        (_sess000_with_wav(4000, 8000),  # sess000's speaker is of SPD, the one party left
+         ["regress", "--index", "IDX", "--target-party", "SPD"], "ParseError"),
         (_corpus(gaze="-5.0,50,0,1\n"), _MANIFEST, "ParseError"),
         (_gaze_npy(rows=[(-5.0, 50, 0, 1), (0.125, 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
         (_corpus(gaze="0.125,50,0,1\n0.0,50,0,1\n0.125,50,0,1\n"), _MANIFEST, "ParseError"),
         (_gaze_npy(rows=[(0.0, 50, 0, 1), (0.0, 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"word": ["ja"]}', **_words_npy(rows=[(-5.0, 0.375)])},
+        ({_BLOB: '{"vocab": ["ja"]}', **_words_npy(rows=[(-5.0, 0.375, 0)])},
          ["segments", "--index", "IDX"], "ParseError"),
         ({}, ["pitch", "--index", "IDX", "--hop", "abc"], "ValidationError"),
         ({}, ["pitch", "--index", "IDX", "--hop", "0"], "ValidationError"),
@@ -618,16 +624,16 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "NonFiniteStatistic"),
         ({"p.csv": "y,group,x\n1e308,a,0\n-1e308,a,1\n1e308,b,0\n-1e308,b,1\n1e308,c,0\n"},
          ["regress", "--panel", "TMP/p.csv"], "NonFiniteStatistic"),
-        ({_BLOB: '{"word": []}', **_words_npy(rows=[])},
+        ({_BLOB: '{"vocab": []}', **_words_npy(rows=[])},
          ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"id": "abc", "word": ["a", "b", "c"]}'}, ["segments", "--index", "IDX"],
+        ({_BLOB: '{"id": "abc", "vocab": ["a", "b", "c"]}'}, ["segments", "--index", "IDX"],
          "ParseError"),
-        ({_BLOB: '{"id": ["w000000"], "word": ["ja"]}'}, ["segments", "--index", "IDX"],
+        ({_BLOB: '{"id": ["w000000"], "vocab": ["ja"]}'}, ["segments", "--index", "IDX"],
          "ParseError"),
-        ({_BLOB: '{"word": "ja"}'}, ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"word": [1]}', **_words_npy()}, ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"word": ["ja", "nein"]}', **_words_npy()}, ["segments", "--index", "IDX"],
-         "ParseError"),
+        ({_BLOB: '{"vocab": "ja"}'}, ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"vocab": [1]}', **_words_npy()}, ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"vocab": ["ja"]}', **_words_npy(rows=[(0.0, 1.0, 1)])},
+         ["segments", "--index", "IDX"], "ParseError"),
         (_corpus(transcript=_WORD.replace(b"spk000", b"spk001")), _MANIFEST, "ParseError"),
         (_corpus(transcript=_WORD + b'{"word": "nein", "start": 1, "end": 2, "speaker_id": "x"}\n'),
          _MANIFEST, "ParseError"),
@@ -655,6 +661,21 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"s.json": '{"jitter_hz": 1' + "0" * 400 + "}"}, ["synth", "--spec", "TMP/s.json"],
          "ValidationError"),
         (_corpus(transcript=b"[" * 100_000 + b"]" * 100_000 + b"\n"), _MANIFEST, "ParseError"),
+        ({_BLOB: '{"vocab": ["ja"]}', **_words_npy(rows=[(0.0, 1.0, 2**32 - 1)])},
+         ["fw", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"vocab": ["ja", "ja"]}', **_words_npy(rows=[(0.0, 1.0, 0), (1.0, 2.0, 1)])},
+         ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"vocab": ["ja", null]}', **_words_npy(rows=[(0.0, 1.0, 0), (1.0, 2.0, 1)])},
+         ["query", "--index", "IDX", "--select", "text", "--where", "text.word==ja"], "ParseError"),
+        ({_BLOB: '{"vocab": ["ja"], "word": ["ja"]}', **_words_npy()},
+         ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"word": ["ja"]}', **_words_npy()}, ["segments", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"vocab": ["ja"]}', **_words_npy(rows=[(0.0, 1.0)])},
+         ["fw", "--index", "IDX"], "ParseError"),
+        ({_BLOB: '{"vocab": ["ja", "nein"]}', **_words_npy()}, ["fw", "--index", "IDX"],
+         "ParseError"),
+        ({_BLOB: '{"vocab": ["ja", "nein"]}', **_words_npy(rows=[(0.0, 1.0, 1), (1.0, 2.0, 0)])},
+         ["segments", "--index", "IDX"], "ParseError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "gaze-string", "gaze-null", "gaze-bool",
@@ -682,7 +703,10 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "wav-header-cut", "panel-header-repeats", "panel-x-is-y", "panel-x-twice",
          "panel-group-is-y", "index-manifest-too-deep", "config-too-deep",
          "transcript-time-401-digits", "transcript-time-5001-digits",
-         "config-threshold-401-digits", "synth-spec-401-digits", "transcript-too-deep"],
+         "config-threshold-401-digits", "synth-spec-401-digits", "transcript-too-deep",
+         "words-code-past-vocab", "blob-vocab-repeats", "blob-vocab-null", "blob-leftover-word",
+         "blob-without-vocab", "words-without-code", "blob-vocab-unused",
+         "blob-vocab-out-of-order"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")
@@ -821,7 +845,7 @@ def test_ingest_onto_a_symlink_to_an_index_exits_2_before_writing(planted_corpus
 def test_bad_byte_in_a_word_blob_names_its_line(planted_corpus, tmp_path, capsys):
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
     blob = idx / "sessions" / "sess000.json"
-    blob.write_bytes(b'{\n"word": ["ja\xff"]}')
+    blob.write_bytes(b'{\n"vocab": ["ja\xff"]}')
     assert run("segments", "--index", idx, "--out", tmp_path / "out") == 3
     assert capsys.readouterr().err == f"ParseError: {blob}:2: not UTF-8 text: invalid start byte\n"
 
@@ -840,11 +864,31 @@ def test_unknown_target_party_names_the_parties_on_record(planted_corpus, tmp_pa
     assert not out.exists()
 
 
+def test_speakers_without_a_session_change_no_regression(planted_corpus, tmp_path, capsys):
+    raw = shutil.copytree(planted_corpus.manifest.parent, tmp_path / "raw")
+    with open(raw / "speakers.csv", "a", encoding="utf-8") as fh:
+        fh.write("spk099,Gruene,f\n")  # a speaker with no session
+    assert run("ingest", "--manifest", raw / "manifest.json", "--out", tmp_path / "idx") == 0
+    assert run("regress", "--index", tmp_path / "idx", "--out", tmp_path / "extra") == 0
+    assert run("regress", "--index", planted_corpus.index, "--out", tmp_path / "plain") == 0
+    got, want = (tmp_path / out / "regression.json" for out in ("extra", "plain"))
+    assert got.read_bytes() == want.read_bytes()
+    parties = sorted({p.party for p in CorpusIndex(planted_corpus.index).speakers().values()})
+    capsys.readouterr()
+    assert run("regress", "--index", tmp_path / "idx", "--out", tmp_path / "gruene",
+               "--target-party", "Gruene") == 2
+    assert capsys.readouterr().err == (
+        f"ValidationError: target party 'Gruene' has no speaker; "
+        f"parties on record: {', '.join(parties)}\n"
+    )
+
+
 def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
     doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
-    # rows of objects; numbers as JSON columns; speakers.json; file names in rows; word ids
-    for version in (1, 2, 3, 4, 5):
+    # rows of objects; numbers as JSON columns; speakers.json; file names in rows; word ids;
+    # every word in the blobs
+    for version in (1, 2, 3, 4, 5, 6):
         doc["format_version"] = version
         (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3

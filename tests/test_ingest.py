@@ -1,5 +1,6 @@
 """File loaders, the corpus index, and the synthetic-corpus generator."""
 
+import io
 import itertools
 import json
 import os
@@ -44,7 +45,7 @@ from modalign.ingest import (
     write_transcript,
     write_wav,
 )
-from modalign import pitch
+from modalign import ingest, pitch
 from modalign.pitch import PITCH_RANGE_BY_GENDER, PitchSettings, estimate_pitch_track
 from modalign.synth import MAX_SAMPLE_RATE, TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
 from modalign.timeline import Modality, stream_from_columns
@@ -734,13 +735,14 @@ def test_build_index_layout_and_round_trip(tmp_path):
         f"{sid}.{kind}" for sid in ("sessA", "sessB") for kind in ("json", "words.npy", "gaze.npy")
     }
     doc = json.loads((out / "manifest.json").read_text())
-    assert doc["format_version"] == 6
+    assert doc["format_version"] == 7
     assert doc["sessions"][0] == {"session_id": "sessA", "speaker_id": "s1", "audio": "../raw/sessA.wav"}
     blob = json.loads((out / "sessions" / "sessA.json").read_text())
-    assert blob == {"word": ["hallo", "welt"]}  # a word's id is its position
+    assert blob == {"vocab": ["hallo", "welt"]}  # each distinct word once; a word's id is its position
     assert (out / "speakers.csv").read_bytes() == (tmp_path / "raw" / "speakers.csv").read_bytes()
     words = np.load(out / "sessions" / "sessA.words.npy", allow_pickle=False)
-    assert words.dtype.names == ("start", "end") and words.tolist() == [(0.0, 0.5), (0.5, 1.0)]
+    assert words.dtype == np.dtype([("start", "<f8"), ("end", "<f8"), ("code", "<u4")])
+    assert words.tolist() == [(0.0, 0.5, 0), (0.5, 1.0, 1)]
     gaze = np.load(out / "sessions" / "sessA.gaze.npy", allow_pickle=False)
     assert gaze.dtype.names == ("t", "yaw", "pitch", "frontal") and gaze.shape == (1,)
     index = CorpusIndex(out)
@@ -799,16 +801,19 @@ def test_ingest_replaces_only_an_index_or_an_empty_directory(tmp_path, capsys):
     fresh = tree_bytes(empty)
     doc = json.loads((empty / "manifest.json").read_text())
     # older layouts keep a speakers.json (1-3) and name each session's files in its row: rows
-    # of 1 and 2 name only a blob, rows of 3 and 4 also tables; 5 stores word ids in its blobs
+    # of 1 and 2 name only a blob, rows of 3 and 4 also tables; 5 stores word ids in its blobs;
+    # up to 6 blobs hold every word, and word tables have no code column
     old = {"blob": ".json", "words": ".words.npy", "gaze": ".gaze.npy"}
-    for version, keys in ((1, ["blob"]), (2, ["blob"]), (3, old), (4, old), (5, [])):
+    for version, keys in ((1, ["blob"]), (2, ["blob"]), (3, old), (4, old), (5, []), (6, [])):
         rows = [row | {k: f"sessions/{row['session_id']}{old[k]}" for k in keys}
                 for row in doc["sessions"]]
         (empty / "manifest.json").write_text(json.dumps({"format_version": version, "sessions": rows}))
+        words = ["hallo", "welt"]  # each session of tiny_corpus
         for blob in (empty / "sessions").glob("*.json"):
-            words = json.loads(blob.read_text())["word"]
-            blob.write_text(json.dumps({"id": [word_element_id(k) for k in range(len(words))],
-                                        "word": words}))
+            ids = {"id": [word_element_id(k) for k in range(len(words))]} if version < 6 else {}
+            blob.write_text(json.dumps({**ids, "word": words}))
+        for table in (empty / "sessions").glob("*.words.npy"):
+            np.save(table, np.load(table)[["start", "end"]])
         if version < 4:
             (empty / "speakers.csv").unlink()
             (empty / "speakers.json").write_text('{"s1": {"party": "AfD", "floor": 75, "ceiling": 300}}')
@@ -937,39 +942,65 @@ def test_damaged_session_tables_name_table_and_session(tmp_path):
     assert len(CorpusIndex(out).load_session("sessA").words) == 2
 
 
-_TWO_ROWS = [(0.0, 0.5), (0.5, 1.0)]
+_TWO_ROWS = [(0.0, 0.5, 0), (0.5, 1.0, 1)]
+_HALLO_WELT = {"vocab": ["hallo", "welt"]}
+_WORD_FIELDS = [("start", "<f8"), ("end", "<f8"), ("code", "<u4")]
 
 
 @pytest.mark.parametrize(
-    "blob, rows, message",
+    "blob, rows, damaged, message",
     [
-        ({"word": []}, [], "has no elements"),
-        ({"word": ["hallo", "welt"]}, [(0.0, 0.5), (0.5, 1.0), (1.0, 1.5)], "differ in length"),
-        ({"word": ["hallo"]}, _TWO_ROWS, "differ in length"),
-        ({"word": ["hallo", None]}, _TWO_ROWS, "must be strings"),
-        ({"word": ["hallo", 7]}, _TWO_ROWS, "must be strings"),
+        ({"vocab": []}, [], "words", "has no elements"),
+        (_HALLO_WELT, _TWO_ROWS + [(1.0, 1.5, 2)], "words", "code 2 .* outside its vocab of 2"),
+        ({"vocab": ["hallo"]}, _TWO_ROWS, "words", "code 1 .* outside its vocab of 1"),
+        ({"vocab": ["hallo", None]}, _TWO_ROWS, "words", "must be strings"),
+        ({"vocab": ["hallo", 7]}, _TWO_ROWS, "words", "must be strings"),
+        (_HALLO_WELT, [(0.0, 0.5, 0), (0.5, 1.0, 2**32 - 1)], "words", "code 4294967295 "),
+        ({"vocab": ["hallo", "hallo"]}, _TWO_ROWS, "words", "holds 'hallo' twice"),
+        ({**_HALLO_WELT, "word": ["hallo", "welt"]}, _TWO_ROWS, "blob", "one key 'vocab'"),
+        ({"word": ["hallo", "welt"]}, _TWO_ROWS, "blob", "one key 'vocab'"),
+        (_HALLO_WELT, [(0.0, 0.5), (0.5, 1.0)], "words", "header is not numpy.save's"),
+        ({"vocab": ["hallo", "welt", "tschuess"]}, _TWO_ROWS, "words",
+         "vocab entry 'tschuess' of session 'sessA' is unused"),
+        (_HALLO_WELT, [(0.0, 0.5, 1), (0.5, 1.0, 0)], "words", "lists 'hallo' before 'welt'"),
     ],
-    ids=["empty-session", "table-row-extra", "word-missing", "word-null", "word-number"],
+    ids=["empty-session", "table-row-extra", "word-missing", "word-null", "word-number",
+         "code-past-vocab", "vocab-repeats", "blob-leftover-word", "blob-without-vocab",
+         "table-without-code", "vocab-unused-entry", "vocab-out-of-order"],
 )
-def test_damaged_word_columns_name_session_and_files(tmp_path, blob, rows, message):
+def test_damaged_word_columns_name_session_and_files(tmp_path, blob, rows, damaged, message):
     out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
-    sessions = out / "sessions"
-    (sessions / "sessA.json").write_text(json.dumps(blob))
-    np.save(sessions / "sessA.words.npy", np.array(rows, dtype=[("start", "<f8"), ("end", "<f8")]))
-    with pytest.raises(ParseError, match=f"words of session 'sessA': .*{message}") as info:
+    files = {"blob": out / "sessions" / "sessA.json", "words": out / "sessions" / "sessA.words.npy"}
+    files["blob"].write_text(json.dumps(blob))
+    fields = _WORD_FIELDS[: len(rows[0]) if rows else 3]
+    np.save(files["words"], np.array(rows, dtype=fields))
+    with pytest.raises(ParseError, match=message) as info:
         CorpusIndex(out).load_session("sessA")
-    assert info.value.path == str(sessions / "sessA.words.npy")
-    assert str(sessions / "sessA.json") in str(info.value)
+    assert info.value.path == str(files[damaged])
+    if damaged == "words" and len(fields) == 3:  # a stream rule: both files and the session named
+        assert "words of session 'sessA': " in str(info.value)
+        assert str(files["blob"]) in str(info.value)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 9, 10, 4000, 123_456, 10**18 - 1])
+def test_table_header_is_numpy_saves_for_any_row_count(rows):
+    for dtype in (ingest._WORDS_DTYPE, ingest._GAZE_DTYPE):
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf,
+            {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (rows,)},
+        )
+        assert ingest._table_header(dtype, rows) == buf.getvalue()
 
 
 @pytest.mark.parametrize(
     "blob",
     [
-        {"id": ["w000000", "w000001"], "word": ["hallo", "welt"]},  # format 5's blob
-        {"id": "ab", "word": ["hallo", "welt"]},
-        {"words": ["hallo", "welt"]},
-        {"word": "hallo welt"},
-        {"word": {"0": "hallo", "1": "welt"}},
+        {"id": ["w000000", "w000001"], "vocab": ["hallo", "welt"]},
+        {"id": "ab", "vocab": ["hallo", "welt"]},
+        {"word": ["hallo", "welt"]},  # format 6's blob
+        {"vocab": "hallo welt"},
+        {"vocab": {"0": "hallo", "1": "welt"}},
         ["hallo", "welt"],
     ],
     ids=["leftover-id", "leftover-id-string", "other-key", "word-string", "word-object",
@@ -988,8 +1019,8 @@ def test_index_version_gate(tmp_path):
     out = build_index(manifest, tmp_path / "idx")
     doc = json.loads((out / "manifest.json").read_text())
     # 1: rows of objects, 2: JSON columns, 3: speakers.json, 4: file names in rows, 5: word
-    # ids in blobs; all must be rebuilt, and so must an index of a later version
-    for version in (1, 2, 3, 4, 5, 7):
+    # ids in blobs, 6: every word in blobs; all must be rebuilt, and so must a later version
+    for version in (1, 2, 3, 4, 5, 6, 8):
         doc["format_version"] = version
         (out / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch, match="rebuild it with `modalign ingest`"):

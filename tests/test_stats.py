@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalign.errors import (
     EmptyPanel,
@@ -28,7 +30,7 @@ from modalign.stats import (
 )
 from modalign.timeline import Modality, stream_from_columns
 
-from _oracles import dummy_variable_ols, fightin_words_mp
+from _oracles import dummy_variable_ols, fightin_words_mp, split_loop
 
 
 # --- fixed-effects regression ----------------------------------------------
@@ -374,3 +376,48 @@ def test_matches_naive_recount():
         assert split.cells() == expected
         assert sum(sum(c.values()) for c in split.cells().values()) == sum(map(len, streams))
 
+
+
+# Words whose lowercase forms merge: "ẞ" lowers to "ß", and "İ" to "i" and a combining dot.
+_MERGING = st.sampled_from(["Zuruf", "zuruf", "ZURUF", "ẞ", "ß", "İ", "i\u0307", "i", "Antrag", "ja"])
+
+
+@st.composite
+def split_inputs(draw):
+    """Text streams, some rebuilt from index codes, and their sessions' segments, if any."""
+    streams, by_session = [], {}
+    for k in range(draw(st.integers(1, 4))):
+        sid = f"sess{k}"
+        tokens = draw(st.lists(_MERGING, min_size=1, max_size=30))
+        widths = draw(st.lists(st.sampled_from([0.25, 0.5]), min_size=len(tokens),
+                               max_size=len(tokens)))
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        speaker = draw(st.sampled_from(sorted(PARTIES)))
+        stream = make_stream(sid, speaker, list(zip(starts.tolist(), ends.tolist(), tokens)))
+        if draw(st.booleans()):  # the same words as an index stores them
+            rebuilt = stream_from_columns(Modality.TEXT, sid, starts, ends,
+                                          stream.codes.astype("<u4"), speaker_id=stream.speaker_id,
+                                          vocab=list(stream.vocab))
+            assert rebuilt.payloads == stream.payloads
+            stream = rebuilt
+        streams.append(stream)
+        cover = draw(st.sampled_from(["no entry", "none", "all", "some"]))
+        if cover == "none":
+            by_session[sid] = segs()
+        elif cover == "all":
+            by_session[sid] = segs((0.0, float(ends[-1])))
+        elif cover == "some":
+            edges = draw(st.lists(st.integers(0, 4 * int(ends[-1]) + 4), min_size=2, max_size=8))
+            pairs = (sorted(edges[i : i + 2]) for i in range(0, len(edges) - 1, 2))
+            by_session[sid] = segs(*((0.25 * a, 0.25 * b) for a, b in pairs))
+    return streams, by_session
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_inputs(), st.sampled_from(["AfD", "SPD"]))
+def test_split_matches_the_token_loop(inputs, target):
+    streams, by_session = inputs
+    split = four_situation_split(streams, by_session, PARTIES, target_party=target)
+    assert split == split_loop(streams, by_session, PARTIES, target_party=target)
+    assert sum(sum(c.values()) for c in split.cells().values()) == sum(map(len, streams))

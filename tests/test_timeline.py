@@ -198,6 +198,51 @@ def test_stream_from_columns_rejects_non_string_payloads():
         stream_from_columns(Modality.DERIVED, "s", [0], [1], [[1, 2]])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from("aAbc")),
+                min_size=1, max_size=12))
+def test_vocab_holds_each_payload_once_in_time_order(rows):
+    spans = [(0.25 * start, 0.25 * (start + length), token) for start, length, token in rows]
+    stream = stream_from_columns(Modality.DERIVED, "s", *zip(*spans))
+    expected = tuple(token for _, _, token in sorted(spans, key=lambda row: row[:2]))
+    assert stream.payloads == expected
+    assert stream.vocab == tuple(dict.fromkeys(expected))  # first appearance in time order
+    assert [stream.vocab[code] for code in stream.codes.tolist()] == list(expected)
+    assert stream.codes.dtype.kind == "i" and not stream.codes.flags.writeable
+    again = stream_from_columns(Modality.DERIVED, "s", stream.starts, stream.ends,
+                                stream.codes.astype("<u4"), vocab=list(stream.vocab))
+    assert again.vocab == stream.vocab and list(again) == list(stream)
+
+
+@pytest.mark.parametrize(
+    "vocab, codes, message",
+    [
+        (["a", "b", "a"], [0, 1], "vocab of session 's' holds 'a' twice"),
+        (["a", 7], [0, 1], "must be strings"),
+        (["a", None], [0, 0], "must be strings"),
+        (["a", "b"], [0, 2], "code 2 in session 's' is outside its vocab of 2"),
+        (["a", "b"], [-1, 0], "code -1 in session 's' is outside its vocab of 2"),
+        (["a", "b"], np.array([0, 2**64 - 1], dtype=np.uint64), "code 18446744073709551615 "),
+        ([], [0, 0], "outside its vocab of 0"),
+        (["a", "b"], [0.0, 1.0], "codes in session 's' must be integers"),
+        (["a", "b"], [False, True], "must be integers"),
+        (["a", "b", "c"], [0, 1], "vocab entry 'c' of session 's' is unused"),
+        (["a", "b"], [0, 0], "vocab entry 'b' of session 's' is unused"),
+        (["a", "b"], [1, 0], "vocab of session 's' lists 'a' before 'b', which appears first"),
+    ],
+)
+def test_stream_from_codes_checks_vocab_and_codes(vocab, codes, message):
+    with pytest.raises(ValidationError, match=message):
+        stream_from_columns(Modality.TEXT, "s", [0, 1], [1, 2], codes, vocab=vocab)
+
+
+def test_stream_from_codes_keeps_the_callers_array():
+    codes = np.array([1, 0, 1])
+    stream = stream_from_columns(Modality.TEXT, "s", [2, 0, 1], [3, 1, 2], codes, vocab=("x", "y"))
+    assert stream.payloads == ("x", "y", "y") and stream.vocab == ("x", "y")
+    assert codes.flags.writeable and codes.tolist() == [1, 0, 1]
+
+
 def test_text_words_may_touch_but_not_overlap():
     ok = stream_from_columns(Modality.TEXT, "s", [0.0, 0.5], [0.5, 1.0], ["ja", "nein"])
     assert len(ok) == 2
