@@ -34,6 +34,9 @@ class GazeTrace:
 
     def __post_init__(self):
         t = self.t
+        # strictly rising from t[0] >= 0 to t[-1] < inf is the whole rule, and NaN fails each test
+        if not t.size or (t[0] >= 0 and t[-1] < np.inf and (t[1:] > t[:-1]).all()):
+            return
         # each t above the one before and below inf (NaN is neither); -5e-324 is the double below 0
         before = np.concatenate(([-5e-324], t[:-1]))
         bad = np.flatnonzero(~((before < t) & (t < np.inf)))

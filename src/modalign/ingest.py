@@ -16,10 +16,10 @@ A corpus manifest (JSON) lists sessions and points at the per-session
 files; :func:`build_index` parses everything once into a versioned
 directory that later commands load lazily.  Its manifest holds one row
 of strings per session: the ids and the audio path, relative to the
-index.  The session's files are named by its id: a JSON blob holds its
-vocabulary, each distinct word once, and its numbers (word times and
-codes into that vocabulary, gaze samples) sit beside it in structured
-``.npy`` tables.  The
+index.  Each session is one file named by its id: a JSON header line
+with its counts and its vocabulary, each distinct word once, then its
+numbers (word times and codes into that vocabulary, gaze samples) as
+whole columns (see :func:`_session_bytes`).  The
 speakers CSV is kept as ingested, less a byte-order mark.  The index
 directory is written to a temporary sibling and renamed into place, and
 rebuilding from unchanged inputs is byte-identical.  What it replaces must
@@ -31,8 +31,6 @@ path and 1-based line number.  Every input file is read through :func:`_opened`.
 
 from __future__ import annotations
 
-import functools
-import io
 import itertools
 import json
 import math
@@ -67,11 +65,8 @@ from .timeline import ElementStream, Modality, stream_from_columns
 from .timeline import word_element_id  # noqa: F401  re-exported for callers of ingest
 
 MANIFEST_FORMAT_VERSION = 1  # corpus manifests, the input of ``ingest``
-INDEX_FORMAT_VERSION = 7     # index directories: version 7 stores words as a vocab and codes
+INDEX_FORMAT_VERSION = 8     # index directories: version 8 stores each session in one file
 
-# The numeric tables of an index session, one structured .npy file each; a flag is a 0/1 byte.
-_WORDS_DTYPE = np.dtype([("start", "<f8"), ("end", "<f8"), ("code", "<u4")])
-_GAZE_DTYPE = np.dtype([("t", "<f8"), ("yaw", "<f8"), ("pitch", "<f8"), ("frontal", "u1")])
 # The string fields of an index manifest's session row, and no others.
 _ROW_KEYS = ("session_id", "speaker_id", "audio")
 
@@ -240,9 +235,11 @@ def _read_json_file(path: Path, parse: Callable):
 
 _WORD_KEYS = ("word", "start", "end", "speaker_id")
 _word_fields = operator.itemgetter(*_WORD_KEYS)
-# It stops after one JSON value and does no BOM check, so a line is good JSON
+# The C scanner behind ``raw_decode``, called without its Python wrapper: it
+# returns ``(value, end)`` for the one JSON value at an index and raises
+# StopIteration where none starts.  It does no BOM check, so a line is good JSON
 # iff it decodes the line whole: a stripped line has no JSON whitespace at its ends.
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _in_order(start, end) -> bool:
@@ -250,12 +247,12 @@ def _in_order(start, end) -> bool:
 
 
 def _json_error(line: str) -> str:
-    """The message of the error :func:`json.loads` raises on a line :data:`_raw_decode` refused."""
+    """The message of the error :func:`json.loads` raises on a line :data:`_scan_once` refused."""
     try:
         json.loads(line)
     except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits or too deep
         return f"bad JSON: {getattr(e, 'msg', e)}"
-    raise AssertionError(f"json.loads took a line raw_decode refused: {line!r}")
+    raise AssertionError(f"json.loads took a line the scanner refused: {line!r}")
 
 
 def load_transcript(path, session_id: str | None = None) -> ElementStream:
@@ -272,7 +269,9 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
     rows = _Rows(path, _read_text(path).split("\n"), first_line=1)
     decoded: list = []
     try:
-        decoded.extend(map(_raw_decode, rows.text))  # what was appended before a raise stays
+        # what was appended before a raise stays; where no value starts, the StopIteration
+        # ends the map quietly, and the check below fails that line with json.loads's message
+        decoded.extend(map(_scan_once, rows.text, itertools.repeat(0)))
     except (ValueError, RecursionError):
         pass
     whole = list(map(operator.eq, map(operator.itemgetter(1), decoded), map(len, rows.text)))
@@ -674,12 +673,12 @@ def _is_index(out_dir: Path) -> bool:
     """Does ``out_dir`` look like an index :func:`build_index` wrote?
 
     Every index format version has a ``speakers.json`` (versions 1-3) or a
-    ``speakers.csv`` (4-7) beside a ``manifest.json`` whose session rows
-    each hold exactly :data:`_ROW_KEYS` (5-7) or name a ``blob`` (1-4); a
+    ``speakers.csv`` (4-8) beside a ``manifest.json`` whose session rows
+    each hold exactly :data:`_ROW_KEYS` (5-8) or name a ``blob`` (1-4); a
     corpus manifest's rows, at its version 1, name no blob.
     """
     doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    rows, current = doc["sessions"], doc["format_version"] in (5, 6, INDEX_FORMAT_VERSION)
+    rows, current = doc["sessions"], doc["format_version"] in (5, 6, 7, INDEX_FORMAT_VERSION)
     speakers = (out_dir / "speakers.json").is_file() or (out_dir / "speakers.csv").is_file()
     return speakers and bool(rows) and all(
         isinstance(row, dict) and (row.keys() == set(_ROW_KEYS) if current else "blob" in row)
@@ -727,7 +726,9 @@ def build_index(manifest_path, out_dir) -> Path:
     Every session's speaker must have a line in the speakers file
     (:class:`ParseError` naming the manifest otherwise), and every word of
     its transcript must carry that speaker (:class:`ParseError` naming the
-    transcript otherwise).  Audio paths are stored relative to the real path
+    transcript otherwise).  The index holds ``manifest.json``, ``speakers.csv``
+    and one ``sessions/<id>.session`` file per session (see
+    :func:`_session_bytes`).  Audio paths are stored relative to the real path
     of ``out_dir``, so a corpus and its index move together.  ``out_dir`` must
     be new, an empty directory, or an earlier index (of any format
     version), which is replaced; anything else raises
@@ -757,10 +758,37 @@ def build_index(manifest_path, out_dir) -> Path:
     return out_dir
 
 
-def _session_files(root: Path, session_id: str) -> tuple[Path, Path, Path]:
-    """The blob, word table and gaze table of a session in the index at ``root``."""
-    sessions = root / "sessions"
-    return tuple(sessions / (session_id + ext) for ext in (".json", ".words.npy", ".gaze.npy"))
+def _session_path(root: Path, session_id: str) -> Path:
+    """The file of a session in the index at ``root``."""
+    return root / "sessions" / (session_id + ".session")
+
+
+# A session file's header: the word count, the gaze sample count and the vocab, nothing else.
+_HEADER_TYPES = {"gaze": int, "vocab": list, "words": int}
+# The float columns, in file order; then ``code`` (``<u4``, a word each) and ``frontal`` (``u1``).
+_FLOAT_COLUMNS = ("start", "end", "t", "yaw", "pitch")
+
+
+def _session_bytes(words: ElementStream, trace: GazeTrace) -> bytes:
+    """A session's file: a header line, then its columns whole.
+
+    The header is the compact JSON object of :data:`_HEADER_TYPES` with
+    sorted keys, padded with spaces before its line break to a multiple of
+    64 bytes.  The columns follow in :data:`_FLOAT_COLUMNS`
+    order as ``<f8``, then the word codes as ``<u4`` and the ``frontal``
+    flags as 0/1 bytes, so each starts at a multiple of its item size.
+    """
+    header = _json_bytes(
+        {"gaze": len(trace), "vocab": list(words.vocab), "words": len(words)}, compact=True
+    )
+    header = header[:-1] + b" " * (-len(header) % 64) + b"\n"
+    floats = (words.starts, words.ends, trace.t, trace.yaw, trace.pitch)
+    return b"".join([
+        header,
+        *(np.asarray(column, "<f8").tobytes() for column in floats),
+        np.asarray(words.codes, "<u4").tobytes(),
+        np.asarray(trace.frontal, "u1").tobytes(),
+    ])
 
 
 def _write_index(root: Path, sessions) -> None:
@@ -768,13 +796,7 @@ def _write_index(root: Path, sessions) -> None:
     (root / "sessions").mkdir(parents=True)
     session_rows = []
     for entry, audio, words, trace in sessions:
-        blob, words_path, gaze_path = _session_files(root, entry.session_id)
-        blob.write_bytes(_json_bytes({"vocab": list(words.vocab)}, compact=True))
-        _write_table(words_path, _WORDS_DTYPE, start=words.starts, end=words.ends, code=words.codes)
-        _write_table(
-            gaze_path, _GAZE_DTYPE,
-            t=trace.t, yaw=trace.yaw, pitch=trace.pitch, frontal=trace.frontal,
-        )
+        _session_path(root, entry.session_id).write_bytes(_session_bytes(words, trace))
         session_rows.append(dict(zip(_ROW_KEYS, (entry.session_id, entry.speaker_id, audio))))
     (root / "manifest.json").write_bytes(
         _json_bytes(
@@ -787,82 +809,65 @@ def _write_index(root: Path, sessions) -> None:
     )
 
 
-def _write_table(path: Path, dtype: np.dtype, **columns) -> None:
-    """Save equal-length ``columns`` as one flat ``.npy`` table of ``dtype``.
+def _read_session(path: Path, session_id: str, speaker_id: str) -> tuple[ElementStream, GazeTrace]:
+    """The words and gaze trace of the session file at ``path`` (see :func:`_session_bytes`).
 
-    The bytes are those :func:`numpy.save` writes; the header is the one
-    :func:`_read_table` checks.
+    The file is read once and its columns checked as views of the bytes
+    read; the gaze columns are then copied out, the three float columns as
+    one block.  The header must be one UTF-8 JSON line holding exactly
+    :data:`_HEADER_TYPES` (counts >= 0), the rest exactly the bytes its
+    counts promise, every float finite and every flag 0 or 1; the trace
+    and the stream then check their own rules.  A file that cannot be read
+    is a :class:`MissingFile`; any other break is a :class:`ParseError`
+    naming the file and the session.
     """
-    table = np.empty(len(columns[dtype.names[0]]), dtype=dtype)
-    for name in dtype.names:
-        table[name] = columns[name]
-    path.write_bytes(_table_header(dtype, table.size) + table.tobytes())
+    def bad(line_no: int, message: str) -> ParseError:
+        return ParseError(path, line_no, f"session {session_id!r}: {message}")
 
-
-def _table_header(dtype: np.dtype, rows: int) -> bytes:
-    """The ``.npy`` header :func:`numpy.save` writes before a flat table of ``rows`` rows.
-
-    numpy pads the row count with spaces to a fixed width, so the headers
-    of one dtype differ only in the digits and the padding after them.
-    """
-    head, size = _header_head(dtype)
-    return (head + b"%d,), }" % rows).ljust(size - 1) + b"\n"
-
-
-@functools.cache
-def _header_head(dtype: np.dtype) -> tuple[bytes, int]:
-    """``dtype``'s ``.npy`` header up to the row count, and the header's length."""
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (0,)}
-    )
-    header = buf.getvalue()
-    return header[: header.rindex(b"'shape': (") + len(b"'shape': (")], len(header)
-
-
-_SHAPE = re.compile(rb"'shape': \((\d{1,18}),\)")
-
-
-def _read_table(path: Path, dtype: np.dtype) -> dict[str, np.ndarray]:
-    """The columns of a table :func:`_write_table` saved, each as its own array.
-
-    The file's header must be byte for byte :func:`_table_header`'s for a
-    flat array of ``dtype``, its data exactly as many rows as
-    the header gives, its floats finite and its flags (``u1``) 0 or 1.
-    Checking the header whole takes the place of :func:`numpy.load`, whose
-    lenient header parser can print a warning or raise a tokenizer error on
-    a damaged file, and it never unpickles.  A file that cannot be read is
-    :class:`MissingFile`; anything else wrong is a :class:`ParseError`
-    naming it.
-    """
     with _opened(path) as fh:
         data = fh.read()
-    end = data.find(b"\n") + 1
-    shape = _SHAPE.search(data, 0, end)
-    count = int(shape[1]) if shape else -1
-    if not shape or data[:end] != _table_header(dtype, count):
-        raise ParseError(path, 0, f"header is not numpy.save's for a flat table of {dtype}")
-    if len(data) - end != count * dtype.itemsize:
-        raise ParseError(
-            path, 0, f"holds {len(data) - end} data bytes, its header promises {count} rows"
+    body = data.find(b"\n") + 1
+    try:
+        header = json.loads(data[:body].decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
+        raise bad(1, f"header is not a UTF-8 JSON line: {e}") from None
+    if not (
+        type(header) is dict
+        and header.keys() == _HEADER_TYPES.keys()
+        and all(type(header[key]) is kind for key, kind in _HEADER_TYPES.items())
+        and min(header["words"], header["gaze"]) >= 0
+    ):
+        raise bad(1, "header must hold exactly the counts 'words' and 'gaze' (ints >= 0) "
+                     "and the list 'vocab'")
+    n, m = header["words"], header["gaze"]
+    need = 8 * (2 * n + 3 * m) + 4 * n + m
+    if len(data) - body != need:
+        raise bad(0, f"holds {len(data) - body} bytes after its header, "
+                     f"{n} words and {m} gaze samples need {need}")
+    floats = np.frombuffer(data, "<f8", 2 * n + 3 * m, body)
+    finite = np.isfinite(floats)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        column = _FLOAT_COLUMNS[np.searchsorted(np.cumsum([n, n, m, m, m]), k, side="right")]
+        raise bad(0, f"column {column!r} holds non-finite numbers")
+    codes = np.frombuffer(data, "<u4", n, body + floats.nbytes)
+    frontal = np.frombuffer(data, "u1", m, body + floats.nbytes + codes.nbytes)
+    if (frontal > 1).any():
+        raise bad(0, "column 'frontal' must hold only 0 and 1")
+    starts, ends = floats[: 2 * n].reshape(2, n)
+    gaze = floats[2 * n :].reshape(3, m).copy()  # a view would keep the whole read alive
+    try:
+        trace = GazeTrace(*gaze, frontal.astype(bool))
+    except UnsortedSamples as e:
+        raise bad(0, f"gaze: {e}") from None
+    try:
+        words = stream_from_columns(
+            Modality.TEXT, session_id, starts, ends, codes,
+            speaker_id=speaker_id, vocab=header["vocab"],
         )
-    table = np.frombuffer(data, dtype=dtype, count=count, offset=end)
-    columns = {name: np.array(table[name]) for name in dtype.names}
-    for name, values in columns.items():
-        if values.dtype.kind == "f" and not np.isfinite(values).all():
-            raise ParseError(path, 0, f"column {name!r} holds non-finite numbers")
-        if values.dtype == np.uint8 and (values > 1).any():
-            raise ParseError(path, 0, f"column {name!r} must hold only 0 and 1")
-    return columns
-
-
-def _blob_vocab(doc) -> list:
-    """A blob's ``vocab`` list, unchecked but for being a list and the blob's one key."""
-    if doc.keys() != {"vocab"}:
-        raise TypeError(f"a blob holds the one key 'vocab', got {sorted(doc)}")
-    if not isinstance(doc["vocab"], list):
-        raise TypeError("'vocab' must be a list")
-    return doc["vocab"]
+    except EngineError as e:
+        raise bad(0, f"words: {e}") from None
+    return words, trace
 
 
 @dataclass(frozen=True)
@@ -875,7 +880,11 @@ class SessionData:
 
 
 class CorpusIndex:
-    """Lazy, read-only view of an index directory built by :func:`build_index`."""
+    """Lazy, read-only view of an index directory built by :func:`build_index`.
+
+    A session's file is read when the session is first loaded, and the
+    session kept (see :func:`_read_session`).
+    """
 
     def __init__(self, root):
         self.root = Path(root)
@@ -926,23 +935,9 @@ class CorpusIndex:
         if session_id not in self._rows:
             raise ValidationError(f"index has no session {session_id!r}")
         row = self._rows[session_id]
-        blob, words_path, gaze_path = _session_files(self.root, session_id)
-        vocab = _read_json_file(blob, _blob_vocab)
-        w = _read_table(words_path, _WORDS_DTYPE)
-        g = _read_table(gaze_path, _GAZE_DTYPE)
-        try:
-            gaze = GazeTrace(g["t"], g["yaw"], g["pitch"], g["frontal"] == 1)
-        except UnsortedSamples as e:
-            raise ParseError(gaze_path, 0, f"gaze of session {session_id!r}: {e}") from None
-        try:
-            words = stream_from_columns(
-                Modality.TEXT, session_id, w["start"], w["end"], w["code"],
-                speaker_id=row["speaker_id"], vocab=vocab,
-            )
-        except EngineError as e:
-            raise ParseError(
-                words_path, 0, f"words of session {session_id!r}: {e} (words from {blob})"
-            ) from None
+        words, gaze = _read_session(
+            _session_path(self.root, session_id), session_id, row["speaker_id"]
+        )
         data = SessionData(session_id, row["speaker_id"], words, gaze, self.root / row["audio"])
         self._cache[session_id] = data
         return data

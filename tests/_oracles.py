@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from collections import Counter
 from dataclasses import replace
 from itertools import compress
@@ -275,7 +276,8 @@ def word_tones(freqs, sr, slot_samples, tone_fraction):
 
 # --- file writers ----------------------------------------------------------
 # The whole-array and one-call-per-item writers that the block and
-# column-at-a-time writers replaced; the package must write their bytes.
+# column-at-a-time writers replaced, and an index session file written from its
+# layout; the package must write their bytes.
 
 def pcm16(samples):
     """16-bit PCM of a whole float array at once: scale, round half to even, clip, cast."""
@@ -295,6 +297,35 @@ def transcript_text(stream):
 def csv_text(header, rows):
     """A CSV file's text: one ``_fmt`` call per cell."""
     return "".join(line + "\n" for line in [header] + [",".join(map(_fmt, row)) for row in rows])
+
+
+DROP = object()  # a ``session_file`` header value that leaves its key out
+
+
+def session_file(words=((0.0, 1.0, 0),), gaze=((0.0, 50.0, 0.0, 1), (0.125, 50.0, 0.0, 1)),
+                 vocab=("ja",), header=None) -> bytes:
+    """An index session file of ``(start, end, code)`` word rows and ``(t, yaw, pitch, frontal)``
+    gaze rows, written from the layout's description with one ``struct`` call per column.
+
+    The header line is the compact JSON object ``{"gaze": ..., "vocab": ..., "words": ...}``
+    with sorted keys, padded with spaces before its line break to a multiple of 64 bytes; then
+    ``start``, ``end``, ``t``, ``yaw`` and ``pitch`` as little-endian doubles, ``code`` as
+    little-endian uint32 (absent when the word rows hold only ``(start, end)``) and
+    ``frontal`` as bytes.  ``header`` is a dict of header keys to set, the counts included,
+    whatever the rows hold; a key set to :data:`DROP` is left out.
+    """
+    doc = {"gaze": len(gaze), "vocab": list(vocab), "words": len(words), **(header or {})}
+    line = json.dumps({k: v for k, v in doc.items() if v is not DROP},
+                      sort_keys=True, separators=(",", ":"))
+    line += " " * (-(len(line) + 1) % 64) + "\n"
+    start, end, *code = zip(*words) if words else ((),) * 3
+    code = code[0] if code else ()  # word rows of two leave the code column out
+    t, yaw, pitch, frontal = zip(*gaze) if gaze else ((),) * 4
+    columns = [(start, "d"), (end, "d"), (t, "d"), (yaw, "d"), (pitch, "d"), (code, "I"),
+               (frontal, "B")]
+    return line.encode("ascii") + b"".join(
+        struct.pack(f"<{len(column)}{kind}", *column) for column, kind in columns
+    )
 
 
 # --- file loaders ----------------------------------------------------------

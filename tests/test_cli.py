@@ -13,7 +13,6 @@ import tempfile
 import wave
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +21,8 @@ from modalign import cli, errors
 from modalign.cli import main
 from modalign.ingest import INDEX_FORMAT_VERSION, CorpusIndex
 from modalign.stats import PanelRow, fe_regress, fightin_words
+
+from _oracles import DROP, session_file
 
 ADDRESS_VOCAB = {"zuruf", "emport", "skandal", "widerspruch", "aufregung"}
 NEUTRAL_VOCAB = {"bericht", "haushalt", "antrag", "ausschuss", "verfahren"}
@@ -55,9 +56,8 @@ def test_synth_and_ingest(tmp_path, capsys):
     rc = run("ingest", "--manifest", manifest, "--out", tmp_path / "idx")
     assert rc == 0
     assert (tmp_path / "idx" / "manifest.json").is_file()
-    blobs = sorted(p.name for p in (tmp_path / "idx" / "sessions").iterdir())
-    assert blobs == [f"sess00{k}.{kind}" for k in (0, 1)
-                     for kind in ("gaze.npy", "json", "words.npy")]
+    files = sorted(p.name for p in (tmp_path / "idx" / "sessions").iterdir())
+    assert files == ["sess000.session", "sess001.session"]
 
 
 def test_synth_spec_file_with_flag_override(tmp_path, capsys):
@@ -455,35 +455,12 @@ def test_exit_codes(planted_corpus, tmp_path, capsys):
     assert "ValidationError" in err or "InvalidSpec" in err
 
 
-_BLOB = "idx/sessions/sess000.json"
-_F8 = "<f8"
+_SESSION_FILE = "idx/sessions/sess000.session"
 
 
-def _npy(fields, rows, allow_pickle=False) -> bytes:
-    """``.npy`` bytes of a flat table with these ``(name, dtype)`` fields and rows."""
-    buf = io.BytesIO()
-    np.save(buf, np.array(rows, dtype=fields), allow_pickle=allow_pickle)
-    return buf.getvalue()
-
-
-_WORDS_FILE = "idx/sessions/sess000.words.npy"
-
-
-def _words_npy(start=_F8, rows=((0.0, 1.0, 0),)) -> dict:
-    """sess000's word table, with ``start`` stored as this dtype; a row of two has no code."""
-    fields = [("start", start), ("end", _F8), ("code", "<u4")][: len(rows[0]) if rows else 3]
-    return {_WORDS_FILE: _npy(fields, list(rows))}
-
-
-def _gaze_npy(t=_F8, rows=((0.0, 50.0, 0.0, 1), (0.125, 50.0, 0.0, 1))) -> dict:
-    """sess000's gaze table, with ``t`` stored as this dtype."""
-    fields = [("t", t), ("yaw", _F8), ("pitch", _F8), ("frontal", "u1")]
-    return {"idx/sessions/sess000.gaze.npy": _npy(fields, list(rows))}
-
-
-_GAZE_FILE = "idx/sessions/sess000.gaze.npy"
-_GAZE_OBJECT = {_GAZE_FILE: _npy(object, [None, 0.125], allow_pickle=True)}
-_GAZE_SHORT = {_GAZE_FILE: _gaze_npy()[_GAZE_FILE][:-10]}
+def _session(**rows) -> dict:
+    """sess000's session file: one word ``ja`` and two gaze samples unless ``rows`` say else."""
+    return {_SESSION_FILE: session_file(**rows)}
 
 
 _PANEL = "y,group,x\n1,a,0\n2,a,1\n3,b,0\n{y},b,{x}\n"
@@ -526,21 +503,18 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({}, ["align", "--index", "IDX", "--min-overlap", "-1"], "ValidationError"),
         ({"idx/manifest.json": "{not json"}, ["segments", "--index", "IDX"], "ParseError"),
         ({"idx/speakers.csv": "[1, 2"}, ["fw", "--index", "IDX"], "ParseError"),
-        ({_BLOB: "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: "{}"}, ["segments", "--index", "IDX"], "ParseError"),
-        (_gaze_npy(t="<U5", rows=[("x", 50, 0, 1), ("0.125", 50, 0, 1)]),
+        ({_SESSION_FILE: "\x00"}, ["segments", "--index", "IDX"], "ParseError"),
+        ({_SESSION_FILE: "{}\n"}, ["segments", "--index", "IDX"], "ParseError"),
+        (_session(header={"gaze": "2"}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(header={"gaze": None}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(header={"gaze": True}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(gaze=[(math.nan, 50, 0, 1), (0.125, 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
-        (_GAZE_OBJECT, ["segments", "--index", "IDX"], "ParseError"),
-        (_gaze_npy(t="?", rows=[(True, 50, 0, 1), (False, 50, 0, 1)]),
+        ({_SESSION_FILE: session_file()[:-10]}, ["segments", "--index", "IDX"], "ParseError"),
+        (_session(gaze=[(0.0, 50, 0, 1), (0.125, 50, 0, 2)]),
          ["segments", "--index", "IDX"], "ParseError"),
-        (_gaze_npy(rows=[(math.nan, 50, 0, 1), (0.125, 50, 0, 1)]),
-         ["segments", "--index", "IDX"], "ParseError"),
-        (_GAZE_SHORT, ["segments", "--index", "IDX"], "ParseError"),
-        (_gaze_npy(rows=[(0.0, 50, 0, 1), (0.125, 50, 0, 2)]),
-         ["segments", "--index", "IDX"], "ParseError"),
-        (_words_npy(start="<U3"), ["segments", "--index", "IDX"], "ParseError"),
-        ({_WORDS_FILE: _words_npy()[_WORDS_FILE][:-6]}, ["segments", "--index", "IDX"],
-         "ParseError"),
+        (_session(header={"words": 1.0}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(header={"words": 2}), ["segments", "--index", "IDX"], "ParseError"),
         ({"p.csv": _PANEL.format(y="nan", x=1)}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"p.csv": _PANEL.format(y=4, x="inf")}, ["regress", "--panel", "TMP/p.csv"], "ParseError"),
         ({"a.csv": "word,count\nja,nan\n", "b.csv": "word,count\nja,3\n"},
@@ -602,13 +576,12 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         (_sess000_with_wav(4000, 8000),  # sess000's speaker is of SPD, the one party left
          ["regress", "--index", "IDX", "--target-party", "SPD"], "ParseError"),
         (_corpus(gaze="-5.0,50,0,1\n"), _MANIFEST, "ParseError"),
-        (_gaze_npy(rows=[(-5.0, 50, 0, 1), (0.125, 50, 0, 1)]),
+        (_session(gaze=[(-5.0, 50, 0, 1), (0.125, 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
         (_corpus(gaze="0.125,50,0,1\n0.0,50,0,1\n0.125,50,0,1\n"), _MANIFEST, "ParseError"),
-        (_gaze_npy(rows=[(0.0, 50, 0, 1), (0.0, 50, 0, 1)]),
+        (_session(gaze=[(0.0, 50, 0, 1), (0.0, 50, 0, 1)]),
          ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"vocab": ["ja"]}', **_words_npy(rows=[(-5.0, 0.375, 0)])},
-         ["segments", "--index", "IDX"], "ParseError"),
+        (_session(words=[(-5.0, 0.375, 0)]), ["segments", "--index", "IDX"], "ParseError"),
         ({}, ["pitch", "--index", "IDX", "--hop", "abc"], "ValidationError"),
         ({}, ["pitch", "--index", "IDX", "--hop", "0"], "ValidationError"),
         ({}, ["pitch", "--index", "IDX", "--frame-length", "1024", "--hop", "2048"],
@@ -624,16 +597,12 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          ["fw", "--counts-a", "TMP/a.csv", "--counts-b", "TMP/b.csv"], "NonFiniteStatistic"),
         ({"p.csv": "y,group,x\n1e308,a,0\n-1e308,a,1\n1e308,b,0\n-1e308,b,1\n1e308,c,0\n"},
          ["regress", "--panel", "TMP/p.csv"], "NonFiniteStatistic"),
-        ({_BLOB: '{"vocab": []}', **_words_npy(rows=[])},
-         ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"id": "abc", "vocab": ["a", "b", "c"]}'}, ["segments", "--index", "IDX"],
-         "ParseError"),
-        ({_BLOB: '{"id": ["w000000"], "vocab": ["ja"]}'}, ["segments", "--index", "IDX"],
-         "ParseError"),
-        ({_BLOB: '{"vocab": "ja"}'}, ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"vocab": [1]}', **_words_npy()}, ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"vocab": ["ja"]}', **_words_npy(rows=[(0.0, 1.0, 1)])},
-         ["segments", "--index", "IDX"], "ParseError"),
+        (_session(words=[], vocab=[]), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(header={"id": "abc"}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(header={"id": ["w000000"]}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(header={"vocab": "ja"}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(vocab=[1]), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(words=[(0.0, 1.0, 1)]), ["segments", "--index", "IDX"], "ParseError"),
         (_corpus(transcript=_WORD.replace(b"spk000", b"spk001")), _MANIFEST, "ParseError"),
         (_corpus(transcript=_WORD + b'{"word": "nein", "start": 1, "end": 2, "speaker_id": "x"}\n'),
          _MANIFEST, "ParseError"),
@@ -661,20 +630,16 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         ({"s.json": '{"jitter_hz": 1' + "0" * 400 + "}"}, ["synth", "--spec", "TMP/s.json"],
          "ValidationError"),
         (_corpus(transcript=b"[" * 100_000 + b"]" * 100_000 + b"\n"), _MANIFEST, "ParseError"),
-        ({_BLOB: '{"vocab": ["ja"]}', **_words_npy(rows=[(0.0, 1.0, 2**32 - 1)])},
-         ["fw", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"vocab": ["ja", "ja"]}', **_words_npy(rows=[(0.0, 1.0, 0), (1.0, 2.0, 1)])},
+        (_session(words=[(0.0, 1.0, 2**32 - 1)]), ["fw", "--index", "IDX"], "ParseError"),
+        (_session(words=[(0.0, 1.0, 0), (1.0, 2.0, 1)], vocab=["ja", "ja"]),
          ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"vocab": ["ja", null]}', **_words_npy(rows=[(0.0, 1.0, 0), (1.0, 2.0, 1)])},
+        (_session(words=[(0.0, 1.0, 0), (1.0, 2.0, 1)], vocab=["ja", None]),
          ["query", "--index", "IDX", "--select", "text", "--where", "text.word==ja"], "ParseError"),
-        ({_BLOB: '{"vocab": ["ja"], "word": ["ja"]}', **_words_npy()},
-         ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"word": ["ja"]}', **_words_npy()}, ["segments", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"vocab": ["ja"]}', **_words_npy(rows=[(0.0, 1.0)])},
-         ["fw", "--index", "IDX"], "ParseError"),
-        ({_BLOB: '{"vocab": ["ja", "nein"]}', **_words_npy()}, ["fw", "--index", "IDX"],
-         "ParseError"),
-        ({_BLOB: '{"vocab": ["ja", "nein"]}', **_words_npy(rows=[(0.0, 1.0, 1), (1.0, 2.0, 0)])},
+        (_session(header={"word": ["ja"]}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(header={"vocab": DROP}), ["segments", "--index", "IDX"], "ParseError"),
+        (_session(words=[(0.0, 1.0)]), ["fw", "--index", "IDX"], "ParseError"),
+        (_session(vocab=["ja", "nein"]), ["fw", "--index", "IDX"], "ParseError"),
+        (_session(words=[(0.0, 1.0, 1), (1.0, 2.0, 0)], vocab=["ja", "nein"]),
          ["segments", "--index", "IDX"], "ParseError"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
@@ -754,11 +719,11 @@ def _corpus_row(raw: Path, key: str, bad: Path) -> None:
 
 
 def _table_unreadable(idx: Path, bad: Path) -> Path:
-    """Make sess000's first table unreadable in the index at ``idx``; the path that fails."""
-    if bad.name == _LONG_NAME:  # a session id too long to name its files
+    """Make sess000's session file unreadable in the index at ``idx``; the path that fails."""
+    if bad.name == _LONG_NAME:  # a session id too long to name its file
         _index_row(idx, session_id=_LONG_NAME)
-        return idx / "sessions" / (_LONG_NAME + ".json")
-    table = idx / "sessions" / "sess000.words.npy"
+        return idx / "sessions" / (_LONG_NAME + ".session")
+    table = idx / "sessions" / "sess000.session"
     table.unlink()
     table.mkdir()
     return table
@@ -843,11 +808,15 @@ def test_ingest_onto_a_symlink_to_an_index_exits_2_before_writing(planted_corpus
 
 
 def test_bad_byte_in_a_word_blob_names_its_line(planted_corpus, tmp_path, capsys):
+    # the vocabulary sits in the session file's header, its line 1
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
-    blob = idx / "sessions" / "sess000.json"
-    blob.write_bytes(b'{\n"vocab": ["ja\xff"]}')
+    path = idx / "sessions" / "sess000.session"
+    path.write_bytes(session_file(vocab=["ja\u00e4"]).replace(b"\\u00e4", b"\xff     "))
     assert run("segments", "--index", idx, "--out", tmp_path / "out") == 3
-    assert capsys.readouterr().err == f"ParseError: {blob}:2: not UTF-8 text: invalid start byte\n"
+    assert capsys.readouterr().err == (
+        f"ParseError: {path}:1: session 'sess000': header is not a UTF-8 JSON line: "
+        "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["fw", "regress"])
@@ -887,8 +856,8 @@ def test_row_layout_index_must_be_rebuilt(planted_corpus, tmp_path, capsys):
     idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
     doc = json.loads((idx / "manifest.json").read_text(encoding="utf-8"))
     # rows of objects; numbers as JSON columns; speakers.json; file names in rows; word ids;
-    # every word in the blobs
-    for version in (1, 2, 3, 4, 5, 6):
+    # every word in the blobs; three files per session
+    for version in (1, 2, 3, 4, 5, 6, 7):
         doc["format_version"] = version
         (idx / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3
@@ -920,18 +889,24 @@ def test_damaged_index_row_exits_with_one_line(planted_corpus, tmp_path, capsys,
     assert names in err and not (tmp_path / "out").exists()
 
 
-_TABLES = ("sess001.words.npy", "sess001.gaze.npy")
+_SESSION_001 = "sess001.session"
 _TEXT = ("manifest.json", "speakers.csv")  # index files outside sessions/, read by fw
 _FRACTION = st.floats(0, 1, exclude_max=True)
-# Where to flip a byte: within the first 160 bytes, which hold a table's
+# Where to flip a byte: within the first 640 bytes, which hold a session file's
 # whole header, or at a fraction of the file's length.
-_OFFSET = st.one_of(st.integers(0, 159), _FRACTION)
+_OFFSET = st.one_of(st.integers(0, 639), _FRACTION)
+# Header damage: a count that disagrees with the body, a key missing, one too
+# many, or one of the wrong type.
+_HEADER_DAMAGE = st.sampled_from([
+    {"words": 121}, {"gaze": 0}, {"words": DROP}, {"gaze": DROP}, {"vocab": DROP},
+    {"id": ["w000000"]}, {"words": "120"}, {"gaze": 360.0}, {"vocab": "ja"}, {"words": -1},
+])
 
 
 def _damage(path: Path, kind: str, detail) -> None:
     """Damage one index file in place."""
     data = path.read_bytes()
-    if kind == "truncate":  # always cuts into a JSON blob's closing brace
+    if kind == "truncate":  # always drops at least the last byte
         path.write_bytes(data[: int(detail * (len(data) - 1))])
     elif kind == "flip":
         buf = bytearray(data)
@@ -940,31 +915,33 @@ def _damage(path: Path, kind: str, detail) -> None:
         path.write_bytes(bytes(buf))
     elif kind == "delete":
         path.unlink()
-    else:  # rewrite a table with another dtype, or as pickled objects
-        table = np.load(path, allow_pickle=False)
-        if kind == "object":
-            np.save(path, np.array(table.tolist(), dtype=object), allow_pickle=True)
-        else:
-            np.save(path, table.astype([(name, detail) for name in table.dtype.names]))
+    elif kind == "body":  # a body one byte short or long
+        path.write_bytes(data[:-1] if detail < 0 else data + b"\0")
+    else:  # rewrite the header of a session file
+        line = data.index(b"\n") + 1
+        doc = {**json.loads(data[:line]), **detail}
+        header = json.dumps({k: v for k, v in doc.items() if v is not DROP}).encode()
+        path.write_bytes(header + b"\n" + data[line:])
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     damage=st.one_of(
-        st.tuples(st.sampled_from(("sess001.json",) + _TABLES + _TEXT),
+        st.tuples(st.sampled_from((_SESSION_001,) + _TEXT),
                   st.sampled_from(("truncate", "delete")), _FRACTION),
-        st.tuples(st.sampled_from(("sess001.json",) + _TABLES + _TEXT), st.just("flip"),
+        st.tuples(st.sampled_from((_SESSION_001,) + _TEXT), st.just("flip"),
                   st.lists(st.tuples(_OFFSET, st.integers(1, 255)), min_size=1, max_size=4)),
-        st.tuples(st.sampled_from(_TABLES), st.just("dtype"),
-                  st.sampled_from(("<f4", ">f8", "<i8", "<U8", "?"))),
-        st.tuples(st.sampled_from(_TABLES), st.just("object"), st.none()),
+        st.tuples(st.just(_SESSION_001), st.just("body"), st.sampled_from((-1, 1))),
+        st.tuples(st.just(_SESSION_001), st.just("header"), _HEADER_DAMAGE),
     )
 )
 def test_index_corruption_exits_cleanly(planted_corpus, damage):
     """A damaged index file never escapes the exit-code contract.
 
-    Truncating, deleting or retyping a file exits 3 with one line naming it;
-    a flipped byte may also yield data that loads (exit 0) or fails a later
+    Truncating or deleting a file, a session file's body one byte short or
+    long, or its header with a count that disagrees with the body or a key
+    missing, extra or of the wrong type, exits 3 with one line naming it; a
+    flipped byte may also yield data that loads (exit 0) or fails a later
     check, but always with one line and no traceback.  ``segments`` reads the
     session files, and ``fw`` also the speakers.
     """

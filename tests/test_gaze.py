@@ -218,11 +218,46 @@ def test_matches_loop_oracle(rows, max_notes):
     assert spans(detect_address_segments(trace, rule)) == detect_loop(trace, rule)
 
 
+def _first_bad(times):
+    """The first sample that is not finite, >= 0 and above the one before, or None.
+
+    Written out one sample at a time.
+    """
+    for k, t in enumerate(times):
+        if not ((t >= 0.0 if k == 0 else t > times[k - 1]) and t < math.inf):
+            return k
+    return None
+
+
 def _rule_holds(times):
-    """Are ``times`` finite, >= 0 and strictly rising?  Written out one pair at a time."""
-    return all(0.0 <= t < math.inf for t in times[:1]) and all(
-        a < b < math.inf for a, b in zip(times, times[1:])
-    )
+    """Are ``times`` finite, >= 0 and strictly rising?"""
+    return _first_bad(times) is None
+
+
+_BASE_TIMES = [0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "-0.0", "repeat", "drop"])
+def test_trace_names_the_first_bad_sample(kind, at):
+    """One odd time at the first, a middle or the last sample: the trace is refused exactly
+    when the rule breaks, naming the first sample that breaks it."""
+    times = list(_BASE_TIMES)
+    if kind == "repeat":  # the sample takes its neighbour's time
+        times[at] = times[at - 1] if at else times[1]
+    elif kind == "drop":  # below the sample before it, or below 0 for the first
+        times[at] = times[at - 1] - 0.25 if at else -0.25
+    else:
+        times[at] = float(kind)
+    t = np.array(times)
+    k = _first_bad(times)
+    n = len(times)
+    if k is None:  # -0.0 as the first time
+        assert len(GazeTrace(t, np.full(n, 55.0), np.zeros(n), np.ones(n, bool))) == n
+        return
+    with pytest.raises(UnsortedSamples) as info:
+        GazeTrace(t, np.full(n, 55.0), np.zeros(n), np.ones(n, bool))
+    assert str(info.value) == f"sample {k} at t={t[k]} is not finite, >= 0 and rising"
 
 
 _TIMES = st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -0.0, 0.0, -5e-324, 1.0]),

@@ -1,6 +1,5 @@
 """File loaders, the corpus index, and the synthetic-corpus generator."""
 
-import io
 import itertools
 import json
 import os
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modalign.cli import RunConfig, main, session_segments
@@ -45,19 +44,21 @@ from modalign.ingest import (
     write_transcript,
     write_wav,
 )
-from modalign import ingest, pitch
+from modalign import pitch
 from modalign.pitch import PITCH_RANGE_BY_GENDER, PitchSettings, estimate_pitch_track
 from modalign.synth import MAX_SAMPLE_RATE, TONE_FRACTION, WORD_SLOT, SynthSpec, synth_corpus
 from modalign.timeline import Modality, stream_from_columns
 
 from _e2e import interaction_name, planted_run
 from _oracles import (
+    DROP,
     counts_loop,
     csv_text,
     gaze_loop,
     gaze_trace,
     panel_loop,
     pcm16,
+    session_file,
     speakers_loop,
     transcript_loop,
     transcript_text,
@@ -731,26 +732,28 @@ def test_build_index_layout_and_round_trip(tmp_path):
     manifest = tiny_corpus(tmp_path / "raw")
     out = build_index(manifest, tmp_path / "idx")
     names = {p.name for p in out.rglob("*") if p.is_file()}
-    assert names == {"manifest.json", "speakers.csv"} | {
-        f"{sid}.{kind}" for sid in ("sessA", "sessB") for kind in ("json", "words.npy", "gaze.npy")
-    }
+    assert names == {"manifest.json", "speakers.csv", "sessA.session", "sessB.session"}
     doc = json.loads((out / "manifest.json").read_text())
-    assert doc["format_version"] == 7
+    assert doc["format_version"] == 8
     assert doc["sessions"][0] == {"session_id": "sessA", "speaker_id": "s1", "audio": "../raw/sessA.wav"}
-    blob = json.loads((out / "sessions" / "sessA.json").read_text())
-    assert blob == {"vocab": ["hallo", "welt"]}  # each distinct word once; a word's id is its position
     assert (out / "speakers.csv").read_bytes() == (tmp_path / "raw" / "speakers.csv").read_bytes()
-    words = np.load(out / "sessions" / "sessA.words.npy", allow_pickle=False)
-    assert words.dtype == np.dtype([("start", "<f8"), ("end", "<f8"), ("code", "<u4")])
-    assert words.tolist() == [(0.0, 0.5, 0), (0.5, 1.0, 1)]
-    gaze = np.load(out / "sessions" / "sessA.gaze.npy", allow_pickle=False)
-    assert gaze.dtype.names == ("t", "yaw", "pitch", "frontal") and gaze.shape == (1,)
+    # each distinct word once, a code per word and no ids; a word's id is its position
+    session = (out / "sessions" / "sessA.session").read_bytes()
+    assert session == session_file(words=[(0.0, 0.5, 0), (0.5, 1.0, 1)],
+                                   gaze=[(0.0, 50.0, 0.0, 1)], vocab=["hallo", "welt"])
+    assert session.startswith(b'{"gaze":1,"vocab":["hallo","welt"],"words":2}     ')
+    # the header line padded to 64 bytes, then 2 words and 1 gaze sample: 2 + 2 + 1 + 1 + 1
+    # doubles, 2 codes and 1 flag
+    assert session.index(b"\n") == 63 and len(session) == 64 + 7 * 8 + 2 * 4 + 1
     index = CorpusIndex(out)
     assert index.session_ids() == ["sessA", "sessB"]
     data = index.load_session("sessA")
     fresh = load_transcript(tmp_path / "raw" / "sessA.jsonl", session_id="sessA")
     assert list(data.words) == list(fresh)
     assert gaze_rows(data.gaze) == gaze_rows(load_gaze(tmp_path / "raw" / "sessA.csv"))
+    # the gaze columns are copied out of the read, which is not kept
+    assert all(column.base is None or column.base.base is None
+               for column in (data.gaze.t, data.gaze.yaw, data.gaze.pitch, data.gaze.frontal))
     assert data.audio_path.is_file()
     assert index.speakers()["s1"].party == "AfD"
     with pytest.raises(ValidationError):
@@ -802,24 +805,30 @@ def test_ingest_replaces_only_an_index_or_an_empty_directory(tmp_path, capsys):
     doc = json.loads((empty / "manifest.json").read_text())
     # older layouts keep a speakers.json (1-3) and name each session's files in its row: rows
     # of 1 and 2 name only a blob, rows of 3 and 4 also tables; 5 stores word ids in its blobs;
-    # up to 6 blobs hold every word, and word tables have no code column
+    # up to 6 blobs hold every word, and word tables have no code column; 3 to 7 keep a blob
+    # and two .npy tables per session, 1 and 2 the blob alone
     old = {"blob": ".json", "words": ".words.npy", "gaze": ".gaze.npy"}
-    for version, keys in ((1, ["blob"]), (2, ["blob"]), (3, old), (4, old), (5, []), (6, [])):
+    words = ["hallo", "welt"]  # each session of tiny_corpus
+    word_fields = [("start", "<f8"), ("end", "<f8"), ("code", "<u4")]
+    gaze_fields = [("t", "<f8"), ("yaw", "<f8"), ("pitch", "<f8"), ("frontal", "u1")]
+    for version, keys in ((1, ["blob"]), (2, ["blob"]), (3, old), (4, old), (5, []), (6, []),
+                          (7, [])):
         rows = [row | {k: f"sessions/{row['session_id']}{old[k]}" for k in keys}
                 for row in doc["sessions"]]
         (empty / "manifest.json").write_text(json.dumps({"format_version": version, "sessions": rows}))
-        words = ["hallo", "welt"]  # each session of tiny_corpus
-        for blob in (empty / "sessions").glob("*.json"):
+        for row in doc["sessions"]:
+            files = empty / "sessions" / row["session_id"]
+            files.with_suffix(".session").unlink()
             ids = {"id": [word_element_id(k) for k in range(len(words))]} if version < 6 else {}
-            blob.write_text(json.dumps({**ids, "word": words}))
-        for table in (empty / "sessions").glob("*.words.npy"):
-            np.save(table, np.load(table)[["start", "end"]])
+            blob = {"vocab": words} if version == 7 else {**ids, "word": words}
+            files.with_suffix(".json").write_text(json.dumps(blob))
+            if version >= 3:
+                fields = word_fields if version == 7 else word_fields[:2]
+                np.save(files.with_suffix(".words.npy"), np.zeros(len(words), fields))
+                np.save(files.with_suffix(".gaze.npy"), np.zeros(1, gaze_fields))
         if version < 4:
             (empty / "speakers.csv").unlink()
             (empty / "speakers.json").write_text('{"s1": {"party": "AfD", "floor": 75, "ceiling": 300}}')
-        if version < 3:
-            for table in (empty / "sessions").glob("*.npy"):
-                table.unlink()
         with pytest.raises(VersionMismatch):
             CorpusIndex(empty)
         assert ingest(empty) == (0, "")
@@ -923,95 +932,82 @@ def test_index_rows_and_speakers_are_checked(tmp_path):
 
 
 def test_damaged_session_tables_name_table_and_session(tmp_path):
-    # tables that pass the format checks but break a stream or trace rule
+    # session files that pass the format checks but break a stream or trace rule
     out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
-    words, gaze = out / "sessions" / "sessA.words.npy", out / "sessions" / "sessA.gaze.npy"
-    negative, overlapping, repeated = np.load(words), np.load(words), np.load(gaze)
-    negative["start"][0] = -5.0
-    overlapping["start"][1] = 0.25
-    repeated = np.concatenate([repeated, repeated])
-    for path, table, message in [(words, negative, "words of session 'sessA': bad interval"),
-                                 (words, overlapping, "words of session 'sessA': words"),
-                                 (gaze, repeated, "gaze of session 'sessA': sample")]:
-        good = path.read_bytes()
-        np.save(path, table)
-        with pytest.raises(ParseError, match=message) as info:
+    path = out / "sessions" / "sessA.session"
+    good = path.read_bytes()
+    vocab, words, gaze = ["hallo", "welt"], _TWO_ROWS, [(0.0, 50.0, 0.0, 1)]
+    for damaged, message in [
+        (session_file([(-5.0, 0.5, 0), words[1]], gaze, vocab), "words: bad interval"),
+        (session_file([words[0], (0.25, 1.0, 1)], gaze, vocab), "words: words"),
+        (session_file(words, gaze * 2, vocab), "gaze: sample"),
+    ]:
+        path.write_bytes(damaged)
+        with pytest.raises(ParseError, match="session 'sessA': " + message) as info:
             CorpusIndex(out).load_session("sessA")
         assert info.value.path == str(path)
-        path.write_bytes(good)
+    path.write_bytes(good)
     assert len(CorpusIndex(out).load_session("sessA").words) == 2
 
 
 _TWO_ROWS = [(0.0, 0.5, 0), (0.5, 1.0, 1)]
-_HALLO_WELT = {"vocab": ["hallo", "welt"]}
-_WORD_FIELDS = [("start", "<f8"), ("end", "<f8"), ("code", "<u4")]
+_HALLO_WELT = ["hallo", "welt"]
+_SHAPE = "header must hold exactly the counts"
 
 
 @pytest.mark.parametrize(
-    "blob, rows, damaged, message",
+    "vocab, rows, header, message",
     [
-        ({"vocab": []}, [], "words", "has no elements"),
-        (_HALLO_WELT, _TWO_ROWS + [(1.0, 1.5, 2)], "words", "code 2 .* outside its vocab of 2"),
-        ({"vocab": ["hallo"]}, _TWO_ROWS, "words", "code 1 .* outside its vocab of 1"),
-        ({"vocab": ["hallo", None]}, _TWO_ROWS, "words", "must be strings"),
-        ({"vocab": ["hallo", 7]}, _TWO_ROWS, "words", "must be strings"),
-        (_HALLO_WELT, [(0.0, 0.5, 0), (0.5, 1.0, 2**32 - 1)], "words", "code 4294967295 "),
-        ({"vocab": ["hallo", "hallo"]}, _TWO_ROWS, "words", "holds 'hallo' twice"),
-        ({**_HALLO_WELT, "word": ["hallo", "welt"]}, _TWO_ROWS, "blob", "one key 'vocab'"),
-        ({"word": ["hallo", "welt"]}, _TWO_ROWS, "blob", "one key 'vocab'"),
-        (_HALLO_WELT, [(0.0, 0.5), (0.5, 1.0)], "words", "header is not numpy.save's"),
-        ({"vocab": ["hallo", "welt", "tschuess"]}, _TWO_ROWS, "words",
+        ([], [], None, "words: stream .* has no elements"),
+        (_HALLO_WELT, _TWO_ROWS + [(1.0, 1.5, 2)], None, "code 2 .* outside its vocab of 2"),
+        (["hallo"], _TWO_ROWS, None, "code 1 .* outside its vocab of 1"),
+        (["hallo", None], _TWO_ROWS, None, "must be strings"),
+        (["hallo", 7], _TWO_ROWS, None, "must be strings"),
+        (_HALLO_WELT, [(0.0, 0.5, 0), (0.5, 1.0, 2**32 - 1)], None, "code 4294967295 "),
+        (["hallo", "hallo"], _TWO_ROWS, None, "holds 'hallo' twice"),
+        (_HALLO_WELT, _TWO_ROWS, {"word": _HALLO_WELT}, _SHAPE),
+        (_HALLO_WELT, _TWO_ROWS, {"vocab": DROP, "word": _HALLO_WELT}, _SHAPE),
+        (_HALLO_WELT, [(0.0, 0.5), (0.5, 1.0)], None,
+         "holds 57 bytes after its header, 2 words and 1 gaze samples need 65"),
+        (["hallo", "welt", "tschuess"], _TWO_ROWS, None,
          "vocab entry 'tschuess' of session 'sessA' is unused"),
-        (_HALLO_WELT, [(0.0, 0.5, 1), (0.5, 1.0, 0)], "words", "lists 'hallo' before 'welt'"),
+        (_HALLO_WELT, [(0.0, 0.5, 1), (0.5, 1.0, 0)], None, "lists 'hallo' before 'welt'"),
     ],
     ids=["empty-session", "table-row-extra", "word-missing", "word-null", "word-number",
          "code-past-vocab", "vocab-repeats", "blob-leftover-word", "blob-without-vocab",
          "table-without-code", "vocab-unused-entry", "vocab-out-of-order"],
 )
-def test_damaged_word_columns_name_session_and_files(tmp_path, blob, rows, damaged, message):
+def test_damaged_word_columns_name_session_and_files(tmp_path, vocab, rows, header, message):
     out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
-    files = {"blob": out / "sessions" / "sessA.json", "words": out / "sessions" / "sessA.words.npy"}
-    files["blob"].write_text(json.dumps(blob))
-    fields = _WORD_FIELDS[: len(rows[0]) if rows else 3]
-    np.save(files["words"], np.array(rows, dtype=fields))
+    path = out / "sessions" / "sessA.session"
+    path.write_bytes(session_file(rows, [(0.0, 50.0, 0.0, 1)], vocab, header))
     with pytest.raises(ParseError, match=message) as info:
         CorpusIndex(out).load_session("sessA")
-    assert info.value.path == str(files[damaged])
-    if damaged == "words" and len(fields) == 3:  # a stream rule: both files and the session named
-        assert "words of session 'sessA': " in str(info.value)
-        assert str(files["blob"]) in str(info.value)
-
-
-@pytest.mark.parametrize("rows", [0, 1, 9, 10, 4000, 123_456, 10**18 - 1])
-def test_table_header_is_numpy_saves_for_any_row_count(rows):
-    for dtype in (ingest._WORDS_DTYPE, ingest._GAZE_DTYPE):
-        buf = io.BytesIO()
-        np.lib.format.write_array_header_1_0(
-            buf,
-            {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (rows,)},
-        )
-        assert ingest._table_header(dtype, rows) == buf.getvalue()
+    assert info.value.path == str(path) and "session 'sessA': " in str(info.value)
 
 
 @pytest.mark.parametrize(
-    "blob",
+    "header",
     [
-        {"id": ["w000000", "w000001"], "vocab": ["hallo", "welt"]},
-        {"id": "ab", "vocab": ["hallo", "welt"]},
-        {"word": ["hallo", "welt"]},  # format 6's blob
-        {"vocab": "hallo welt"},
-        {"vocab": {"0": "hallo", "1": "welt"}},
+        {"gaze": 1, "id": ["w000000", "w000001"], "vocab": ["hallo", "welt"], "words": 2},
+        {"gaze": 1, "id": "ab", "vocab": ["hallo", "welt"], "words": 2},
+        {"gaze": 1, "word": ["hallo", "welt"], "words": 2},  # format 6's blob key
+        {"gaze": 1, "vocab": "hallo welt", "words": 2},
+        {"gaze": 1, "vocab": {"0": "hallo", "1": "welt"}, "words": 2},
         ["hallo", "welt"],
     ],
     ids=["leftover-id", "leftover-id-string", "other-key", "word-string", "word-object",
          "blob-list"],
 )
-def test_blob_other_than_one_word_list_names_the_blob(tmp_path, blob):
+def test_blob_other_than_one_word_list_names_the_blob(tmp_path, header):
+    # the header line of a session file takes the place of format 7's word blob
     out = build_index(tiny_corpus(tmp_path / "raw"), tmp_path / "idx")
-    (out / "sessions" / "sessA.json").write_text(json.dumps(blob))
-    with pytest.raises(ParseError, match="unexpected document shape") as info:
+    path = out / "sessions" / "sessA.session"
+    data = path.read_bytes()
+    path.write_bytes(json.dumps(header).encode() + data[data.index(b"\n") :])
+    with pytest.raises(ParseError, match=_SHAPE) as info:
         CorpusIndex(out).load_session("sessA")
-    assert info.value.path == str(out / "sessions" / "sessA.json")
+    assert info.value.path == str(path) and info.value.line_no == 1
 
 
 def test_index_version_gate(tmp_path):
@@ -1019,8 +1015,9 @@ def test_index_version_gate(tmp_path):
     out = build_index(manifest, tmp_path / "idx")
     doc = json.loads((out / "manifest.json").read_text())
     # 1: rows of objects, 2: JSON columns, 3: speakers.json, 4: file names in rows, 5: word
-    # ids in blobs, 6: every word in blobs; all must be rebuilt, and so must a later version
-    for version in (1, 2, 3, 4, 5, 6, 8):
+    # ids in blobs, 6: every word in blobs, 7: three files per session; all must be rebuilt,
+    # and so must a later version
+    for version in (1, 2, 3, 4, 5, 6, 7, 9):
         doc["format_version"] = version
         (out / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch, match="rebuild it with `modalign ingest`"):
@@ -1103,6 +1100,57 @@ def test_index_numbers_round_trip_bit_for_bit(tmp_path):
     assert data.gaze.frontal.tolist() == [False, True, False, True]
     assert data.words.starts.tolist() == starts and data.words.ends.tolist() == ends
     assert data.gaze.t.tolist() == t
+
+
+_GAZE_ROWS = st.lists(
+    st.tuples(st.floats(0.0, 1e6), st.floats(-180.0, 180.0), st.floats(-90.0, 90.0),
+              st.booleans()),
+    max_size=30, unique_by=lambda row: row[0],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    words=st.lists(st.tuples(_words, st.integers(0, 2), st.integers(0, 1)), min_size=1,
+                   max_size=30),
+    wide=st.booleans(),
+    gaze=_GAZE_ROWS,
+)
+@example(words=[("ja", 1, 0)], wide=False, gaze=[])
+def test_sessions_round_trip_through_the_index_bit_for_bit(tmp_path_factory, words, wide, gaze):
+    # Words of 0 to 2 quarter-seconds after an optional gap, so some tie; ``wide`` adds 1500
+    # more, each a distinct non-ASCII word, for a vocab of over 1500 entries.
+    starts, ends, cursor = [], [], 0.0
+    for _, quarters, gap in words:
+        starts.append(cursor + 0.25 * gap)
+        cursor = starts[-1] + 0.25 * quarters
+        ends.append(cursor)
+    tokens = [w for w, _, _ in words]
+    if wide:
+        starts += [cursor + k for k in range(1500)]
+        ends += [cursor + k + 0.5 for k in range(1500)]
+        tokens += [f"wört{k}" for k in range(1500)]
+    stream = stream_from_columns(Modality.TEXT, "sessA", starts, ends, tokens, speaker_id="s1")
+    trace = gaze_trace(sorted(gaze))
+    root = tmp_path_factory.mktemp("rt") / "raw"
+    tiny_corpus(root, sessions=("sessA",))
+    write_transcript(stream, root / "sessA.jsonl")
+    write_gaze(trace, root / "sessA.csv")
+
+    # what ingest parsed, which JSON may have changed: it reads the escapes of a lone high and
+    # low surrogate side by side as one character
+    words_in = load_transcript(root / "sessA.jsonl", session_id="sessA")
+    gaze_in = load_gaze(root / "sessA.csv")
+
+    index = CorpusIndex(build_index(root / "manifest.json", root.parent / "idx"))
+    data = index.load_session("sessA")
+    assert data.words.vocab == words_in.vocab and data.words.speaker_id == "s1"
+    for got, want in [(data.words.starts, words_in.starts), (data.words.ends, words_in.ends),
+                      (data.words.codes, words_in.codes), (data.gaze.t, gaze_in.t),
+                      (data.gaze.yaw, gaze_in.yaw), (data.gaze.pitch, gaze_in.pitch),
+                      (data.gaze.frontal, gaze_in.frontal), (gaze_in.t, trace.t),
+                      (words_in.starts, stream.starts), (words_in.ends, stream.ends)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 # --- synthetic corpora -----------------------------------------------------
 
