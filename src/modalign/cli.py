@@ -273,7 +273,7 @@ def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
         words = index.load_session(sid).words
         addressed += covered(segs.starts, segs.ends, words.starts, words.ends).tolist()
     parties = sorted(set(party_of.values()))
-    others = [p for p in parties if p != cfg.target_party]
+    interactions = [(p, interaction_name(p)) for p in parties if p != cfg.target_party]
     rows = []
     skipped = 0
     for wp, a in zip(pitches, map(float, addressed), strict=True):
@@ -281,7 +281,7 @@ def build_panel(index: ingest.CorpusIndex, cfg: RunConfig):
             skipped += 1
             continue
         party = party_of[wp.speaker_id]
-        regs = {interaction_name(p): a if party == p else 0.0 for p in others}
+        regs = {name: a if party == p else 0.0 for p, name in interactions}
         rows.append(stats.PanelRow(wp.z, wp.speaker_id, {"addressing": a, **regs}))
     addressed_rows = Counter(party_of[row.group] for row in rows if row.regressors["addressing"])
     unaddressed = [p for p in parties if not addressed_rows[p]]

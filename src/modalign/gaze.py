@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsortedSamples, ValidationError
-from .timeline import ElementStream, Modality, overlap_pairs, stream_from_columns
+from .timeline import ElementStream, Modality, not_utf8, overlap_pairs, stream_from_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +57,8 @@ class AddressRule:
     the smallest number of overlapping words a segment must cover to be
     kept.  ``max_notes_seconds`` optionally caps how long a notes-look may
     bridge a segment (None: indefinitely); on timeout the segment is
-    trimmed back to its last in-band sample.
+    trimmed back to its last in-band sample.  ``label`` may hold no lone
+    surrogate (see :func:`~modalign.timeline.not_utf8`).
     """
 
     yaw_min: float = 45.0
@@ -76,6 +77,8 @@ class AddressRule:
             raise ValidationError(f"max_notes_seconds must be >= 0, got {self.max_notes_seconds}")
         if self.min_words < 0:
             raise ValidationError("min_words must be >= 0")
+        if not_utf8((self.label,)) is not None:
+            raise ValidationError(f"label {self.label!r} holds a lone surrogate")
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,7 +61,7 @@ from .errors import (
 from .gaze import GazeTrace
 from .pitch import MIN_SAMPLE_RATE, PITCH_RANGE_BY_GENDER, SpeakerProfile
 from .stats import PanelRow
-from .timeline import ElementStream, Modality, stream_from_columns
+from .timeline import ElementStream, Modality, not_utf8, stream_from_columns
 from .timeline import word_element_id  # noqa: F401  re-exported for callers of ingest
 
 MANIFEST_FORMAT_VERSION = 1  # corpus manifests, the input of ``ingest``
@@ -288,6 +288,10 @@ def load_transcript(path, session_id: str | None = None) -> ElementStream:
         list(map(operator.and_, map(isinstance, words, itertools.repeat(str)), map(bool, words))),
         lambda k: "word must be a non-empty string",
     )
+    held = words[: rows.limit]  # each a non-empty string
+    if not_utf8(set(held)) is not None:  # each distinct word checked once; its line sought after
+        rows.apply(str.encode, held, lambda k, e: f"word {held[k]!r} holds a lone surrogate",
+                   UnicodeEncodeError)
     number = {int, float}.__contains__  # of a type: bool is not a number here
     typed = map(operator.and_, map(number, map(type, starts)), map(number, map(type, ends)))
     rows.check(list(typed), lambda k: "start/end must be numbers")
@@ -557,34 +561,6 @@ def pcm16_wav(path, sample_rate: int, frames: int) -> Iterator[Callable[[np.ndar
         yield wf.writeframesraw  # writeframes would patch the header after every block
 
 
-def write_wav(samples: np.ndarray, sample_rate: int, path) -> None:
-    """Write mono float samples as 16-bit PCM, one block of samples at a time.
-
-    A sample maps to ``rint(value * 32768)`` clipped to [-32768, 32767], so
-    values beyond [-1, 1], ±inf included, are written at full scale.  A NaN
-    sample is a :class:`ValidationError` naming its index, and the file is
-    removed.  A rate outside [1, 2**31) Hz is a :class:`ValidationError`
-    before the file is opened.
-    """
-    samples = np.asarray(samples).reshape(-1)
-    n = samples.size
-    buf = np.empty(min(n, AUDIO_BLOCK_SAMPLES))
-    pcm = np.empty(buf.size, np.int16)
-    nan_at = None
-    with pcm16_wav(path, sample_rate, n) as write:
-        for lo in range(0, n, AUDIO_BLOCK_SAMPLES):
-            block = buf[: min(n - lo, AUDIO_BLOCK_SAMPLES)]
-            block[...] = samples[lo : lo + block.size]
-            if np.isnan(block.min()):  # min is NaN iff a sample is
-                nan_at = lo + int(np.flatnonzero(np.isnan(block))[0])
-                break
-            quantize_pcm16(block, pcm[: block.size])
-            write(pcm[: block.size])
-    if nan_at is not None:
-        Path(path).unlink()
-        raise ValidationError(f"cannot write {path}: sample {nan_at} is NaN")
-
-
 # --- corpus manifest and index ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -624,7 +600,7 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
         sid, speaker = sess["session_id"], sess["speaker_id"]
         if not (isinstance(sid, str) and isinstance(speaker, str)):
             raise ParseError(path, 0, f"session #{i}: session_id and speaker_id must be strings")
-        _check_session_id(path, sid)
+        _check_ids(path, sid, speaker)
         if sid in seen:
             raise ParseError(path, 0, f"duplicate session_id {sid!r}")
         seen.add(sid)
@@ -637,8 +613,12 @@ def _parse_manifest(path: Path, doc) -> CorpusManifest:
     return CorpusManifest(tuple(entries), speakers)
 
 
-def _check_session_id(path: Path, sid: str) -> None:
-    """Raise a :class:`ParseError` naming ``path`` unless ``sid`` is a plain file name."""
+def _check_ids(path: Path, sid: str, speaker: str) -> None:
+    """Raise a :class:`ParseError` naming ``path`` unless ``sid`` is a plain file name and
+    neither id holds a lone surrogate."""
+    bad = not_utf8((sid, speaker))
+    if bad is not None:
+        raise ParseError(path, 0, f"id {bad!r} holds a lone surrogate")
     if sid in ("", ".", "..") or set(sid) & set("/\\\0"):
         raise ParseError(path, 0, f"session_id {sid!r} is not a plain file name")
 
@@ -904,7 +884,7 @@ class CorpusIndex:
         for row in rows:
             if row.keys() != set(_ROW_KEYS) or {type(value) for value in row.values()} != {str}:
                 raise ParseError(path, 0, f"a row must hold the fields {_ROW_KEYS}, all strings")
-            _check_session_id(path, row["session_id"])
+            _check_ids(path, row["session_id"], row["speaker_id"])
         by_id = {row["session_id"]: row for row in rows}
         if len(by_id) != len(rows):
             raise ParseError(path, 0, "a session_id is repeated")

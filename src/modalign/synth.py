@@ -32,7 +32,7 @@ from .gaze import GazeTrace
 from .ingest import MANIFEST_FORMAT_VERSION, _json_bytes, replacing
 from .ingest import AUDIO_BLOCK_SAMPLES, pcm16_wav, quantize_pcm16
 from .ingest import write_gaze, write_speakers, write_transcript
-from .timeline import Modality, stream_from_columns
+from .timeline import Modality, not_utf8, stream_from_columns
 
 WORD_SLOT = 0.375        # seconds per word; 3/8, exact in binary
 GAZE_PERIOD = 0.125      # seconds between gaze samples; 1/8, exact in binary
@@ -89,6 +89,8 @@ class SynthSpec:
             # speakers.csv is read unquoted, so these would split or rename a party
             if any(c in party for c in ',"\r\n'):
                 raise InvalidSpec(f"party {party!r} holds a comma, quote or line break")
+            if not_utf8((party,)) is not None:
+                raise InvalidSpec(f"party {party!r} holds a lone surrogate")
 
 
 def _plant_segments(n_words: int, density: float, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -27,8 +27,9 @@ Conventions
 from __future__ import annotations
 
 import enum
+import re
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
@@ -133,14 +134,19 @@ def element_ids(modality: Modality, n: int) -> tuple[str, ...]:
     return table[:n]
 
 
-def _rank(keys: Sequence[str]) -> np.ndarray:
-    """Each key's rank among the distinct ``keys`` in Python's string order.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
-    A sort key for :func:`numpy.lexsort`: numpy's ``U`` strings drop
-    trailing NULs, so ``np.array(keys)`` would tie ``"a"`` with ``"a\\x00"``.
+
+def not_utf8(strings: Collection[str]) -> str | None:
+    """The first of ``strings`` holding a lone surrogate, which UTF-8 cannot encode, or None.
+
+    Decoded UTF-8 holds none; they come from JSON escapes such as
+    ``"\\ud800"`` and from command-line bytes that are not UTF-8.
     """
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return np.array([rank[key] for key in keys], dtype=np.intp)
+    text = "".join(strings)
+    if text.isascii() or _SURROGATE.search(text) is None:  # isascii reads a flag the str keeps
+        return None
+    return next(filter(_SURROGATE.search, strings))
 
 
 def stream_from_columns(
@@ -162,7 +168,8 @@ def stream_from_columns(
     payloads first appear in time order: a stream built from strings takes
     it from them, and one built from codes must be given it so.  Raises
     :class:`ValidationError` unless every payload (every vocab entry) is a
-    string, the vocab holds no string twice, every code indexes it and
+    string free of lone surrogates (see :func:`not_utf8`), the vocab holds
+    no string twice, every code indexes it and
     every entry is used in that order, :class:`EmptyStream`,
     :class:`NegativeInterval` unless ``0 <= start <= end < inf`` (NaN
     fails), and :class:`OverlappingWords` when a text stream's words
@@ -184,11 +191,14 @@ def stream_from_columns(
         try:
             at = np.fromiter(map(first.setdefault, in_time, range(n)), np.intp, n)
         except TypeError:  # an unhashable payload, which is no string
-            first = {None: 0}
+            raise ValidationError(f"payloads in session {session_id!r} must be strings") from None
         vocab = first
     vocab = tuple(vocab)
     if set(map(type, vocab)) - {str}:
         raise ValidationError(f"payloads in session {session_id!r} must be strings")
+    bad = not_utf8(vocab)
+    if bad is not None:
+        raise ValidationError(f"payload {bad!r} in session {session_id!r} holds a lone surrogate")
     if strings:
         code_at = np.empty(n, np.intp)  # at a payload's first position, its code
         code_at[np.fromiter(first.values(), np.intp, len(vocab))] = np.arange(len(vocab))
@@ -388,10 +398,12 @@ def query_crossmodal(
     ``where`` is evaluated on every element of the ``where_modality``
     streams; a ``select`` element qualifies when it overlaps (strictly
     positive overlap) at least one matching element in the same session.
-    Results are deduplicated and ordered by (session, start, end); hits
-    that tie keep their streams' corpus order, then their stream order.
-    Raises :class:`ModalityAbsent` when the corpus has no stream of either
-    modality, naming the ``where`` modality first.
+    Results are deduplicated and ordered by session id (Python's string
+    order), then by their stream's (start, end) order, ties keeping their
+    stream order.  Raises :class:`ModalityAbsent` when the corpus has no
+    stream of either modality, naming the ``where`` modality first, and
+    :class:`ValidationError` naming the session when a session has more
+    than one ``select`` stream.
     """
     selects = [s for s in corpus if s.modality is select]
     filters = [s for s in corpus if s.modality is where_modality]
@@ -399,6 +411,9 @@ def query_crossmodal(
         raise ModalityAbsent(f"corpus has no {where_modality.value} stream")
     if not selects:
         raise ModalityAbsent(f"corpus has no {select.value} stream")
+    for sid, count in Counter(s.session_id for s in selects).items():
+        if count > 1:
+            raise ValidationError(f"session {sid!r} has {count} {select.value} streams, not one")
 
     matched_by_session: dict[str, list[tuple[float, float]]] = {}
     for stream in filters:
@@ -414,21 +429,13 @@ def query_crossmodal(
         starts, ends = np.array(matched).T
         at = np.flatnonzero(covered(starts, ends, stream.starts, stream.ends))
         parts.append((stream.session_id, stream, at))  # in (start, end) order
-    parts.sort(key=lambda part: part[0])  # stable: a session's streams keep their corpus order
+    parts.sort(key=lambda part: part[0])
 
     session_ids = [sid for sid, _, at in parts for _ in range(at.size)]
     ids = [s.ids[k] for _, s, at in parts for k in at.tolist()]
     payloads = [s.vocab[code] for _, s, at in parts for code in s.codes[at].tolist()]
     starts = np.concatenate([np.empty(0)] + [s.starts[at] for _, s, at in parts])
     ends = np.concatenate([np.empty(0)] + [s.ends[at] for _, s, at in parts])
-    if len({sid for sid, _, _ in parts}) < len(parts):
-        # Some session has several select streams; the sort is stable, so
-        # elements with equal keys keep their streams' corpus order.
-        order = np.lexsort((ends, starts, _rank(session_ids))).tolist()
-        session_ids, ids, payloads = (
-            [column[k] for k in order] for column in (session_ids, ids, payloads)
-        )
-        starts, ends = starts[order], ends[order]
     starts.setflags(write=False)
     ends.setflags(write=False)
     return QueryHits(tuple(session_ids), tuple(ids), starts, ends, tuple(payloads))

@@ -383,6 +383,10 @@ def transcript_loop(path, session_id=None):
         word, start, end = obj["word"], obj["start"], obj["end"]
         if not isinstance(word, str) or not word:
             raise ParseError(path, line_no, "word must be a non-empty string")
+        try:
+            word.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(path, line_no, f"word {word!r} holds a lone surrogate") from None
         if type(start) not in (int, float) or type(end) not in (int, float):
             raise ParseError(path, line_no, "start/end must be numbers")
         if not 0 <= start <= end < math.inf:

@@ -493,6 +493,13 @@ def _sess000_with_wav(rate: int, frames: int, drop: int = 0) -> dict:
     return {"idx/manifest.json": json.dumps(doc), "idx/a.wav": wav[: len(wav) - drop]}
 
 
+def _index_manifest(**row) -> dict:
+    """An index manifest of sess000 alone whose row has these fields."""
+    row = {"session_id": "sess000", "speaker_id": "spk000", "audio": "a.wav", **row}
+    return {"idx/manifest.json": json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                                             "sessions": [row]})}
+
+
 _MANIFEST = ["ingest", "--manifest", "TMP/m.json"]
 _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
 
@@ -641,6 +648,20 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         (_session(vocab=["ja", "nein"]), ["fw", "--index", "IDX"], "ParseError"),
         (_session(words=[(0.0, 1.0, 1), (1.0, 2.0, 0)], vocab=["ja", "nein"]),
          ["segments", "--index", "IDX"], "ParseError"),
+        (_corpus(transcript=_WORD + _WORD.replace(b'"ja", "start": 0, "end": 1',
+                                                  b'"\\ud800", "start": 1, "end": 2')),
+         _MANIFEST, "ParseError"),
+        (_corpus(session_id='"\\ud800"'), _MANIFEST, "ParseError"),
+        (_corpus(speaker_id='"spk\\udfff"'), _MANIFEST, "ParseError"),
+        (_session(vocab=["\ud800"]), ["pitch", "--index", "IDX"], "ParseError"),
+        (_index_manifest(session_id="\ud800"), ["segments", "--index", "IDX"], "ParseError"),
+        (_index_manifest(speaker_id="\udcff"), ["fw", "--index", "IDX"], "ParseError"),
+        ({}, ["segments", "--index", "IDX", "--label", "\udcff"], "ValidationError"),
+        ({"c.json": '{"address": {"label": "\\ud800"}}'},
+         ["--config", "TMP/c.json", "query", "--index", "IDX", "--select", "text",
+          "--where", "gaze.label==AfD"], "ValidationError"),
+        ({"s.json": '{"other_party": "\\ud800"}'}, ["synth", "--spec", "TMP/s.json"],
+         "InvalidSpec"),
     ],
     ids=["negative-min-overlap", "corrupt-manifest", "corrupt-speakers", "corrupt-session",
          "session-missing-key", "gaze-string", "gaze-null", "gaze-bool",
@@ -671,7 +692,10 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "config-threshold-401-digits", "synth-spec-401-digits", "transcript-too-deep",
          "words-code-past-vocab", "blob-vocab-repeats", "blob-vocab-null", "blob-leftover-word",
          "blob-without-vocab", "words-without-code", "blob-vocab-unused",
-         "blob-vocab-out-of-order"],
+         "blob-vocab-out-of-order", "transcript-word-surrogate", "manifest-session-id-surrogate",
+         "manifest-speaker-id-surrogate", "blob-vocab-surrogate", "index-session-id-surrogate",
+         "index-speaker-id-surrogate", "label-not-utf8", "config-label-surrogate",
+         "synth-spec-party-surrogate"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

@@ -157,6 +157,10 @@ def test_rule_validation():
         with pytest.raises(ValidationError):
             AddressRule(**bad)
     AddressRule(notes_pitch_threshold=-math.inf, max_notes_seconds=0.0)  # both allowed
+    for label in ("\ud800", "AfD\udcff"):  # a JSON escape; a byte not UTF-8 on the command line
+        with pytest.raises(ValidationError, match="lone surrogate"):
+            AddressRule(label=label)
+    assert AddressRule(label="Grüne \U0001f600").label == "Grüne \U0001f600"
 
 
 def test_matches_plain_run_detection_when_notes_disabled():

@@ -36,13 +36,14 @@ from modalign.ingest import (
     load_panel,
     load_speakers,
     load_transcript,
+    pcm16_wav,
+    quantize_pcm16,
     read_wav,
     word_element_id,
     write_csv,
     write_gaze,
     write_speakers,
     write_transcript,
-    write_wav,
 )
 from modalign import pitch
 from modalign.pitch import PITCH_RANGE_BY_GENDER, PitchSettings, estimate_pitch_track
@@ -157,7 +158,41 @@ def test_transcript_round_trip(tmp_path):
 # every kind of character json escapes, and some it writes as they are
 _HARD_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\ud800", "\udfff",
                "\u00e4", "\U0001f600", ",", "\n", "\r", "\t", "/"]
-_words = st.lists(st.one_of(st.characters(), st.sampled_from(_HARD_CHARS)), min_size=1).map("".join)
+# any text, lone surrogates included: st.characters() leaves them out unless asked
+_words = st.text(st.characters() | st.characters(categories=["Cs"]) | st.sampled_from(_HARD_CHARS),
+                 min_size=1)
+
+
+def holds_surrogate(text: str) -> bool:
+    return any("\ud800" <= c <= "\udfff" for c in text)
+
+
+def text_stream_or_refusal(session_id, starts, ends, words, speaker_id=None):
+    """The stream of ``words``, or None when one holds a lone surrogate and the build refused it."""
+    if any(map(holds_surrogate, words)):
+        with pytest.raises(ValidationError, match="holds a lone surrogate"):
+            stream_from_columns(Modality.TEXT, session_id, starts, ends, words,
+                                speaker_id=speaker_id)
+        return None
+    return stream_from_columns(Modality.TEXT, session_id, starts, ends, words,
+                               speaker_id=speaker_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(_words, min_size=1, max_size=8), speaker=st.one_of(st.none(), _words))
+@example(words=["\ud800\udfff"], speaker=None)  # JSON would read its two escapes as one character
+def test_transcripts_round_trip_any_text_or_refuse_it(tmp_path_factory, words, speaker):
+    stream = text_stream_or_refusal("s", range(len(words)), range(1, len(words) + 1), words,
+                                    speaker_id=speaker)
+    if stream is None:
+        return
+    p = tmp_path_factory.mktemp("tx") / "t.jsonl"
+    write_transcript(stream, p)
+    again = load_transcript(p, session_id="s")
+    assert again.vocab == stream.vocab and again.payloads == tuple(words)
+    assert again.codes.tobytes() == stream.codes.tobytes()
+    assert again.starts.tobytes() == stream.starts.tobytes()
+    assert again.ends.tobytes() == stream.ends.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,9 +203,9 @@ _words = st.lists(st.one_of(st.characters(), st.sampled_from(_HARD_CHARS)), min_
 )
 def test_transcript_bytes_equal_one_json_dumps_per_word(tmp_path_factory, words, gaps, speaker):
     edges = np.cumsum(gaps[: 2 * len(words)]).tolist()  # 5e-324 and 17-digit sums included
-    stream = stream_from_columns(
-        Modality.TEXT, "s", edges[0::2], edges[1::2], words, speaker_id=speaker
-    )
+    stream = text_stream_or_refusal("s", edges[0::2], edges[1::2], words, speaker_id=speaker)
+    if stream is None:
+        return
     p = tmp_path_factory.mktemp("tx") / "t.jsonl"
     write_transcript(stream, p)
     assert p.read_bytes() == transcript_text(stream).encode("utf-8")
@@ -291,7 +326,7 @@ _CELLS = ["nan", "inf", "-inf", "1_0", "True", "", "1" * 401, " 7 ", "-0.0", "0"
           "999", "-91", "1e400", "x", "f", "m", "spk0", "0.04"]
 _JSON_VALUES = ["NaN", "Infinity", "-Infinity", "true", "false", "null", '""', '"ja"', "1" * 401,
                 "-1", "0", "1e400", "0.04", "[]", "{}", '"s1"', "1" * 5000,
-                str(2**53 + 1), "9007199254740992.0"]
+                str(2**53 + 1), "9007199254740992.0", '"j\\ud800"']
 _NOT_OBJECTS = ["[1, 2]", "3", '"w"', "null", "\ufeff{}", "{", '{"word": "a"} x']
 _MERGE = ['{"a": [{}', "{}]}", '{"x": 1}, {"y": 2}']
 _mutations = st.lists(
@@ -441,6 +476,12 @@ _W = '{"word": %s, "start": %s, "end": %s, "speaker_id": "s1"}'
     ("panel", ["1,a,1,1", "2,a,inf,x"], "must be finite"),
     # nested deeper than the recursion limit: json.loads raises RecursionError, not ValueError
     ("transcript", [_W % ('"ok"', "0", "0.4"), "[" * 100_000 + "]" * 100_000], "bad JSON"),
+    # a lone surrogate fails its word's line, checked after the word's type and before its times
+    ("transcript", [_W % ('"ok"', "0", "0.4"), _W % ('"a\\udfff"', "1", "0"),
+                    _W % ('"\\ud800"', "2", "3")], "word 'a\\udfff' holds a lone surrogate"),
+    ("transcript", [_W % ('"ok"', "0", "0.4"), _W % ('"ja"', "true", "1"),
+                    _W % ('"\\ud800"', "2", "3")], "start/end must be numbers"),
+    ("transcript", [_W % ('"\\ud800"', "0", "0.4"), _W % ('7', "1", "2")], "lone surrogate"),
 ])
 def test_loaders_keep_the_line_by_line_error_order(tmp_path, kind, body, message):
     header, load, oracle, args = _LOADERS[kind]
@@ -530,11 +571,20 @@ def test_csv_rows_of_unequal_length_are_refused(tmp_path):
 
 # --- audio -----------------------------------------------------------------
 
+def write_pcm16(path, samples, rate=16000) -> None:
+    """A mono WAV of float ``samples`` at ``rate`` Hz, quantized by the rule written audio keeps."""
+    block = np.array(samples, dtype=np.float64)
+    pcm = np.empty(block.size, np.int16)
+    quantize_pcm16(block, pcm)
+    with pcm16_wav(path, rate, pcm.size) as write:
+        write(pcm)
+
+
 def test_wav_round_trip(tmp_path):
     rng = np.random.default_rng(41)
     samples = rng.uniform(-0.9, 0.9, size=4000)
     p = tmp_path / "a.wav"
-    write_wav(samples, 16000, p)
+    write_pcm16(p, samples)
     buf = read_wav(p)
     assert buf.sample_rate == 16000
     assert len(buf) == 4000
@@ -543,7 +593,7 @@ def test_wav_round_trip(tmp_path):
 
 def test_wav_clips_out_of_range(tmp_path):
     p = tmp_path / "a.wav"
-    write_wav(np.array([1.5, -1.5]), 16000, p)
+    write_pcm16(p, [1.5, -1.5])
     buf = read_wav(p)
     assert buf.span(0, 2).tolist() == [32767 / 32768, -1.0]
 
@@ -563,49 +613,45 @@ _PCM_EDGES[4:11] /= 32768.0
 @pytest.mark.parametrize("n", [0, 1, AUDIO_BLOCK_SAMPLES - 1, AUDIO_BLOCK_SAMPLES,
                                AUDIO_BLOCK_SAMPLES + 1, 2 * AUDIO_BLOCK_SAMPLES + 1])
 def test_wav_blocks_quantize_as_one_array(tmp_path, n):
+    # blocks quantized and written one at a time, as synth writes audio, make the file that
+    # quantizing the whole array at once makes
     rng = np.random.default_rng(n)
     samples = rng.uniform(-1.2, 1.2, n)
     for at in (0, AUDIO_BLOCK_SAMPLES - 8, 2 * AUDIO_BLOCK_SAMPLES - 8, n - len(_PCM_EDGES)):
         if 0 <= at and at + len(_PCM_EDGES) <= n:  # at both ends, and across each block seam
             samples[at : at + len(_PCM_EDGES)] = _PCM_EDGES
     p = tmp_path / "q.wav"
-    write_wav(samples, 16000, p)
+    pcm = np.empty(AUDIO_BLOCK_SAMPLES, np.int16)
+    with pcm16_wav(p, 16000, n) as write:
+        for lo in range(0, n, AUDIO_BLOCK_SAMPLES):
+            block = samples[lo : lo + AUDIO_BLOCK_SAMPLES].copy()
+            quantize_pcm16(block, pcm[: block.size])
+            write(pcm[: block.size])
     np.testing.assert_array_equal(wav_frames(p), pcm16(samples))
     with wave.open(str(p)) as wf:
         assert wf.getnframes() == n
 
 
 def test_wav_edge_values_and_inputs(tmp_path):
-    p = tmp_path / "e.wav"
-    write_wav(_PCM_EDGES, 16000, p)
     want = [32767, -32768, 32767, -32768, 0, 0, 2, -2, 2, 32767, -32768,
             0, 0, 32767, -32768, 32767, -32768]
-    assert wav_frames(p).tolist() == want == pcm16(_PCM_EDGES).tolist()
-    for same in (_PCM_EDGES.tolist(), _PCM_EDGES.astype(np.float32), _PCM_EDGES.reshape(1, -1)):
-        write_wav(same, 16000, p)
-        assert wav_frames(p).tolist() == want
-
-
-def test_wav_refuses_nan_and_removes_the_file(tmp_path):
-    p = tmp_path / "nan.wav"
-    with pytest.raises(ValidationError, match="sample 1 is NaN"):
-        write_wav([0.5, np.nan, np.inf, -np.inf], 8000, p)
-    assert not p.exists()
-    samples = np.zeros(AUDIO_BLOCK_SAMPLES + 10)
-    samples[[AUDIO_BLOCK_SAMPLES + 3, AUDIO_BLOCK_SAMPLES + 7]] = np.nan
-    with pytest.raises(ValidationError, match=f"sample {AUDIO_BLOCK_SAMPLES + 3} is NaN"):
-        write_wav(samples, 8000, p)
-    assert not p.exists()
+    out = np.empty(_PCM_EDGES.size, np.int16)
+    quantize_pcm16(_PCM_EDGES.copy(), out)
+    assert out.tolist() == want == pcm16(_PCM_EDGES).tolist()
+    p = tmp_path / "e.wav"
+    write_pcm16(p, _PCM_EDGES)
+    assert wav_frames(p).tolist() == want
 
 
 def test_wav_refuses_rates_its_header_cannot_hold(tmp_path):
     p = tmp_path / "r.wav"
     for rate in (0, -8000, 2**31, 2**32, float("nan")):
         with pytest.raises(ValidationError, match="sample rate"):
-            write_wav(np.zeros(4), rate, p)
+            with pcm16_wav(p, rate, 4):
+                pass
         assert not p.exists()
     for rate in (1, 4000, 2**31 - 1):  # rates below 8000 Hz stay writable; read_wav refuses them
-        write_wav(np.zeros(4), rate, p)
+        write_pcm16(p, np.zeros(4), rate)
         with wave.open(str(p)) as wf:
             assert wf.getframerate() == rate
 
@@ -660,7 +706,7 @@ def test_wav_cut_after_opening_is_a_parse_error(tmp_path, monkeypatch):
     monkeypatch.setattr(pitch, "CHUNK_FRAMES", 4)  # seven chunks of a second at 2048/512
     p = tmp_path / "cut.wav"
     t = np.arange(16000) / 16000
-    write_wav(0.3 * np.sin(2 * np.pi * 180.0 * t), 16000, p)
+    write_pcm16(p, 0.3 * np.sin(2 * np.pi * 180.0 * t))
     for threads in (1, 2):
         with read_wav(p) as src:
             src.span(15000, 16000)
@@ -670,7 +716,7 @@ def test_wav_cut_after_opening_is_a_parse_error(tmp_path, monkeypatch):
                 src.span(14990, 15000)
             with pytest.raises(ParseError, match="cut short"):
                 estimate_pitch_track(src, PITCH_RANGE_BY_GENDER["m"], PitchSettings(threads=threads))
-        write_wav(0.3 * np.sin(2 * np.pi * 180.0 * t), 16000, p)
+        write_pcm16(p, 0.3 * np.sin(2 * np.pi * 180.0 * t))
 
 
 def test_wav_rejects_other_encodings(tmp_path):
@@ -692,7 +738,7 @@ def test_wav_rejects_other_encodings(tmp_path):
     with pytest.raises(MissingFile):
         read_wav(tmp_path / "absent.wav")
     for rate, samples in ((16000, 0), (4000, 100)):  # no frames; a rate below 8000 Hz
-        write_wav(np.zeros(samples), rate, p)
+        write_pcm16(p, np.zeros(samples), rate)
         with pytest.raises(ParseError) as exc:
             read_wav(p)
         assert exc.value.path == str(p)
@@ -706,7 +752,7 @@ def tiny_corpus(root, sessions=("sessA", "sessB")):
     rows = []
     for sid in sessions:
         write_lines(root / f"{sid}.jsonl", [word_line("hallo", 0.0, 0.5), word_line("welt", 0.5, 1.0)])
-        write_wav(np.zeros(16000), 16000, root / f"{sid}.wav")
+        write_pcm16(root / f"{sid}.wav", np.zeros(16000))
         write_gaze(gaze_trace([(0.0, 50.0, 0.0, True)]), root / f"{sid}.csv")
         rows.append(
             {
@@ -1058,11 +1104,13 @@ def test_index_words_equal_the_transcript_with_positional_ids(tmp_path_factory, 
         starts.append(cursor + 0.25 * gap)
         cursor = starts[-1] + 0.25 * quarters
         ends.append(cursor)
+    stream = text_stream_or_refusal("sessA", starts, ends, [w for w, _, _ in words], "s1")
+    if stream is None:
+        return
     root = tmp_path_factory.mktemp("rt") / "raw"
     tiny_corpus(root, sessions=("sessA",))
     transcript = root / "sessA.jsonl"
-    write_transcript(stream_from_columns(Modality.TEXT, "sessA", starts, ends,
-                                         [w for w, _, _ in words], speaker_id="s1"), transcript)
+    write_transcript(stream, transcript)
     lines = transcript.read_text(encoding="utf-8").split("\n")[:-1]
     write_lines(transcript, data.draw(st.permutations(lines)))
 
@@ -1130,26 +1178,27 @@ def test_sessions_round_trip_through_the_index_bit_for_bit(tmp_path_factory, wor
         starts += [cursor + k for k in range(1500)]
         ends += [cursor + k + 0.5 for k in range(1500)]
         tokens += [f"wört{k}" for k in range(1500)]
-    stream = stream_from_columns(Modality.TEXT, "sessA", starts, ends, tokens, speaker_id="s1")
+    stream = text_stream_or_refusal("sessA", starts, ends, tokens, speaker_id="s1")
+    if stream is None:
+        return
     trace = gaze_trace(sorted(gaze))
     root = tmp_path_factory.mktemp("rt") / "raw"
     tiny_corpus(root, sessions=("sessA",))
     write_transcript(stream, root / "sessA.jsonl")
     write_gaze(trace, root / "sessA.csv")
 
-    # what ingest parsed, which JSON may have changed: it reads the escapes of a lone high and
-    # low surrogate side by side as one character
     words_in = load_transcript(root / "sessA.jsonl", session_id="sessA")
     gaze_in = load_gaze(root / "sessA.csv")
 
     index = CorpusIndex(build_index(root / "manifest.json", root.parent / "idx"))
     data = index.load_session("sessA")
-    assert data.words.vocab == words_in.vocab and data.words.speaker_id == "s1"
+    assert data.words.vocab == words_in.vocab == stream.vocab and data.words.speaker_id == "s1"
     for got, want in [(data.words.starts, words_in.starts), (data.words.ends, words_in.ends),
                       (data.words.codes, words_in.codes), (data.gaze.t, gaze_in.t),
                       (data.gaze.yaw, gaze_in.yaw), (data.gaze.pitch, gaze_in.pitch),
                       (data.gaze.frontal, gaze_in.frontal), (gaze_in.t, trace.t),
-                      (words_in.starts, stream.starts), (words_in.ends, stream.ends)]:
+                      (words_in.starts, stream.starts), (words_in.ends, stream.ends),
+                      (words_in.codes, stream.codes)]:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 # --- synthetic corpora -----------------------------------------------------
