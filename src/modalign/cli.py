@@ -33,7 +33,7 @@ from . import gaze as gaze_mod
 from . import ingest, latent, pitch, stats, synth
 from .errors import DataError, EngineError, ValidationError
 from .pitch import PitchSettings
-from .timeline import Modality, covered, join_streams, query_crossmodal
+from .timeline import Modality, covered, join_streams, not_utf8, query_crossmodal
 
 
 # --- configuration ---------------------------------------------------------
@@ -228,6 +228,8 @@ def _parse_where(expr: str):
         )
     if attr not in ("label", "word", "payload"):
         raise ValidationError(f"unknown attribute {attr!r}; choose label, word, or payload")
+    if not_utf8((value,)) is not None:
+        raise ValidationError(f"where-expression value {value!r} holds a lone surrogate")
     return _WHERE_MODALITIES[mod_name], (lambda e: e.payload == value)
 
 

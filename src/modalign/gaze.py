@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsortedSamples, ValidationError
-from .timeline import ElementStream, Modality, not_utf8, overlap_pairs, stream_from_columns
+from .timeline import ElementStream, Modality, not_utf8, overlap_ranges, stream_from_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,13 +154,19 @@ def enforce_min_words(
     """Drop segments covering fewer than ``rule.min_words`` words.
 
     A word counts when its interval overlap with the segment is strictly
-    positive.  The segments may come in any order and keep it; the ones
-    kept come back with ``word_counts`` filled.
+    positive: the words of each segment's
+    :func:`~modalign.timeline.overlap_ranges` that have positive length.
+    The segments may come in any order and keep it; the ones kept come
+    back with ``word_counts`` filled.
     """
     if words.modality is not Modality.TEXT:
         raise ValidationError(f"expected a text stream, got {words.modality.value}")
-    covered, _, _ = overlap_pairs(segments.starts, segments.ends, words.starts, words.ends, 0.0)
-    counts = np.bincount(covered, minlength=len(segments))
+    lo, hi = overlap_ranges(segments.starts, segments.ends, words.starts, words.ends)
+    counts = hi - lo
+    spans = words.ends > words.starts
+    if not spans.all():  # take the zero-length words out of each range
+        before = np.concatenate(([0], np.cumsum(spans)))  # words of positive length before k
+        counts = before[hi] - before[lo]
     keep = counts >= rule.min_words
     return AddressSegments(segments.starts[keep], segments.ends[keep], counts[keep], segments.label)
 

@@ -32,6 +32,7 @@ from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -73,13 +74,13 @@ class Element:
 class _ElementColumns(Sequence):
     """The one place that builds :class:`Element` objects from columns.
 
-    A subclass holds ``ids``, ``starts``, ``ends`` and ``payloads``;
-    ``seq[k]`` and iteration build its elements on demand, with ``start``
-    and ``end`` as Python floats.
+    A subclass holds ``ids``, ``starts``, ``ends`` and ``payloads`` and is
+    as long as ``starts``; ``seq[k]`` and iteration build its elements on
+    demand, with ``start`` and ``end`` as Python floats.
     """
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.starts.size
 
     def __getitem__(self, k: int) -> Element:
         return Element(self.ids[k], self.starts[k].item(), self.ends[k].item(), self.payloads[k])
@@ -308,25 +309,19 @@ def _observed_cardinality(source_idx: np.ndarray, target_idx: np.ndarray) -> Car
     return Cardinality.MANY_TO_MANY
 
 
-def overlap_pairs(
-    starts_a: np.ndarray,
-    ends_a: np.ndarray,
-    starts_b: np.ndarray,
-    ends_b: np.ndarray,
-    min_overlap: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(i, j, overlap)`` for every pair with ``overlap > min_overlap``, ordered by ``(i, j)``.
+def _search_pairs(starts_a, ends_a, starts_b, ends_b, min_overlap):
+    """:func:`overlap_pairs`, searched from side ``a``: ``b`` sorted by start, ``a`` in any order.
 
-    ``min_overlap`` must be >= 0.  Side ``b`` must be sorted by start; side
-    ``a`` may come in any order.  For each ``a[i]`` the candidates are the
-    ``b[j]`` that start before ``a[i]`` ends (a ``searchsorted`` on the
-    starts) from the first whose running maximum of ends passes ``a[i]``'s
-    start (a ``searchsorted`` on that running maximum); every other ``b[j]``
-    is disjoint from or touches ``a[i]``.  So the work is linear in the
-    candidates, which exceed the pairs only where a long ``b`` interval
-    keeps the running maximum ahead of later, shorter ones.
+    For each ``a[i]`` the candidates are the ``b[j]`` that start before
+    ``a[i]`` ends (a ``searchsorted`` on the starts) from the first whose
+    running maximum of ends passes ``a[i]``'s start (a ``searchsorted`` on
+    that running maximum); every other ``b[j]`` is disjoint from or touches
+    ``a[i]``.  So the work is linear in ``a`` and the candidates, which
+    exceed the pairs only where a long ``b`` interval keeps the running
+    maximum ahead of later, shorter ones.  Where ``b``'s ends already rise,
+    as words' do, they are their own running maximum.
     """
-    reach = np.maximum.accumulate(ends_b)
+    reach = ends_b if (ends_b[1:] >= ends_b[:-1]).all() else np.maximum.accumulate(ends_b)
     lo = np.searchsorted(reach, starts_a, side="right")
     hi = np.searchsorted(starts_b, ends_a, side="left")
     counts = np.maximum(hi - lo, 0)
@@ -338,11 +333,62 @@ def overlap_pairs(
     return i[keep], j[keep], ov[keep]
 
 
+def overlap_pairs(
+    starts_a: np.ndarray,
+    ends_a: np.ndarray,
+    starts_b: np.ndarray,
+    ends_b: np.ndarray,
+    min_overlap: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, overlap)`` for every pair with ``overlap > min_overlap``, ordered by ``(i, j)``.
+
+    ``min_overlap`` must be >= 0.  Side ``b`` must be sorted by start; side
+    ``a`` may come in any order.  The search runs from side ``a`` (see
+    :func:`_search_pairs`), or from side ``b`` when ``a`` is the longer side
+    and is sorted by start too, as when words are joined to segments; the
+    pairs found from ``b`` come in ``(j, i)`` order and are re-sorted, stably
+    by ``i``, only when ``i`` falls somewhere.
+    """
+    if starts_a.size <= starts_b.size or (starts_a[1:] < starts_a[:-1]).any():
+        return _search_pairs(starts_a, ends_a, starts_b, ends_b, min_overlap)
+    j, i, ov = _search_pairs(starts_b, ends_b, starts_a, ends_a, min_overlap)
+    if (i[1:] < i[:-1]).any():
+        order = np.argsort(i, kind="stable")
+        i, j, ov = i[order], j[order], ov[order]
+    return i, j, ov
+
+
+def overlap_ranges(starts_a, ends_a, starts_b, ends_b) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: the ``b`` overlapping ``a[i]`` are those of ``b[lo[i]:hi[i]]`` not of zero length.
+
+    Side ``b`` must be sorted by start with its ends rising too, as a text
+    stream's words are, since they may touch but never overlap; side ``a``
+    may come in any order.  The ``b`` that end after ``a[i]`` starts are then
+    a suffix and the ``b`` that start before it ends a prefix, and every
+    ``b`` of positive length in both overlaps it.  A zero-length ``a[i]``
+    overlaps nothing and gets ``lo[i] == hi[i]``; always ``lo <= hi``.
+    """
+    lo = np.searchsorted(ends_b, starts_a, side="right")
+    hi = np.searchsorted(starts_b, ends_a, side="left")
+    return lo, np.where(ends_a > starts_a, hi, lo)
+
+
 def covered(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
-    """Mask of the ``b`` intervals (sorted by start) that overlap, strictly, an ``a`` (any order)."""
-    mask = np.zeros(starts_b.size, dtype=bool)
-    mask[overlap_pairs(starts_a, ends_a, starts_b, ends_b, 0.0)[1]] = True
-    return mask
+    """Mask of the ``b`` intervals (sorted by start) that overlap, strictly, an ``a`` (any order).
+
+    Where ``b``'s ends rise, the mask comes from the :func:`overlap_ranges`
+    through one difference array: two binary searches per ``a`` and one
+    pass over ``b``.  Otherwise, as for nested segments, it comes from
+    :func:`overlap_pairs`.
+    """
+    if (ends_b[1:] < ends_b[:-1]).any():
+        mask = np.zeros(starts_b.size, dtype=bool)
+        mask[overlap_pairs(starts_a, ends_a, starts_b, ends_b, 0.0)[1]] = True
+        return mask
+    lo, hi = overlap_ranges(starts_a, ends_a, starts_b, ends_b)
+    n = starts_b.size
+    depth = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+    return (depth[:-1] > 0) & (ends_b > starts_b)
 
 
 def join_streams(
@@ -374,17 +420,34 @@ def join_streams(
 class QueryHits(_ElementColumns):
     """Read-only sequence of the :class:`Element` hits of :func:`query_crossmodal`.
 
-    Held as flat columns in (session, start, end) order: ``session_ids``,
-    ``ids`` and ``payloads`` are tuples and ``starts``/``ends`` read-only
-    float64 arrays.  ``hits[k]`` and iteration build the elements on demand;
-    an element does not carry its session, ``session_ids[k]`` does.
+    Held as ``parts``, one ``(stream, positions)`` per session with a hit,
+    in session order: that session's hits are ``stream[k]`` for ``k`` in the
+    read-only int array ``positions``, in stream order.  ``starts``/``ends``
+    are read-only float64 arrays over all the hits in that order; the
+    ``session_ids``, ``ids`` and ``payloads`` tuples are built when first
+    read.  ``hits[k]`` and iteration build the elements on demand; an
+    element does not carry its session, ``session_ids[k]`` does.
     """
 
-    session_ids: tuple[str, ...]
-    ids: tuple[str, ...]
+    parts: tuple[tuple[ElementStream, np.ndarray], ...]
     starts: np.ndarray
     ends: np.ndarray
-    payloads: tuple[str, ...]
+
+    @cached_property
+    def session_ids(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(repeat(s.session_id, at.size) for s, at in self.parts))
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(
+            map(s.ids.__getitem__, at.tolist()) for s, at in self.parts
+        ))
+
+    @cached_property
+    def payloads(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(
+            map(s.vocab.__getitem__, s.codes[at].tolist()) for s, at in self.parts
+        ))
 
 
 def query_crossmodal(
@@ -415,27 +478,24 @@ def query_crossmodal(
         if count > 1:
             raise ValidationError(f"session {sid!r} has {count} {select.value} streams, not one")
 
-    matched_by_session: dict[str, list[tuple[float, float]]] = {}
+    matched: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}  # each session's match bounds
     for stream in filters:
-        hits = [(e.start, e.end) for e in stream if where(e)]
-        if hits:
-            matched_by_session.setdefault(stream.session_id, []).extend(hits)
+        keep = np.fromiter(map(where, stream), bool, len(stream))
+        if keep.any():
+            bounds = (stream.starts[keep], stream.ends[keep])
+            matched.setdefault(stream.session_id, []).append(bounds)
 
-    parts = []  # (session id, select stream, positions of its hits)
-    for stream in selects:
-        matched = matched_by_session.get(stream.session_id)
-        if not matched:
-            continue
-        starts, ends = np.array(matched).T
-        at = np.flatnonzero(covered(starts, ends, stream.starts, stream.ends))
-        parts.append((stream.session_id, stream, at))  # in (start, end) order
-    parts.sort(key=lambda part: part[0])
+    parts = []  # (select stream, positions of its hits)
+    for stream in sorted(selects, key=lambda s: s.session_id):
+        bounds = matched.get(stream.session_id)
+        if bounds:
+            starts, ends = (np.concatenate(column) for column in zip(*bounds))
+            at = np.flatnonzero(covered(starts, ends, stream.starts, stream.ends))
+            at.setflags(write=False)
+            parts.append((stream, at))  # in (start, end) order
 
-    session_ids = [sid for sid, _, at in parts for _ in range(at.size)]
-    ids = [s.ids[k] for _, s, at in parts for k in at.tolist()]
-    payloads = [s.vocab[code] for _, s, at in parts for code in s.codes[at].tolist()]
-    starts = np.concatenate([np.empty(0)] + [s.starts[at] for _, s, at in parts])
-    ends = np.concatenate([np.empty(0)] + [s.ends[at] for _, s, at in parts])
+    starts = np.concatenate([np.empty(0)] + [s.starts[at] for s, at in parts])
+    ends = np.concatenate([np.empty(0)] + [s.ends[at] for s, at in parts])
     starts.setflags(write=False)
     ends.setflags(write=False)
-    return QueryHits(tuple(session_ids), tuple(ids), starts, ends, tuple(payloads))
+    return QueryHits(tuple(parts), starts, ends)

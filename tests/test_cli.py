@@ -657,6 +657,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
         (_index_manifest(session_id="\ud800"), ["segments", "--index", "IDX"], "ParseError"),
         (_index_manifest(speaker_id="\udcff"), ["fw", "--index", "IDX"], "ParseError"),
         ({}, ["segments", "--index", "IDX", "--label", "\udcff"], "ValidationError"),
+        ({}, ["query", "--index", "IDX", "--select", "text", "--where", "gaze.label==\udcff"],
+         "ValidationError"),
         ({"c.json": '{"address": {"label": "\\ud800"}}'},
          ["--config", "TMP/c.json", "query", "--index", "IDX", "--select", "text",
           "--where", "gaze.label==AfD"], "ValidationError"),
@@ -694,8 +696,8 @@ _QUERY = ["query", "--index", "IDX", "--where", "gaze.label==AfD"]
          "blob-without-vocab", "words-without-code", "blob-vocab-unused",
          "blob-vocab-out-of-order", "transcript-word-surrogate", "manifest-session-id-surrogate",
          "manifest-speaker-id-surrogate", "blob-vocab-surrogate", "index-session-id-surrogate",
-         "index-speaker-id-surrogate", "label-not-utf8", "config-label-surrogate",
-         "synth-spec-party-surrogate"],
+         "index-speaker-id-surrogate", "label-not-utf8", "where-not-utf8",
+         "config-label-surrogate", "synth-spec-party-surrogate"],
 )
 def test_bad_input_exits_with_one_line(planted_corpus, tmp_path, capsys, files, argv, error):
     shutil.copytree(planted_corpus.index, tmp_path / "idx")

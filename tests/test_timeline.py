@@ -275,24 +275,43 @@ _EDGE = st.integers(0, 16).map(lambda k: k * 0.25) | st.floats(0.0, 4.0)
 _LENGTH = st.integers(0, 6).map(lambda k: k * 0.25) | st.floats(0.0, 2.0)
 
 
+def _laid_end_to_end(steps):
+    """Word-like ``(start, length)`` spans from ``(gap, length)`` steps in quarter seconds.
+
+    The words touch or stand apart, some have zero length, and their ends
+    rise with their starts.
+    """
+    ends = 0.25 * np.cumsum([gap + length for gap, length in steps])
+    return [(end - 0.25 * length, 0.25 * length) for end, (_, length) in zip(ends.tolist(), steps)]
+
+
+_WORD_SPANS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=25).map(
+    _laid_end_to_end)
+
+
+def _spans(min_size, max_size):
+    return st.lists(st.tuples(_EDGE, _LENGTH), min_size=min_size, max_size=max_size)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.tuples(_EDGE, _LENGTH), max_size=25),
-    st.lists(st.tuples(_EDGE, _LENGTH), max_size=25),
+    # sizes up to 25 each, or a side of 9 to 200 against one of at most 8, either way round
+    st.sampled_from([(_spans(0, 25), _spans(0, 25)), (_spans(9, 200), _spans(0, 8)),
+                     (_spans(0, 8), _spans(9, 200))]).flatmap(lambda sides: st.tuples(*sides)),
     st.sampled_from([0.0, 0.0, 0.25, 0.3]),
 )
-def test_overlap_pairs_match_sweep_loop(a_spans, b_spans, min_ov):
-    a = sorted((s, s + d) for s, d in a_spans)
-    b = sorted((s, s + d) for s, d in b_spans)
+def test_overlap_pairs_match_sweep_loop(spans, min_ov):
+    a, b = (sorted((s, s + d) for s, d in side) for side in spans)
     cols = [np.array([iv[end] for iv in side], dtype=float) for side in (a, b) for end in (0, 1)]
     i, j, ov = overlap_pairs(*cols, min_ov)
     assert list(zip(i.tolist(), j.tolist(), ov.tolist())) == sorted(sweep_loop(a, b, min_ov))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_EDGE, _LENGTH), max_size=25),
-       st.lists(st.tuples(_EDGE, _LENGTH), max_size=25))
+@given(st.lists(st.tuples(_EDGE, _LENGTH | st.just(0.0)), max_size=25),
+       _spans(0, 25) | _WORD_SPANS)
 def test_covered_matches_brute_force(a_spans, b_spans):
+    # b is either any spans, whose ends may fall, or words, whose ends rise
     a = [(s, s + d) for s, d in a_spans]  # side a in the order drawn
     b = sorted((s, s + d) for s, d in b_spans)
     cols = [np.array([iv[end] for iv in side], dtype=float) for side in (a, b) for end in (0, 1)]
@@ -420,6 +439,18 @@ def test_query_orders_sessions_as_python_strings():
     hits = query_crossmodal(corpus, Modality.TEXT, lambda e: True, Modality.DERIVED)
     assert hits.session_ids == ("a", "a\x00", "b")
     assert hits.payloads == ("first", "later", "last")
+
+
+def test_query_hits_build_their_tuples_when_first_read():
+    words = words_stream("s", [("ja", 0, 1), ("nein", 1, 2), ("doch", 4, 5)])
+    segs = derived([(0.5, 1.5)], labels=["AfD"])
+    hits = query_crossmodal([words, segs], Modality.TEXT, lambda e: True, Modality.DERIVED)
+    lazy = {"session_ids", "ids", "payloads"}
+    assert len(hits) == 2 and not lazy & set(vars(hits))
+    for name in lazy:
+        assert getattr(hits, name) is getattr(hits, name)  # built once, on the first read
+    assert hits.session_ids == ("s", "s")
+    assert hits.ids == ("w000000", "w000001") and hits.payloads == ("ja", "nein")
 
 
 def test_query_requires_both_modalities():
