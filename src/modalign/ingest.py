@@ -339,6 +339,8 @@ def write_transcript(stream: ElementStream, path) -> None:
 # --- gaze traces -----------------------------------------------------------
 
 _GAZE_HEADER = "t,yaw_deg,pitch_deg,frontal"
+# The head-pose bounds in degrees, |yaw| and |pitch| at most these, in a gaze CSV and an index alike.
+_YAW_LIMIT, _PITCH_LIMIT = 180, 90
 
 
 def _bad_field(row: int, error: ValueError) -> str:
@@ -360,10 +362,9 @@ def load_gaze(path) -> GazeTrace:
     t, yaw, pitch = (np.array(column[: rows.limit], dtype=np.float64) for column in (t, yaw, pitch))
     rows.check((0.0 <= t) & (t < np.inf),
                lambda k: f"t must be finite and >= 0, got {t_cells[k]!r}")
-    rows.check((-180.0 <= yaw) & (yaw <= 180.0),
-               lambda k: f"yaw {float(yaw[k])} outside [-180, 180]", AngleOutOfRange)
-    rows.check((-90.0 <= pitch) & (pitch <= 90.0),
-               lambda k: f"pitch {float(pitch[k])} outside [-90, 90]", AngleOutOfRange)
+    for name, angle, limit in (("yaw", yaw, _YAW_LIMIT), ("pitch", pitch, _PITCH_LIMIT)):
+        rows.check(np.abs(angle) <= limit,  # NaN fails
+                   lambda k: f"{name} {float(angle[k])} outside [-{limit}, {limit}]", AngleOutOfRange)
     rows.check(list(map({0, 1}.__contains__, frontal)),
                lambda k: f"frontal must be 0 or 1, got {frontal_cells[k]}")
     rows.raise_first()
@@ -745,8 +746,6 @@ def _session_path(root: Path, session_id: str) -> Path:
 
 # A session file's header: the word count, the gaze sample count and the vocab, nothing else.
 _HEADER_TYPES = {"gaze": int, "vocab": list, "words": int}
-# The float columns, in file order; then ``code`` (``<u4``, a word each) and ``frontal`` (``u1``).
-_FLOAT_COLUMNS = ("start", "end", "t", "yaw", "pitch")
 
 
 def _session_bytes(words: ElementStream, trace: GazeTrace) -> bytes:
@@ -754,8 +753,8 @@ def _session_bytes(words: ElementStream, trace: GazeTrace) -> bytes:
 
     The header is the compact JSON object of :data:`_HEADER_TYPES` with
     sorted keys, padded with spaces before its line break to a multiple of
-    64 bytes.  The columns follow in :data:`_FLOAT_COLUMNS`
-    order as ``<f8``, then the word codes as ``<u4`` and the ``frontal``
+    64 bytes.  The columns follow: ``start``, ``end``, ``t``, ``yaw`` and
+    ``pitch`` as ``<f8``, then the word codes as ``<u4`` and the ``frontal``
     flags as 0/1 bytes, so each starts at a multiple of its item size.
     """
     header = _json_bytes(
@@ -792,13 +791,14 @@ def _write_index(root: Path, sessions) -> None:
 def _read_session(path: Path, session_id: str, speaker_id: str) -> tuple[ElementStream, GazeTrace]:
     """The words and gaze trace of the session file at ``path`` (see :func:`_session_bytes`).
 
-    The file is read once and its columns checked as views of the bytes
-    read; the gaze columns are then copied out, the three float columns as
-    one block.  The header must be one UTF-8 JSON line holding exactly
-    :data:`_HEADER_TYPES` (counts >= 0), the rest exactly the bytes its
-    counts promise, every float finite and every flag 0 or 1; the trace
-    and the stream then check their own rules.  A file that cannot be read
-    is a :class:`MissingFile`; any other break is a :class:`ParseError`
+    The file is read once.  The header must be one UTF-8 JSON line holding
+    exactly :data:`_HEADER_TYPES` (counts >= 0), the rest exactly the bytes
+    its counts promise and every flag 0 or 1, checked on views of the bytes
+    read.  The gaze columns are then copied out, the three float columns as
+    one block, and yaw must lie in [-180, 180] and pitch in [-90, 90] (NaN
+    fails), as in a gaze CSV; the bounds of the times are the trace's rule
+    and those of the word intervals the stream's.  A file that cannot be
+    read is a :class:`MissingFile`; any other break is a :class:`ParseError`
     naming the file and the session.
     """
     def bad(line_no: int, message: str) -> ParseError:
@@ -825,17 +825,16 @@ def _read_session(path: Path, session_id: str, speaker_id: str) -> tuple[Element
         raise bad(0, f"holds {len(data) - body} bytes after its header, "
                      f"{n} words and {m} gaze samples need {need}")
     floats = np.frombuffer(data, "<f8", 2 * n + 3 * m, body)
-    finite = np.isfinite(floats)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        column = _FLOAT_COLUMNS[np.searchsorted(np.cumsum([n, n, m, m, m]), k, side="right")]
-        raise bad(0, f"column {column!r} holds non-finite numbers")
     codes = np.frombuffer(data, "<u4", n, body + floats.nbytes)
     frontal = np.frombuffer(data, "u1", m, body + floats.nbytes + codes.nbytes)
     if (frontal > 1).any():
         raise bad(0, "column 'frontal' must hold only 0 and 1")
     starts, ends = floats[: 2 * n].reshape(2, n)
     gaze = floats[2 * n :].reshape(3, m).copy()  # a view would keep the whole read alive
+    for name, angle, limit in (("yaw", gaze[1], _YAW_LIMIT), ("pitch", gaze[2], _PITCH_LIMIT)):
+        if not np.abs(angle).max(initial=0) <= limit:  # NaN fails
+            value = angle[np.argmin(np.abs(angle) <= limit)]
+            raise bad(0, f"column {name!r} holds {value}, outside [-{limit}, {limit}]")
     try:
         trace = GazeTrace(*gaze, frontal.astype(bool))
     except UnsortedSamples as e:

@@ -309,28 +309,23 @@ def _observed_cardinality(source_idx: np.ndarray, target_idx: np.ndarray) -> Car
     return Cardinality.MANY_TO_MANY
 
 
-def _search_pairs(starts_a, ends_a, starts_b, ends_b, min_overlap):
-    """:func:`overlap_pairs`, searched from side ``a``: ``b`` sorted by start, ``a`` in any order.
+def overlap_ranges(starts_a, ends_a, starts_b, reach_b) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: every ``b`` that overlaps ``a[i]`` lies in ``b[lo[i]:hi[i]]``; ``lo <= hi``.
 
-    For each ``a[i]`` the candidates are the ``b[j]`` that start before
-    ``a[i]`` ends (a ``searchsorted`` on the starts) from the first whose
-    running maximum of ends passes ``a[i]``'s start (a ``searchsorted`` on
-    that running maximum); every other ``b[j]`` is disjoint from or touches
-    ``a[i]``.  So the work is linear in ``a`` and the candidates, which
-    exceed the pairs only where a long ``b`` interval keeps the running
-    maximum ahead of later, shorter ones.  Where ``b``'s ends already rise,
-    as words' do, they are their own running maximum.
+    Side ``b`` must be sorted by start, and ``reach_b`` be its ends where
+    they rise, as a text stream's words do, their running maximum where
+    they fall; side ``a`` may come in any order.  The ``b`` whose reach
+    passes ``a[i]``'s start are then a suffix and the ``b`` that start
+    before it ends a prefix: two binary searches, and every other ``b`` is
+    disjoint from or touches ``a[i]``.  With ``b``'s own ends the ``b`` of
+    positive length in the range are exactly those that overlap ``a[i]``;
+    with a running maximum the range also holds ``b`` nested in an earlier,
+    longer one.  A zero-length ``a[i]`` overlaps nothing and gets
+    ``lo[i] == hi[i]``.
     """
-    reach = ends_b if (ends_b[1:] >= ends_b[:-1]).all() else np.maximum.accumulate(ends_b)
-    lo = np.searchsorted(reach, starts_a, side="right")
+    lo = np.searchsorted(reach_b, starts_a, side="right")
     hi = np.searchsorted(starts_b, ends_a, side="left")
-    counts = np.maximum(hi - lo, 0)
-    i = np.repeat(np.arange(starts_a.size), counts)
-    first = np.cumsum(counts) - counts  # offset of each a[i]'s first candidate
-    j = np.arange(i.size) - np.repeat(first - lo, counts)
-    ov = np.minimum(ends_a[i], ends_b[j]) - np.maximum(starts_a[i], starts_b[j])
-    keep = ov > min_overlap
-    return i[keep], j[keep], ov[keep]
+    return lo, np.where(ends_a > starts_a, hi, lo)
 
 
 def overlap_pairs(
@@ -343,34 +338,30 @@ def overlap_pairs(
     """``(i, j, overlap)`` for every pair with ``overlap > min_overlap``, ordered by ``(i, j)``.
 
     ``min_overlap`` must be >= 0.  Side ``b`` must be sorted by start; side
-    ``a`` may come in any order.  The search runs from side ``a`` (see
-    :func:`_search_pairs`), or from side ``b`` when ``a`` is the longer side
-    and is sorted by start too, as when words are joined to segments; the
-    pairs found from ``b`` come in ``(j, i)`` order and are re-sorted, stably
-    by ``i``, only when ``i`` falls somewhere.
+    ``a`` may come in any order.  The candidates for ``a[i]`` are the ``b``
+    of its :func:`overlap_ranges`, listed without a Python loop, so the work
+    is linear in ``a`` and the candidates, which exceed the pairs only where
+    a long ``b`` keeps the running maximum of ends ahead of later, shorter
+    ones.  When ``a`` is the longer side and sorted by start too, as when
+    words are joined to segments, the search runs from side ``b`` instead;
+    those pairs come in ``(j, i)`` order and are re-sorted, stably by ``i``,
+    only when ``i`` falls somewhere.
     """
-    if starts_a.size <= starts_b.size or (starts_a[1:] < starts_a[:-1]).any():
-        return _search_pairs(starts_a, ends_a, starts_b, ends_b, min_overlap)
-    j, i, ov = _search_pairs(starts_b, ends_b, starts_a, ends_a, min_overlap)
-    if (i[1:] < i[:-1]).any():
-        order = np.argsort(i, kind="stable")
-        i, j, ov = i[order], j[order], ov[order]
-    return i, j, ov
-
-
-def overlap_ranges(starts_a, ends_a, starts_b, ends_b) -> tuple[np.ndarray, np.ndarray]:
-    """``(lo, hi)``: the ``b`` overlapping ``a[i]`` are those of ``b[lo[i]:hi[i]]`` not of zero length.
-
-    Side ``b`` must be sorted by start with its ends rising too, as a text
-    stream's words are, since they may touch but never overlap; side ``a``
-    may come in any order.  The ``b`` that end after ``a[i]`` starts are then
-    a suffix and the ``b`` that start before it ends a prefix, and every
-    ``b`` of positive length in both overlaps it.  A zero-length ``a[i]``
-    overlaps nothing and gets ``lo[i] == hi[i]``; always ``lo <= hi``.
-    """
-    lo = np.searchsorted(ends_b, starts_a, side="right")
-    hi = np.searchsorted(starts_b, ends_a, side="left")
-    return lo, np.where(ends_a > starts_a, hi, lo)
+    if starts_a.size > starts_b.size and not (starts_a[1:] < starts_a[:-1]).any():
+        j, i, ov = overlap_pairs(starts_b, ends_b, starts_a, ends_a, min_overlap)
+        if (i[1:] < i[:-1]).any():
+            order = np.argsort(i, kind="stable")
+            i, j, ov = i[order], j[order], ov[order]
+        return i, j, ov
+    reach = ends_b if (ends_b[1:] >= ends_b[:-1]).all() else np.maximum.accumulate(ends_b)
+    lo, hi = overlap_ranges(starts_a, ends_a, starts_b, reach)
+    counts = hi - lo
+    i = np.repeat(np.arange(starts_a.size), counts)
+    first = np.cumsum(counts) - counts  # offset of each a[i]'s first candidate
+    j = np.arange(i.size) - np.repeat(first - lo, counts)
+    ov = np.minimum(ends_a[i], ends_b[j]) - np.maximum(starts_a[i], starts_b[j])
+    keep = ov > min_overlap
+    return i[keep], j[keep], ov[keep]
 
 
 def covered(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:

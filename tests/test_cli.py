@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import tempfile
 import wave
 from pathlib import Path
@@ -913,6 +914,21 @@ def test_damaged_index_row_exits_with_one_line(planted_corpus, tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"{error}: {idx}")
     assert names in err and not (tmp_path / "out").exists()
+
+
+def test_index_angle_out_of_range_exits_with_one_line(planted_corpus, tmp_path, capsys):
+    # yaw 999 in the first gaze sample of a session file, as in a gaze CSV, is exit 3
+    idx = shutil.copytree(planted_corpus.index, tmp_path / "idx")
+    path = idx / "sessions" / "sess001.session"
+    data = path.read_bytes()
+    body = data.index(b"\n") + 1
+    header = json.loads(data[:body])
+    at = body + 8 * (2 * header["words"] + header["gaze"])  # after start, end and t
+    path.write_bytes(data[:at] + struct.pack("<d", 999.0) + data[at + 8 :])
+    assert run("segments", "--index", idx, "--out", tmp_path / "s.csv") == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"ParseError: {path}:")
+    assert "session 'sess001': column 'yaw' holds 999.0" in err
 
 
 _SESSION_001 = "sess001.session"

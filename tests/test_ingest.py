@@ -983,10 +983,20 @@ def test_damaged_session_tables_name_table_and_session(tmp_path):
     path = out / "sessions" / "sessA.session"
     good = path.read_bytes()
     vocab, words, gaze = ["hallo", "welt"], _TWO_ROWS, [(0.0, 50.0, 0.0, 1)]
+    nan, inf = float("nan"), float("inf")
     for damaged, message in [
         (session_file([(-5.0, 0.5, 0), words[1]], gaze, vocab), "words: bad interval"),
+        (session_file([words[0], (nan, 1.0, 1)], gaze, vocab), r"words: bad interval \[nan"),
         (session_file([words[0], (0.25, 1.0, 1)], gaze, vocab), "words: words"),
         (session_file(words, gaze * 2, vocab), "gaze: sample"),
+        (session_file(words, [(inf, 50.0, 0.0, 1)], vocab), "gaze: sample 0 at t=inf"),
+        # the angle bounds of a gaze CSV hold in an index too
+        (session_file(words, [(0.0, 999.0, 0.0, 1)], vocab),
+         r"column 'yaw' holds 999.0, outside \[-180, 180\]"),
+        (session_file(words, [(0.0, 50.0, -91.0, 1)], vocab),
+         r"column 'pitch' holds -91.0, outside \[-90, 90\]"),
+        (session_file(words, [(0.0, 50.0, 0.0, 1), (0.125, nan, 0.0, 1)], vocab),
+         "column 'yaw' holds nan"),
     ]:
         path.write_bytes(damaged)
         with pytest.raises(ParseError, match="session 'sessA': " + message) as info:

@@ -27,6 +27,7 @@ from modalign.timeline import (
     element_ids,
     join_streams,
     overlap_pairs,
+    overlap_ranges,
     query_crossmodal,
     stream_from_columns,
     word_element_id,
@@ -299,12 +300,45 @@ def _spans(min_size, max_size):
     st.sampled_from([(_spans(0, 25), _spans(0, 25)), (_spans(9, 200), _spans(0, 8)),
                      (_spans(0, 8), _spans(9, 200))]).flatmap(lambda sides: st.tuples(*sides)),
     st.sampled_from([0.0, 0.0, 0.25, 0.3]),
+    st.booleans(),
 )
-def test_overlap_pairs_match_sweep_loop(spans, min_ov):
-    a, b = (sorted((s, s + d) for s, d in side) for side in spans)
+def test_overlap_pairs_match_sweep_loop(spans, min_ov, sort_a):
+    # side a sorted by start, or in the order drawn, as covered hands it over for nested b
+    a, b = ([(s, s + d) for s, d in side] for side in spans)
+    if sort_a:
+        a.sort()
+    b.sort()
+    order = sorted(range(len(a)), key=a.__getitem__)  # sorted position -> position in a
     cols = [np.array([iv[end] for iv in side], dtype=float) for side in (a, b) for end in (0, 1)]
     i, j, ov = overlap_pairs(*cols, min_ov)
-    assert list(zip(i.tolist(), j.tolist(), ov.tolist())) == sorted(sweep_loop(a, b, min_ov))
+    expected = sweep_loop([a[k] for k in order], b, min_ov)
+    assert list(zip(i.tolist(), j.tolist(), ov.tolist())) == sorted(
+        (order[k], *rest) for k, *rest in expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_EDGE, _LENGTH | st.just(0.0)), max_size=25),
+       _spans(0, 25) | _WORD_SPANS)
+def test_overlap_ranges_match_brute_force(a_spans, b_spans):
+    # b is either any spans, whose ends may fall and which get their running maximum as
+    # reach, or words, whose ends rise and are their own reach
+    a = [(s, s + d) for s, d in a_spans]  # side a in the order drawn
+    b = sorted((s, s + d) for s, d in b_spans)
+    starts_a, ends_a, starts_b, ends_b = (
+        np.array([iv[end] for iv in side], dtype=float) for side in (a, b) for end in (0, 1))
+    rising = bool((ends_b[1:] >= ends_b[:-1]).all())
+    reach = ends_b if rising else np.maximum.accumulate(ends_b)
+    lo, hi = overlap_ranges(starts_a, ends_a, starts_b, reach)
+    assert (lo <= hi).all()
+    for x, first, stop in zip(a, lo.tolist(), hi.tolist()):
+        overlapping = {k for k, y in enumerate(b) if overlap(x, y) > 0}
+        in_range = set(range(first, stop))
+        if x[0] == x[1]:
+            assert first == stop
+        if rising:
+            assert overlapping == {k for k in in_range if b[k][0] < b[k][1]}
+        else:
+            assert overlapping <= in_range
 
 
 @settings(max_examples=300, deadline=None)
